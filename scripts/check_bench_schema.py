@@ -6,135 +6,32 @@ Usage: check_bench_schema.py REPORT.json
 Understands every schema the bench suite and the CLI emit — the report's
 "schema" field selects the rule set:
 
-  * faultroute.bench.delivery.v1  (bench_delivery: event vs reference engine)
-  * faultroute.bench.routing.v1   (bench_routing: dense vs hash probe state)
-  * faultroute.bench.adjacency.v1 (bench_adjacency: flat CSR vs implicit)
-  * faultroute.bench.frontier.v1  (bench_frontier: batched frontier vs per-message)
   * faultroute.bench.snapshot.v1  (bench_snapshot: mmap warm start vs cold build)
   * faultroute.metrics.v1         (any subcommand's --metrics report)
   * faultroute.analyze.v1         (faultroute_analyze --json contract report)
 
-Run by CI after `bench_delivery --quick --json` / `bench_routing --quick
---json` so the machine-readable perf trajectories (BENCH_traffic.json,
-BENCH_routing.json and the per-PR CI artifacts) stay parseable and
-complete, and after `faultroute ... --metrics` in the observability job.
+Run by CI after `bench_snapshot --quick --json` so the committed record
+(BENCH_snapshot.json) and the per-PR CI artifact stay parseable and
+complete, after `faultroute ... --metrics` in the observability job, and
+on the analyzer's --json report.
 Exits non-zero with a message on the first violation.
 """
 
 import json
 import sys
 
-DELIVERY_SCHEMA = "faultroute.bench.delivery.v1"
-ROUTING_SCHEMA = "faultroute.bench.routing.v1"
-ADJACENCY_SCHEMA = "faultroute.bench.adjacency.v1"
-FRONTIER_SCHEMA = "faultroute.bench.frontier.v1"
 SNAPSHOT_SCHEMA = "faultroute.bench.snapshot.v1"
 METRICS_SCHEMA = "faultroute.metrics.v1"
 ANALYZE_SCHEMA = "faultroute.analyze.v1"
 SCHEMA_VERSION = 1
 
 # Build provenance (git hash / compiler / build type). Mandatory in
-# faultroute.metrics.v1; optional-if-present in the bench schemas so records
-# committed before the provenance stamp still validate.
+# faultroute.metrics.v1; optional-if-present in the bench schema.
 PROVENANCE_FIELDS = {
     "git_hash": str,
     "compiler": str,
     "build_type": str,
     "generated_by": str,
-}
-
-DELIVERY_TOP_LEVEL = {
-    "schema": str,
-    "schema_version": int,
-    "quick": bool,
-    "seed": int,
-    "benchmarks": list,
-}
-
-DELIVERY_BENCHMARK_FIELDS = {
-    "name": str,
-    "topology": str,
-    "workload": str,
-    "p": (int, float),
-    "messages": int,
-    "capacity": int,
-    "routed": int,
-    "delivered": int,
-    "makespan": int,
-    "sim_steps": int,
-    "transmissions": int,
-    "channels": int,
-    "routing_ms": (int, float),
-    "event_ms": (int, float),
-    "reference_ms": (int, float),
-    "event_delivery_ms": (int, float),
-    "reference_delivery_ms": (int, float),
-    "speedup": (int, float),
-    "end_to_end_speedup": (int, float),
-    "identical": bool,
-}
-
-ROUTING_TOP_LEVEL = {
-    "schema": str,
-    "schema_version": int,
-    "quick": bool,
-    "benchmarks": list,
-}
-
-ROUTING_BENCHMARK_FIELDS = {
-    "name": str,
-    "cells": int,
-    "messages": int,
-    "trials": int,
-    "routed": int,
-    "delivered": int,
-    "total_distinct_probes": int,
-    "unique_edges_probed": int,
-    "dense_routing_ms": (int, float),
-    "hash_routing_ms": (int, float),
-    "speedup": (int, float),
-    "identical": bool,
-}
-
-
-ADJACENCY_TOP_LEVEL = {
-    "schema": str,
-    "schema_version": int,
-    "quick": bool,
-    "benchmarks": list,
-}
-
-ADJACENCY_BENCHMARK_FIELDS = {
-    "name": str,
-    "kind": str,
-    "cells": int,
-    "flat_ms": (int, float),
-    "implicit_ms": (int, float),
-    "speedup": (int, float),
-    "identical": bool,
-}
-
-ADJACENCY_KINDS = {"traffic", "percolation"}
-
-FRONTIER_TOP_LEVEL = {
-    "schema": str,
-    "schema_version": int,
-    "quick": bool,
-    "benchmarks": list,
-}
-
-FRONTIER_BENCHMARK_FIELDS = {
-    "name": str,
-    "cells": int,
-    "messages": int,
-    "routed": int,
-    "delivered": int,
-    "total_distinct_probes": int,
-    "unique_edges_probed": int,
-    "batch_routing_ms": (int, float),
-    "permsg_routing_ms": (int, float),
-    "speedup": (int, float),
-    "identical": bool,
 }
 
 SNAPSHOT_TOP_LEVEL = {
@@ -271,72 +168,6 @@ def check_common_top_level(report: dict, top_level: dict) -> None:
             fail(f"benchmarks[{i}]: not an object")
 
 
-def check_delivery(report: dict) -> None:
-    check_common_top_level(report, DELIVERY_TOP_LEVEL)
-    for i, bench in enumerate(report["benchmarks"]):
-        where = f"benchmarks[{i}]"
-        check_fields(bench, DELIVERY_BENCHMARK_FIELDS, where)
-        if not bench["identical"]:
-            fail(f"{where} ('{bench['name']}'): engines disagree (identical=false)")
-        if bench["delivered"] > bench["routed"]:
-            fail(f"{where}: delivered > routed")
-        if bench["event_delivery_ms"] < 0 or bench["reference_delivery_ms"] < 0:
-            fail(f"{where}: negative delivery time")
-
-
-def check_routing(report: dict) -> None:
-    check_common_top_level(report, ROUTING_TOP_LEVEL)
-    for i, bench in enumerate(report["benchmarks"]):
-        where = f"benchmarks[{i}]"
-        check_fields(bench, ROUTING_BENCHMARK_FIELDS, where)
-        if not bench["identical"]:
-            fail(f"{where} ('{bench['name']}'): probe-state backends disagree "
-                 "(identical=false)")
-        if bench["delivered"] > bench["routed"]:
-            fail(f"{where}: delivered > routed")
-        if bench["unique_edges_probed"] > bench["total_distinct_probes"]:
-            fail(f"{where}: unique edges exceed summed distinct probes")
-        if bench["dense_routing_ms"] < 0 or bench["hash_routing_ms"] < 0:
-            fail(f"{where}: negative routing time")
-        if bench["cells"] <= 0:
-            fail(f"{where}: no cells executed")
-
-
-def check_adjacency(report: dict) -> None:
-    check_common_top_level(report, ADJACENCY_TOP_LEVEL)
-    for i, bench in enumerate(report["benchmarks"]):
-        where = f"benchmarks[{i}]"
-        check_fields(bench, ADJACENCY_BENCHMARK_FIELDS, where)
-        if bench["kind"] not in ADJACENCY_KINDS:
-            fail(f"{where}: kind is '{bench['kind']}', expected one of "
-                 f"{sorted(ADJACENCY_KINDS)}")
-        if not bench["identical"]:
-            fail(f"{where} ('{bench['name']}'): adjacency backends disagree "
-                 "(identical=false)")
-        if bench["flat_ms"] < 0 or bench["implicit_ms"] < 0:
-            fail(f"{where}: negative time")
-        if bench["cells"] <= 0:
-            fail(f"{where}: no cells executed")
-
-
-def check_frontier(report: dict) -> None:
-    check_common_top_level(report, FRONTIER_TOP_LEVEL)
-    for i, bench in enumerate(report["benchmarks"]):
-        where = f"benchmarks[{i}]"
-        check_fields(bench, FRONTIER_BENCHMARK_FIELDS, where)
-        if not bench["identical"]:
-            fail(f"{where} ('{bench['name']}'): frontier modes disagree "
-                 "(identical=false)")
-        if bench["delivered"] > bench["routed"]:
-            fail(f"{where}: delivered > routed")
-        if bench["unique_edges_probed"] > bench["total_distinct_probes"]:
-            fail(f"{where}: unique edges exceed summed distinct probes")
-        if bench["batch_routing_ms"] < 0 or bench["permsg_routing_ms"] < 0:
-            fail(f"{where}: negative routing time")
-        if bench["cells"] <= 0:
-            fail(f"{where}: no cells executed")
-
-
 def check_snapshot(report: dict) -> None:
     check_common_top_level(report, SNAPSHOT_TOP_LEVEL)
     for i, bench in enumerate(report["benchmarks"]):
@@ -467,10 +298,6 @@ def summarize_metrics(report: dict) -> str:
 
 
 CHECKERS = {
-    DELIVERY_SCHEMA: (check_delivery, summarize_bench),
-    ROUTING_SCHEMA: (check_routing, summarize_bench),
-    ADJACENCY_SCHEMA: (check_adjacency, summarize_bench),
-    FRONTIER_SCHEMA: (check_frontier, summarize_bench),
     SNAPSHOT_SCHEMA: (check_snapshot, summarize_bench),
     METRICS_SCHEMA: (check_metrics, summarize_metrics),
     ANALYZE_SCHEMA: (check_analyze, summarize_analyze),

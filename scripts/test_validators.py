@@ -39,58 +39,6 @@ def run_script(script, *argv):
         capture_output=True, text=True, check=False)
 
 
-def valid_delivery_report():
-    return {
-        "schema": "faultroute.bench.delivery.v1",
-        "schema_version": 1,
-        "quick": True,
-        "seed": 2024,
-        "benchmarks": [{
-            "name": "hypercube_uniform",
-            "topology": "hypercube:10",
-            "workload": "random-pairs",
-            "p": 0.55,
-            "messages": 4096,
-            "capacity": 1,
-            "routed": 4000,
-            "delivered": 3990,
-            "makespan": 181,
-            "sim_steps": 181,
-            "transmissions": 30000,
-            "channels": 10240,
-            "routing_ms": 12.5,
-            "event_ms": 3.25,
-            "reference_ms": 40.0,
-            "event_delivery_ms": 3.25,
-            "reference_delivery_ms": 40.0,
-            "speedup": 12.3,
-            "end_to_end_speedup": 3.4,
-            "identical": True,
-        }],
-    }
-
-
-def valid_frontier_report():
-    return {
-        "schema": "faultroute.bench.frontier.v1",
-        "schema_version": 1,
-        "quick": True,
-        "benchmarks": [{
-            "name": "debruijn_flood",
-            "cells": 6,
-            "messages": 4096,
-            "routed": 4001,
-            "delivered": 3999,
-            "total_distinct_probes": 90000,
-            "unique_edges_probed": 41000,
-            "batch_routing_ms": 8.0,
-            "permsg_routing_ms": 14.0,
-            "speedup": 1.75,
-            "identical": True,
-        }],
-    }
-
-
 def valid_snapshot_report():
     return {
         "schema": "faultroute.bench.snapshot.v1",
@@ -198,12 +146,6 @@ class ValidatorCase(unittest.TestCase):
 class BenchSchemaValidator(ValidatorCase):
     SCRIPT = "check_bench_schema.py"
 
-    def test_accepts_valid_delivery_report(self):
-        self.assert_accepts(self.SCRIPT, self.write_json("d.json", valid_delivery_report()))
-
-    def test_accepts_valid_frontier_report(self):
-        self.assert_accepts(self.SCRIPT, self.write_json("f.json", valid_frontier_report()))
-
     def test_accepts_valid_metrics_report(self):
         self.assert_accepts(self.SCRIPT, self.write_json("m.json", valid_metrics_report()))
 
@@ -229,31 +171,26 @@ class BenchSchemaValidator(ValidatorCase):
                             "negative time")
 
     def test_rejects_missing_field(self):
-        report = valid_delivery_report()
-        del report["benchmarks"][0]["makespan"]
-        self.assert_rejects(self.SCRIPT, self.write_json("d.json", report), "makespan")
-
-    def test_rejects_engine_disagreement(self):
-        report = valid_delivery_report()
-        report["benchmarks"][0]["identical"] = False
-        self.assert_rejects(self.SCRIPT, self.write_json("d.json", report), "identical")
-
-    def test_rejects_delivered_exceeding_routed(self):
-        report = valid_frontier_report()
-        report["benchmarks"][0]["delivered"] = report["benchmarks"][0]["routed"] + 1
-        self.assert_rejects(self.SCRIPT, self.write_json("f.json", report),
-                            "delivered > routed")
+        report = valid_snapshot_report()
+        del report["benchmarks"][0]["build_ms"]
+        self.assert_rejects(self.SCRIPT, self.write_json("s.json", report), "build_ms")
 
     def test_rejects_wrong_schema_version(self):
-        report = valid_frontier_report()
+        report = valid_snapshot_report()
         report["schema_version"] = 2
-        self.assert_rejects(self.SCRIPT, self.write_json("f.json", report),
+        self.assert_rejects(self.SCRIPT, self.write_json("s.json", report),
                             "schema_version")
 
     def test_rejects_bool_masquerading_as_int(self):
-        report = valid_frontier_report()
-        report["benchmarks"][0]["messages"] = True
-        self.assert_rejects(self.SCRIPT, self.write_json("f.json", report), "messages")
+        report = valid_snapshot_report()
+        report["benchmarks"][0]["vertices"] = True
+        self.assert_rejects(self.SCRIPT, self.write_json("s.json", report), "vertices")
+
+    def test_rejects_retired_bench_schema(self):
+        report = valid_snapshot_report()
+        report["schema"] = "faultroute.bench.frontier.v1"
+        self.assert_rejects(self.SCRIPT, self.write_json("s.json", report),
+                            "expected one of")
 
     def test_rejects_metrics_without_provenance(self):
         report = valid_metrics_report()
@@ -355,8 +292,6 @@ void helper(std::vector<int>& out);
 void route_all(std::vector<int>& out) { helper(out); }
 // analyze:hot-root(smoke fixture root)
 void run_traffic() {}
-// analyze:hot-root(smoke fixture root)
-void route_frontier_batched() {}
 // analyze:hot-root(smoke fixture root)
 void DistanceOracle::bfs_block() {}
 // analyze:hot-root(smoke fixture root)

@@ -57,7 +57,7 @@ void ProbeContext::reached_insert(VertexId v) {
   if (arena_ != nullptr) {
     arena_->vertex_epoch_[v] = arena_->epoch_;
   } else {
-    reached_.insert(v);  // analyze:allow-hot-alloc(hash-backend reached set: the no-arena A/B baseline)
+    reached_.insert(v);  // analyze:allow-hot-alloc(hash-backend reached set for one-off contexts; the traffic engine always passes an arena)
   }
 }
 
@@ -137,7 +137,7 @@ bool ProbeContext::probe_with(const Access& access, VertexId v, int i) {
         throw ProbeBudgetExceeded("probe budget exhausted");  // analyze:allow-throw-safety(probe-budget censoring signal, caught per message by the engine)
       }
       open = sampler_.is_open(key);
-      memo_.emplace(key, open);  // analyze:allow-hot-alloc(hash-backend probe memo: one insert per distinct edge, the A/B baseline)
+      memo_.emplace(key, open);  // analyze:allow-hot-alloc(hash-backend probe memo for one-off contexts: one insert per distinct edge)
       ++distinct_probes_;
     }
   }

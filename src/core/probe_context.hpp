@@ -87,17 +87,17 @@ class ProbeArena {
 ///  * enforces an optional probe budget (distinct edges),
 ///  * reports the complexity statistics that the paper's Definition 2 counts.
 ///
-/// Two interchangeable backends hold the memo and the reached set:
+/// Two backends hold the memo and the reached set:
 ///  * hash (default, `arena == nullptr`): per-context unordered containers
 ///    keyed by EdgeKey/VertexId — self-contained, right for one-off
-///    contexts;
+///    contexts (single-pair experiments, `faultroute route`);
 ///  * dense (`arena != nullptr`): epoch-stamped flat arrays indexed by the
 ///    topology's ChannelIndex edge ids and by vertex id, pooled in the
 ///    caller's ProbeArena — the traffic engine's hot path, zero allocation
 ///    per message.
 /// Every observable (probe answers, distinct/total counts, reach, budget
-/// and locality enforcement) is bit-identical across backends; the golden
-/// and equivalence suites hold the whole traffic pipeline to that.
+/// and locality enforcement) is bit-identical across backends; the traffic
+/// differential suite holds the engine to a hash-backend reference.
 class ProbeContext {
  public:
   /// `budget`: maximum number of distinct edges that may be probed

@@ -4,7 +4,7 @@
 
 #include "graph/flat_adjacency.hpp"
 
-// analyze:allow-file-hot-alloc(per-message bidirectional BFS is the --frontier permsg differential baseline for the batched block executor)
+// analyze:allow-file-hot-alloc(per-message bidirectional BFS: frontiers and dense marks are pooled per router, the returned Path and implicit-path hash marks allocate per message)
 namespace faultroute {
 
 namespace {

@@ -28,8 +28,6 @@ class FloodRouter : public Router {
     return probe_target_first_ ? "flood(target-first)" : "flood";
   }
 
-  [[nodiscard]] bool probe_target_first() const { return probe_target_first_; }
-
  private:
   bool probe_target_first_;
   // Search state pooled across the messages a worker routes: dense

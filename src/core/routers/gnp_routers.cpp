@@ -7,7 +7,7 @@
 
 #include "graph/complete.hpp"
 
-// analyze:allow-file-hot-alloc(complete-graph cross-scan routers size per-search state once per message; no batched executor exists for this family)
+// analyze:allow-file-hot-alloc(complete-graph cross-scan routers size per-search state once per message)
 namespace faultroute {
 
 namespace {

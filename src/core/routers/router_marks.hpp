@@ -37,11 +37,11 @@ class HashMarks {
     return true;
   }
   /// Inserts v -> value; returns false (and leaves the mark) if v is marked.
-  // analyze:allow-hot-alloc(HashMarks is the hash A/B fallback; DenseMarks pools instead)
+  // analyze:allow-hot-alloc(HashMarks serves implicit adjacency on graphs above the CSR budget; DenseMarks pools instead)
   bool emplace(VertexId v, VertexId value) { return map_.emplace(v, value).second; }
 
  private:
-  // lint:allow-hash(HashMarks IS the implicit-adjacency A/B fallback path)
+  // lint:allow-hash(HashMarks IS the implicit-adjacency path for graphs above the CSR budget)
   std::unordered_map<VertexId, VertexId> map_;
 };
 

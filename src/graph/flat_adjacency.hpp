@@ -143,9 +143,9 @@ class FlatAdjacency {
   mutable std::unique_ptr<DistanceOracle> oracle_;
 };
 
-/// Which adjacency backend a hot path resolves queries through. A pure A/B
-/// switch in the mould of TrafficConfig::dense_probe_state / --engine:
-/// every observable result is bit-identical across modes.
+/// Which adjacency backend a hot path resolves queries through. Every
+/// observable result is bit-identical across modes; the choice trades CSR
+/// memory for speed.
 enum class AdjacencyMode {
   kFlat,      ///< always materialize (cached) — the fast path
   kImplicit,  ///< always the virtual Topology interface — huge graphs

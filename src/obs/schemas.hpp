@@ -21,11 +21,7 @@ inline constexpr int kScenarioVersion = 3;
 inline constexpr const char* kMetrics = "faultroute.metrics.v1";
 inline constexpr int kMetricsVersion = 1;
 
-/// Bench A/B records (committed as BENCH_*.json at the repo root).
-inline constexpr const char* kBenchDelivery = "faultroute.bench.delivery.v1";
-inline constexpr const char* kBenchRouting = "faultroute.bench.routing.v1";
-inline constexpr const char* kBenchAdjacency = "faultroute.bench.adjacency.v1";
-inline constexpr const char* kBenchFrontier = "faultroute.bench.frontier.v1";
+/// Bench records (committed as BENCH_*.json at the repo root).
 inline constexpr const char* kBenchSnapshot = "faultroute.bench.snapshot.v1";
 inline constexpr int kBenchVersion = 1;
 

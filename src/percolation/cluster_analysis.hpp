@@ -36,7 +36,7 @@ struct ComponentSummary {
 /// `mode` selects the adjacency backend the edge sweep runs over (see
 /// graph/flat_adjacency.hpp): CSR rows with indexed sampler queries when
 /// flat, the virtual interface when implicit. Results are identical; the
-/// flat sweep is faster (bench/bench_adjacency.cpp).
+/// flat sweep is faster.
 class ClusterDecomposition {
  public:
   ClusterDecomposition(const Topology& graph, const EdgeSampler& sampler,

@@ -118,7 +118,7 @@ std::string header_line(const ScenarioSpec& spec) {
 
 std::uint64_t spec_fingerprint(const ScenarioSpec& spec) {
   // Exactly the fields cell values depend on, in a fixed order with
-  // unambiguous framing. name/threads/adjacency/frontier/snapshot_dir are
+  // unambiguous framing. name/threads/adjacency/snapshot_dir are
   // deliberately absent: they never change results, so resuming under a
   // different thread count or adjacency backend is legal.
   std::ostringstream buffer;

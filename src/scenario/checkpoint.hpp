@@ -25,7 +25,7 @@ namespace faultroute::scenario {
 ///
 /// The header fingerprint hashes exactly the result-determining spec fields
 /// (axes, messages, trials, seed, capacity, budget, max_steps) — and *not*
-/// name / threads / adjacency / frontier / snapshot_dir, which never change
+/// name / threads / adjacency / snapshot_dir, which never change
 /// results — so a resume under a different thread count or adjacency
 /// backend legitimately reuses the journal, while any edit that would
 /// change cell values is refused with a diagnostic. Doubles are serialized

@@ -164,7 +164,6 @@ RunSummary run_scenario(const ScenarioSpec& spec, Reporter& reporter,
       config.max_steps = spec.max_steps;
       config.threads = 1;  // parallelism is across cells, not within one
       config.adjacency = parse_adjacency_mode(spec.adjacency);
-      config.frontier = parse_frontier_mode(spec.frontier);
       config.flat_snapshot = snapshots[coords.topology].get();
       config.metrics = options.metrics;  // counters merge across cells; the
                                          // registry shards per worker thread

@@ -5,11 +5,8 @@
 #include <optional>
 
 #include "core/parallel.hpp"
-#include "core/routers/bidirectional_router.hpp"
-#include "core/routers/flood_router.hpp"
 #include "graph/distance_oracle.hpp"
 #include "obs/run_metrics.hpp"
-#include "traffic/frontier_search.hpp"
 #include "traffic/shared_probe_cache.hpp"
 
 namespace faultroute::detail {
@@ -19,9 +16,8 @@ namespace {
 /// Routing proper: every message independently through the (cached)
 /// environment. Messages are independent, so a work-stealing index loop with
 /// a fresh-per-thread router reproduces the sequential outcome exactly.
-/// With config.dense_probe_state each worker owns one ProbeArena, created
-/// here in make_body and re-epoched per message, so steady-state routing
-/// allocates nothing.
+/// Each worker owns one ProbeArena, created here in make_body and
+/// re-epoched per message, so steady-state routing allocates nothing.
 // analyze:hot-root(routing worker body: per-message inner loop of every sweep)
 void route_all(const Topology& graph, const EdgeSampler& env,
                const RouterFactory& make_router, const std::shared_ptr<Router>& prototype,
@@ -38,8 +34,8 @@ void route_all(const Topology& graph, const EdgeSampler& env,
       counters != nullptr ? counters->id("traffic.routing.bfs_expansions") : 0;
   obs::PhaseProfiler* profiler =
       config.metrics != nullptr ? &config.metrics->profiler() : nullptr;
-  // When frontier classification already constructed one router, the first
-  // worker to start adopts it rather than paying a second construction
+  // When the oracle classification already constructed one router, the
+  // first worker to start adopts it rather than paying a second construction
   // (landmark tables and the like live in router ctors). Factories hand out
   // identically-behaving routers — the same property that makes the
   // work-stealing loop legal — so which worker adopts it cannot matter.
@@ -52,8 +48,7 @@ void route_all(const Topology& graph, const EdgeSampler& env,
         unclaimed.exchange(nullptr, std::memory_order_acq_rel) != nullptr
             ? prototype
             : make_router();
-    const std::shared_ptr<ProbeArena> arena =
-        config.dense_probe_state ? std::make_shared<ProbeArena>() : nullptr;
+    const std::shared_ptr<ProbeArena> arena = std::make_shared<ProbeArena>();
     // The worker's whole routing stint is one span on its own track; the
     // body closure (and with it the scope) is destroyed on the worker
     // thread when the worker drains, closing the span there.
@@ -104,11 +99,10 @@ std::vector<RoutedJourney> route_and_validate(
   std::vector<Path> paths(messages.size());  // analyze:allow-hot-alloc(per-batch result array sized once)
 
   // One adjacency resolution for the whole batch: every probe, validation
-  // scan, and slot resolution below goes through the same backend, so the
-  // --adjacency A/B switch compares whole routing phases. An externally
-  // provided snapshot (config.flat_snapshot — e.g. an mmap view from a
-  // snapshot directory) short-circuits materialization for every mode but
-  // kImplicit, which stays a pure virtual-dispatch A/B leg.
+  // scan, and slot resolution below goes through the same backend. An
+  // externally provided snapshot (config.flat_snapshot — e.g. an mmap view
+  // from a snapshot directory) short-circuits materialization for every
+  // mode but kImplicit.
   const FlatAdjacency* flat =
       config.adjacency == AdjacencyMode::kImplicit
           ? nullptr
@@ -117,39 +111,21 @@ std::vector<RoutedJourney> route_and_validate(
                  : resolve_adjacency(graph, config.adjacency, config.flat_budget_vertices));
   const AdjacencyView adj(graph, flat);
 
-  // Each probe-state backend pairs with its matching cache generation so
-  // the dense_probe_state A/B switch compares whole engines, dense against
-  // the sharded-map implementation it replaced. unique_edges() is the same
-  // deterministic set size either way.
-  std::optional<SharedProbeCache> dense_cache;
-  std::optional<ShardedProbeCache> sharded_cache;
+  std::optional<SharedProbeCache> cache;
   const EdgeSampler* env = &sampler;
-  if (config.use_shared_cache) {
-    if (config.dense_probe_state) {
-      env = &dense_cache.emplace(sampler, graph);
-    } else {
-      env = &sharded_cache.emplace(sampler);  // analyze:allow-hot-alloc(per-batch cache construction)
-    }
-  }
-  // FrontierMode::kBatch (flat path only): classify the batch's router via
-  // one prototype — factories hand out identically-behaving routers, that is
-  // what makes thread-parallel routing legal in the first place. Flood and
-  // bidirectional batches go through the block executor; metric routers stay
-  // per-message but read precomputed oracle columns instead of running one
-  // BFS per graph.distance call (closed-form metrics need neither). All
-  // three treatments are pure accelerations — bit-identical outcomes.
+  if (config.use_shared_cache) env = &cache.emplace(sampler, graph);
+
+  // On the flat path, classify the batch's router via one prototype —
+  // factories hand out identically-behaving routers, that is what makes
+  // thread-parallel routing legal in the first place. Metric routers on
+  // families without a closed-form metric read precomputed oracle columns
+  // instead of running one BFS per graph.distance call; the column values
+  // are the same distances, so outcomes are bit-identical.
   const DistanceOracle* oracle = nullptr;
-  std::optional<BatchSearchKind> batch_kind;
-  bool probe_target_first = false;
   std::shared_ptr<Router> prototype;  // adopted by route_all's first worker
-  if (config.frontier == FrontierMode::kBatch && flat != nullptr) {
+  if (flat != nullptr) {
     prototype = make_router();
-    if (const auto* flood = dynamic_cast<const FloodRouter*>(prototype.get())) {
-      batch_kind = BatchSearchKind::kFlood;
-      probe_target_first = flood->probe_target_first();
-    } else if (dynamic_cast<const BidirectionalBfsRouter*>(prototype.get()) != nullptr) {
-      batch_kind = BatchSearchKind::kBidirectional;
-    } else if (prototype->uses_distance_metric() && !graph.has_closed_form_metric()) {
+    if (prototype->uses_distance_metric() && !graph.has_closed_form_metric()) {
       const obs::PhaseProfiler::Scope prewarm_scope(profiler, "oracle-prewarm");
       const DistanceOracle& cached = flat->distance_oracle();
       std::vector<VertexId> targets;
@@ -162,27 +138,17 @@ std::vector<RoutedJourney> route_and_validate(
   }
   {
     const obs::PhaseProfiler::Scope route_scope(profiler, "route");
-    if (batch_kind) {
-      route_frontier_batched(graph, *env, messages, config, *flat, *batch_kind,
-                             probe_target_first, result.outcomes, paths);
-    } else {
-      route_all(graph, *env, make_router, prototype, messages, config, flat, oracle,
-                result.outcomes, paths);
-    }
+    route_all(graph, *env, make_router, prototype, messages, config, flat, oracle,
+              result.outcomes, paths);
   }
   // Hit/miss totals are exact, not approximate, in this pipeline: the
-  // per-message memo means each cache ever sees one lookup per (message,
-  // edge), so hits + misses == total_distinct_probes and misses ==
+  // per-message memo means the cache sees one lookup per (message, edge),
+  // so hits + misses == total_distinct_probes and misses ==
   // unique_edges_probed, deterministically (see TrafficResult::cache_hits).
-  if (dense_cache) {
-    result.unique_edges_probed = dense_cache->unique_edges();
-    result.cache_hits = dense_cache->approx_hits();
-    result.cache_misses = dense_cache->approx_misses();
-  }
-  if (sharded_cache) {
-    result.unique_edges_probed = sharded_cache->unique_edges();
-    result.cache_hits = sharded_cache->approx_hits();
-    result.cache_misses = sharded_cache->approx_misses();
+  if (cache) {
+    result.unique_edges_probed = cache->unique_edges();
+    result.cache_hits = cache->approx_hits();
+    result.cache_misses = cache->approx_misses();
   }
 
   // Validate paths and resolve every hop's incident slot.

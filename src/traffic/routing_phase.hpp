@@ -16,11 +16,7 @@ struct RoutedJourney {
   std::vector<int> slots;  // slots[k]: incident slot of path[k] -> path[k+1]
 };
 
-/// Phase 1 of run_traffic, shared verbatim by the event-driven engine and
-/// the legacy reference engine so their delivery phases start from an
-/// identical routed batch.
-///
-/// Routes every message (thread-parallel, deterministic), verifies paths when
+/// Phase 1 of run_traffic. Routes every message (thread-parallel, deterministic), verifies paths when
 /// config.verify_paths is on, resolves every hop's incident slot, and fills
 /// the routing side of `result`: outcomes (message/routed/censored/
 /// distinct_probes/path_edges), routed/failed_routing/censored/invalid_paths,
@@ -33,8 +29,7 @@ struct RoutedJourney {
 
 /// Harvests a finished run's aggregate fields into `metrics`'s counter
 /// registry under the traffic.* namespace (routing partition, probe/cache
-/// economics, delivery event counts and gauges). Shared by both engines so
-/// --metrics reports the same counters regardless of --engine.
+/// economics, delivery event counts and gauges).
 void record_traffic_counters(obs::RunMetrics& metrics, const TrafficResult& result);
 
 }  // namespace faultroute::detail

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "graph/channel_index.hpp"
-#include "random/splitmix64.hpp"
 
 namespace faultroute {
 
@@ -40,9 +39,8 @@ bool SharedProbeCache::is_open_indexed(std::uint32_t edge_id, EdgeKey key) const
     return open;
   }
   // Lost the publication race: the edge was already discovered, so this
-  // probe is a hit — counting it as a miss is exactly the double-count bug
-  // the sharded-map cache had (misses_ incremented even when emplace found
-  // an existing entry).
+  // probe is a hit. Counting it as a miss would break misses ==
+  // unique_edges().
   hits_.fetch_add(1, std::memory_order_relaxed);
   return expected == kOpen;
 }
@@ -60,41 +58,6 @@ bool SharedProbeCache::is_open(EdgeKey key) const {
   // analyze:allow-throw-safety(edge-key precondition guard; surfaced via first_error)
   throw std::invalid_argument("SharedProbeCache::is_open: key " + std::to_string(key) +
                               " is not an edge key of " + graph_.name());
-}
-
-// ------------------------------------------------------- ShardedProbeCache
-
-ShardedProbeCache::ShardedProbeCache(const EdgeSampler& base) : base_(base) {}
-
-bool ShardedProbeCache::is_open(EdgeKey key) const {
-  Shard& shard = shards_[mix64(key) % kShards];
-  {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.memo.find(key);
-    if (it != shard.memo.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
-  }
-  // Query outside the lock: the sampler is pure, so a racing double-compute
-  // yields the same value and the second insert is a no-op.
-  const bool open = base_.is_open(key);
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  // analyze:allow-hot-alloc(one memo insert per distinct edge is the dedup that makes hit counts exact)
-  const bool inserted = shard.memo.emplace(key, open).second;
-  // Count the miss only on actual insert — the loser of a first-probe race
-  // finds the winner's entry and is a hit, not a second miss.
-  (inserted ? misses_ : hits_).fetch_add(1, std::memory_order_relaxed);
-  return open;
-}
-
-std::uint64_t ShardedProbeCache::unique_edges() const {
-  std::uint64_t total = 0;
-  for (const Shard& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    total += shard.memo.size();
-  }
-  return total;
 }
 
 }  // namespace faultroute

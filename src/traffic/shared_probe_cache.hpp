@@ -1,11 +1,8 @@
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 
 #include "graph/topology.hpp"
 #include "percolation/edge_sampler.hpp"
@@ -28,9 +25,7 @@ class ChannelIndex;
 /// Storage is one atomic byte per undirected edge of the topology, indexed
 /// by the dense edge ids of its ChannelIndex, holding a tri-state:
 /// unknown / closed / open. A probe is a single relaxed-free array load —
-/// no mutex, no hashing, no node allocation (the pre-rewrite cache was 64
-/// mutex-sharded unordered_maps, a lock acquisition plus a hash walk per
-/// probe). Unknown slots are resolved by querying the base sampler
+/// no mutex, no hashing, no node allocation. Unknown slots are resolved by querying the base sampler
 /// *outside* any critical section and publishing the answer with a CAS.
 ///
 /// Correctness under threads: the underlying sampler is a deterministic
@@ -94,53 +89,6 @@ class SharedProbeCache final : public EdgeSampler {
   /// Tri-state per undirected edge id; unique_ptr because atomics are
   /// neither copyable nor movable (std::vector would demand both).
   std::unique_ptr<std::atomic<std::uint8_t>[]> states_;
-  mutable std::atomic<std::uint64_t> hits_{0};
-  mutable std::atomic<std::uint64_t> misses_{0};
-};
-
-/// The pre-rewrite cache, retained as the differential-testing and A/B
-/// baseline for the hash probe-state backend (TrafficConfig::
-/// dense_probe_state = false), exactly as run_traffic_reference preserves
-/// the container-based delivery engine: a mutex-sharded unordered_map keyed
-/// by EdgeKey, preserved behaviour-for-behaviour so bench_routing compares
-/// the dense rewrite against what it actually replaced — not against a shim.
-/// The one deliberate change is the miss-counter fix (a first-probe race
-/// used to bump misses_ for every racer; now only the racer whose emplace
-/// actually inserts counts a miss), so hits + misses == probe calls and
-/// misses == unique_edges() here too. Same determinism argument as the
-/// dense cache: the sampler is pure, so insert races are value-identical.
-class ShardedProbeCache final : public EdgeSampler {
- public:
-  explicit ShardedProbeCache(const EdgeSampler& base);
-
-  [[nodiscard]] bool is_open(EdgeKey key) const override;
-
-  [[nodiscard]] double survival_probability() const override {
-    return base_.survival_probability();
-  }
-
-  /// Number of distinct edges discovered (cache entries). Deterministic
-  /// across thread counts, == approx_misses() after the counter fix.
-  [[nodiscard]] std::uint64_t unique_edges() const;
-
-  [[nodiscard]] std::uint64_t approx_hits() const {
-    return hits_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t approx_misses() const {
-    return misses_.load(std::memory_order_relaxed);
-  }
-
- private:
-  static constexpr std::size_t kShards = 64;
-
-  struct Shard {
-    mutable std::mutex mutex;
-    // lint:allow-hash(pre-rewrite A/B baseline, behaviour preserved deliberately)
-    std::unordered_map<EdgeKey, bool> memo;
-  };
-
-  const EdgeSampler& base_;
-  mutable std::array<Shard, kShards> shards_;
   mutable std::atomic<std::uint64_t> hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};
 };

@@ -55,9 +55,8 @@ TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampler,
       detail::route_and_validate(graph, sampler, make_router, messages, config, result);
 
   // -------------------------------------------------------- phase 2: deliver
-  // Event-driven store-and-forward over dense directed-channel ids. Semantics
-  // are identical to the reference engine (see run_traffic_reference): at
-  // each timestep, messages due now are admitted to their next channel queue
+  // Event-driven store-and-forward over dense directed-channel ids: at each
+  // timestep, messages due now are admitted to their next channel queue
   // in ascending-id order, then every non-empty channel transmits up to
   // `edge_capacity` messages, which arrive at the far endpoint next step.
   const ChannelIndex& index = graph.channel_index();
@@ -110,8 +109,7 @@ TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampler,
   // Per-channel FIFO queues as intrusive singly-linked lists threaded through
   // one per-message `next` slot: a message sits in at most one queue, so no
   // allocation ever happens inside the simulation loop, and queue state is
-  // bounded by (channels + messages) by construction — drained-queue leak of
-  // the container-based engine is impossible.
+  // bounded by (channels + messages) by construction.
   std::vector<std::uint32_t> queue_head(index.num_channels(), kNoMessage);  // analyze:allow-hot-alloc(per-batch queue state sized once)
   std::vector<std::uint32_t> queue_tail(index.num_channels(), kNoMessage);  // analyze:allow-hot-alloc(per-batch queue state sized once)
   std::vector<std::uint32_t> next_in_queue(messages.size(), kNoMessage);  // analyze:allow-hot-alloc(per-batch queue state sized once)

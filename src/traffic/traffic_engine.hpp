@@ -4,8 +4,6 @@
 #include <optional>
 #include <vector>
 
-#include <string>
-
 #include "analysis/table.hpp"
 #include "core/experiment.hpp"  // RouterFactory
 #include "core/path.hpp"
@@ -20,28 +18,6 @@ namespace faultroute {
 namespace obs {
 class RunMetrics;
 }
-
-/// How the routing phase schedules per-message searches. A pure A/B switch
-/// in the mould of dense_probe_state / AdjacencyMode: every outcome,
-/// aggregate, and counter is bit-identical across modes (held by
-/// tests/test_frontier_search.cpp and the bench_frontier cross-check).
-enum class FrontierMode {
-  /// Batched frontier search (the fast default): flood and bidirectional
-  /// messages run through the block executor in src/traffic/frontier_search
-  /// .cpp (64 messages share bitset probe-memo words per worker), and metric
-  /// routers (greedy / best-first / hybrid) read precomputed distance
-  /// columns from the topology's cached DistanceOracle instead of running
-  /// one BFS per graph.distance call.
-  kBatch,
-  /// One independent search per message, no oracle prewarm — the original
-  /// code path, kept as the differential baseline.
-  kPerMessage,
-};
-
-/// Parses "batch" / "permsg" (throws std::invalid_argument otherwise); the
-/// inverse of frontier_mode_name.
-[[nodiscard]] FrontierMode parse_frontier_mode(const std::string& name);
-[[nodiscard]] std::string frontier_mode_name(FrontierMode mode);
 
 /// Optional wall-clock instrumentation of a traffic run (see
 /// TrafficConfig::timings). Purely observational: simulation results are
@@ -67,21 +43,13 @@ struct TrafficConfig {
   /// environment discovery. Turning it off only disables the optimisation;
   /// results are unchanged (the cache is semantically transparent).
   bool use_shared_cache = true;
-  /// Back per-message probe state (memo + reached set) with epoch-stamped
-  /// dense arrays pooled in per-thread ProbeArenas instead of per-message
-  /// hash containers. Pure A/B switch for benchmarking and differential
-  /// testing: the two backends produce bit-identical outcomes and counters
-  /// (held by tests/test_dense_probe_state.cpp); dense is several times
-  /// faster (bench/bench_routing.cpp), so leave it on.
-  bool dense_probe_state = true;
   /// Adjacency backend for routing, validation, and journey compilation:
   /// kFlat resolves every neighbor / edge-key / edge-id query through the
   /// topology's CSR snapshot (Topology::flat_adjacency()), kImplicit through
   /// the virtual interface, kAuto picks flat iff num_vertices() fits
-  /// `flat_budget_vertices`. A pure A/B switch exactly like
-  /// `dense_probe_state`: outcomes and counters are bit-identical across
-  /// modes (tests/test_flat_adjacency.cpp); flat is faster
-  /// (bench/bench_adjacency.cpp), so leave it on auto.
+  /// `flat_budget_vertices`. Outcomes and counters are bit-identical across
+  /// modes (tests/test_traffic_differential.cpp); flat is faster, implicit
+  /// needs no CSR memory, so leave it on auto.
   AdjacencyMode adjacency = AdjacencyMode::kAuto;
   /// kAuto's materialization budget: snapshot topologies with at most this
   /// many vertices (~20 bytes per directed channel once, cached).
@@ -96,11 +64,6 @@ struct TrafficConfig {
   /// keep the CSR fast path. Must describe the same topology (bit-identical
   /// results are pinned by tests/test_snapshot.cpp) and outlive the run.
   const FlatAdjacency* flat_snapshot = nullptr;
-  /// Routing-phase scheduling strategy (see FrontierMode above). kBatch is
-  /// a pure accelerator — outcomes are bit-identical to kPerMessage — and
-  /// only engages on the flat adjacency path; implicit runs fall back to
-  /// per-message search regardless.
-  FrontierMode frontier = FrontierMode::kBatch;
   /// Verify every returned path against the environment; invalid paths are
   /// counted and the message dropped from the delivery simulation.
   bool verify_paths = true;
@@ -109,9 +72,9 @@ struct TrafficConfig {
   /// pathological configs; messages still in flight when it is hit are
   /// counted as `stranded`.
   std::uint64_t max_steps = 0;
-  /// When non-null, the engine records wall-clock phase durations here
-  /// (bench instrumentation; see bench/bench_delivery.cpp). The pointee must
-  /// outlive the run_traffic call. Never affects simulation results.
+  /// When non-null, the engine records wall-clock phase durations here.
+  /// The pointee must outlive the run_traffic call. Never affects
+  /// simulation results.
   TrafficPhaseTimings* timings = nullptr;
   /// When non-null, the run feeds the observability sink (src/obs/): counters
   /// for every phase, nested phase spans on the profiler, and — if its
@@ -194,8 +157,7 @@ struct TrafficResult {
   std::uint64_t transmissions = 0;      ///< channel transmit events (== summed edge load)
   std::uint64_t peak_active_channels = 0;  ///< most channels simultaneously queued
   /// Directed channels of the topology's ChannelIndex (2·edges for simple
-  /// graphs); the size of the engine's per-channel state. The reference
-  /// engine has no index and reports 0.
+  /// graphs); the size of the engine's per-channel state.
   std::uint64_t channels = 0;
 
   std::vector<MessageOutcome> outcomes;  // indexed by message id
@@ -244,22 +206,6 @@ struct TrafficResult {
                                         const RouterFactory& make_router,
                                         const std::vector<TrafficMessage>& messages,
                                         const TrafficConfig& config);
-
-/// The pre-rewrite delivery engine, retained as a differential-testing
-/// oracle: identical contract and results to run_traffic — the golden
-/// equivalence suite (tests/test_traffic_golden.cpp) holds them bit-for-bit
-/// equal on every curated scenario sweep — but phase 2 runs on node-based
-/// ordered containers (std::map timeline, std::set busy list, per-channel
-/// deques), so it is several times slower and its queue table grows with
-/// every distinct channel ever used. Only `TrafficResult::channels` differs:
-/// the reference engine has no channel index and reports 0. Use run_traffic
-/// everywhere; use this to cross-check engine changes and in
-/// bench/bench_delivery.cpp to measure the gap.
-[[nodiscard]] TrafficResult run_traffic_reference(const Topology& graph,
-                                                  const EdgeSampler& sampler,
-                                                  const RouterFactory& make_router,
-                                                  const std::vector<TrafficMessage>& messages,
-                                                  const TrafficConfig& config);
 
 /// Renders the aggregate metrics as a two-column report table.
 [[nodiscard]] Table traffic_table(const TrafficResult& result);

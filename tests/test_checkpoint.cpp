@@ -167,7 +167,6 @@ TEST(CheckpointFingerprint, IgnoresPresentationOnlyFields) {
   other.name = "renamed";
   other.threads = 7;
   other.adjacency = "implicit";
-  other.frontier = "permsg";
   other.snapshot_dir = "somewhere";
   EXPECT_EQ(spec_fingerprint(other), fp);  // none of these change results
 }

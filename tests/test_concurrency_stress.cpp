@@ -3,12 +3,11 @@
 // Every lock-free or lazily-initialised shared structure in the repo gets
 // hammered here from many threads at once, with a start barrier so the
 // threads actually collide: SharedProbeCache CAS publication,
-// ShardedProbeCache mutex sharding, CounterRegistry per-thread slabs (with a
-// concurrent snapshotter), PhaseProfiler scopes from worker threads,
-// DistanceOracle grow-only column memo, the lazy Topology::channel_index /
-// flat_adjacency / FlatAdjacency::distance_oracle caches, IndexedStateMemo
-// epoch cells, and the full threaded traffic engine across both probe-state
-// backends and both frontier modes.
+// CounterRegistry per-thread slabs (with a concurrent snapshotter),
+// PhaseProfiler scopes from worker threads, DistanceOracle grow-only column
+// memo, the lazy Topology::channel_index / flat_adjacency /
+// FlatAdjacency::distance_oracle caches, IndexedStateMemo epoch cells, and
+// the full threaded traffic engine.
 //
 // The assertions are the structures' documented determinism contracts
 // (exact counter identities, value purity, one-instance lazy init). Run
@@ -113,38 +112,6 @@ TEST(ConcurrencyStress, SharedProbeCacheCasPublicationIsExactUnderContention) {
   EXPECT_EQ(cache.approx_hits() + cache.approx_misses(), probes);
   EXPECT_EQ(cache.approx_misses(), cache.unique_edges());
   EXPECT_EQ(cache.unique_edges(), edges);
-}
-
-TEST(ConcurrencyStress, ShardedProbeCacheKeepsTheSameIdentitiesUnderContention) {
-  const Hypercube graph(8);
-  const HashEdgeSampler base(0.45, 7);
-  const ShardedProbeCache cache(base);
-
-  std::vector<EdgeKey> keys;
-  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-    const int deg = graph.degree(v);
-    for (int i = 0; i < deg; ++i) {
-      if (graph.neighbor(v, i) > v) keys.push_back(graph.edge_key(v, i));
-    }
-  }
-
-  constexpr int kRounds = 4;
-  std::atomic<std::uint64_t> wrong{0};
-  hammer(kThreads, [&](unsigned worker) {
-    for (int round = 0; round < kRounds; ++round) {
-      for (std::size_t i = 0; i < keys.size(); ++i) {
-        const std::size_t k = (worker % 2 == 0) ? i : (keys.size() - 1 - i);
-        if (cache.is_open(keys[k]) != base.is_open(keys[k])) wrong.fetch_add(1);
-      }
-    }
-  });
-
-  EXPECT_EQ(wrong.load(), 0u);
-  const std::uint64_t probes =
-      static_cast<std::uint64_t>(kThreads) * kRounds * keys.size();
-  EXPECT_EQ(cache.approx_hits() + cache.approx_misses(), probes);
-  EXPECT_EQ(cache.approx_misses(), cache.unique_edges());
-  EXPECT_EQ(cache.unique_edges(), keys.size());
 }
 
 // ------------------------------------------------------- counter registry
@@ -306,12 +273,11 @@ TEST(ConcurrencyStress, IndexedStateMemoRacingStoresOfPureValuesStayConsistent) 
 
 // -------------------------------------------- whole-engine threaded routing
 
-TEST(ConcurrencyStress, ThreadedTrafficIsBitIdenticalAcrossBackendsAndModes) {
-  // The capstone: the full engine at threads=4 across both probe-state
-  // backends and both frontier modes must reproduce the single-threaded
-  // run bit-for-bit. Under TSan this routes real batches through
-  // ProbeArena pooling, the lock-free cache, the batch executor's shared
-  // block memo, and the counter slabs at once.
+TEST(ConcurrencyStress, ThreadedTrafficIsBitIdenticalToSingleThreaded) {
+  // The capstone: the full engine at threads=4 must reproduce the
+  // single-threaded run bit-for-bit. Under TSan this routes real batches
+  // through ProbeArena pooling, the lock-free cache, the DistanceOracle
+  // prewarm, and the counter slabs at once.
   const auto graph = sim::make_topology("de_bruijn:8");
   const HashEdgeSampler env(0.55, derive_seed(2005, 3));
   WorkloadConfig workload = sim::make_workload("random-pairs");
@@ -320,30 +286,24 @@ TEST(ConcurrencyStress, ThreadedTrafficIsBitIdenticalAcrossBackendsAndModes) {
   const auto messages = generate_workload(*graph, workload);
   const auto factory = [&]() { return sim::make_router("best-first", *graph); };
 
-  const auto run_with = [&](unsigned threads, bool dense, FrontierMode frontier) {
+  const auto run_with = [&](unsigned threads) {
     TrafficConfig config;
     config.threads = threads;
-    config.dense_probe_state = dense;
-    config.frontier = frontier;
     return run_traffic(*graph, env, factory, messages, config);
   };
 
-  const TrafficResult baseline = run_with(1, true, FrontierMode::kBatch);
-  for (const bool dense : {true, false}) {
-    for (const FrontierMode frontier : {FrontierMode::kBatch, FrontierMode::kPerMessage}) {
-      const TrafficResult threaded = run_with(4, dense, frontier);
-      EXPECT_EQ(threaded.routed, baseline.routed);
-      EXPECT_EQ(threaded.delivered, baseline.delivered);
-      EXPECT_EQ(threaded.makespan, baseline.makespan);
-      EXPECT_EQ(threaded.total_distinct_probes, baseline.total_distinct_probes);
-      EXPECT_EQ(threaded.unique_edges_probed, baseline.unique_edges_probed);
-      ASSERT_EQ(threaded.outcomes.size(), baseline.outcomes.size());
-      for (std::size_t i = 0; i < baseline.outcomes.size(); ++i) {
-        EXPECT_EQ(threaded.outcomes[i].delivered, baseline.outcomes[i].delivered);
-        EXPECT_EQ(threaded.outcomes[i].finish_time, baseline.outcomes[i].finish_time);
-        EXPECT_EQ(threaded.outcomes[i].path_edges, baseline.outcomes[i].path_edges);
-      }
-    }
+  const TrafficResult baseline = run_with(1);
+  const TrafficResult threaded = run_with(4);
+  EXPECT_EQ(threaded.routed, baseline.routed);
+  EXPECT_EQ(threaded.delivered, baseline.delivered);
+  EXPECT_EQ(threaded.makespan, baseline.makespan);
+  EXPECT_EQ(threaded.total_distinct_probes, baseline.total_distinct_probes);
+  EXPECT_EQ(threaded.unique_edges_probed, baseline.unique_edges_probed);
+  ASSERT_EQ(threaded.outcomes.size(), baseline.outcomes.size());
+  for (std::size_t i = 0; i < baseline.outcomes.size(); ++i) {
+    EXPECT_EQ(threaded.outcomes[i].delivered, baseline.outcomes[i].delivered);
+    EXPECT_EQ(threaded.outcomes[i].finish_time, baseline.outcomes[i].finish_time);
+    EXPECT_EQ(threaded.outcomes[i].path_edges, baseline.outcomes[i].path_edges);
   }
 }
 

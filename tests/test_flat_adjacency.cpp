@@ -6,9 +6,11 @@
 // analyses, permutation batches — must produce bit-identical results under
 // AdjacencyMode::kFlat and kImplicit. This suite pins both: property tests
 // across every registered topology family (including the k=2 wrapped
-// butterfly's parallel edges), and whole-pipeline differential runs across
-// routers, workloads, budgets, and thread counts. The satellite pieces ride
-// along: the indexed-memo samplers and the dense edge-load accumulation.
+// butterfly's parallel edges), and differential runs of the percolation
+// analyses and permutation batches. The traffic engine's flat and implicit
+// paths are held to the naive reference in test_traffic_differential.cpp.
+// The satellite pieces ride along: the indexed-memo samplers and the dense
+// edge-load accumulation.
 
 #include <gtest/gtest.h>
 
@@ -31,8 +33,6 @@
 #include "random/rng.hpp"
 #include "scenario/spec.hpp"
 #include "sim/registry.hpp"
-#include "traffic/traffic_engine.hpp"
-#include "traffic/workload.hpp"
 
 namespace faultroute {
 namespace {
@@ -171,112 +171,9 @@ TEST(FlatAdjacency, ProbeContextFlatPathMatchesImplicitOnBothBackends) {
   EXPECT_EQ(flat.graph().num_vertices(), graph->num_vertices());
 }
 
-// ---------------------------------------------------------------- traffic
+// ------------------------------------------------------------ permutation
 
-void expect_identical(const TrafficResult& a, const TrafficResult& b,
-                      const std::string& label) {
-  EXPECT_EQ(a.messages, b.messages) << label;
-  EXPECT_EQ(a.routed, b.routed) << label;
-  EXPECT_EQ(a.failed_routing, b.failed_routing) << label;
-  EXPECT_EQ(a.censored, b.censored) << label;
-  EXPECT_EQ(a.invalid_paths, b.invalid_paths) << label;
-  EXPECT_EQ(a.delivered, b.delivered) << label;
-  EXPECT_EQ(a.stranded, b.stranded) << label;
-  EXPECT_EQ(a.total_distinct_probes, b.total_distinct_probes) << label;
-  EXPECT_EQ(a.unique_edges_probed, b.unique_edges_probed) << label;
-  EXPECT_EQ(a.max_edge_load, b.max_edge_load) << label;
-  EXPECT_EQ(a.mean_edge_load, b.mean_edge_load) << label;  // exact: same doubles
-  EXPECT_EQ(a.edges_used, b.edges_used) << label;
-  EXPECT_EQ(a.makespan, b.makespan) << label;
-  EXPECT_EQ(a.mean_queueing_delay, b.mean_queueing_delay) << label;
-  EXPECT_EQ(a.max_queueing_delay, b.max_queueing_delay) << label;
-  EXPECT_EQ(a.mean_path_edges, b.mean_path_edges) << label;
-  EXPECT_EQ(a.sim_steps, b.sim_steps) << label;
-  EXPECT_EQ(a.admission_events, b.admission_events) << label;
-  EXPECT_EQ(a.transmissions, b.transmissions) << label;
-  EXPECT_EQ(a.peak_active_channels, b.peak_active_channels) << label;
-  EXPECT_EQ(a.channels, b.channels) << label;
-  ASSERT_EQ(a.outcomes.size(), b.outcomes.size()) << label;
-  for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
-    const MessageOutcome& x = a.outcomes[i];
-    const MessageOutcome& y = b.outcomes[i];
-    ASSERT_EQ(x.routed, y.routed) << label << " msg " << i;
-    ASSERT_EQ(x.censored, y.censored) << label << " msg " << i;
-    ASSERT_EQ(x.delivered, y.delivered) << label << " msg " << i;
-    ASSERT_EQ(x.distinct_probes, y.distinct_probes) << label << " msg " << i;
-    ASSERT_EQ(x.path_edges, y.path_edges) << label << " msg " << i;
-    ASSERT_EQ(x.finish_time, y.finish_time) << label << " msg " << i;
-    ASSERT_EQ(x.queueing_delay, y.queueing_delay) << label << " msg " << i;
-  }
-}
-
-struct EquivalenceCase {
-  std::string topology;
-  std::string router;
-  std::string workload;
-  double p;
-  std::uint64_t budget = 0;  // 0 = unbounded
-};
-
-void check_flat_equals_implicit(const EquivalenceCase& spec) {
-  const auto graph = sim::make_topology(spec.topology);
-  WorkloadConfig workload = sim::make_workload(spec.workload);
-  workload.messages = 96;
-  workload.seed = 5;
-  const auto messages = generate_workload(*graph, workload);
-  const HashEdgeSampler env(spec.p, 77);
-  const auto factory = [&]() { return sim::make_router(spec.router, *graph); };
-
-  // The acceptance bar: bit-identical under both thread counts, for both
-  // probe-state backends.
-  for (const unsigned threads : {1u, 2u, 4u}) {
-    for (const bool dense : {true, false}) {
-      TrafficConfig config;
-      config.threads = threads;
-      config.dense_probe_state = dense;
-      if (spec.budget > 0) config.probe_budget = spec.budget;
-
-      TrafficConfig flat = config;
-      flat.adjacency = AdjacencyMode::kFlat;
-      TrafficConfig implicit = config;
-      implicit.adjacency = AdjacencyMode::kImplicit;
-
-      const TrafficResult a = run_traffic(*graph, env, factory, messages, flat);
-      const TrafficResult b = run_traffic(*graph, env, factory, messages, implicit);
-      expect_identical(a, b,
-                       spec.topology + "/" + spec.router + "/" + spec.workload +
-                           " threads=" + std::to_string(threads) +
-                           " dense=" + std::to_string(dense));
-    }
-  }
-}
-
-TEST(FlatAdjacencyTraffic, BitIdenticalAcrossRoutersWorkloadsAndThreads) {
-  check_flat_equals_implicit({"hypercube:7", "landmark", "permutation", 0.55});
-  check_flat_equals_implicit({"hypercube:7", "greedy", "hotspot:0", 0.7});
-  check_flat_equals_implicit({"torus:2:8", "best-first", "poisson:2", 0.65});
-  check_flat_equals_implicit({"de_bruijn:7", "flood", "random-pairs", 0.5, 600});
-  check_flat_equals_implicit({"butterfly:3", "hybrid", "bisection", 0.6});
-  check_flat_equals_implicit({"ccc:4", "bidirectional", "random-pairs", 0.6});
-  check_flat_equals_implicit({"complete:48", "gnp-local", "random-pairs", 0.05});
-}
-
-TEST(FlatAdjacencyTraffic, AutoModeMatchesExplicitFlatOnSmallGraphs) {
-  const auto graph = sim::make_topology("hypercube:6");
-  WorkloadConfig workload = sim::make_workload("permutation");
-  workload.messages = 64;
-  workload.seed = 3;
-  const auto messages = generate_workload(*graph, workload);
-  const HashEdgeSampler env(0.6, 13);
-  const auto factory = [&]() { return sim::make_router("landmark", *graph); };
-  TrafficConfig auto_config;  // default adjacency = kAuto
-  TrafficConfig flat_config;
-  flat_config.adjacency = AdjacencyMode::kFlat;
-  expect_identical(run_traffic(*graph, env, factory, messages, auto_config),
-                   run_traffic(*graph, env, factory, messages, flat_config), "auto-vs-flat");
-}
-
-TEST(FlatAdjacencyTraffic, PermutationBatchMatchesAcrossBackends) {
+TEST(FlatAdjacencyPermutation, PermutationBatchMatchesAcrossBackends) {
   const auto graph = sim::make_topology("de_bruijn:6");
   const HashEdgeSampler env(0.6, 21);
   const auto factory = [&]() { return sim::make_router("landmark", *graph); };

@@ -283,23 +283,18 @@ TEST(TrafficCacheCounters, AppearInTheReportTable) {
 
 // ------------------------------------- TrafficPhaseTimings (satellite 2)
 
-TEST(TrafficPhaseTimings, BothEnginesPopulateBothPhases) {
+TEST(TrafficPhaseTimings, EnginePopulatesBothPhases) {
   const TrafficFixture fx;
-  for (const bool reference : {false, true}) {
-    TrafficPhaseTimings timings;
-    timings.routing_ms = -1.0;  // sentinels: the engine must overwrite, not
-    timings.delivery_ms = -1.0;  // accumulate into, a reused struct
-    TrafficConfig config;
-    config.timings = &timings;
-    const auto result =
-        reference ? run_traffic_reference(fx.graph, fx.sampler, best_first_factory(),
-                                          fx.messages, config)
-                  : run_traffic(fx.graph, fx.sampler, best_first_factory(), fx.messages,
-                                config);
-    EXPECT_GT(result.delivered, 0u);
-    EXPECT_GE(timings.routing_ms, 0.0) << "reference=" << reference;
-    EXPECT_GE(timings.delivery_ms, 0.0) << "reference=" << reference;
-  }
+  TrafficPhaseTimings timings;
+  timings.routing_ms = -1.0;  // sentinels: the engine must overwrite, not
+  timings.delivery_ms = -1.0;  // accumulate into, a reused struct
+  TrafficConfig config;
+  config.timings = &timings;
+  const auto result =
+      run_traffic(fx.graph, fx.sampler, best_first_factory(), fx.messages, config);
+  EXPECT_GT(result.delivered, 0u);
+  EXPECT_GE(timings.routing_ms, 0.0);
+  EXPECT_GE(timings.delivery_ms, 0.0);
 }
 
 TEST(TrafficPhaseTimings, ReuseOverwritesRatherThanAccumulates) {

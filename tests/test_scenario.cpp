@@ -105,6 +105,19 @@ TEST(ScenarioSpec, RejectsBadSyntax) {
   }
 }
 
+TEST(ScenarioSpec, RetiredKeysAreUnknownAndNamed) {
+  // The routing-phase A/B key is gone; a spec still carrying it must fail
+  // with a diagnostic naming the key, not be silently ignored.
+  try {
+    (void)parse_scenario("topology = hypercube:6; frontier = batch");
+    FAIL() << "frontier = batch was accepted";
+  } catch (const std::invalid_argument& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("unknown key 'frontier'"), std::string::npos) << message;
+    EXPECT_EQ(message.find(", frontier"), std::string::npos) << message;
+  }
+}
+
 TEST(ScenarioSpec, ValidatesRanges) {
   const char* bad[] = {
       "p = 1.5",       // probability > 1

@@ -9,6 +9,7 @@
 
 #include "core/routers/flood_router.hpp"
 #include "core/routers/greedy_router.hpp"
+#include "graph/channel_index.hpp"
 #include "graph/hypercube.hpp"
 #include "graph/mesh.hpp"
 #include "percolation/edge_sampler.hpp"
@@ -177,6 +178,58 @@ TEST(SharedProbeCache, ConsistentUnderConcurrentProbing) {
   }
   for (auto& t : pool) t.join();
   EXPECT_FALSE(mismatch);
+  EXPECT_EQ(cache.unique_edges(), g.num_edges());
+}
+
+TEST(SharedProbeCache, HitsPlusMissesEqualsProbesUnderThreadRaces) {
+  // Eight threads hammer the same edge set concurrently, so first-probe
+  // races are plentiful. Every call must land in exactly one counter, and a
+  // miss only on actual publication: hits + misses == calls and misses ==
+  // unique_edges() == the edge count.
+  const Hypercube g(8);
+  const HashEdgeSampler base(0.5, 3);
+  const SharedProbeCache cache(base, g);
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 3;
+  std::atomic<std::uint64_t> calls{0};
+  std::vector<std::thread> pool;
+  pool.reserve(kThreads);
+  for (int w = 0; w < kThreads; ++w) {
+    pool.emplace_back([&] {
+      std::uint64_t local_calls = 0;
+      for (int round = 0; round < kRounds; ++round) {
+        for (VertexId v = 0; v < g.num_vertices(); ++v) {
+          for (int i = 0; i < g.degree(v); ++i) {
+            (void)cache.is_open(g.edge_key(v, i));
+            ++local_calls;
+          }
+        }
+      }
+      calls.fetch_add(local_calls);
+    });
+  }
+  for (auto& t : pool) t.join();
+  EXPECT_EQ(cache.approx_hits() + cache.approx_misses(), calls.load());
+  EXPECT_EQ(cache.approx_misses(), cache.unique_edges());
+  EXPECT_EQ(cache.unique_edges(), g.num_edges());
+}
+
+TEST(SharedProbeCache, SequentialCountsAreExact) {
+  const Hypercube g(5);
+  const HashEdgeSampler base(0.5, 9);
+  const SharedProbeCache cache(base, g);
+  // First sweep: every probe is a miss. Second sweep: every probe is a hit,
+  // from either endpoint (both directions resolve to the same edge id).
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    for (int i = 0; i < g.degree(v); ++i) {
+      const std::uint32_t edge = g.channel_index().edge_id_of(
+          g.channel_index().channel_of(v, i));
+      (void)cache.is_open_indexed(edge, g.edge_key(v, i));
+    }
+  }
+  // 2E probes over E edges: E misses (first touch) + E hits (reverse side).
+  EXPECT_EQ(cache.approx_misses(), g.num_edges());
+  EXPECT_EQ(cache.approx_hits(), g.num_edges());
   EXPECT_EQ(cache.unique_edges(), g.num_edges());
 }
 

@@ -5,12 +5,12 @@ Where tools/lint/faultroute_lint.py checks lines, this tool checks *reachability
 it builds per-TU ASTs and a linked cross-TU call graph over the compile
 database (build/compile_commands.json) for src/, tools/ and bench/, then
 proves four contract families that the repo otherwise enforces only by prose
-in docs/ARCHITECTURE.md and by golden tests:
+in docs/ARCHITECTURE.md and by differential tests:
 
   hot-alloc
       From the annotated hot roots (`// analyze:hot-root(<name>)`: route_all's
-      worker body, run_traffic's step loop, the FrontierSearch block executor,
-      DistanceOracle column builds, the dense BFS scratch paths), no reachable
+      worker body, run_traffic's step loop, DistanceOracle column builds, the
+      dense BFS scratch paths), no reachable
       call may allocate: no `new` / malloc / make_shared, no growing container
       member (push_back / insert / resize / reserve / rehash / ...), no
       sized container construction. Justified warm-up sites carry
@@ -100,7 +100,6 @@ META_RULE = "annotation"  # malformed tags / missing required roots
 REQUIRED_HOT_ROOTS = (
     "route_all",                  # routing worker body (src/traffic/routing_phase.cpp)
     "run_traffic",                # event-engine step loop (src/traffic/traffic_engine.cpp)
-    "route_frontier_batched",     # block executor (src/traffic/frontier_search.cpp)
     "DistanceOracle::bfs_block",  # oracle column builds (src/graph/distance_oracle.cpp)
     "Topology::distance",         # dense BFS scratch path (src/graph/topology.cpp)
 )

@@ -43,6 +43,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -74,7 +75,8 @@ namespace {
 
 using namespace faultroute;
 
-/// Minimal --key value / --key=value parser.
+/// Minimal --key value / --key=value parser. Every accessor records the key
+/// it was asked for, so a subcommand can reject the flags it never read.
 class Args {
  public:
   Args(int argc, char** argv, int first) {
@@ -96,30 +98,48 @@ class Args {
   }
 
   [[nodiscard]] std::string get(const std::string& key, const std::string& fallback) const {
-    const auto it = values_.find(key);
+    const auto it = find(key);
     return it != values_.end() ? it->second : fallback;
   }
   [[nodiscard]] std::string require(const std::string& key) const {
-    const auto it = values_.find(key);
+    const auto it = find(key);
     if (it == values_.end()) throw std::invalid_argument("missing required --" + key);
     return it->second;
   }
   [[nodiscard]] double get_double(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
+    const auto it = find(key);
     return it != values_.end() ? std::stod(it->second) : fallback;
   }
   [[nodiscard]] std::uint64_t get_u64(const std::string& key, std::uint64_t fallback) const {
-    const auto it = values_.find(key);
+    const auto it = find(key);
     return it != values_.end() ? std::stoull(it->second) : fallback;
   }
 
+  /// Throws naming the first flag no accessor has read. A subcommand calls
+  /// this once it has read every flag it takes and before it does any work,
+  /// so a typo or a retired flag fails instead of running on defaults.
+  void reject_unread() const {
+    for (const auto& entry : values_) {
+      if (!read_.contains(entry.first)) {
+        throw std::invalid_argument("unknown flag --" + entry.first);
+      }
+    }
+  }
+
  private:
+  [[nodiscard]] std::map<std::string, std::string>::const_iterator find(
+      const std::string& key) const {
+    read_.insert(key);
+    return values_.find(key);
+  }
+
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
 };
 
 /// Shared --adjacency flag: CSR-snapshot vs implicit-virtual adjacency
-/// backend (graph/flat_adjacency.hpp). Results are identical; the flag is
-/// the A/B switch in the mould of --engine / --probe-state.
+/// backend (graph/flat_adjacency.hpp). Results are identical; implicit
+/// skips the CSR build on graphs too large for one.
 AdjacencyMode adjacency_of(const Args& args) {
   return parse_adjacency_mode(args.get("adjacency", "auto"));
 }
@@ -203,6 +223,7 @@ int cmd_route(const Args& args) {
   v = args.get_u64("to", v);
 
   ObsSink sink(args, "route");
+  args.reject_unread();
   obs::PhaseProfiler* profiler = sink.metrics() ? &sink.metrics()->profiler() : nullptr;
 
   const HashEdgeSampler env(p, seed);
@@ -242,12 +263,14 @@ int cmd_components(const Args& args) {
   const auto graph = sim::make_topology(args.require("topology"));
   const double p = args.get_double("p", 0.5);
   const std::uint64_t seed = args.get_u64("seed", 2005);
+  const AdjacencyMode adjacency = adjacency_of(args);
   ObsSink sink(args, "components");
+  args.reject_unread();
   ComponentSummary summary;
   {
     const obs::PhaseProfiler::Scope scope(
         sink.metrics() ? &sink.metrics()->profiler() : nullptr, "components");
-    summary = analyze_components(*graph, HashEdgeSampler(p, seed), adjacency_of(args));
+    summary = analyze_components(*graph, HashEdgeSampler(p, seed), adjacency);
   }
   if (sink.metrics()) {
     obs::CounterRegistry& counters = sink.metrics()->counters();
@@ -273,14 +296,17 @@ int cmd_threshold(const Args& args) {
   config.trials_per_point = static_cast<int>(args.get_u64("trials", 6));
   config.tolerance = args.get_double("tolerance", 0.005);
   config.seed = args.get_u64("seed", 2005);
+  const AdjacencyMode adjacency = adjacency_of(args);
+  const double lo = args.get_double("lo", 0.02);
+  const double hi = args.get_double("hi", 0.98);
   ObsSink sink(args, "threshold");
+  args.reject_unread();
   double pc = 0.0;
   {
     const obs::PhaseProfiler::Scope scope(
         sink.metrics() ? &sink.metrics()->profiler() : nullptr, "threshold");
-    const auto order = largest_cluster_order(*graph, adjacency_of(args));
-    pc = estimate_threshold(order, args.get_double("lo", 0.02), args.get_double("hi", 0.98),
-                            config);
+    const auto order = largest_cluster_order(*graph, adjacency);
+    pc = estimate_threshold(order, lo, hi, config);
   }
   std::cout << graph->name() << ": giant-component threshold ~ " << pc
             << " (order parameter crosses " << config.target_fraction << ")\n";
@@ -303,14 +329,15 @@ int cmd_trials(const Args& args) {
   config.base_seed = args.get_u64("seed", 2005);
   if (args.get_u64("budget", 0) > 0) config.probe_budget = args.get_u64("budget", 0);
 
+  const auto threads = static_cast<unsigned>(args.get_u64("threads", 0));
   ObsSink sink(args, "trials");
+  args.reject_unread();
   const auto factory = [&]() { return sim::make_router(router_name, *graph); };
   std::vector<TrialOutcome> outcomes;
   {
     const obs::PhaseProfiler::Scope scope(
         sink.metrics() ? &sink.metrics()->profiler() : nullptr, "trials");
-    outcomes = run_routing_trials_parallel(*graph, p, factory, u, v, config,
-                                           static_cast<unsigned>(args.get_u64("threads", 0)));
+    outcomes = run_routing_trials_parallel(*graph, p, factory, u, v, config, threads);
   }
   const ExperimentSummary s = summarize_trials(outcomes);
   if (sink.metrics()) {
@@ -347,6 +374,7 @@ int cmd_permutation(const Args& args) {
   config.adjacency = adjacency_of(args);
 
   ObsSink sink(args, "permutation");
+  args.reject_unread();
   const HashEdgeSampler env(p, seed);
   const auto factory = [&]() { return sim::make_router(router_name, *graph); };
   PermutationRoutingResult r;
@@ -401,33 +429,9 @@ int cmd_traffic(const Args& args) {
   }
   config.use_shared_cache = cache_flag == "true";
 
-  // --engine reference runs the legacy container-based delivery engine (the
-  // differential-testing oracle); results are identical, only speed and the
-  // engine counters differ.
-  const std::string engine = args.get("engine", "event");
-  if (engine != "event" && engine != "reference") {
-    throw std::invalid_argument("--engine must be 'event' or 'reference', got '" + engine +
-                                "'");
-  }
-
-  // --probe-state hash routes phase 1 through the per-message hash-container
-  // backend instead of the pooled dense arrays — the routing-phase analogue
-  // of --engine, for A/B timing and differential runs. Results identical.
-  const std::string probe_state = args.get("probe-state", "dense");
-  if (probe_state != "dense" && probe_state != "hash") {
-    throw std::invalid_argument("--probe-state must be 'dense' or 'hash', got '" +
-                                probe_state + "'");
-  }
-  config.dense_probe_state = probe_state == "dense";
-
   // --adjacency flat|implicit|auto: CSR-snapshot vs virtual adjacency for
-  // the routing phase — the third A/B axis next to --engine/--probe-state.
+  // the routing phase. Results identical.
   config.adjacency = adjacency_of(args);
-
-  // --frontier batch|permsg: batched frontier search + distance-oracle
-  // prewarm vs one independent search per message — the fourth A/B axis.
-  // Results identical (parse_frontier_mode throws on anything else).
-  config.frontier = parse_frontier_mode(args.get("frontier", "batch"));
 
   // --snapshot-dir DIR resolves the routing adjacency from an on-disk
   // snapshot (`faultroute snapshot build`), mmap'd instead of materialized.
@@ -440,28 +444,23 @@ int cmd_traffic(const Args& args) {
     config.flat_snapshot = snapshot.get();
   }
 
-  // --metrics/--trace attach the observability sink; the event engine also
+  // --metrics/--trace attach the observability sink; the engine also
   // records the bounded per-step delivery time-series into the report
-  // (--trace-samples caps its memory; the reference engine doesn't sample).
+  // (--trace-samples caps its memory).
+  const auto trace_samples = static_cast<std::size_t>(args.get_u64("trace-samples", 4096));
   ObsSink sink(args, "traffic");
+  args.reject_unread();
   config.metrics = sink.metrics();
-  if (sink.metrics()) {
-    sink.metrics()->enable_delivery_sampler(
-        static_cast<std::size_t>(args.get_u64("trace-samples", 4096)));
-  }
+  if (sink.metrics()) sink.metrics()->enable_delivery_sampler(trace_samples);
 
   const HashEdgeSampler env(p, seed);
   const auto messages = generate_workload(*graph, workload);
   const auto factory = [&]() { return sim::make_router(router_name, *graph); };
-  const TrafficResult result =
-      engine == "event" ? run_traffic(*graph, env, factory, messages, config)
-                        : run_traffic_reference(*graph, env, factory, messages, config);
+  const TrafficResult result = run_traffic(*graph, env, factory, messages, config);
 
   traffic_table(result).print(graph->name() + "  p=" + Table::fmt(p, 3) + "  router=" +
                               router_name + "  workload=" + workload_name(workload.kind) +
-                              "  engine=" + engine + "  adjacency=" +
-                              adjacency_mode_name(config.adjacency) + "  frontier=" +
-                              frontier_mode_name(config.frontier));
+                              "  adjacency=" + adjacency_mode_name(config.adjacency));
   sink.finish();
   return 0;
 }
@@ -495,12 +494,6 @@ int cmd_scenario(const std::string& file, const Args& args) {
 
   const std::string format = args.get("format", "jsonl");
   const std::string out_path = args.get("out", "");
-  std::ofstream out_file;
-  if (!out_path.empty()) {
-    out_file.open(out_path);
-    if (!out_file) throw std::runtime_error("cannot write --out file '" + out_path + "'");
-  }
-  std::ostream& out = out_path.empty() ? std::cout : out_file;
 
   ObsSink sink(args, "scenario");
   scenario::RunOptions options;
@@ -532,7 +525,14 @@ int cmd_scenario(const std::string& file, const Args& args) {
     options.shard_index = static_cast<unsigned>(*k);
     options.shard_count = static_cast<unsigned>(*n);
   }
+  args.reject_unread();
 
+  std::ofstream out_file;
+  if (!out_path.empty()) {
+    out_file.open(out_path);
+    if (!out_file) throw std::runtime_error("cannot write --out file '" + out_path + "'");
+  }
+  std::ostream& out = out_path.empty() ? std::cout : out_file;
   const auto reporter = scenario::make_reporter(format, out);
   const auto summary = scenario::run_scenario(spec, *reporter, options);
   sink.finish();
@@ -558,6 +558,7 @@ int cmd_snapshot(const std::string& action, const Args& args) {
   if (action == "build") {
     const std::string topo_spec = args.require("topology");
     const std::string dir = args.require("dir");
+    args.reject_unread();
     const auto graph = sim::make_topology(topo_spec);
     std::filesystem::create_directories(dir);
     const std::string path = snapshot_path(dir, topo_spec);
@@ -577,6 +578,7 @@ int cmd_snapshot(const std::string& action, const Args& args) {
   if (action == "info") {
     std::string path = args.get("file", "");
     if (path.empty()) path = snapshot_path(args.require("dir"), args.require("topology"));
+    args.reject_unread();
     const SnapshotInfo info = read_snapshot_info(path);
     char hex[32];
     Table table({"field", "value"});
@@ -619,6 +621,7 @@ int cmd_merge(const std::vector<std::string>& inputs, const Args& args) {
   }
 
   const std::string out_path = args.get("out", "");
+  args.reject_unread();
   std::ofstream out_file;
   if (!out_path.empty()) {
     out_file.open(out_path, std::ios::binary);
@@ -650,12 +653,9 @@ void print_usage() {
             << "traffic flags:     --workload W --messages N --workload-seed S\n"
             << "                   --capacity C --threads T --budget B --target V\n"
             << "                   --rate R --shared-cache true|false\n"
-            << "                   --engine event|reference (delivery engine A/B)\n"
-            << "                   --probe-state dense|hash (routing backend A/B)\n"
-            << "                   --adjacency flat|implicit|auto (CSR snapshot A/B;\n"
-            << "                     also on components/threshold/permutation)\n"
-            << "                   --frontier batch|permsg (batched frontier search +\n"
-            << "                     distance-oracle prewarm A/B)\n"
+            << "                   --adjacency flat|implicit|auto (CSR snapshot or\n"
+            << "                     virtual adjacency; also on components/threshold/\n"
+            << "                     permutation)\n"
             << "                   --snapshot-dir DIR (mmap the CSR adjacency from an\n"
             << "                     on-disk snapshot; also on scenario)\n"
             << "scenario:          faultroute scenario FILE.scn [--spec \"k=v; ...\"]\n"
