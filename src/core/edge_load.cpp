@@ -38,26 +38,4 @@ EdgeLoadStats summarize_edge_id_load(const std::vector<std::uint64_t>& edge_load
   return stats;
 }
 
-EdgeLoadStats summarize_channel_load(const ChannelIndex& index,
-                                     const std::vector<std::uint64_t>& channel_load,
-                                     const std::vector<std::uint32_t>& used_channels) {
-  EdgeLoadStats stats;
-  for (const std::uint32_t channel : used_channels) {
-    const std::uint32_t rev = index.reverse(channel);
-    // Each undirected edge is summarised once, by whichever of its two used
-    // directions comes first numerically (or by its only used direction).
-    if (rev < channel && channel_load[rev] > 0) continue;
-    const std::uint64_t pooled =
-        channel_load[channel] + (rev == channel ? 0 : channel_load[rev]);
-    ++stats.edges_used;
-    stats.total += pooled;
-    stats.max_load = std::max(stats.max_load, pooled);
-  }
-  if (stats.edges_used > 0) {
-    stats.mean_load =
-        static_cast<double>(stats.total) / static_cast<double>(stats.edges_used);
-  }
-  return stats;
-}
-
 }  // namespace faultroute

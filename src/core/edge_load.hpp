@@ -4,7 +4,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "graph/channel_index.hpp"
 #include "graph/topology.hpp"
 
 namespace faultroute {
@@ -33,16 +32,5 @@ struct EdgeLoadStats {
 [[nodiscard]] EdgeLoadStats summarize_edge_id_load(
     const std::vector<std::uint64_t>& edge_load,
     const std::vector<std::uint32_t>& used_edges);
-
-/// Congestion summary of a dense per-directed-channel traversal vector (the
-/// event-driven traffic engine's accumulator — a flat array indexed by
-/// ChannelIndex id, no hashing on the hot path). The two directions of each
-/// undirected edge are pooled via ChannelIndex::reverse, matching the
-/// per-EdgeKey pooling of the map overload exactly. `used_channels` lists
-/// the channels with load > 0 (any order, no duplicates) so the summary
-/// costs O(used), not O(num_channels).
-[[nodiscard]] EdgeLoadStats summarize_channel_load(
-    const ChannelIndex& index, const std::vector<std::uint64_t>& channel_load,
-    const std::vector<std::uint32_t>& used_channels);
 
 }  // namespace faultroute

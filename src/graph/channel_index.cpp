@@ -3,9 +3,24 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
-#include <unordered_map>
+#include <string>
 
 namespace faultroute {
+
+namespace {
+
+/// The pairing pass found a channel whose twin is missing or ambiguous: the
+/// topology breaks the neighbor / edge_key symmetry contract.
+[[noreturn]] void throw_unpaired(const Topology& graph, std::uint32_t channel, VertexId tail,
+                                 VertexId head, const std::string& why) {
+  // analyze:allow-throw-safety(symmetry contract violation is a programming error in the topology)
+  throw std::logic_error("ChannelIndex: " + graph.name() + " channel " +
+                         std::to_string(channel) + " (" + std::to_string(tail) + " -> " +
+                         std::to_string(head) + ") has no twin: " + why +
+                         "; the neighbor/edge_key symmetry contract is violated");
+}
+
+}  // namespace
 
 ChannelIndex::ChannelIndex(const Topology& graph) : graph_(&graph) {
   const std::uint64_t n = graph.num_vertices();
@@ -48,43 +63,68 @@ EdgeKey ChannelIndex::edge_of(std::uint32_t channel) const {
 }
 
 void ChannelIndex::build_edge_ids() const {
-  // One linear scan over (vertex, slot) pairs — i.e. over channels in
-  // ascending id order. The hash map exists only during this build; the
-  // steady-state structure is the flat edge_ids_ array.
+  // One pass over channels in ascending id order. A channel v -> w with
+  // w > v is its edge's first appearance (the twin w -> v has a larger id),
+  // so it takes the next id and is filed under w: filed[offsets_[w] + k] is
+  // the k-th such channel into w, ascending, inside w's own row-sized region.
+  // When the pass reaches w, the twin of w -> v (v < w) is the channel out of
+  // v filed under w; filed channels out of v form one contiguous run, found
+  // by binary search for v's channel range.
+  const std::uint64_t n = graph_->num_vertices();
   edge_ids_.resize(num_channels_);  // analyze:allow-hot-alloc(one-shot lazy index build, memoised per topology)
-  // lint:allow-hash(one-shot build-time scratch; steady state is the flat array)
-  std::unordered_map<EdgeKey, std::uint32_t> first_seen;
-  first_seen.reserve(num_channels_ / 2 + 1);  // analyze:allow-hot-alloc(same one-shot build)
+  std::vector<std::uint32_t> filed(num_channels_);  // analyze:allow-hot-alloc(same one-shot build)
+  std::vector<std::uint32_t> filed_count(n, 0);  // analyze:allow-hot-alloc(same one-shot build)
+  std::vector<std::uint8_t> claimed;  // per filed channel of the current row
   std::uint32_t next_id = 0;
   std::uint32_t channel = 0;
-  const std::uint64_t n = graph_->num_vertices();
   for (VertexId v = 0; v < n; ++v) {
+    const std::uint32_t* row = filed.data() + offsets_[v];
+    const std::uint32_t row_count = filed_count[v];
+    claimed.assign(row_count, 0);  // analyze:allow-hot-alloc(same one-shot build; capacity retained across rows)
+    std::uint32_t claims = 0;
     const int deg = graph_->degree(v);
     for (int i = 0; i < deg; ++i, ++channel) {
-      // analyze:allow-hot-alloc(same one-shot build)
-      const auto [it, inserted] = first_seen.emplace(graph_->edge_key(v, i), next_id);
-      if (inserted) ++next_id;
-      edge_ids_[channel] = it->second;
+      const VertexId w = graph_->neighbor(v, i);
+      if (w > v) {
+        if (w >= n) throw_unpaired(*graph_, channel, v, w, "head is not a vertex");
+        if (filed_count[w] == offsets_[w + 1] - offsets_[w]) {
+          throw_unpaired(*graph_, channel, v, w, "head has fewer slots than channels into it");
+        }
+        filed[offsets_[w] + filed_count[w]++] = channel;
+        edge_ids_[channel] = next_id++;
+        continue;
+      }
+      if (w == v) throw_unpaired(*graph_, channel, v, w, "self-loop");
+      const std::uint32_t* end = row + row_count;
+      const std::uint32_t* twin = std::lower_bound(
+          row, end, static_cast<std::uint32_t>(offsets_[w]));
+      const auto from_w = [&](const std::uint32_t* p) { return p != end && *p < offsets_[w + 1]; };
+      if (!from_w(twin)) throw_unpaired(*graph_, channel, v, w, "no channel back from the head");
+      if (from_w(twin + 1)) {
+        // Parallel edges between w and v: the edge key tells them apart.
+        const EdgeKey key = graph_->edge_key(v, i);
+        while (from_w(twin) &&
+               graph_->edge_key(w, static_cast<int>(*twin - offsets_[w])) != key) {
+          ++twin;
+        }
+        if (!from_w(twin)) {
+          throw_unpaired(*graph_, channel, v, w, "no parallel channel back carries its edge key");
+        }
+      }
+      std::uint8_t& taken = claimed[static_cast<std::size_t>(twin - row)];
+      if (taken != 0) throw_unpaired(*graph_, channel, v, w, "its twin is already paired");
+      taken = 1;
+      ++claims;
+      edge_ids_[channel] = edge_ids_[*twin];
+    }
+    if (claims != row_count) {
+      const auto unclaimed = static_cast<std::size_t>(
+          std::find(claimed.begin(), claimed.end(), 0) - claimed.begin());
+      const std::uint32_t orphan = row[unclaimed];
+      throw_unpaired(*graph_, orphan, tail(orphan), v, "the head has no slot back");
     }
   }
   num_edge_ids_ = next_id;
-}
-
-std::uint32_t ChannelIndex::reverse(std::uint32_t channel) const {
-  const VertexId v = tail(channel);
-  const int i = static_cast<int>(channel - offsets_[v]);
-  const VertexId w = graph_->neighbor(v, i);
-  const EdgeKey key = graph_->edge_key(v, i);
-  const int deg = graph_->degree(w);
-  for (int j = 0; j < deg; ++j) {
-    if (graph_->neighbor(w, j) == v && graph_->edge_key(w, j) == key) {
-      return channel_of(w, j);
-    }
-  }
-  // analyze:allow-throw-safety(edge_key symmetry contract violation is a programming error in the topology)
-  throw std::logic_error("ChannelIndex::reverse: no matching reverse slot for edge key " +
-                         std::to_string(key) + " — edge_key symmetry contract violated by " +
-                         graph_->name());
 }
 
 }  // namespace faultroute

@@ -54,26 +54,29 @@ class ChannelIndex {
   /// Canonical key of the undirected edge the channel belongs to.
   [[nodiscard]] EdgeKey edge_of(std::uint32_t channel) const;
 
-  /// The opposite direction of the same undirected edge, identified by the
-  /// symmetric-edge-key contract (which also disambiguates parallel edges).
-  /// Involutive: reverse(reverse(c)) == c. Throws std::logic_error if the
-  /// topology violates the edge_key symmetry contract.
-  [[nodiscard]] std::uint32_t reverse(std::uint32_t channel) const;
-
   /// Dense id of the *undirected edge* a channel belongs to, contiguous in
   /// [0, num_edge_ids()): both directions of an edge share one id, distinct
   /// edges (including parallel edges) get distinct ids. This is the index
-  /// the dense probe-state engine keys its per-edge arrays by — edge_key()
-  /// values are canonical but sparse, edge ids are canonical *and* dense.
+  /// the dense probe-state arrays and the delivery engine's per-edge loads
+  /// are keyed by — edge_key() values are canonical but sparse, edge ids are
+  /// canonical *and* dense.
   ///
   /// Ids are assigned in order of first appearance by ascending channel id,
-  /// so they are a pure function of the topology. The table (4 bytes per
-  /// channel) is built lazily on first call — thread-safe, O(channels) once
-  /// — keeping the index cheap for users that never ask (the delivery
-  /// engine needs only the offset table). O(1) after the first call.
+  /// so they are a pure function of the topology. The table is built lazily
+  /// on first call — thread-safe, O(channels) once, O(1) after — by a
+  /// hash-free pairing pass: a channel v -> w with w > v is its edge's first
+  /// appearance and takes the next id; its twin w -> v, met later, finds it
+  /// by binary search among the channels filed under w, comparing edge keys
+  /// only between parallel edges. The table keeps 4 bytes per channel; the
+  /// pass borrows another 4 per channel and 4 per vertex while it runs. The
+  /// ids equal the first-appearance numbering of edge keys that a key-to-id
+  /// map gives (tests/helpers/reference_edge_ids.hpp), which is what snapshot
+  /// files (graph/snapshot.hpp) store. Throws std::logic_error
+  /// naming the topology and the channel if some channel has no twin (the
+  /// neighbor / edge_key symmetry contract of graph/topology.hpp is broken,
+  /// or the graph has a self-loop).
   [[nodiscard]] std::uint32_t edge_id_of(std::uint32_t channel) const {
-    std::call_once(edge_ids_once_, [this] { build_edge_ids(); });
-    return edge_ids_[channel];
+    return edge_ids_data()[channel];
   }
 
   /// Number of distinct undirected edges (== num_edges() of the topology,
@@ -81,6 +84,15 @@ class ChannelIndex {
   [[nodiscard]] std::uint32_t num_edge_ids() const {
     std::call_once(edge_ids_once_, [this] { build_edge_ids(); });
     return num_edge_ids_;
+  }
+
+  /// The raw channel -> edge-id table (num_channels() entries), built if
+  /// needed. Borrowers (FlatAdjacency, the delivery engine) keep the pointer
+  /// so a lookup is one load with no call_once fence; it is valid for the
+  /// index's lifetime.
+  [[nodiscard]] const std::uint32_t* edge_ids_data() const {
+    std::call_once(edge_ids_once_, [this] { build_edge_ids(); });
+    return edge_ids_.data();
   }
 
   /// The raw prefix-sum offset table (size num_vertices() + 1), for snapshot

@@ -23,24 +23,20 @@ FlatAdjacency::FlatAdjacency(const Topology& graph)
   num_channels_ = index.num_channels();
   owned_neighbors_.resize(num_channels_);
   owned_keys_.resize(num_channels_);
-  owned_edge_ids_.resize(num_channels_);
   // One pass in channel order: slot i of v lands at flat position
-  // channel_of(v, i) by construction. The edge-id table is the index's own
-  // (lazily built) channel -> undirected-edge-id map, copied so a hot-path
-  // lookup is one load with no call_once fence.
+  // channel_of(v, i) by construction.
   std::uint32_t channel = 0;
   for (VertexId v = 0; v < num_vertices_; ++v) {
     const int deg = graph.degree(v);
     for (int i = 0; i < deg; ++i, ++channel) {
       owned_neighbors_[channel] = graph.neighbor(v, i);
       owned_keys_[channel] = graph.edge_key(v, i);
-      owned_edge_ids_[channel] = index.edge_id_of(channel);
     }
   }
   num_edge_ids_ = index.num_edge_ids();
   neighbors_ = owned_neighbors_.data();
   keys_ = owned_keys_.data();
-  edge_ids_ = owned_edge_ids_.data();
+  edge_ids_ = index.edge_ids_data();
 }
 
 FlatAdjacency::~FlatAdjacency() = default;

@@ -28,13 +28,14 @@ class MappedSnapshot;
 /// After the build, a probe or hop resolves with two array loads and zero
 /// virtual dispatch or key arithmetic.
 ///
-/// The snapshot borrows the topology's ChannelIndex offset table (it must
-/// outlive the snapshot, which Topology::flat_adjacency() — the intended way
-/// to obtain one — guarantees by caching both on the topology). Memory cost:
-/// 20 bytes per directed channel on top of the index's 8 per vertex, which
-/// is why huge implicit topologies keep the virtual path: AdjacencyMode
-/// below selects per call site, and kAuto materializes only when
-/// num_vertices() fits a budget.
+/// The snapshot borrows the topology's ChannelIndex offset table and edge-id
+/// table (the index must outlive the snapshot, which
+/// Topology::flat_adjacency() — the intended way to obtain one — guarantees
+/// by caching both on the topology). Memory cost: 16 bytes per directed
+/// channel of its own (neighbor + key), on top of the index's 4 per channel
+/// and 8 per vertex, which is why huge implicit topologies keep the virtual
+/// path: AdjacencyMode below selects per call site, and kAuto materializes
+/// only when num_vertices() fits a budget.
 ///
 /// Besides the owning build above, a snapshot can be a *non-owning view*
 /// over a memory-mapped on-disk snapshot (graph/snapshot.hpp): the view
@@ -103,11 +104,11 @@ class FlatAdjacency {
   [[nodiscard]] EdgeKey edge_key_at(std::uint64_t pos) const { return keys_[pos]; }
   [[nodiscard]] std::uint32_t edge_id_at(std::uint64_t pos) const { return edge_ids_[pos]; }
 
-  /// Bytes owned by the snapshot arrays (excluding the borrowed offsets).
-  /// A mapped view owns nothing — its pages belong to the file mapping.
+  /// Bytes owned by the snapshot arrays (excluding the borrowed offset and
+  /// edge-id tables). A mapped view owns nothing — its pages belong to the
+  /// file mapping.
   [[nodiscard]] std::uint64_t memory_bytes() const {
-    return owned_neighbors_.size() *
-           (sizeof(VertexId) + sizeof(EdgeKey) + sizeof(std::uint32_t));
+    return owned_neighbors_.size() * (sizeof(VertexId) + sizeof(EdgeKey));
   }
 
   /// Raw array views for the on-disk snapshot writer (graph/snapshot.cpp):
@@ -123,16 +124,16 @@ class FlatAdjacency {
   std::uint64_t num_vertices_ = 0;
   std::uint32_t num_channels_ = 0;
   std::uint32_t num_edge_ids_ = 0;
-  // Hot-path array views (per channel): into the owned vectors below for a
-  // built snapshot, into the mapped region for a view. The accessors above
-  // only ever touch these pointers, so both modes cost the same two loads.
+  // Hot-path array views (per channel): into the owned vectors below (edge
+  // ids: into the ChannelIndex's table) for a built snapshot, into the
+  // mapped region for a view. The accessors above only ever touch these
+  // pointers, so both modes cost the same two loads.
   const VertexId* neighbors_ = nullptr;
   const EdgeKey* keys_ = nullptr;
   const std::uint32_t* edge_ids_ = nullptr;
   // Owning storage (empty in view mode).
   std::vector<VertexId> owned_neighbors_;
   std::vector<EdgeKey> owned_keys_;
-  std::vector<std::uint32_t> owned_edge_ids_;
   // View mode: keeps the mapping (and with it every pointer above) alive.
   std::shared_ptr<const MappedSnapshot> snapshot_;
 

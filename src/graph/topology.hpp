@@ -109,8 +109,8 @@ class Topology {
   [[nodiscard]] const ChannelIndex& channel_index() const;
 
   /// The flat CSR adjacency snapshot of this topology (see
-  /// graph/flat_adjacency.hpp): per-channel neighbor / edge-key / edge-id
-  /// arrays over the channel index's offset table, so hot paths resolve
+  /// graph/flat_adjacency.hpp): per-channel neighbor / edge-key arrays plus
+  /// the channel index's offset and edge-id tables, so hot paths resolve
   /// adjacency with array loads instead of virtual dispatch. Built lazily on
   /// first use and cached — O(channels) once, O(1) thereafter. Costs ~20
   /// bytes per directed channel; huge implicit topologies should not call

@@ -61,28 +61,34 @@ TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampler,
   // `edge_capacity` messages, which arrive at the far endpoint next step.
   const ChannelIndex& index = graph.channel_index();
   result.channels = index.num_channels();
+  const std::uint32_t* edge_of_channel = index.edge_ids_data();
 
-  // Journeys compiled flat: one uint32 channel id per hop, all hops
-  // concatenated; per message a [cursor, end) window into the flat array.
+  // Journeys compiled flat: per hop, the channel it queues on and the
+  // undirected edge it loads, all hops concatenated; per message a
+  // [cursor, end) window into the flat array.
+  struct Hop {
+    std::uint32_t channel;
+    std::uint32_t edge;
+  };
   std::optional<obs::PhaseProfiler::Scope> compile_scope;
   compile_scope.emplace(profiler, "compile");
   std::uint64_t total_hops = 0;
   for (const auto& journey : journeys) total_hops += journey.slots.size();
-  std::vector<std::uint32_t> hop_channel;
-  hop_channel.reserve(total_hops);  // analyze:allow-hot-alloc(per-batch journey compilation, reserved to total hops)
+  std::vector<Hop> hops;
+  hops.reserve(total_hops);  // analyze:allow-hot-alloc(per-batch journey compilation, reserved to total hops)
   std::vector<std::uint64_t> hop_cursor(messages.size(), 0);  // analyze:allow-hot-alloc(per-batch journey compilation)
   std::vector<std::uint64_t> hop_end(messages.size(), 0);  // analyze:allow-hot-alloc(per-batch journey compilation)
   // channel_of is pure offset arithmetic over the same prefix-sum table the
   // flat snapshot borrows, so compiling against the index is already
   // compiling against the snapshot — no adjacency-mode branch needed here.
   for (std::size_t i = 0; i < messages.size(); ++i) {
-    hop_cursor[i] = hop_channel.size();
+    hop_cursor[i] = hops.size();
     const auto& journey = journeys[i];
     for (std::size_t step = 0; step < journey.slots.size(); ++step) {
-      // analyze:allow-hot-alloc(fills the reservation above)
-      hop_channel.push_back(index.channel_of(journey.path[step], journey.slots[step]));
+      const std::uint32_t channel = index.channel_of(journey.path[step], journey.slots[step]);
+      hops.push_back({channel, edge_of_channel[channel]});  // analyze:allow-hot-alloc(fills the reservation above)
     }
-    hop_end[i] = hop_channel.size();
+    hop_end[i] = hops.size();
   }
   compile_scope.reset();
   const auto delivery_start = std::chrono::steady_clock::now();
@@ -115,10 +121,12 @@ TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampler,
   std::vector<std::uint32_t> next_in_queue(messages.size(), kNoMessage);  // analyze:allow-hot-alloc(per-batch queue state sized once)
   std::vector<std::uint32_t> active;  // channels with a non-empty queue
 
-  // Per-channel transmission counts, accumulated densely; `used` remembers
-  // first touches so aggregation never scans the whole channel space.
-  std::vector<std::uint64_t> channel_load(index.num_channels(), 0);  // analyze:allow-hot-alloc(per-batch load accumulators sized once)
-  std::vector<std::uint32_t> used_channels;
+  // Per-undirected-edge transmission counts, accumulated densely (both
+  // directions of an edge share its id, so no pairing is left for
+  // aggregation); `used_edges` remembers first touches so aggregation never
+  // scans the whole edge space.
+  std::vector<std::uint64_t> edge_load(index.num_edge_ids(), 0);  // analyze:allow-hot-alloc(per-batch load accumulators sized once)
+  std::vector<std::uint32_t> used_edges;
 
   // Two-bucket calendar: a hop costs exactly one step, so every transmission
   // lands in the very next bucket, and the only other event source —
@@ -155,7 +163,7 @@ TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampler,
         --in_flight;
         continue;
       }
-      const std::uint32_t channel = hop_channel[hop_cursor[id]];
+      const std::uint32_t channel = hops[hop_cursor[id]].channel;
       next_in_queue[id] = kNoMessage;
       if (queue_head[channel] == kNoMessage) {
         queue_head[channel] = queue_tail[channel] = id;
@@ -178,10 +186,10 @@ TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampler,
            slot < config.edge_capacity && queue_head[channel] != kNoMessage; ++slot) {
         const std::uint32_t id = queue_head[channel];
         queue_head[channel] = next_in_queue[id];
-        ++hop_cursor[id];
-        // analyze:allow-hot-alloc(first-touch record, one append per distinct channel)
-        if (channel_load[channel] == 0) used_channels.push_back(channel);
-        ++channel_load[channel];
+        const std::uint32_t edge = hops[hop_cursor[id]++].edge;
+        // analyze:allow-hot-alloc(first-touch record, one append per distinct edge)
+        if (edge_load[edge] == 0) used_edges.push_back(edge);
+        ++edge_load[edge];
         next_arrivals.push_back(id);  // analyze:allow-hot-alloc(amortized calendar bucket; capacity is retained across steps)
       }
       if (queue_head[channel] == kNoMessage) {
@@ -214,7 +222,7 @@ TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampler,
   // ------------------------------------------------------------- aggregation
   delivery_scope.reset();
   const obs::PhaseProfiler::Scope aggregate_scope(profiler, "aggregate");
-  const EdgeLoadStats congestion = summarize_channel_load(index, channel_load, used_channels);
+  const EdgeLoadStats congestion = summarize_edge_id_load(edge_load, used_edges);
   result.transmissions = congestion.total;
   result.max_edge_load = congestion.max_load;
   result.edges_used = congestion.edges_used;

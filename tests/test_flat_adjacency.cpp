@@ -54,6 +54,7 @@ TEST(FlatAdjacency, AgreesRowForRowWithVirtualInterfaceAcrossFamilies) {
     EXPECT_EQ(flat.num_vertices(), graph->num_vertices()) << spec;
     EXPECT_EQ(flat.num_channels(), index.num_channels()) << spec;
     EXPECT_EQ(flat.num_edge_ids(), index.num_edge_ids()) << spec;
+    EXPECT_EQ(flat.edge_ids_data(), index.edge_ids_data()) << spec;  // borrowed, not copied
     EXPECT_EQ(&flat.graph(), graph.get()) << spec;
 
     for (VertexId v = 0; v < graph->num_vertices(); ++v) {

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "graph/butterfly.hpp"
@@ -12,7 +15,9 @@
 #include "graph/de_bruijn.hpp"
 #include "graph/explicit_graph.hpp"
 #include "graph/shuffle_exchange.hpp"
+#include "helpers/reference_edge_ids.hpp"
 #include "helpers/topology_checks.hpp"
+#include "sim/registry.hpp"
 
 namespace faultroute {
 namespace {
@@ -300,18 +305,22 @@ TEST(ChannelIndex, DenseContiguousAndInvertibleAcrossFamilies) {
 }
 
 TEST(ChannelIndex, ReverseIsAnInvolutionOntoTheSameEdge) {
-  // Includes the k=2 wrapped butterfly, whose parallel edges make reverse()
-  // depend on the edge-key match (the naive lowest-slot lookup would pair
-  // the two parallel edges with each other).
-  for (const auto& entry : small_family()) {
+  // Includes the k=2 wrapped butterfly, whose parallel edges make the
+  // reverse depend on the edge-key match (the naive lowest-slot lookup would
+  // pair the two parallel edges with each other). The paired edge ids must
+  // agree: a channel and its reverse share one id.
+  auto families = small_family();
+  families.push_back(std::make_shared<Butterfly>(2));
+  for (const auto& entry : families) {
     const Topology& g = *entry;
     const ChannelIndex& index = g.channel_index();
     for (std::uint32_t c = 0; c < index.num_channels(); ++c) {
-      const std::uint32_t r = index.reverse(c);
-      EXPECT_EQ(index.reverse(r), c) << g.name() << " channel " << c;
+      const std::uint32_t r = reference::reverse_channel(g, index, c);
+      EXPECT_EQ(reference::reverse_channel(g, index, r), c) << g.name() << " channel " << c;
       EXPECT_EQ(index.edge_of(r), index.edge_of(c)) << g.name();
       EXPECT_EQ(index.head(r), index.tail(c)) << g.name();
       EXPECT_EQ(index.tail(r), index.head(c)) << g.name();
+      EXPECT_EQ(index.edge_id_of(r), index.edge_id_of(c)) << g.name() << " channel " << c;
     }
   }
 }
@@ -342,11 +351,103 @@ TEST(ChannelIndex, EdgeIdsAreDenseSharedByDirectionsAndDistinctPerKey) {
       // One id per key, one key per id — a bijection onto the edge set.
       const auto [it, inserted] = id_of_key.emplace(index.edge_of(c), id);
       EXPECT_EQ(it->second, id) << g.name() << " channel " << c;
-      EXPECT_EQ(index.edge_id_of(index.reverse(c)), id) << g.name() << " channel " << c;
+      EXPECT_EQ(index.edge_id_of(reference::reverse_channel(g, index, c)), id)
+          << g.name() << " channel " << c;
     }
     EXPECT_EQ(id_of_key.size(), index.num_edge_ids()) << g.name();
     EXPECT_TRUE(std::all_of(seen.begin(), seen.end(), [](bool s) { return s; }))
         << g.name() << ": edge ids are not contiguous";
+  }
+}
+
+TEST(ChannelIndex, PairedEdgeIdsEqualTheNaiveFirstAppearanceNumbering) {
+  // The pairing pass must reproduce a key -> id hash map's numbering
+  // exactly: snapshot files store these ids. butterfly:2 has parallel
+  // edges; the explicit graph has parallel edges (1-2 and 4-6, twice each)
+  // and isolated vertices (0, 3 and 7).
+  std::vector<std::shared_ptr<Topology>> graphs;
+  for (const char* spec :
+       {"hypercube:5", "mesh:2:6", "torus:2:6", "torus:3:5", "double_tree:4", "complete:24",
+        "de_bruijn:6", "shuffle_exchange:6", "butterfly:4", "butterfly:2", "ccc:4",
+        "cycle_matching:64:7"}) {
+    graphs.push_back(sim::make_topology(spec));
+  }
+  graphs.push_back(std::make_shared<ExplicitGraph>(
+      8, ExplicitGraph::EdgeList{{5, 1}, {1, 2}, {2, 1}, {4, 6}, {6, 5}, {6, 4}, {2, 6}}));
+  for (const auto& g : graphs) {
+    const ChannelIndex& index = g->channel_index();
+    const std::vector<std::uint32_t> expected = reference::first_appearance_edge_ids(*g);
+    ASSERT_EQ(expected.size(), index.num_channels()) << g->name();
+    const std::vector<std::uint32_t> actual(index.edge_ids_data(),
+                                            index.edge_ids_data() + index.num_channels());
+    EXPECT_EQ(actual, expected) << g->name();
+    EXPECT_EQ(index.num_edge_ids(), g->num_edges()) << g->name();
+  }
+}
+
+/// A toy topology given by explicit (neighbor, edge key) slot lists, free to
+/// break the symmetry contract the pairing pass relies on. Slot reads are
+/// bounds-checked (std::out_of_range, whose message does not name the
+/// topology), so a pass that reads past a vertex's slots fails the test.
+class SlotListTopology final : public Topology {
+ public:
+  using Slots = std::vector<std::vector<std::pair<VertexId, EdgeKey>>>;
+  explicit SlotListTopology(Slots slots) : slots_(std::move(slots)) {}
+
+  [[nodiscard]] std::uint64_t num_vertices() const override { return slots_.size(); }
+  [[nodiscard]] std::uint64_t num_edges() const override { return 0; }
+  [[nodiscard]] int degree(VertexId v) const override {
+    return static_cast<int>(slots_.at(v).size());
+  }
+  [[nodiscard]] VertexId neighbor(VertexId v, int i) const override {
+    return slots_.at(v).at(static_cast<std::size_t>(i)).first;
+  }
+  [[nodiscard]] EdgeKey edge_key(VertexId v, int i) const override {
+    return slots_.at(v).at(static_cast<std::size_t>(i)).second;
+  }
+  [[nodiscard]] EdgeEndpoints endpoints(EdgeKey /*key*/) const override { return {}; }
+  [[nodiscard]] std::string name() const override { return "asymmetric-toy"; }
+
+ private:
+  Slots slots_;
+};
+
+TEST(ChannelIndex, PairingRejectsAChannelWithoutATwin) {
+  struct Case {
+    const char* what;
+    SlotListTopology::Slots slots;
+    const char* channel;  // the channel the message must name
+  };
+  const std::vector<Case> cases = {
+      // 0 -> 1 has nowhere to be filed: vertex 1 has no slots at all.
+      {"head without slots", {{{1, 0}}, {}}, "channel 0 "},
+      // 1 -> 5 points past the last vertex.
+      {"head out of range", {{}, {{5, 0}}}, "channel 0 "},
+      // 2 -> 1 finds nothing filed from 1 (1 never lists 2).
+      {"missing forward channel", {{{2, 0}}, {}, {{0, 0}, {1, 1}}}, "channel 2 "},
+      // 0 -> 1 is filed under 1, but 1 only lists 2.
+      {"unclaimed forward channel", {{{1, 0}}, {{2, 1}}, {{1, 1}}}, "channel 0 "},
+      // 1 lists 0 twice, 0 lists 1 once: the second claim finds it taken.
+      {"twin claimed twice", {{{1, 0}}, {{0, 0}, {0, 0}}}, "channel 2 "},
+      // A self-loop has no twin in this model.
+      {"self-loop", {{{0, 0}}}, "channel 0 "},
+      // Parallel 0-2 edges with keys {5, 6} seen from 0 but {5, 7} from 2.
+      // The only key-7 channel filed under 2 is 1 -> 2, right after the 0
+      // run: the key search must stop at the run's end, not read on.
+      {"parallel key mismatch",
+       {{{2, 5}, {2, 6}}, {{2, 7}}, {{0, 5}, {0, 7}, {1, 7}}},
+       "channel 4 "},
+  };
+  for (const Case& c : cases) {
+    const SlotListTopology g(c.slots);
+    try {
+      (void)g.channel_index().num_edge_ids();
+      ADD_FAILURE() << c.what << ": no exception";
+    } catch (const std::logic_error& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("asymmetric-toy"), std::string::npos) << c.what << ": " << message;
+      EXPECT_NE(message.find(c.channel), std::string::npos) << c.what << ": " << message;
+    }
   }
 }
 
