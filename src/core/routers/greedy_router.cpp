@@ -1,60 +1,64 @@
 #include "core/routers/greedy_router.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <functional>
+#include <limits>
 #include <utility>
 #include <vector>
 
 #include "graph/distance_oracle.hpp"
 #include "graph/flat_adjacency.hpp"
 
-// analyze:allow-file-hot-alloc(per-message best-first search: candidate ranking is bounded by degree, the metric baseline the distance oracle accelerates)
 namespace faultroute {
 
 namespace {
 
-/// Indices of v's incident edges sorted by the fault-free distance from the
-/// resulting neighbor to the target (ties broken by index for determinism).
-/// Neighbor scans go through the adjacency view (CSR row when a snapshot is
-/// up); the metric resolves through `col` (a cached oracle column, or
-/// nullptr for graph.distance — identical values either way).
-std::vector<int> edges_by_target_distance(const AdjacencyView& adj, const std::uint32_t* col,
-                                          VertexId x, VertexId v) {
+using Frontier = std::vector<std::pair<std::uint64_t, VertexId>>;  // (distance-to-target, vertex)
+
+/// Ranks x's slots whose neighbor lies at fault-free distance below `bound`
+/// from the target into `ranked`, sorted by (distance, slot) — ties broken
+/// by slot for determinism. Neighbor scans go through the adjacency view
+/// (CSR row when a snapshot is up); the metric resolves through `col` (a
+/// cached oracle column, or nullptr for graph.distance — identical values
+/// either way).
+void rank_slots(const AdjacencyView& adj, const std::uint32_t* col, VertexId x, VertexId v,
+                std::uint64_t bound, detail::RankedSlots& ranked) {
   const Topology& graph = adj.graph();
+  ranked.clear();
   const int deg = adj.degree(x);
-  std::vector<std::pair<std::uint64_t, int>> ranked;
-  ranked.reserve(static_cast<std::size_t>(deg));
   for (int i = 0; i < deg; ++i) {
-    ranked.emplace_back(metric_distance(graph, col, adj.neighbor(x, i), v), i);
+    const std::uint64_t dy = metric_distance(graph, col, adj.neighbor(x, i), v);
+    if (dy < bound) ranked.emplace_back(dy, i);  // analyze:allow-hot-alloc(pooled ranking buffer, grows to the maximum degree once)
   }
   std::sort(ranked.begin(), ranked.end());
-  std::vector<int> order;
-  order.reserve(ranked.size());
-  for (const auto& [dist, i] : ranked) order.push_back(i);
-  return order;
 }
 
 /// The best-first search loop, templated over the marks backend (dense
 /// vertex-indexed arrays on the flat adjacency path, hash maps on the
-/// implicit path; marks never affect expansion order).
+/// implicit path; marks never affect expansion order). The frontier is a
+/// pooled min-heap driven exactly as std::priority_queue drives its
+/// container (push_back + push_heap, pop_heap + pop_back), so expansion order
+/// matches a priority_queue with std::greater<>.
 template <typename Marks>
 std::optional<Path> best_first_search(ProbeContext& ctx, const AdjacencyView& adj,
                                       const std::uint32_t* col, VertexId u, VertexId v,
-                                      Marks& parent, Marks& expanded) {
+                                      Marks& parent, Marks& expanded,
+                                      detail::RankedSlots& ranked, Frontier& frontier) {
   const Topology& graph = adj.graph();
   const std::uint64_t n = graph.num_vertices();
   parent.begin(n);
   expanded.begin(n);
-  using Entry = std::pair<std::uint64_t, VertexId>;  // (distance-to-target, vertex)
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> frontier;
+  frontier.clear();
   parent.emplace(u, u);
-  frontier.emplace(metric_distance(graph, col, u, v), u);
+  frontier.emplace_back(metric_distance(graph, col, u, v), u);  // analyze:allow-hot-alloc(pooled frontier retains capacity across messages)
   while (!frontier.empty()) {
-    const auto [dist, x] = frontier.top();
-    frontier.pop();
+    std::pop_heap(frontier.begin(), frontier.end(), std::greater<>());
+    const VertexId x = frontier.back().second;
+    frontier.pop_back();
     if (!expanded.emplace(x, x)) continue;  // already expanded
     ctx.note_expansion();
-    for (const int i : edges_by_target_distance(adj, col, x, v)) {
+    rank_slots(adj, col, x, v, std::numeric_limits<std::uint64_t>::max(), ranked);
+    for (const auto& [dy, i] : ranked) {
       const VertexId y = adj.neighbor(x, i);
       if (parent.contains(y)) continue;
       if (!ctx.probe(x, i)) continue;
@@ -62,13 +66,14 @@ std::optional<Path> best_first_search(ProbeContext& ctx, const AdjacencyView& ad
       if (y == v) {
         Path path;
         for (VertexId z = v;; z = parent.at(z)) {
-          path.push_back(z);
+          path.push_back(z);  // analyze:allow-hot-alloc(path materialization of the returned route)
           if (z == u) break;
         }
         std::reverse(path.begin(), path.end());
         return path;
       }
-      frontier.emplace(metric_distance(graph, col, y, v), y);
+      frontier.emplace_back(dy, y);  // analyze:allow-hot-alloc(pooled frontier retains capacity across messages)
+      std::push_heap(frontier.begin(), frontier.end(), std::greater<>());
     }
   }
   return std::nullopt;
@@ -76,27 +81,33 @@ std::optional<Path> best_first_search(ProbeContext& ctx, const AdjacencyView& ad
 
 }  // namespace
 
+namespace detail {
+
+bool greedy_step(ProbeContext& ctx, const AdjacencyView& adj, const std::uint32_t* col,
+                 VertexId& x, VertexId v, RankedSlots& ranked) {
+  rank_slots(adj, col, x, v, metric_distance(adj.graph(), col, x, v), ranked);
+  for (const auto& [dy, i] : ranked) {
+    if (ctx.probe(x, i)) {
+      x = adj.neighbor(x, i);
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace detail
+
 std::optional<Path> GreedyDescentRouter::route(ProbeContext& ctx, VertexId u, VertexId v) {
-  const Topology& graph = ctx.graph();
-  const AdjacencyView adj(graph, ctx.flat_adjacency());
+  const AdjacencyView adj(ctx.graph(), ctx.flat_adjacency());
   const std::uint32_t* col = ctx.target_distances(v);
   Path path{u};
   VertexId x = u;
   while (x != v) {
     ctx.note_expansion();  // each visited vertex is this router's "frontier pop"
-    const std::uint64_t dx = metric_distance(graph, col, x, v);
-    bool moved = false;
-    for (const int i : edges_by_target_distance(adj, col, x, v)) {
-      const VertexId y = adj.neighbor(x, i);
-      if (metric_distance(graph, col, y, v) >= dx) break;  // improving edges exhausted
-      if (ctx.probe(x, i)) {
-        path.push_back(y);
-        x = y;
-        moved = true;
-        break;
-      }
+    if (!detail::greedy_step(ctx, adj, col, x, v, ranked_)) {
+      return std::nullopt;  // stuck: pure greedy gives up
     }
-    if (!moved) return std::nullopt;  // stuck: pure greedy gives up
+    path.push_back(x);  // analyze:allow-hot-alloc(path materialization, one vertex per accepted move)
   }
   return path;
 }
@@ -106,9 +117,11 @@ std::optional<Path> BestFirstRouter::route(ProbeContext& ctx, VertexId u, Vertex
   const AdjacencyView adj(ctx.graph(), ctx.flat_adjacency());
   const std::uint32_t* col = ctx.target_distances(v);
   if (ctx.flat_adjacency() != nullptr) {
-    return best_first_search(ctx, adj, col, u, v, dense_parent_, dense_expanded_);
+    return best_first_search(ctx, adj, col, u, v, dense_parent_, dense_expanded_, ranked_,
+                             frontier_);
   }
-  return best_first_search(ctx, adj, col, u, v, hash_parent_, hash_expanded_);
+  return best_first_search(ctx, adj, col, u, v, hash_parent_, hash_expanded_, ranked_,
+                           frontier_);
 }
 
 }  // namespace faultroute

@@ -1,9 +1,34 @@
 #pragma once
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "core/router.hpp"
 #include "core/routers/router_marks.hpp"
 
 namespace faultroute {
+
+class AdjacencyView;
+
+namespace detail {
+
+/// Incident slots ranked by (fault-free distance from the slot's neighbor to
+/// the target, slot index) — the probe order of the metric routers.
+using RankedSlots = std::vector<std::pair<std::uint64_t, int>>;
+
+/// One greedy step from `x` towards `v`, shared by GreedyDescentRouter and
+/// HybridGreedyRouter's phase 1: ranks x's improving slots (neighbor
+/// strictly closer to v under the metric of `col`, see metric_distance) into
+/// `ranked`, probes them in that order, and moves `x` to the neighbor behind
+/// the first open one. Returns false, leaving `x`, if none is open. Counts
+/// no expansion; callers that treat a step as one do so themselves.
+/// `ranked` is pooled by the router, so a step allocates nothing once it has
+/// grown to the maximum degree.
+bool greedy_step(ProbeContext& ctx, const AdjacencyView& adj, const std::uint32_t* col,
+                 VertexId& x, VertexId v, RankedSlots& ranked);
+
+}  // namespace detail
 
 /// Pure greedy descent (the "natural approach" remarked on in Section 3.2):
 /// from the current vertex, probe only edges that strictly reduce the
@@ -18,6 +43,9 @@ class GreedyDescentRouter : public Router {
   [[nodiscard]] std::string name() const override { return "greedy-descent"; }
 
   [[nodiscard]] bool uses_distance_metric() const override { return true; }
+
+ private:
+  detail::RankedSlots ranked_;  // pooled step ranking
 };
 
 /// Best-first (greedy with backtracking): a complete local router that
@@ -36,7 +64,10 @@ class BestFirstRouter : public Router {
  private:
   // Search state pooled across a worker's messages (dense on the flat
   // adjacency path, hash on the implicit path; bit-identical results — see
-  // core/routers/router_marks.hpp).
+  // core/routers/router_marks.hpp), plus the per-expansion slot ranking and
+  // the (distance-to-target, vertex) min-heap frontier.
+  detail::RankedSlots ranked_;
+  std::vector<std::pair<std::uint64_t, VertexId>> frontier_;
   DenseMarks dense_parent_;
   DenseMarks dense_expanded_;
   HashMarks hash_parent_;

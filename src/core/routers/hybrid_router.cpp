@@ -1,54 +1,27 @@
 #include "core/routers/hybrid_router.hpp"
 
-#include <algorithm>
-#include <vector>
-
-#include "core/routers/landmark_walk.hpp"
-#include "graph/distance_oracle.hpp"
 #include "graph/flat_adjacency.hpp"
 
 namespace faultroute {
 
 std::optional<Path> HybridGreedyRouter::route(ProbeContext& ctx, VertexId u, VertexId v) {
   if (u == v) return Path{u};
-  const Topology& graph = ctx.graph();
-  const AdjacencyView adj(graph, ctx.flat_adjacency());
+  const AdjacencyView adj(ctx.graph(), ctx.flat_adjacency());
 
-  // Phase 1: pure greedy descent while it keeps making progress.
+  // Phase 1: pure greedy descent while it keeps making progress (no
+  // expansions counted: only the repair phase's BFS expands).
   const std::uint32_t* col = ctx.target_distances(v);
   Path walk{u};
   VertexId x = u;
-  while (x != v) {
-    const std::uint64_t dx = metric_distance(graph, col, x, v);
-    // Probe improving edges in order of resulting distance.
-    std::vector<std::pair<std::uint64_t, int>> improving;
-    const int deg = adj.degree(x);
-    for (int i = 0; i < deg; ++i) {
-      const std::uint64_t dy = metric_distance(graph, col, adj.neighbor(x, i), v);
-      if (dy < dx) improving.emplace_back(dy, i);  // analyze:allow-hot-alloc(per-step candidate ranking bounded by degree)
-    }
-    std::sort(improving.begin(), improving.end());
-    bool moved = false;
-    for (const auto& [dy, i] : improving) {
-      if (ctx.probe(x, i)) {
-        x = adj.neighbor(x, i);
-        walk.push_back(x);  // analyze:allow-hot-alloc(walk materialization, one vertex per accepted move)
-        moved = true;
-        break;
-      }
-    }
-    if (!moved) break;  // stuck: hand off to the repair phase
+  while (x != v && detail::greedy_step(ctx, adj, col, x, v, ranked_)) {
+    walk.push_back(x);  // analyze:allow-hot-alloc(walk materialization, one vertex per accepted move)
   }
   if (x == v) return walk;
 
   // Phase 2: landmark/BFS repair from the stuck vertex, via the shared
   // landmark walk (core/routers/landmark_walk.hpp) so the two phases share
   // one ProbeContext and the greedy prefix stays on the final path.
-  const bool repaired =
-      ctx.flat_adjacency() != nullptr
-          ? detail::landmark_walk(ctx, adj, x, v, walk, dense_pos_, dense_parent_, queue_)
-          : detail::landmark_walk(ctx, adj, x, v, walk, hash_pos_, hash_parent_, queue_);
-  if (!repaired) return std::nullopt;
+  if (!detail::landmark_walk(ctx, adj, x, v, walk, walk_state_)) return std::nullopt;
   return simplify_walk(walk);
 }
 

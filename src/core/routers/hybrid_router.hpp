@@ -1,9 +1,8 @@
 #pragma once
 
-#include <vector>
-
 #include "core/router.hpp"
-#include "core/routers/router_marks.hpp"
+#include "core/routers/greedy_router.hpp"
+#include "core/routers/landmark_walk.hpp"
 
 namespace faultroute {
 
@@ -27,14 +26,10 @@ class HybridGreedyRouter : public Router {
   [[nodiscard]] bool uses_distance_metric() const override { return true; }
 
  private:
-  // Repair-phase search state, pooled across a worker's messages (dense on
-  // the flat adjacency path, hash on the implicit path; bit-identical
-  // results — see core/routers/router_marks.hpp).
-  DenseMarks dense_pos_;
-  DenseMarks dense_parent_;
-  HashMarks hash_pos_;
-  HashMarks hash_parent_;
-  std::vector<VertexId> queue_;
+  // Greedy-phase ranking and repair-phase walk state, pooled across the
+  // messages a worker routes.
+  detail::RankedSlots ranked_;
+  detail::LandmarkWalkState walk_state_;
 };
 
 }  // namespace faultroute

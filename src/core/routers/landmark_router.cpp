@@ -1,18 +1,12 @@
 #include "core/routers/landmark_router.hpp"
 
-#include "core/routers/landmark_walk.hpp"
-
 namespace faultroute {
 
 std::optional<Path> LandmarkRouter::route(ProbeContext& ctx, VertexId u, VertexId v) {
   if (u == v) return Path{u};
   const AdjacencyView adj(ctx.graph(), ctx.flat_adjacency());
   Path walk{u};
-  const bool reached =
-      ctx.flat_adjacency() != nullptr
-          ? detail::landmark_walk(ctx, adj, u, v, walk, dense_pos_, dense_parent_, queue_)
-          : detail::landmark_walk(ctx, adj, u, v, walk, hash_pos_, hash_parent_, queue_);
-  if (!reached) return std::nullopt;
+  if (!detail::landmark_walk(ctx, adj, u, v, walk, walk_state_)) return std::nullopt;
   return simplify_walk(walk);
 }
 

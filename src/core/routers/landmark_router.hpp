@@ -1,9 +1,7 @@
 #pragma once
 
-#include <vector>
-
 #include "core/router.hpp"
-#include "core/routers/router_marks.hpp"
+#include "core/routers/landmark_walk.hpp"
 
 namespace faultroute {
 
@@ -31,16 +29,8 @@ class LandmarkRouter : public Router {
   [[nodiscard]] std::string name() const override { return "landmark"; }
 
  private:
-  // Search state pooled across the messages a worker routes (dense marks on
-  // the flat adjacency path, hash marks on the implicit path; bit-identical
-  // results — see core/routers/router_marks.hpp). `pos` maps landmark
-  // vertex -> position along the fault-free shortest path; `parent` is the
-  // per-segment BFS tree.
-  DenseMarks dense_pos_;
-  DenseMarks dense_parent_;
-  HashMarks hash_pos_;
-  HashMarks hash_parent_;
-  std::vector<VertexId> queue_;
+  // Base path, marks and queue, pooled across the messages a worker routes.
+  detail::LandmarkWalkState walk_state_;
 };
 
 }  // namespace faultroute

@@ -1,0 +1,83 @@
+#include "core/routers/landmark_walk.hpp"
+
+#include <algorithm>
+#include <cstdint>
+
+// analyze:allow-file-hot-alloc(landmark walk: the pooled queue retains capacity across segments; segment and walk splices materialize the result path)
+namespace faultroute::detail {
+
+namespace {
+
+/// The walk of landmark_walk, templated over the marks backend.
+template <typename Marks>
+bool landmark_walk_with(ProbeContext& ctx, const AdjacencyView& adj, Path& walk,
+                        const std::vector<VertexId>& landmarks, Marks& pos_of, Marks& parent,
+                        std::vector<VertexId>& queue) {
+  // Position of each landmark along the base path (shortest-path vertices
+  // are distinct).
+  const std::uint64_t n = adj.graph().num_vertices();
+  pos_of.begin(n);
+  for (std::size_t j = 0; j < landmarks.size(); ++j) {
+    pos_of.emplace(landmarks[j], static_cast<VertexId>(j));
+  }
+
+  std::size_t pos = 0;
+  while (pos + 1 < landmarks.size()) {
+    // BFS over open probed edges from landmarks[pos] until a strictly later
+    // landmark appears.
+    const VertexId start = landmarks[pos];
+    parent.begin(n);
+    parent.emplace(start, start);
+    queue.clear();
+    queue.push_back(start);
+    std::size_t head = 0;
+    VertexId found = start;
+    std::size_t found_pos = pos;
+    while (head < queue.size() && found_pos == pos) {
+      const VertexId x = queue[head++];
+      ctx.note_expansion();
+      const int deg = adj.degree(x);
+      for (int i = 0; i < deg; ++i) {
+        const VertexId y = adj.neighbor(x, i);
+        if (parent.contains(y)) continue;
+        if (!ctx.probe(x, i)) continue;
+        parent.emplace(y, x);
+        VertexId y_pos = 0;
+        if (pos_of.lookup(y, y_pos) && static_cast<std::size_t>(y_pos) > pos) {
+          found = y;
+          found_pos = static_cast<std::size_t>(y_pos);
+          break;
+        }
+        queue.push_back(y);
+      }
+    }
+    if (found_pos == pos) return false;  // exhausted the open cluster
+
+    // Append the BFS segment start -> found (skipping `start`, already on
+    // the walk).
+    Path segment;
+    for (VertexId x = found;; x = parent.at(x)) {
+      segment.push_back(x);
+      if (x == start) break;
+    }
+    std::reverse(segment.begin(), segment.end());
+    walk.insert(walk.end(), segment.begin() + 1, segment.end());
+    pos = found_pos;
+  }
+  return true;
+}
+
+}  // namespace
+
+bool landmark_walk(ProbeContext& ctx, const AdjacencyView& adj, VertexId from, VertexId v,
+                   Path& walk, LandmarkWalkState& state) {
+  shortest_path(adj, from, v, state.landmarks);
+  if (state.landmarks.empty()) return false;  // disconnected base topology
+  return adj.flat() != nullptr
+             ? landmark_walk_with(ctx, adj, walk, state.landmarks, state.dense_pos,
+                                  state.dense_parent, state.queue)
+             : landmark_walk_with(ctx, adj, walk, state.landmarks, state.hash_pos,
+                                  state.hash_parent, state.queue);
+}
+
+}  // namespace faultroute::detail

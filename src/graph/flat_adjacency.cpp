@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "graph/bfs_scratch.hpp"
 #include "graph/distance_oracle.hpp"
 #include "obs/counter_registry.hpp"
 
@@ -98,6 +99,16 @@ int edge_index_of(const FlatAdjacency& flat, VertexId u, VertexId v) {
     if (flat.neighbor_at(pos) == v) return static_cast<int>(pos - begin);
   }
   return -1;
+}
+
+void shortest_path(const AdjacencyView& adj, VertexId u, VertexId v,
+                   std::vector<VertexId>& path) {
+  const FlatAdjacency* flat = adj.flat();
+  if (flat == nullptr || adj.graph().has_closed_form_metric()) {
+    path = adj.graph().shortest_path(u, v);
+    return;
+  }
+  detail::bfs_shortest_path(*flat, flat->num_vertices(), u, v, path);
 }
 
 }  // namespace faultroute

@@ -209,4 +209,15 @@ class AdjacencyView {
 /// overload in graph/topology.hpp: lowest matching slot, -1 if absent).
 [[nodiscard]] int edge_index_of(const FlatAdjacency& flat, VertexId u, VertexId v);
 
+/// Some fault-free shortest path from u to v, written to `path` (u first, v
+/// last; empty if v is unreachable) — vertex for vertex the path
+/// adj.graph().shortest_path(u, v) returns. Closed-form families
+/// (Topology::has_closed_form_metric) and implicit views hand off to that
+/// call, since the family's override picks its own path; every other family
+/// runs the same BFS as Topology's default, over CSR rows instead of virtual
+/// neighbor() calls. `path` is an out-parameter so callers on the routing
+/// hot path can pool it.
+void shortest_path(const AdjacencyView& adj, VertexId u, VertexId v,
+                   std::vector<VertexId>& path);
+
 }  // namespace faultroute

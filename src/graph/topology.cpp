@@ -17,15 +17,6 @@ namespace {
 /// metric anyway) keep the hash path below.
 constexpr std::uint64_t kDenseBfsBudgetVertices = 1ull << 26;
 
-/// The default metric's own scratch, distinct from detail::bfs_scratch():
-/// the percolation analyses hold live epochs in that instance across calls
-/// that may re-enter distance()/shortest_path(), and sharing one epoch
-/// counter would silently invalidate their marks mid-sweep.
-detail::BfsScratch& metric_scratch() {
-  static thread_local detail::BfsScratch scratch;
-  return scratch;
-}
-
 }  // namespace
 
 Topology::Topology() = default;
@@ -53,7 +44,7 @@ std::uint64_t Topology::distance(VertexId u, VertexId v) const {
     // path below, so the two tiers return identical values; "clearing"
     // between calls is one epoch increment, and the scratch arrays are
     // pooled per thread (zero allocation in steady state).
-    detail::BfsScratch& scratch = metric_scratch();
+    detail::BfsScratch& scratch = detail::metric_scratch();
     scratch.begin(n);
     scratch.mark(u);
     scratch.dist_queue.emplace_back(u, 0);
@@ -99,37 +90,12 @@ std::vector<VertexId> Topology::shortest_path(VertexId u, VertexId v) const {
   if (u == v) return {u};
   const std::uint64_t n = num_vertices();
   if (n <= kDenseBfsBudgetVertices) {
-    // Dense tier, traversal-order-identical to the hash tier below (and to
-    // the pre-dense implementation), so the *same* shortest path comes back
-    // regardless of graph size — landmark routing's path identity depends
-    // on it.
-    detail::BfsScratch& scratch = metric_scratch();
-    scratch.begin(n);
-    scratch.mark(u, u);
-    scratch.queue.push_back(u);
-    std::size_t head = 0;
-    bool found = false;
-    while (head < scratch.queue.size() && !found) {
-      const VertexId x = scratch.queue[head++];
-      const int deg = degree(x);
-      for (int i = 0; i < deg; ++i) {
-        const VertexId y = neighbor(x, i);
-        if (scratch.seen(y)) continue;
-        scratch.mark(y, x);
-        if (y == v) {
-          found = true;
-          break;
-        }
-        scratch.queue.push_back(y);
-      }
-    }
-    if (!found) return {};
+    // Dense tier, traversal-order-identical to the hash tier below and to
+    // the CSR-row BFS of graph/flat_adjacency.hpp (the same template), so
+    // the *same* shortest path comes back regardless of graph size or
+    // adjacency backend — landmark routing's path identity depends on it.
     std::vector<VertexId> path;
-    for (VertexId x = v;; x = scratch.parent[x]) {
-      path.push_back(x);
-      if (x == u) break;
-    }
-    std::reverse(path.begin(), path.end());
+    detail::bfs_shortest_path(*this, n, u, v, path);
     return path;
   }
   // lint:allow-hash(fallback BFS for graphs past the dense-scratch budget)

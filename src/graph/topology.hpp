@@ -83,12 +83,17 @@ class Topology {
   /// Default: BFS (small graphs only). Returns num_vertices() if unreachable.
   [[nodiscard]] virtual std::uint64_t distance(VertexId u, VertexId v) const;
 
-  /// True iff this topology answers distance() in O(1)-ish closed form
-  /// (hypercube Hamming distance, mesh L1, complete graph). Families that
-  /// fall back to the default BFS return false; callers like the routing
-  /// phase use this to decide whether precomputing a distance-oracle column
-  /// (graph/distance_oracle.hpp) is worth anything. Purely advisory: the
-  /// answer never changes any distance value.
+  /// True iff this family overrides both distance() and shortest_path()
+  /// with a closed form (hypercube Hamming distance, mesh L1, complete
+  /// graph); false iff both are the default BFS below. Two callers rely on
+  /// that contract: the routing phase skips precomputing distance-oracle
+  /// columns (graph/distance_oracle.hpp) for closed forms, and the CSR
+  /// shortest_path of graph/flat_adjacency.hpp hands closed forms to the
+  /// override, because the override picks its own path, while it runs the
+  /// default BFS over CSR rows for every other family. A family that
+  /// overrode shortest_path() without returning true here would get a
+  /// different landmark path on the flat path than on the implicit one
+  /// (tests/test_flat_adjacency.cpp pins the agreement for every family).
   [[nodiscard]] virtual bool has_closed_form_metric() const { return false; }
 
   /// Some shortest path from u to v in the fault-free topology, as a vertex

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <queue>
 #include <set>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "core/permutation_routing.hpp"
 #include "core/probe_context.hpp"
 #include "graph/channel_index.hpp"
+#include "graph/explicit_graph.hpp"
 #include "graph/flat_adjacency.hpp"
 #include "graph/hypercube.hpp"
 #include "percolation/chemical_distance.hpp"
@@ -114,6 +116,97 @@ TEST(FlatAdjacency, EdgeIndexOfMatchesTopologyOverload) {
         EXPECT_EQ(view.edge_index_of(u, w), edge_index_of(*graph, u, w)) << spec;
       }
     }
+  }
+}
+
+/// Naive fault-free BFS over the virtual interface (std::queue, parent
+/// vector, row scan in slot order, first discoverer wins): the reference the
+/// default Topology::shortest_path and the CSR BFS must both reproduce.
+std::vector<VertexId> reference_bfs_path(const Topology& g, VertexId u, VertexId v) {
+  if (u == v) return {u};
+  std::vector<VertexId> parent(g.num_vertices(), g.num_vertices());
+  std::queue<VertexId> queue;
+  parent[u] = u;
+  queue.push(u);
+  while (!queue.empty()) {
+    const VertexId x = queue.front();
+    queue.pop();
+    for (int i = 0; i < g.degree(x); ++i) {
+      const VertexId y = g.neighbor(x, i);
+      if (parent[y] != g.num_vertices()) continue;
+      parent[y] = x;
+      if (y == v) {
+        std::vector<VertexId> path{v};
+        while (path.back() != u) path.push_back(parent[path.back()]);
+        return {path.rbegin(), path.rend()};
+      }
+      queue.push(y);
+    }
+  }
+  return {};
+}
+
+/// Holds shortest_path over the CSR view and over the implicit view to
+/// Topology::shortest_path vertex for vertex, and — for families without a
+/// closed form — all three to the naive reference BFS.
+void expect_same_base_paths(const Topology& g,
+                            const std::vector<std::pair<VertexId, VertexId>>& pairs,
+                            const std::string& label) {
+  const AdjacencyView csr(g, &g.flat_adjacency());
+  const AdjacencyView implicit(g, nullptr);
+  std::vector<VertexId> via_csr{999};  // stale contents must be overwritten
+  std::vector<VertexId> via_implicit;
+  for (const auto& [u, v] : pairs) {
+    const std::vector<VertexId> expected = g.shortest_path(u, v);
+    shortest_path(csr, u, v, via_csr);
+    shortest_path(implicit, u, v, via_implicit);
+    ASSERT_EQ(via_csr, expected) << label << " u=" << u << " v=" << v;
+    ASSERT_EQ(via_implicit, expected) << label << " u=" << u << " v=" << v;
+    if (!g.has_closed_form_metric()) {
+      ASSERT_EQ(expected, reference_bfs_path(g, u, v)) << label << " u=" << u << " v=" << v;
+    }
+    // Every family's distance() — closed form or not — is the BFS length.
+    if (!expected.empty()) {
+      ASSERT_EQ(g.distance(u, v), expected.size() - 1) << label << " u=" << u << " v=" << v;
+    }
+  }
+}
+
+TEST(FlatAdjacency, CsrShortestPathMatchesTopologyAcrossFamilies) {
+  for (const std::string& spec : kFamilies) {
+    const auto graph = sim::make_topology(spec);
+    const VertexId n = graph->num_vertices();
+    std::vector<std::pair<VertexId, VertexId>> pairs = {{0, 0}, {0, n - 1}, {n - 1, 0}};
+    Rng rng(2005);
+    for (int trial = 0; trial < 40; ++trial) {
+      pairs.emplace_back(uniform_below(rng, n), uniform_below(rng, n));
+    }
+    expect_same_base_paths(*graph, pairs, spec);
+  }
+}
+
+TEST(FlatAdjacency, CsrShortestPathHandlesUnreachableTargets) {
+  // Two equal-length routes 0-1-3 and 0-2-3 (the slot order picks one), a
+  // parallel edge, a tail 3-4-5, and vertex 6 isolated: every ordered pair,
+  // so u == v and the unreachable case (empty path) are both covered.
+  const ExplicitGraph graph(7, {{0, 2}, {0, 1}, {1, 3}, {2, 3}, {3, 4}, {3, 4}, {4, 5}, {1, 2}});
+  std::vector<std::pair<VertexId, VertexId>> pairs;
+  for (VertexId u = 0; u < 7; ++u) {
+    for (VertexId v = 0; v < 7; ++v) pairs.emplace_back(u, v);
+  }
+  expect_same_base_paths(graph, pairs, "explicit");
+  EXPECT_TRUE(graph.shortest_path(0, 6).empty());
+  EXPECT_EQ(graph.shortest_path(0, 3), (std::vector<VertexId>{0, 2, 3}));
+}
+
+TEST(FlatAdjacency, ClosedFormMetricFlagNamesTheOverridingFamilies) {
+  // has_closed_form_metric() is true exactly for the families that override
+  // distance() and shortest_path(); the CSR BFS relies on it to hand those
+  // to their override.
+  for (const std::string& spec : kFamilies) {
+    const bool closed = spec.starts_with("hypercube") || spec.starts_with("mesh") ||
+                        spec.starts_with("torus") || spec.starts_with("complete");
+    EXPECT_EQ(sim::make_topology(spec)->has_closed_form_metric(), closed) << spec;
   }
 }
 

@@ -257,9 +257,16 @@ TEST(TrafficDifferential, MetricRoutersWithAndWithoutTheDistanceOracle) {
 }
 
 TEST(TrafficDifferential, LandmarkAndGnpRouters) {
+  // Hypercube and torus take their closed-form base path; de Bruijn,
+  // shuffle-exchange, CCC and butterfly run the fault-free BFS over CSR
+  // rows on the engine side and over the virtual interface in the reference.
   const RouterCase cases[] = {
       {"hypercube:8", "landmark", "permutation", 0.55},
       {"torus:2:12", "landmark", "poisson:2", 0.7},
+      {"de_bruijn:8", "landmark", "random-pairs", 0.6},
+      {"shuffle_exchange:8", "landmark", "random-pairs", 0.65},
+      {"ccc:5", "landmark", "permutation", 0.65},
+      {"butterfly:2", "landmark", "random-pairs", 0.7},  // parallel edges
       {"complete:128", "gnp-oracle", "random-pairs", 0.03},
       {"complete:128", "gnp-local", "random-pairs", 0.03},
   };
