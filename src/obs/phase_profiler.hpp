@@ -14,10 +14,10 @@ namespace faultroute::obs {
 
 /// Nested wall-clock phase timing with per-thread tracks.
 ///
-/// A PhaseProfiler generalizes the two-field TrafficPhaseTimings into
-/// arbitrarily nested RAII scopes: opening a `Scope` starts a span on the
-/// calling thread, destroying it records the span. Scopes nest — a scope
-/// opened while another is live on the same thread becomes its child, and
+/// A PhaseProfiler times arbitrarily nested RAII scopes: opening a `Scope`
+/// starts a span on the calling thread, destroying it records the span.
+/// Scopes nest — a scope opened while another is live on the same thread
+/// becomes its child, and
 /// the recorded span path joins the open names with '/'
 /// ("cell-12/routing/route"). Each thread gets its own *track* (the trace
 /// viewer's lane), assigned on first use, so a parallel_index_loop shows one

@@ -28,7 +28,7 @@ inline constexpr int kBenchVersion = 1;
 /// Scenario checkpoint journals (scenario/checkpoint.hpp): the header line
 /// of every --checkpoint file names this schema, then one line per
 /// completed cell. Versioned like the reports because resume parses it.
-inline constexpr const char* kCheckpoint = "faultroute.checkpoint.v1";
-inline constexpr int kCheckpointVersion = 1;
+inline constexpr const char* kCheckpoint = "faultroute.checkpoint.v2";
+inline constexpr int kCheckpointVersion = 2;
 
 }  // namespace faultroute::obs::schemas

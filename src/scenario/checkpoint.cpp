@@ -22,20 +22,26 @@ std::uint64_t fnv1a_bytes(const std::string& text, std::uint64_t h) {
   return h;
 }
 
-/// Exact, locale-independent-enough (C hexfloat) double rendering; the
-/// journal must round-trip values bit-for-bit so replayed cells re-render
-/// identically under the reporter's %.10g.
-std::string fmt_f64(double value) {
+/// The journal codec for one cell field, one overload per field type.
+/// Integers are decimal. Doubles are C hexfloats (%a), which round-trip
+/// bit-for-bit, so replayed cells re-render identically under the
+/// reporter's %.10g. Strings escape the four bytes that would break the
+/// tab-separated line framing.
+///
+/// The decoders are lenient (strtoull takes signs and blanks, strtod every
+/// float spelling and overflows to inf, and a backslash outside the four
+/// escapes passes through); decode_checkpoint_cell re-encodes each value
+/// and requires the same bytes back, so only a value's canonical spelling
+/// is accepted.
+std::string encode_field(std::uint64_t value) { return std::to_string(value); }
+
+std::string encode_field(double value) {
   char buffer[64];
   std::snprintf(buffer, sizeof buffer, "%a", value);
   return buffer;
 }
 
-std::string fmt_u64(std::uint64_t value) { return std::to_string(value); }
-
-/// Journal string escaping: the four bytes that would break the
-/// tab-separated line framing.
-std::string escape(const std::string& text) {
+std::string encode_field(const std::string& text) {
   std::string out;
   // analyze:allow-hot-alloc(journal encoding runs once per completed cell, outside the routing/delivery loops, dominated by the file append)
   out.reserve(text.size());
@@ -51,56 +57,30 @@ std::string escape(const std::string& text) {
   return out;
 }
 
-[[noreturn]] void bad_line(const std::string& why) {
-  throw std::runtime_error("malformed checkpoint cell line: " + why);
+void decode_field(const std::string& text, std::uint64_t& value) {
+  value = std::strtoull(text.c_str(), nullptr, 10);
 }
 
-std::string unescape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
+void decode_field(const std::string& text, double& value) {
+  value = std::strtod(text.c_str(), nullptr);
+}
+
+void decode_field(const std::string& text, std::string& value) {
+  value.clear();
+  value.reserve(text.size());
   for (std::size_t i = 0; i < text.size(); ++i) {
-    if (text[i] != '\\') {
-      out += text[i];
+    const char next = i + 1 < text.size() ? text[i + 1] : '\0';
+    if (text[i] != '\\' || (next != '\\' && next != 't' && next != 'n' && next != 'r')) {
+      value += text[i];
       continue;
     }
-    if (i + 1 >= text.size()) bad_line("dangling escape");
-    switch (text[++i]) {
-      case '\\': out += '\\'; break;
-      case 't': out += '\t'; break;
-      case 'n': out += '\n'; break;
-      case 'r': out += '\r'; break;
-      default: bad_line("unknown escape '\\" + std::string(1, text[i]) + "'");
-    }
+    value += next == 't' ? '\t' : next == 'n' ? '\n' : next == 'r' ? '\r' : '\\';
+    ++i;
   }
-  return out;
 }
 
-std::uint64_t parse_u64(const std::string& field) {
-  if (field.empty()) bad_line("empty integer field");
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(field.c_str(), &end, 10);
-  if (errno != 0 || end != field.c_str() + field.size()) {
-    bad_line("expected an integer, got '" + field + "'");
-  }
-  return value;
-}
-
-double parse_f64(const std::string& field) {
-  if (field.empty()) bad_line("empty float field");
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(field.c_str(), &end);
-  if (end != field.c_str() + field.size()) {
-    bad_line("expected a hexfloat, got '" + field + "'");
-  }
-  return value;
-}
-
-bool parse_bool(const std::string& field) {
-  if (field == "0") return false;
-  if (field == "1") return true;
-  bad_line("expected 0 or 1, got '" + field + "'");
+[[noreturn]] void bad_line(const std::string& why) {
+  throw std::runtime_error("malformed checkpoint cell line: " + why);
 }
 
 /// The journal's header line for `spec` — schema tag, spec fingerprint,
@@ -126,7 +106,7 @@ std::uint64_t spec_fingerprint(const ScenarioSpec& spec) {
   for (const auto& t : spec.topologies) buffer << 't' << sep << t << sep;
   for (const auto& r : spec.routers) buffer << 'r' << sep << r << sep;
   for (const auto& w : spec.workloads) buffer << 'w' << sep << w << sep;
-  for (const double p : spec.p_values) buffer << 'p' << sep << fmt_f64(p) << sep;
+  for (const double p : spec.p_values) buffer << 'p' << sep << encode_field(p) << sep;
   buffer << spec.messages << sep << spec.trials << sep << spec.seed << sep
          << spec.edge_capacity << sep << spec.probe_budget << sep << spec.max_steps;
   return fnv1a_bytes(buffer.str(), kFnvOffset);
@@ -134,48 +114,10 @@ std::uint64_t spec_fingerprint(const ScenarioSpec& spec) {
 
 std::string encode_checkpoint_cell(const CellResult& cell) {
   std::string line = "cell";
-  const auto put = [&line](const std::string& field) {
+  for_each_cell_field(cell, [&line](const char* /*name*/, const auto& value) {
     line += '\t';
-    line += field;
-  };
-  put(fmt_u64(cell.cell));
-  put(escape(cell.topology));
-  put(escape(cell.topology_name));
-  put(fmt_u64(cell.vertices));
-  put(fmt_f64(cell.p));
-  put(escape(cell.router));
-  put(escape(cell.workload));
-  put(fmt_u64(cell.trial));
-  put(fmt_u64(cell.env_seed));
-  put(fmt_u64(cell.workload_seed));
-  put(fmt_u64(cell.messages));
-  put(fmt_u64(cell.routed));
-  put(fmt_u64(cell.failed_routing));
-  put(fmt_u64(cell.censored));
-  put(fmt_u64(cell.invalid_paths));
-  put(fmt_u64(cell.delivered));
-  put(fmt_u64(cell.stranded));
-  put(fmt_u64(cell.total_distinct_probes));
-  put(fmt_u64(cell.unique_edges_probed));
-  put(fmt_u64(cell.cache_hits));
-  put(fmt_u64(cell.cache_misses));
-  put(fmt_f64(cell.probe_amortization));
-  put(fmt_u64(cell.max_edge_load));
-  put(fmt_f64(cell.mean_edge_load));
-  put(fmt_u64(cell.edges_used));
-  put(fmt_u64(cell.makespan));
-  put(fmt_f64(cell.mean_queueing_delay));
-  put(fmt_u64(cell.max_queueing_delay));
-  put(fmt_f64(cell.mean_path_edges));
-  put(fmt_f64(cell.throughput));
-  put(fmt_u64(cell.sim_steps));
-  put(fmt_u64(cell.admission_events));
-  put(fmt_u64(cell.transmissions));
-  put(fmt_u64(cell.peak_active_channels));
-  put(fmt_u64(cell.channels));
-  put(cell.has_timings ? "1" : "0");
-  put(fmt_f64(cell.routing_ms));
-  put(fmt_f64(cell.delivery_ms));
+    line += encode_field(value);
+  });
   return line;
 }
 
@@ -192,7 +134,7 @@ CellResult decode_checkpoint_cell(const std::string& line) {
     parts.push_back(line.substr(pos, tab - pos));
     pos = tab + 1;
   }
-  constexpr std::size_t kFields = 39;  // "cell" tag + 38 CellResult fields
+  constexpr std::size_t kFields = 1 + kCellFieldCount;  // "cell" tag + the fields
   if (parts.size() != kFields) {
     bad_line("expected " + std::to_string(kFields) + " tab-separated fields, got " +
              std::to_string(parts.size()));
@@ -201,44 +143,14 @@ CellResult decode_checkpoint_cell(const std::string& line) {
 
   CellResult cell;
   std::size_t i = 1;
-  cell.cell = parse_u64(parts[i++]);
-  cell.topology = unescape(parts[i++]);
-  cell.topology_name = unescape(parts[i++]);
-  cell.vertices = parse_u64(parts[i++]);
-  cell.p = parse_f64(parts[i++]);
-  cell.router = unescape(parts[i++]);
-  cell.workload = unescape(parts[i++]);
-  cell.trial = parse_u64(parts[i++]);
-  cell.env_seed = parse_u64(parts[i++]);
-  cell.workload_seed = parse_u64(parts[i++]);
-  cell.messages = parse_u64(parts[i++]);
-  cell.routed = parse_u64(parts[i++]);
-  cell.failed_routing = parse_u64(parts[i++]);
-  cell.censored = parse_u64(parts[i++]);
-  cell.invalid_paths = parse_u64(parts[i++]);
-  cell.delivered = parse_u64(parts[i++]);
-  cell.stranded = parse_u64(parts[i++]);
-  cell.total_distinct_probes = parse_u64(parts[i++]);
-  cell.unique_edges_probed = parse_u64(parts[i++]);
-  cell.cache_hits = parse_u64(parts[i++]);
-  cell.cache_misses = parse_u64(parts[i++]);
-  cell.probe_amortization = parse_f64(parts[i++]);
-  cell.max_edge_load = parse_u64(parts[i++]);
-  cell.mean_edge_load = parse_f64(parts[i++]);
-  cell.edges_used = parse_u64(parts[i++]);
-  cell.makespan = parse_u64(parts[i++]);
-  cell.mean_queueing_delay = parse_f64(parts[i++]);
-  cell.max_queueing_delay = parse_u64(parts[i++]);
-  cell.mean_path_edges = parse_f64(parts[i++]);
-  cell.throughput = parse_f64(parts[i++]);
-  cell.sim_steps = parse_u64(parts[i++]);
-  cell.admission_events = parse_u64(parts[i++]);
-  cell.transmissions = parse_u64(parts[i++]);
-  cell.peak_active_channels = parse_u64(parts[i++]);
-  cell.channels = parse_u64(parts[i++]);
-  cell.has_timings = parse_bool(parts[i++]);
-  cell.routing_ms = parse_f64(parts[i++]);
-  cell.delivery_ms = parse_f64(parts[i++]);
+  for_each_cell_field(cell, [&](const char* name, auto& value) {
+    const std::string& text = parts[i++];
+    decode_field(text, value);
+    if (encode_field(value) != text) {
+      bad_line("field '" + std::string(name) + "': '" + text +
+               "' is not the canonical encoding of a value");
+    }
+  });
   return cell;
 }
 
@@ -271,6 +183,13 @@ CheckpointJournal::CheckpointJournal(std::string path, const ScenarioSpec& spec)
       const std::string line = text.substr(pos, nl - pos);
       ++lineno;
       if (lineno == 1) {
+        const std::string schema = line.substr(0, line.find('\t'));
+        if (schema != obs::schemas::kCheckpoint) {
+          throw std::runtime_error("checkpoint '" + path_ + "': journal schema is '" + schema +
+                                   "', but this build reads only '" +
+                                   obs::schemas::kCheckpoint +
+                                   "' — delete the journal to rerun the sweep from scratch");
+        }
         if (line != header) {
           throw std::runtime_error(
               "checkpoint '" + path_ + "': journal belongs to a different spec — refusing " +

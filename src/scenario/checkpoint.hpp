@@ -20,8 +20,12 @@ namespace faultroute::scenario {
 /// and replayed verbatim. The journal (`--checkpoint PATH`) is an
 /// append-only text file:
 ///
-///   faultroute.checkpoint.v1<TAB>fingerprint=<16 hex><TAB>cells=<N>
+///   faultroute.checkpoint.v2<TAB>fingerprint=<16 hex><TAB>cells=<N>
 ///   cell<TAB><field 1><TAB><field 2>...        (one line per finished cell)
+///
+/// The cell fields are CellResult's, in the order of the cell field table
+/// (reporter.hpp). A journal of another schema version is refused with a
+/// diagnostic naming both versions.
 ///
 /// The header fingerprint hashes exactly the result-determining spec fields
 /// (axes, messages, trials, seed, capacity, budget, max_steps) — and *not*
@@ -43,8 +47,10 @@ namespace faultroute::scenario {
 
 /// One CellResult as one tab-separated journal line (without newline);
 /// strings are escaped (\t, \n, \r, \\), doubles rendered as %a hexfloats.
-/// decode_checkpoint_cell is the exact inverse and throws
-/// std::runtime_error on malformed input. Exposed for tests.
+/// decode_checkpoint_cell is the exact inverse: it accepts only lines that
+/// encode_checkpoint_cell could have written (every field in its canonical
+/// spelling) and throws std::runtime_error naming the first field that is
+/// not. Exposed for tests.
 [[nodiscard]] std::string encode_checkpoint_cell(const CellResult& cell);
 [[nodiscard]] CellResult decode_checkpoint_cell(const std::string& line);
 

@@ -75,6 +75,16 @@ std::string csv_escape(const std::string& field) {
   return out + '"';
 }
 
+/// Per-type renderings of a cell field value: integers in decimal, doubles
+/// as json_num/fmt, strings quoted and escaped.
+std::string json_value(std::uint64_t value) { return std::to_string(value); }
+std::string json_value(double value) { return json_num(value); }
+std::string json_value(const std::string& value) { return json_str(value); }
+
+std::string csv_value(std::uint64_t value) { return std::to_string(value); }
+std::string csv_value(double value) { return fmt(value); }
+std::string csv_value(const std::string& value) { return csv_escape(value); }
+
 }  // namespace
 
 void JsonLinesReporter::begin(const ScenarioSpec& spec) {
@@ -99,37 +109,10 @@ void JsonLinesReporter::begin(const ScenarioSpec& spec) {
 
 // analyze:det-root(scenario cell emission: byte-identical across reruns and threads)
 void JsonLinesReporter::report(const CellResult& cell) {
-  out_ << "{\"type\":\"cell\",\"cell\":" << cell.cell
-       << ",\"topology\":" << json_str(cell.topology)
-       << ",\"topology_name\":" << json_str(cell.topology_name)
-       << ",\"vertices\":" << cell.vertices << ",\"p\":" << json_num(cell.p)
-       << ",\"router\":" << json_str(cell.router)
-       << ",\"workload\":" << json_str(cell.workload) << ",\"trial\":" << cell.trial
-       << ",\"env_seed\":" << cell.env_seed << ",\"workload_seed\":" << cell.workload_seed
-       << ",\"messages\":" << cell.messages << ",\"routed\":" << cell.routed
-       << ",\"failed_routing\":" << cell.failed_routing << ",\"censored\":" << cell.censored
-       << ",\"invalid_paths\":" << cell.invalid_paths << ",\"delivered\":" << cell.delivered
-       << ",\"stranded\":" << cell.stranded
-       << ",\"total_distinct_probes\":" << cell.total_distinct_probes
-       << ",\"unique_edges_probed\":" << cell.unique_edges_probed
-       << ",\"cache_hits\":" << cell.cache_hits << ",\"cache_misses\":" << cell.cache_misses
-       << ",\"probe_amortization\":" << json_num(cell.probe_amortization)
-       << ",\"max_edge_load\":" << cell.max_edge_load
-       << ",\"mean_edge_load\":" << json_num(cell.mean_edge_load)
-       << ",\"edges_used\":" << cell.edges_used << ",\"makespan\":" << cell.makespan
-       << ",\"mean_queueing_delay\":" << json_num(cell.mean_queueing_delay)
-       << ",\"max_queueing_delay\":" << cell.max_queueing_delay
-       << ",\"mean_path_edges\":" << json_num(cell.mean_path_edges)
-       << ",\"throughput\":" << json_num(cell.throughput)
-       << ",\"sim_steps\":" << cell.sim_steps
-       << ",\"admission_events\":" << cell.admission_events
-       << ",\"transmissions\":" << cell.transmissions
-       << ",\"peak_active_channels\":" << cell.peak_active_channels
-       << ",\"channels\":" << cell.channels;
-  if (cell.has_timings) {
-    out_ << ",\"routing_ms\":" << json_num(cell.routing_ms)
-         << ",\"delivery_ms\":" << json_num(cell.delivery_ms);
-  }
+  out_ << "{\"type\":\"cell\"";
+  for_each_cell_field(cell, [this](const char* name, const auto& value) {
+    out_ << ",\"" << name << "\":" << json_value(value);
+  });
   out_ << "}\n";
   ++cells_reported_;
 }
@@ -142,31 +125,17 @@ void JsonLinesReporter::end() {
 
 void CsvReporter::begin(const ScenarioSpec& spec) {
   scenario_name_ = spec.name;
-  out_ << "schema,scenario,cell,topology,topology_name,vertices,p,router,workload,trial,"
-          "env_seed,workload_seed,messages,routed,failed_routing,censored,invalid_paths,"
-          "delivered,stranded,total_distinct_probes,unique_edges_probed,cache_hits,"
-          "cache_misses,probe_amortization,"
-          "max_edge_load,mean_edge_load,edges_used,makespan,mean_queueing_delay,"
-          "max_queueing_delay,mean_path_edges,throughput,sim_steps,admission_events,"
-          "transmissions,peak_active_channels,channels\n";
+  out_ << "schema,scenario";
+  for (const char* name : kCellFieldNames) out_ << ',' << name;
+  out_ << '\n';
 }
 
 void CsvReporter::report(const CellResult& cell) {
-  out_ << kSchemaName << ',' << csv_escape(scenario_name_) << ',' << cell.cell << ','
-       << csv_escape(cell.topology) << ',' << csv_escape(cell.topology_name) << ','
-       << cell.vertices << ',' << fmt(cell.p) << ',' << csv_escape(cell.router) << ','
-       << csv_escape(cell.workload) << ',' << cell.trial << ',' << cell.env_seed << ','
-       << cell.workload_seed << ',' << cell.messages << ',' << cell.routed << ','
-       << cell.failed_routing << ',' << cell.censored << ',' << cell.invalid_paths << ','
-       << cell.delivered << ',' << cell.stranded << ',' << cell.total_distinct_probes << ','
-       << cell.unique_edges_probed << ',' << cell.cache_hits << ',' << cell.cache_misses
-       << ',' << fmt(cell.probe_amortization) << ','
-       << cell.max_edge_load << ',' << fmt(cell.mean_edge_load) << ',' << cell.edges_used
-       << ',' << cell.makespan << ',' << fmt(cell.mean_queueing_delay) << ','
-       << cell.max_queueing_delay << ',' << fmt(cell.mean_path_edges) << ','
-       << fmt(cell.throughput) << ',' << cell.sim_steps << ',' << cell.admission_events
-       << ',' << cell.transmissions << ',' << cell.peak_active_channels << ','
-       << cell.channels << '\n';
+  out_ << kSchemaName << ',' << csv_escape(scenario_name_);
+  for_each_cell_field(cell, [this](const char* /*name*/, const auto& value) {
+    out_ << ',' << csv_value(value);
+  });
+  out_ << '\n';
 }
 
 void CsvReporter::end() { out_.flush(); }

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -17,60 +19,96 @@ namespace faultroute::scenario {
 inline constexpr int kSchemaVersion = obs::schemas::kScenarioVersion;
 inline constexpr const char* kSchemaName = obs::schemas::kScenario;
 
+/// Spellings of the three field types the cell table below uses.
+namespace cell_field {
+using u64 = std::uint64_t;
+using f64 = double;
+using str = std::string;
+}  // namespace cell_field
+
+/// The fields of one scenario cell, in report column order: one line per
+/// field, and the only place a field is named. The table generates the
+/// CellResult members, the runner's fill-in (runner.cpp), the JSON-lines
+/// keys and the CSV columns (reporter.cpp), and the checkpoint journal codec
+/// (checkpoint.cpp), so adding a metric takes one METRIC line plus a schema
+/// version bump. Each entry is (type, name, source):
+///   - KEY fields identify the cell. The runner evaluates each source before
+///     the cell runs, from the resolved `spec`, the flat cell `index`, its
+///     decoded axis `coords`, and the built `topology`. Strings are registry
+///     specs verbatim; `cell` is the row-major index (see runner.hpp).
+///   - METRIC fields are read from the cell's TrafficResult `traffic`; their
+///     meanings and units are TrafficResult's (times in discrete simulation
+///     steps, loads in message traversals).
+#define FAULTROUTE_CELL_KEYS(KEY)                                \
+  KEY(u64, cell, index)                                          \
+  KEY(str, topology, spec.topologies[coords.topology])           \
+  KEY(str, topology_name, topology.name())                       \
+  KEY(u64, vertices, topology.num_vertices())                    \
+  KEY(f64, p, spec.p_values[coords.p])                           \
+  KEY(str, router, spec.routers[coords.router])                  \
+  KEY(str, workload, spec.workloads[coords.workload])            \
+  KEY(u64, trial, coords.trial)                                  \
+  KEY(u64, env_seed, derive_seed(spec.seed, 2 * index))          \
+  KEY(u64, workload_seed, derive_seed(spec.seed, 2 * index + 1))
+
+#define FAULTROUTE_CELL_METRICS(METRIC)                             \
+  METRIC(u64, messages, traffic.messages)                           \
+  METRIC(u64, routed, traffic.routed)                               \
+  METRIC(u64, failed_routing, traffic.failed_routing)               \
+  METRIC(u64, censored, traffic.censored)                           \
+  METRIC(u64, invalid_paths, traffic.invalid_paths)                 \
+  METRIC(u64, delivered, traffic.delivered)                         \
+  METRIC(u64, stranded, traffic.stranded)                           \
+  METRIC(u64, total_distinct_probes, traffic.total_distinct_probes) \
+  METRIC(u64, unique_edges_probed, traffic.unique_edges_probed)     \
+  METRIC(u64, cache_hits, traffic.cache_hits)                       \
+  METRIC(u64, cache_misses, traffic.cache_misses)                   \
+  METRIC(f64, probe_amortization, traffic.probe_amortization())     \
+  METRIC(u64, max_edge_load, traffic.max_edge_load)                 \
+  METRIC(f64, mean_edge_load, traffic.mean_edge_load)               \
+  METRIC(u64, edges_used, traffic.edges_used)                       \
+  METRIC(u64, makespan, traffic.makespan)                           \
+  METRIC(f64, mean_queueing_delay, traffic.mean_queueing_delay)     \
+  METRIC(u64, max_queueing_delay, traffic.max_queueing_delay)       \
+  METRIC(f64, mean_path_edges, traffic.mean_path_edges)             \
+  METRIC(f64, throughput, traffic.throughput())                     \
+  METRIC(u64, sim_steps, traffic.sim_steps)                         \
+  METRIC(u64, admission_events, traffic.admission_events)           \
+  METRIC(u64, transmissions, traffic.transmissions)                 \
+  METRIC(u64, peak_active_channels, traffic.peak_active_channels)   \
+  METRIC(u64, channels, traffic.channels)
+
+#define FAULTROUTE_CELL_FIELDS(FIELD) \
+  FAULTROUTE_CELL_KEYS(FIELD)         \
+  FAULTROUTE_CELL_METRICS(FIELD)
+
 /// One cell of a scenario's cross-product: the aggregate traffic metrics of
-/// one (topology, p, router, workload, trial) combination. Field meanings
-/// and units match `TrafficResult` (times in discrete simulation steps,
-/// loads in message traversals); strings are the registry specs verbatim.
+/// one (topology, p, router, workload, trial) combination, one member per
+/// table entry above.
 struct CellResult {
-  std::uint64_t cell = 0;  ///< flat row-major index (see runner.hpp)
-  std::string topology;    ///< registry spec, e.g. "hypercube:10"
-  std::string topology_name;
-  std::uint64_t vertices = 0;
-  double p = 0.0;
-  std::string router;
-  std::string workload;  ///< registry spec, e.g. "poisson:2.5"
-  std::uint64_t trial = 0;
-  std::uint64_t env_seed = 0;
-  std::uint64_t workload_seed = 0;
+#define FAULTROUTE_CELL_MEMBER(type, name, source) cell_field::type name{};
+  FAULTROUTE_CELL_FIELDS(FAULTROUTE_CELL_MEMBER)
+#undef FAULTROUTE_CELL_MEMBER
 
-  std::uint64_t messages = 0;
-  std::uint64_t routed = 0;
-  std::uint64_t failed_routing = 0;
-  std::uint64_t censored = 0;
-  std::uint64_t invalid_paths = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t stranded = 0;
-  std::uint64_t total_distinct_probes = 0;
-  std::uint64_t unique_edges_probed = 0;
-  // SharedProbeCache hit/miss split (schema v3) — exact and deterministic;
-  // see TrafficResult::cache_hits.
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  double probe_amortization = 0.0;
-  std::uint64_t max_edge_load = 0;
-  double mean_edge_load = 0.0;
-  std::uint64_t edges_used = 0;
-  std::uint64_t makespan = 0;
-  double mean_queueing_delay = 0.0;
-  std::uint64_t max_queueing_delay = 0;
-  double mean_path_edges = 0.0;
-  double throughput = 0.0;
-
-  // Delivery-engine counters (schema v2): the event-driven simulator's work
-  // and footprint — see TrafficResult and docs/ARCHITECTURE.md.
-  std::uint64_t sim_steps = 0;
-  std::uint64_t admission_events = 0;
-  std::uint64_t transmissions = 0;
-  std::uint64_t peak_active_channels = 0;
-  std::uint64_t channels = 0;
-
-  // Per-cell wall-clock phase timings, emitted only when has_timings (the
-  // scenario --cell-timings opt-in, JSONL only). Opt-in because wall clock
-  // breaks the byte-identical-rerun property every other field keeps.
-  bool has_timings = false;
-  double routing_ms = 0.0;
-  double delivery_ms = 0.0;
+  bool operator==(const CellResult&) const = default;
 };
+
+/// The table's field names, in order.
+inline constexpr const char* kCellFieldNames[] = {
+#define FAULTROUTE_CELL_NAME(type, name, source) #name,
+    FAULTROUTE_CELL_FIELDS(FAULTROUTE_CELL_NAME)
+#undef FAULTROUTE_CELL_NAME
+};
+inline constexpr std::size_t kCellFieldCount = std::size(kCellFieldNames);
+
+/// Calls `visit(name, member)` for every field of `cell`, in table order;
+/// `Cell` is CellResult or const CellResult.
+template <class Cell, class Visit>
+void for_each_cell_field(Cell& cell, Visit&& visit) {
+#define FAULTROUTE_CELL_VISIT(type, name, source) visit(#name, cell.name);
+  FAULTROUTE_CELL_FIELDS(FAULTROUTE_CELL_VISIT)
+#undef FAULTROUTE_CELL_VISIT
+}
 
 /// Sink for scenario results. The runner guarantees the call order
 /// begin → report (once per cell, in ascending cell order) → end, from a

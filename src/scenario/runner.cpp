@@ -141,17 +141,11 @@ RunSummary run_scenario(const ScenarioSpec& spec, Reporter& reporter,
       const auto coords = decode_cell(spec, index);
       const Topology& topology = *topologies[coords.topology];
 
+      // The cell field table (reporter.hpp) names the sources: KEY fields
+      // from spec/index/coords/topology now, METRIC fields from `traffic`.
+#define FAULTROUTE_CELL_SET(type, name, source) cell.name = source;
       CellResult& cell = results[index];
-      cell.cell = index;
-      cell.topology = spec.topologies[coords.topology];
-      cell.topology_name = topology.name();
-      cell.vertices = topology.num_vertices();
-      cell.p = spec.p_values[coords.p];
-      cell.router = spec.routers[coords.router];
-      cell.workload = spec.workloads[coords.workload];
-      cell.trial = coords.trial;
-      cell.env_seed = derive_seed(spec.seed, 2 * index);
-      cell.workload_seed = derive_seed(spec.seed, 2 * index + 1);
+      FAULTROUTE_CELL_KEYS(FAULTROUTE_CELL_SET)
 
       WorkloadConfig workload = workloads[coords.workload];
       workload.messages = spec.messages;
@@ -167,43 +161,12 @@ RunSummary run_scenario(const ScenarioSpec& spec, Reporter& reporter,
       config.flat_snapshot = snapshots[coords.topology].get();
       config.metrics = options.metrics;  // counters merge across cells; the
                                          // registry shards per worker thread
-      TrafficPhaseTimings timings;
-      if (options.cell_timings) config.timings = &timings;
       const HashEdgeSampler environment(cell.p, cell.env_seed);
       const auto factory = [&]() { return sim::make_router(cell.router, topology); };
       const TrafficResult traffic =
           run_traffic(topology, environment, factory, messages, config);
-
-      cell.messages = traffic.messages;
-      cell.routed = traffic.routed;
-      cell.failed_routing = traffic.failed_routing;
-      cell.censored = traffic.censored;
-      cell.invalid_paths = traffic.invalid_paths;
-      cell.delivered = traffic.delivered;
-      cell.stranded = traffic.stranded;
-      cell.total_distinct_probes = traffic.total_distinct_probes;
-      cell.unique_edges_probed = traffic.unique_edges_probed;
-      cell.cache_hits = traffic.cache_hits;
-      cell.cache_misses = traffic.cache_misses;
-      cell.probe_amortization = traffic.probe_amortization();
-      cell.max_edge_load = traffic.max_edge_load;
-      cell.mean_edge_load = traffic.mean_edge_load;
-      cell.edges_used = traffic.edges_used;
-      cell.makespan = traffic.makespan;
-      cell.mean_queueing_delay = traffic.mean_queueing_delay;
-      cell.max_queueing_delay = traffic.max_queueing_delay;
-      cell.mean_path_edges = traffic.mean_path_edges;
-      cell.throughput = traffic.throughput();
-      cell.sim_steps = traffic.sim_steps;
-      cell.admission_events = traffic.admission_events;
-      cell.transmissions = traffic.transmissions;
-      cell.peak_active_channels = traffic.peak_active_channels;
-      cell.channels = traffic.channels;
-      if (options.cell_timings) {
-        cell.has_timings = true;
-        cell.routing_ms = timings.routing_ms;
-        cell.delivery_ms = timings.delivery_ms;
-      }
+      FAULTROUTE_CELL_METRICS(FAULTROUTE_CELL_SET)
+#undef FAULTROUTE_CELL_SET
       if (options.metrics != nullptr) {
         obs::CounterRegistry& counters = options.metrics->counters();
         counters.add(counters.id("scenario.cells"), 1);

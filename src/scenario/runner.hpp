@@ -28,10 +28,6 @@ struct RunOptions {
   /// registry. Shared by every worker; the pointee must outlive the call.
   /// Never changes results or report bytes.
   obs::RunMetrics* metrics = nullptr;
-  /// Emit per-cell wall-clock routing_ms / delivery_ms in the report
-  /// (JSONL only). Opt-in because wall clock is the one field class that
-  /// would break the byte-identical-rerun property of reports.
-  bool cell_timings = false;
   /// When non-empty, journal every completed cell to this path and, on a
   /// rerun against the same journal, skip cells already recorded — the
   /// resumed run's report is byte-identical to an uninterrupted one. See

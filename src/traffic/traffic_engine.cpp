@@ -1,7 +1,6 @@
 #include "traffic/traffic_engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -18,12 +17,6 @@ namespace {
 
 /// Sentinel for "no message" in the intrusive per-channel FIFOs.
 constexpr std::uint32_t kNoMessage = std::numeric_limits<std::uint32_t>::max();
-
-/// Milliseconds since `since`, for the optional phase instrumentation.
-double ms_since(std::chrono::steady_clock::time_point since) {
-  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - since)
-      .count();
-}
 
 }  // namespace
 
@@ -48,7 +41,6 @@ TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampler,
       config.metrics != nullptr ? &config.metrics->profiler() : nullptr;
   obs::DeliverySampler* sampler_ts =
       config.metrics != nullptr ? config.metrics->delivery_sampler() : nullptr;
-  const auto phase_start = std::chrono::steady_clock::now();
 
   // ---------------------------------------------------------- phase 1: route
   const auto journeys =
@@ -91,11 +83,6 @@ TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampler,
     hop_end[i] = hops.size();
   }
   compile_scope.reset();
-  const auto delivery_start = std::chrono::steady_clock::now();
-  if (config.timings) {
-    config.timings->routing_ms =
-        std::chrono::duration<double, std::milli>(delivery_start - phase_start).count();
-  }
   std::optional<obs::PhaseProfiler::Scope> delivery_scope;
   delivery_scope.emplace(profiler, "delivery");
 
@@ -242,7 +229,6 @@ TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampler,
     result.mean_queueing_delay = delay_sum / static_cast<double>(result.delivered);
     result.mean_path_edges = hops_sum / static_cast<double>(result.delivered);
   }
-  if (config.timings) config.timings->delivery_ms = ms_since(delivery_start);
   if (config.metrics != nullptr) detail::record_traffic_counters(*config.metrics, result);
   return result;
 }

@@ -19,14 +19,6 @@ namespace obs {
 class RunMetrics;
 }
 
-/// Optional wall-clock instrumentation of a traffic run (see
-/// TrafficConfig::timings). Purely observational: simulation results are
-/// byte-identical whether or not timings are collected.
-struct TrafficPhaseTimings {
-  double routing_ms = 0.0;   ///< phase 1: routing + validation + journey compilation
-  double delivery_ms = 0.0;  ///< phase 2: delivery simulation + aggregation
-};
-
 /// Configuration of a traffic run.
 struct TrafficConfig {
   /// Messages a directed edge channel can transmit per timestep (>= 1).
@@ -72,10 +64,6 @@ struct TrafficConfig {
   /// pathological configs; messages still in flight when it is hit are
   /// counted as `stranded`.
   std::uint64_t max_steps = 0;
-  /// When non-null, the engine records wall-clock phase durations here.
-  /// The pointee must outlive the run_traffic call. Never affects
-  /// simulation results.
-  TrafficPhaseTimings* timings = nullptr;
   /// When non-null, the run feeds the observability sink (src/obs/): counters
   /// for every phase, nested phase spans on the profiler, and — if its
   /// delivery sampler is enabled — a per-step delivery time-series. The

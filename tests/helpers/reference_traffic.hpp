@@ -17,8 +17,8 @@
 // The contract is run_traffic's (traffic/traffic_engine.hpp), and every
 // field of the result must match it, except `channels`, which the reference
 // has no channel index for and leaves at 0. `config.threads`,
-// `config.adjacency`, `config.flat_snapshot`, `config.timings` and
-// `config.metrics` are ignored: none of them may change a result.
+// `config.adjacency`, `config.flat_snapshot` and `config.metrics` are
+// ignored: none of them may change a result.
 
 #include <algorithm>
 #include <cstdint>

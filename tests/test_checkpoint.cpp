@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -13,8 +14,11 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "obs/schemas.hpp"
 #include "scenario/checkpoint.hpp"
 #include "scenario/merge.hpp"
 #include "scenario/reporter.hpp"
@@ -103,58 +107,107 @@ TEST(CheckpointCodec, RoundTripsEveryFieldExactly) {
   cell.transmissions = 62;
   cell.peak_active_channels = 63;
   cell.channels = 64;
-  cell.has_timings = true;
-  cell.routing_ms = 12.5;
-  cell.delivery_ms = 0.0001;
 
   const CellResult back = decode_checkpoint_cell(encode_checkpoint_cell(cell));
-  EXPECT_EQ(back.cell, cell.cell);
-  EXPECT_EQ(back.topology, cell.topology);
-  EXPECT_EQ(back.topology_name, cell.topology_name);
-  EXPECT_EQ(back.vertices, cell.vertices);
-  EXPECT_EQ(back.p, cell.p);
-  EXPECT_EQ(back.router, cell.router);
-  EXPECT_EQ(back.workload, cell.workload);
-  EXPECT_EQ(back.trial, cell.trial);
-  EXPECT_EQ(back.env_seed, cell.env_seed);
-  EXPECT_EQ(back.workload_seed, cell.workload_seed);
-  EXPECT_EQ(back.messages, cell.messages);
-  EXPECT_EQ(back.routed, cell.routed);
-  EXPECT_EQ(back.failed_routing, cell.failed_routing);
-  EXPECT_EQ(back.censored, cell.censored);
-  EXPECT_EQ(back.invalid_paths, cell.invalid_paths);
-  EXPECT_EQ(back.delivered, cell.delivered);
-  EXPECT_EQ(back.stranded, cell.stranded);
-  EXPECT_EQ(back.total_distinct_probes, cell.total_distinct_probes);
-  EXPECT_EQ(back.unique_edges_probed, cell.unique_edges_probed);
-  EXPECT_EQ(back.cache_hits, cell.cache_hits);
-  EXPECT_EQ(back.cache_misses, cell.cache_misses);
-  EXPECT_EQ(back.probe_amortization, cell.probe_amortization);
-  EXPECT_EQ(back.max_edge_load, cell.max_edge_load);
-  EXPECT_EQ(back.mean_edge_load, cell.mean_edge_load);
-  EXPECT_EQ(back.edges_used, cell.edges_used);
-  EXPECT_EQ(back.makespan, cell.makespan);
-  EXPECT_EQ(back.mean_queueing_delay, cell.mean_queueing_delay);
-  EXPECT_EQ(back.max_queueing_delay, cell.max_queueing_delay);
-  EXPECT_EQ(back.mean_path_edges, cell.mean_path_edges);
+  EXPECT_EQ(back, cell);
   EXPECT_TRUE(std::signbit(back.mean_path_edges));  // -0.0, not 0.0
-  EXPECT_EQ(back.throughput, cell.throughput);
-  EXPECT_EQ(back.sim_steps, cell.sim_steps);
-  EXPECT_EQ(back.admission_events, cell.admission_events);
-  EXPECT_EQ(back.transmissions, cell.transmissions);
-  EXPECT_EQ(back.peak_active_channels, cell.peak_active_channels);
-  EXPECT_EQ(back.channels, cell.channels);
-  EXPECT_EQ(back.has_timings, cell.has_timings);
-  EXPECT_EQ(back.routing_ms, cell.routing_ms);
-  EXPECT_EQ(back.delivery_ms, cell.delivery_ms);
+}
+
+/// `good` with its field `name` (a table name) replaced by `text`.
+std::string with_field(const std::string& good, const std::string& name,
+                       const std::string& text) {
+  std::size_t field = 1;
+  while (std::string(kCellFieldNames[field - 1]) != name) ++field;
+  std::size_t begin = 0;
+  for (std::size_t i = 0; i < field; ++i) begin = good.find('\t', begin) + 1;
+  const std::size_t end = std::min(good.find('\t', begin), good.size());
+  return good.substr(0, begin) + text + good.substr(end);
 }
 
 TEST(CheckpointCodec, RejectsMalformedLines) {
-  const std::string good = encode_checkpoint_cell(CellResult{});
+  const std::string empty = encode_checkpoint_cell(CellResult{});
   EXPECT_THROW((void)decode_checkpoint_cell(""), std::runtime_error);
   EXPECT_THROW((void)decode_checkpoint_cell("cell\t1\t2"), std::runtime_error);
-  EXPECT_THROW((void)decode_checkpoint_cell(good + "\textra"), std::runtime_error);
-  EXPECT_THROW((void)decode_checkpoint_cell("x" + good), std::runtime_error);
+  EXPECT_THROW((void)decode_checkpoint_cell(empty + "\textra"), std::runtime_error);
+  EXPECT_THROW((void)decode_checkpoint_cell("x" + empty), std::runtime_error);
+
+  // Fields the lenient C parsers would read (strtoull: "-1" as 2^64-1,
+  // " 7" and "+7" as 7; strtod: 0x1p+99999 as inf) but the encoder never
+  // writes: each is refused with a diagnostic naming the field.
+  CellResult cell;
+  cell.messages = 7;
+  cell.p = 0.5;
+  const std::string good = encode_checkpoint_cell(cell);
+  ASSERT_EQ(decode_checkpoint_cell(with_field(good, "messages", "7")), cell);
+  for (const auto& [name, text] : std::vector<std::pair<std::string, std::string>>{
+           {"messages", "-1"}, {"messages", " 7"}, {"messages", "+7"},
+           {"messages", "007"}, {"messages", "18446744073709551616"}, {"messages", ""},
+           {"p", "0x1p+99999"}, {"p", "0.5"}, {"p", "0x1.0p-1"}, {"p", " 0x1p-1"},
+           {"topology", "a\\q"}, {"topology", "a\\"}, {"topology", "a\nb"}}) {
+    SCOPED_TRACE(name + "=" + text);
+    try {
+      (void)decode_checkpoint_cell(with_field(good, name, text));
+      ADD_FAILURE() << "accepted a non-canonical field";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("malformed checkpoint cell line: field '" + name +
+                                           "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// ------------------------------------------------------- cell field table
+
+TEST(CellFieldTable, EveryEntryReachesEveryFormatOnce) {
+  // A distinct value per entry, so a field written under another's name or
+  // twice would show.
+  CellResult cell;
+  std::uint64_t next = 1;
+  for_each_cell_field(cell, [&next](const char* /*name*/, auto& value) {
+    using Value = std::decay_t<decltype(value)>;
+    if constexpr (std::is_same_v<Value, std::string>) {
+      value = "s" + std::to_string(next);
+    } else if constexpr (std::is_same_v<Value, double>) {
+      value = static_cast<double>(next) + 0.25;
+    } else {
+      value = next;
+    }
+    ++next;
+  });
+  ASSERT_EQ(next, kCellFieldCount + 1);
+  ScenarioSpec spec;
+  spec.name = "table";
+
+  std::ostringstream jsonl;
+  JsonLinesReporter json_reporter(jsonl);
+  json_reporter.report(cell);
+  const std::string line = jsonl.str();
+  for (const char* name : kCellFieldNames) {
+    const std::string key = "\"" + std::string(name) + "\":";
+    std::size_t count = 0;
+    for (auto at = line.find(key); at != std::string::npos; at = line.find(key, at + 1)) {
+      ++count;
+    }
+    EXPECT_EQ(count, 1u) << key;
+  }
+
+  std::ostringstream csv;
+  CsvReporter csv_reporter(csv);
+  csv_reporter.begin(spec);
+  csv_reporter.report(cell);
+  std::istringstream rows(csv.str());
+  std::string header;
+  std::string row;
+  ASSERT_TRUE(std::getline(rows, header));
+  ASSERT_TRUE(std::getline(rows, row));
+  const auto columns = [](const std::string& text) {
+    return 1 + static_cast<std::size_t>(std::count(text.begin(), text.end(), ','));
+  };
+  EXPECT_EQ(columns(header), 2 + kCellFieldCount);  // schema, scenario, fields
+  EXPECT_EQ(columns(row), columns(header));
+
+  EXPECT_EQ(decode_checkpoint_cell(encode_checkpoint_cell(cell)), cell);
 }
 
 // -------------------------------------------------------------- fingerprint
@@ -266,6 +319,31 @@ TEST(CheckpointResume, RefusesAJournalOfADifferentSpec) {
   reseeded.seed += 1;
   EXPECT_THROW(CheckpointJournal(journal.string(), reseeded), std::runtime_error);
   EXPECT_THROW((void)run_report(reseeded, options), std::runtime_error);
+}
+
+TEST(CheckpointResume, RefusesAnOlderSchemaNamingBothVersions) {
+  const fs::path dir = scratch_dir("old_schema");
+  const ScenarioSpec spec = small_spec();
+  const fs::path journal = dir / "sweep.ckpt";
+  RunOptions options;
+  options.checkpoint_path = journal.string();
+  (void)run_report(spec, options);
+
+  // The same journal as the previous schema version would have headed it.
+  const std::string current = obs::schemas::kCheckpoint;
+  const std::string previous = current.substr(0, current.rfind(".v") + 2) +
+                               std::to_string(obs::schemas::kCheckpointVersion - 1);
+  std::string text = read_file(journal);
+  ASSERT_EQ(text.compare(0, current.size(), current), 0);
+  write_file(journal, previous + text.substr(current.size()));
+  try {
+    const CheckpointJournal loaded(journal.string(), spec);
+    ADD_FAILURE() << "resumed from a journal of another schema";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'" + previous + "'"), std::string::npos) << what;
+    EXPECT_NE(what.find("'" + current + "'"), std::string::npos) << what;
+  }
 }
 
 TEST(CheckpointResume, MidFileCorruptionThrowsInsteadOfResuming) {

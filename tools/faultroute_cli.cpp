@@ -498,12 +498,6 @@ int cmd_scenario(const std::string& file, const Args& args) {
   ObsSink sink(args, "scenario");
   scenario::RunOptions options;
   options.metrics = sink.metrics();
-  const std::string cell_timings = args.get("cell-timings", "false");
-  if (cell_timings != "true" && cell_timings != "false") {
-    throw std::invalid_argument("--cell-timings must be 'true' or 'false', got '" +
-                                cell_timings + "'");
-  }
-  options.cell_timings = cell_timings == "true";
   // --checkpoint PATH: journal completed cells; a rerun against the same
   // journal resumes and still emits the byte-identical report.
   options.checkpoint_path = args.get("checkpoint", "");
@@ -660,8 +654,7 @@ void print_usage() {
             << "                     on-disk snapshot; also on scenario)\n"
             << "scenario:          faultroute scenario FILE.scn [--spec \"k=v; ...\"]\n"
             << "                   [--format jsonl|csv] [--out PATH] [--quick]\n"
-            << "                   [--cell-timings true|false] [--snapshot-dir DIR]\n"
-            << "                   [--checkpoint PATH] [--shard K/N]\n"
+            << "                   [--snapshot-dir DIR] [--checkpoint PATH] [--shard K/N]\n"
             << "snapshot:          faultroute snapshot build --topology SPEC --dir DIR\n"
             << "                   faultroute snapshot info --file PATH (or --dir/--topology)\n"
             << "merge:             faultroute merge SHARD.jsonl... [--out PATH]\n"
