@@ -4,25 +4,22 @@
 
 #include "graph/flat_adjacency.hpp"
 
-// analyze:allow-file-hot-alloc(per-message bidirectional BFS: frontiers and dense marks are pooled per router, the returned Path and implicit-path hash marks allocate per message)
+// analyze:allow-file-hot-alloc(per-message bidirectional BFS: frontiers and marks are pooled per router, the returned Path allocates per message)
 namespace faultroute {
 
 namespace {
 
-/// One BFS ball, templated over the marks backend. The frontier is a pooled
-/// vector with a head cursor; its live size (size() - head) matches the
-/// std::queue-based original exactly.
-template <typename Marks>
+/// One BFS ball. The frontier is a pooled vector with a head cursor; its
+/// live size (size() - head) matches the std::queue-based original exactly.
 struct Side {
-  Marks* parent;
+  VertexMarks* parent;
   std::vector<VertexId>* frontier;
   std::size_t head = 0;
 
   [[nodiscard]] std::size_t live() const { return frontier->size() - head; }
 };
 
-template <typename Marks>
-Path chain_to_root(const Side<Marks>& side, VertexId from) {
+Path chain_to_root(const Side& side, VertexId from) {
   Path path;
   for (VertexId x = from;; x = side.parent->at(x)) {
     path.push_back(x);
@@ -31,10 +28,8 @@ Path chain_to_root(const Side<Marks>& side, VertexId from) {
   return path;  // from .. root
 }
 
-template <typename Marks>
 std::optional<Path> bidirectional_search(ProbeContext& ctx, const AdjacencyView& adj,
-                                         VertexId u, VertexId v, Side<Marks> from_u,
-                                         Side<Marks> from_v) {
+                                         VertexId u, VertexId v, Side from_u, Side from_v) {
   const std::uint64_t n = adj.graph().num_vertices();
   from_u.parent->begin(n);
   from_v.parent->begin(n);
@@ -58,8 +53,8 @@ std::optional<Path> bidirectional_search(ProbeContext& ctx, const AdjacencyView&
     // Expand the side with the smaller live frontier (ties: u side).
     const bool expand_u =
         from_u.live() > 0 && (from_v.live() == 0 || from_u.live() <= from_v.live());
-    Side<Marks>& mine = expand_u ? from_u : from_v;
-    Side<Marks>& other = expand_u ? from_v : from_u;
+    Side& mine = expand_u ? from_u : from_v;
+    Side& other = expand_u ? from_v : from_u;
     const VertexId x = (*mine.frontier)[mine.head++];
     ctx.note_expansion();
     const int deg = adj.degree(x);
@@ -84,13 +79,8 @@ std::optional<Path> bidirectional_search(ProbeContext& ctx, const AdjacencyView&
 std::optional<Path> BidirectionalBfsRouter::route(ProbeContext& ctx, VertexId u, VertexId v) {
   if (u == v) return Path{u};
   const AdjacencyView adj(ctx.graph(), ctx.flat_adjacency());
-  if (ctx.flat_adjacency() != nullptr) {
-    return bidirectional_search(ctx, adj, u, v,
-                                Side<DenseMarks>{&dense_parent_u_, &queue_u_},
-                                Side<DenseMarks>{&dense_parent_v_, &queue_v_});
-  }
-  return bidirectional_search(ctx, adj, u, v, Side<HashMarks>{&hash_parent_u_, &queue_u_},
-                              Side<HashMarks>{&hash_parent_v_, &queue_v_});
+  return bidirectional_search(ctx, adj, u, v, Side{&parent_u_, &queue_u_},
+                              Side{&parent_v_, &queue_v_});
 }
 
 }  // namespace faultroute

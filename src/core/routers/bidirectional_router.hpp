@@ -3,7 +3,7 @@
 #include <vector>
 
 #include "core/router.hpp"
-#include "core/routers/router_marks.hpp"
+#include "graph/vertex_marks.hpp"
 
 namespace faultroute {
 
@@ -22,13 +22,9 @@ class BidirectionalBfsRouter : public Router {
   [[nodiscard]] RoutingMode required_mode() const override { return RoutingMode::kOracle; }
 
  private:
-  // Per-side search state, pooled across a worker's messages (dense on the
-  // flat adjacency path, hash on the implicit path; bit-identical results —
-  // see core/routers/router_marks.hpp).
-  DenseMarks dense_parent_u_;
-  DenseMarks dense_parent_v_;
-  HashMarks hash_parent_u_;
-  HashMarks hash_parent_v_;
+  // Per-side search state, pooled across a worker's messages.
+  VertexMarks parent_u_;
+  VertexMarks parent_v_;
   std::vector<VertexId> queue_u_;
   std::vector<VertexId> queue_v_;
 };

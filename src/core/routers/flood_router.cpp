@@ -4,19 +4,18 @@
 
 #include "graph/flat_adjacency.hpp"
 
-// analyze:allow-file-hot-alloc(per-message flood BFS: queue and dense marks are pooled per router, the returned Path and implicit-path hash marks allocate per message)
+// analyze:allow-file-hot-alloc(per-message flood BFS: queue and marks are pooled per router, the returned Path allocates per message)
 namespace faultroute {
 
 namespace {
 
-/// The flood BFS, templated over the marks backend (dense vertex-indexed
-/// arrays on the flat path, hash maps on the implicit path). The queue is a
-/// caller-pooled vector with a head cursor — identical FIFO order to a
-/// std::queue, no per-message allocation in steady state.
-template <typename Marks>
+/// The flood BFS. The queue is a caller-pooled vector with a head cursor —
+/// identical FIFO order to a std::queue, no per-message allocation in
+/// steady state.
 std::optional<Path> flood_search(ProbeContext& ctx, const AdjacencyView& adj, VertexId u,
-                                 VertexId v, bool probe_target_first, Marks& parent,
+                                 VertexId v, bool probe_target_first, VertexMarks& parent,
                                  std::vector<VertexId>& queue) {
+  parent.begin(adj.graph().num_vertices());
   parent.emplace(u, u);
   queue.clear();
   queue.push_back(u);
@@ -57,12 +56,7 @@ std::optional<Path> flood_search(ProbeContext& ctx, const AdjacencyView& adj, Ve
 std::optional<Path> FloodRouter::route(ProbeContext& ctx, VertexId u, VertexId v) {
   if (u == v) return Path{u};
   const AdjacencyView adj(ctx.graph(), ctx.flat_adjacency());
-  if (ctx.flat_adjacency() != nullptr) {
-    dense_parent_.begin(ctx.graph().num_vertices());
-    return flood_search(ctx, adj, u, v, probe_target_first_, dense_parent_, queue_);
-  }
-  hash_parent_.begin(0);
-  return flood_search(ctx, adj, u, v, probe_target_first_, hash_parent_, queue_);
+  return flood_search(ctx, adj, u, v, probe_target_first_, parent_, queue_);
 }
 
 }  // namespace faultroute

@@ -3,7 +3,7 @@
 #include <vector>
 
 #include "core/router.hpp"
-#include "core/routers/router_marks.hpp"
+#include "graph/vertex_marks.hpp"
 
 namespace faultroute {
 
@@ -30,12 +30,8 @@ class FloodRouter : public Router {
 
  private:
   bool probe_target_first_;
-  // Search state pooled across the messages a worker routes: dense
-  // vertex-indexed marks on the flat adjacency path, hash marks on the
-  // implicit path (see core/routers/router_marks.hpp — marks never affect
-  // traversal order, so results are bit-identical across backends).
-  DenseMarks dense_parent_;
-  HashMarks hash_parent_;
+  // Search state pooled across the messages a worker routes.
+  VertexMarks parent_;
   std::vector<VertexId> queue_;
 };
 

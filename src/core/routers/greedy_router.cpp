@@ -33,16 +33,12 @@ void rank_slots(const AdjacencyView& adj, const std::uint32_t* col, VertexId x, 
   std::sort(ranked.begin(), ranked.end());
 }
 
-/// The best-first search loop, templated over the marks backend (dense
-/// vertex-indexed arrays on the flat adjacency path, hash maps on the
-/// implicit path; marks never affect expansion order). The frontier is a
-/// pooled min-heap driven exactly as std::priority_queue drives its
+/// The best-first search loop. The frontier is a pooled min-heap driven exactly as std::priority_queue drives its
 /// container (push_back + push_heap, pop_heap + pop_back), so expansion order
 /// matches a priority_queue with std::greater<>.
-template <typename Marks>
 std::optional<Path> best_first_search(ProbeContext& ctx, const AdjacencyView& adj,
                                       const std::uint32_t* col, VertexId u, VertexId v,
-                                      Marks& parent, Marks& expanded,
+                                      VertexMarks& parent, VertexMarks& expanded,
                                       detail::RankedSlots& ranked, Frontier& frontier) {
   const Topology& graph = adj.graph();
   const std::uint64_t n = graph.num_vertices();
@@ -116,12 +112,7 @@ std::optional<Path> BestFirstRouter::route(ProbeContext& ctx, VertexId u, Vertex
   if (u == v) return Path{u};
   const AdjacencyView adj(ctx.graph(), ctx.flat_adjacency());
   const std::uint32_t* col = ctx.target_distances(v);
-  if (ctx.flat_adjacency() != nullptr) {
-    return best_first_search(ctx, adj, col, u, v, dense_parent_, dense_expanded_, ranked_,
-                             frontier_);
-  }
-  return best_first_search(ctx, adj, col, u, v, hash_parent_, hash_expanded_, ranked_,
-                           frontier_);
+  return best_first_search(ctx, adj, col, u, v, parent_, expanded_, ranked_, frontier_);
 }
 
 }  // namespace faultroute

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "core/router.hpp"
-#include "core/routers/router_marks.hpp"
+#include "graph/vertex_marks.hpp"
 
 namespace faultroute {
 
@@ -62,16 +62,13 @@ class BestFirstRouter : public Router {
   [[nodiscard]] bool uses_distance_metric() const override { return true; }
 
  private:
-  // Search state pooled across a worker's messages (dense on the flat
-  // adjacency path, hash on the implicit path; bit-identical results — see
-  // core/routers/router_marks.hpp), plus the per-expansion slot ranking and
-  // the (distance-to-target, vertex) min-heap frontier.
+  // Search state pooled across a worker's messages: the per-expansion slot
+  // ranking, the (distance-to-target, vertex) min-heap frontier, and the
+  // parent and expanded marks.
   detail::RankedSlots ranked_;
   std::vector<std::pair<std::uint64_t, VertexId>> frontier_;
-  DenseMarks dense_parent_;
-  DenseMarks dense_expanded_;
-  HashMarks hash_parent_;
-  HashMarks hash_expanded_;
+  VertexMarks parent_;
+  VertexMarks expanded_;
 };
 
 }  // namespace faultroute

@@ -6,16 +6,18 @@
 // analyze:allow-file-hot-alloc(landmark walk: the pooled queue retains capacity across segments; segment and walk splices materialize the result path)
 namespace faultroute::detail {
 
-namespace {
+bool landmark_walk(ProbeContext& ctx, const AdjacencyView& adj, VertexId from, VertexId v,
+                   Path& walk, LandmarkWalkState& state) {
+  std::vector<VertexId>& landmarks = state.landmarks;
+  shortest_path(adj, from, v, landmarks);
+  if (landmarks.empty()) return false;  // disconnected base topology
 
-/// The walk of landmark_walk, templated over the marks backend.
-template <typename Marks>
-bool landmark_walk_with(ProbeContext& ctx, const AdjacencyView& adj, Path& walk,
-                        const std::vector<VertexId>& landmarks, Marks& pos_of, Marks& parent,
-                        std::vector<VertexId>& queue) {
   // Position of each landmark along the base path (shortest-path vertices
   // are distinct).
   const std::uint64_t n = adj.graph().num_vertices();
+  VertexMarks& pos_of = state.pos_of;
+  VertexMarks& parent = state.parent;
+  std::vector<VertexId>& queue = state.queue;
   pos_of.begin(n);
   for (std::size_t j = 0; j < landmarks.size(); ++j) {
     pos_of.emplace(landmarks[j], static_cast<VertexId>(j));
@@ -65,19 +67,6 @@ bool landmark_walk_with(ProbeContext& ctx, const AdjacencyView& adj, Path& walk,
     pos = found_pos;
   }
   return true;
-}
-
-}  // namespace
-
-bool landmark_walk(ProbeContext& ctx, const AdjacencyView& adj, VertexId from, VertexId v,
-                   Path& walk, LandmarkWalkState& state) {
-  shortest_path(adj, from, v, state.landmarks);
-  if (state.landmarks.empty()) return false;  // disconnected base topology
-  return adj.flat() != nullptr
-             ? landmark_walk_with(ctx, adj, walk, state.landmarks, state.dense_pos,
-                                  state.dense_parent, state.queue)
-             : landmark_walk_with(ctx, adj, walk, state.landmarks, state.hash_pos,
-                                  state.hash_parent, state.queue);
 }
 
 }  // namespace faultroute::detail

@@ -4,24 +4,20 @@
 
 #include "core/path.hpp"
 #include "core/probe_context.hpp"
-#include "core/routers/router_marks.hpp"
 #include "graph/flat_adjacency.hpp"
+#include "graph/vertex_marks.hpp"
 
 namespace faultroute::detail {
 
 /// Search state of the landmark walk, pooled in the router across the
-/// messages a worker routes (dense marks on the flat adjacency path, hash
-/// marks on the implicit path; bit-identical results — see
-/// core/routers/router_marks.hpp). `landmarks` holds the fault-free base
-/// path; the `pos` marks map a landmark vertex to its position along it; the
+/// messages a worker routes. `landmarks` holds the fault-free base path; the
+/// `pos_of` marks map a landmark vertex to its position along it; the
 /// `parent` marks hold the per-segment BFS tree; `queue` is that BFS's FIFO.
 struct LandmarkWalkState {
   std::vector<VertexId> landmarks;
   std::vector<VertexId> queue;
-  DenseMarks dense_pos;
-  DenseMarks dense_parent;
-  HashMarks hash_pos;
-  HashMarks hash_parent;
+  VertexMarks pos_of;
+  VertexMarks parent;
 };
 
 /// The landmark walk of Theorems 3(ii)/4, shared by LandmarkRouter (the

@@ -2,52 +2,32 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <utility>
 #include <vector>
 
 #include "graph/topology.hpp"
+#include "graph/vertex_marks.hpp"
 
 namespace faultroute::detail {
 
-/// Per-thread epoch-stamped scratch for the flat percolation BFS routines
-/// (cluster_analysis, chemical_distance) and the fault-free metric BFS:
-/// vertex-indexed visited stamps and parents, plus reusable queue buffers.
-/// A slot is live only when its stamp equals the current epoch, so
-/// "clearing" between sweeps is one integer increment — repeated analyses
-/// (threshold bisection, chemical-distance sweeps, permutation prechecks)
-/// allocate nothing in steady state. Accessed via the thread_local instances
-/// of bfs_scratch() and metric_scratch(), which keeps the scenario runner's
+/// Per-thread BFS scratch for the percolation BFS routines
+/// (cluster_analysis, chemical_distance) and the fault-free metric BFS: the
+/// visited/parent marks (graph/vertex_marks.hpp) plus reusable queue
+/// buffers, so repeated analyses (threshold bisection, chemical-distance
+/// sweeps, permutation prechecks) allocate nothing in steady state on graphs
+/// within the dense marks budget. Accessed via the thread_local instances of
+/// bfs_scratch() and metric_scratch(), which keeps the scenario runner's
 /// cell-parallel sweeps race-free.
 struct BfsScratch {
-  std::vector<std::uint32_t> stamp;
-  std::vector<VertexId> parent;  // valid iff stamp[v] == epoch
+  VertexMarks marks;
   std::vector<VertexId> queue;
   std::vector<std::pair<VertexId, std::uint64_t>> dist_queue;  // (vertex, distance)
-  std::uint32_t epoch = 0;
 
-  /// Sizes for `n` vertices (grow-only) and opens a fresh epoch; on the
-  /// (once per ~4 billion sweeps) wrap, stamps are zeroed so stale marks
-  /// can never read as live.
+  /// Starts a fresh search over `n` vertices: new marks, empty queues.
   void begin(std::uint64_t n) {
-    if (stamp.size() < n) {
-      stamp.resize(n, 0);  // analyze:allow-hot-alloc(grow-only pooled scratch warm-up)
-      parent.resize(n, 0);  // analyze:allow-hot-alloc(same grow-only warm-up)
-    }
-    if (epoch == std::numeric_limits<std::uint32_t>::max()) {
-      std::fill(stamp.begin(), stamp.end(), 0u);
-      epoch = 0;
-    }
-    ++epoch;
+    marks.begin(n);
     queue.clear();
     dist_queue.clear();
-  }
-
-  [[nodiscard]] bool seen(VertexId v) const { return stamp[v] == epoch; }
-  void mark(VertexId v) { stamp[v] = epoch; }
-  void mark(VertexId v, VertexId from) {
-    stamp[v] = epoch;
-    parent[v] = from;
   }
 };
 
@@ -72,7 +52,8 @@ inline BfsScratch& metric_scratch() {
 /// search expands vertices in FIFO order, scans each row in slot order,
 /// keeps the first discoverer as parent and stops when v is discovered, so
 /// both accessors yield the same vertex sequence. Runs on metric_scratch():
-/// zero allocation in steady state when `path` is pooled.
+/// zero allocation in steady state when `path` is pooled and `n` is within
+/// the dense marks budget.
 template <typename Adjacency>
 // analyze:allow-hot-alloc(pooled thread-local scratch queue plus path materialization into the caller's buffer)
 void bfs_shortest_path(const Adjacency& adj, std::uint64_t n, VertexId u, VertexId v,
@@ -84,7 +65,7 @@ void bfs_shortest_path(const Adjacency& adj, std::uint64_t n, VertexId u, Vertex
   }
   BfsScratch& scratch = metric_scratch();
   scratch.begin(n);
-  scratch.mark(u, u);
+  scratch.marks.emplace(u, u);
   scratch.queue.push_back(u);
   std::size_t head = 0;
   while (head < scratch.queue.size()) {
@@ -92,10 +73,9 @@ void bfs_shortest_path(const Adjacency& adj, std::uint64_t n, VertexId u, Vertex
     const int deg = adj.degree(x);
     for (int i = 0; i < deg; ++i) {
       const VertexId y = adj.neighbor(x, i);
-      if (scratch.seen(y)) continue;
-      scratch.mark(y, x);
+      if (!scratch.marks.emplace(y, x)) continue;
       if (y == v) {
-        for (VertexId z = v;; z = scratch.parent[z]) {
+        for (VertexId z = v;; z = scratch.marks.at(z)) {
           path.push_back(z);
           if (z == u) break;
         }

@@ -1,37 +1,36 @@
 #include "percolation/chemical_distance.hpp"
 
 #include <algorithm>
-#include <queue>
-#include <unordered_map>
-#include <utility>
 
 #include "graph/bfs_scratch.hpp"
+#include "percolation/open_edges.hpp"
 
 namespace faultroute {
 
 namespace {
 
-ChemicalPathResult chemical_path_flat(const FlatAdjacency& flat, const EdgeSampler& sampler,
-                                      VertexId u, VertexId v, std::uint64_t max_vertices) {
+template <typename Edges>
+ChemicalPathResult chemical_path_bfs(const Edges& edges, VertexId u, VertexId v,
+                                     std::uint64_t max_vertices) {
   ChemicalPathResult result;
   detail::BfsScratch& scratch = detail::bfs_scratch();
-  scratch.begin(flat.num_vertices());
-  scratch.mark(u, u);
+  scratch.begin(edges.num_vertices());
+  scratch.marks.emplace(u, u);
   scratch.dist_queue.emplace_back(u, 0);
-  std::uint64_t discovered = 1;  // the hash backend's parent.size()
+  std::uint64_t discovered = 1;
   std::size_t head = 0;
   while (head < scratch.dist_queue.size()) {
     const auto [x, dx] = scratch.dist_queue[head++];
-    const std::uint64_t end = flat.row_end(x);
-    for (std::uint64_t pos = flat.row_begin(x); pos < end; ++pos) {
-      const VertexId y = flat.neighbor_at(pos);
-      if (scratch.seen(y)) continue;
-      if (!sampler.is_open_indexed(flat.edge_id_at(pos), flat.edge_key_at(pos))) continue;
-      scratch.mark(y, x);
+    const std::uint64_t end = edges.row_end(x);
+    for (std::uint64_t pos = edges.row_begin(x); pos < end; ++pos) {
+      const VertexId y = edges.neighbor(x, pos);
+      if (scratch.marks.contains(y)) continue;
+      if (!edges.is_open(x, pos)) continue;
+      scratch.marks.emplace(y, x);
       ++discovered;
       if (y == v) {
         result.distance = dx + 1;
-        for (VertexId z = v;; z = scratch.parent[z]) {
+        for (VertexId z = v;; z = scratch.marks.at(z)) {
           result.path.push_back(z);
           if (z == u) break;
         }
@@ -51,43 +50,15 @@ ChemicalPathResult chemical_path_flat(const FlatAdjacency& flat, const EdgeSampl
 ChemicalPathResult chemical_path(const Topology& graph, const EdgeSampler& sampler,
                                  VertexId u, VertexId v, std::uint64_t max_vertices,
                                  AdjacencyMode mode) {
-  ChemicalPathResult result;
   if (u == v) {
+    ChemicalPathResult result;
     result.distance = 0;
     result.path = {u};
     return result;
   }
-  if (const FlatAdjacency* flat = resolve_adjacency(graph, mode)) {
-    return chemical_path_flat(*flat, sampler, u, v, max_vertices);
-  }
-  std::unordered_map<VertexId, VertexId> parent;
-  std::queue<std::pair<VertexId, std::uint64_t>> queue;
-  parent.emplace(u, u);
-  queue.emplace(u, 0);
-  while (!queue.empty()) {
-    const auto [x, dx] = queue.front();
-    queue.pop();
-    const int deg = graph.degree(x);
-    for (int i = 0; i < deg; ++i) {
-      const VertexId y = graph.neighbor(x, i);
-      if (parent.contains(y)) continue;
-      if (!sampler.is_open(graph.edge_key(x, i))) continue;
-      parent.emplace(y, x);
-      if (y == v) {
-        result.distance = dx + 1;
-        for (VertexId z = v;; z = parent.at(z)) {
-          result.path.push_back(z);
-          if (z == u) break;
-        }
-        std::reverse(result.path.begin(), result.path.end());
-        return result;
-      }
-      if (max_vertices != 0 && parent.size() >= max_vertices) return result;  // unknown
-      queue.emplace(y, dx + 1);
-    }
-  }
-  result.distance = std::nullopt;  // exhausted the cluster: disconnected
-  return result;
+  return detail::with_open_edges(graph, sampler, mode, [&](const auto& edges) {
+    return chemical_path_bfs(edges, u, v, max_vertices);
+  });
 }
 
 std::optional<std::uint64_t> chemical_distance(const Topology& graph,

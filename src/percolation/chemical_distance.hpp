@@ -19,10 +19,10 @@ namespace faultroute {
 /// D(x, y) <= rho * d(x, y) up to exponentially unlikely exceptions; the
 /// chemical-distance experiments (E9, E10) measure exactly this ratio.
 ///
-/// `mode` selects the adjacency backend (graph/flat_adjacency.hpp): the BFS
-/// runs over CSR rows with vertex-indexed epoch-stamped parent arrays when
-/// flat, over hash containers and the virtual interface when implicit (the
-/// only option for huge implicit graphs). Identical distances and paths.
+/// `mode` selects the adjacency backend (graph/flat_adjacency.hpp): CSR rows
+/// when flat, the virtual interface when implicit (the only option for huge
+/// implicit graphs). Either way the parents live in per-thread VertexMarks
+/// (graph/vertex_marks.hpp). Identical distances and paths.
 [[nodiscard]] std::optional<std::uint64_t> chemical_distance(
     const Topology& graph, const EdgeSampler& sampler, VertexId u, VertexId v,
     std::uint64_t max_vertices = 0, AdjacencyMode mode = AdjacencyMode::kAuto);

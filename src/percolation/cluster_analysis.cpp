@@ -1,10 +1,7 @@
 #include "percolation/cluster_analysis.hpp"
 
-#include <queue>
-#include <unordered_map>
-#include <unordered_set>
-
 #include "graph/bfs_scratch.hpp"
+#include "percolation/open_edges.hpp"
 
 namespace faultroute {
 
@@ -12,56 +9,41 @@ namespace {
 
 /// Applies `fn(v, w)` to every open edge, visiting each undirected edge once
 /// (from its lower-id endpoint; parallel edges appear as separate slots of
-/// that endpoint, so they stay exact). Implicit-interface sweep.
-template <typename Fn>
-void for_each_open_edge(const Topology& graph, const EdgeSampler& sampler, Fn&& fn) {
-  const std::uint64_t n = graph.num_vertices();
+/// that endpoint, so they stay exact).
+template <typename Edges, typename Fn>
+void for_each_open_edge(const Edges& edges, Fn&& fn) {
+  const std::uint64_t n = edges.num_vertices();
   for (VertexId v = 0; v < n; ++v) {
-    const int deg = graph.degree(v);
-    for (int i = 0; i < deg; ++i) {
-      const VertexId w = graph.neighbor(v, i);
+    const std::uint64_t end = edges.row_end(v);
+    for (std::uint64_t pos = edges.row_begin(v); pos < end; ++pos) {
+      const VertexId w = edges.neighbor(v, pos);
       if (w <= v) continue;  // visit each edge from its lower endpoint only
-      if (sampler.is_open(graph.edge_key(v, i))) fn(v, w);
+      if (edges.is_open(v, pos)) fn(v, w);
     }
   }
 }
 
-/// The same sweep over CSR rows: two array loads per slot and an indexed
-/// sampler query, no virtual dispatch. Identical visit order and verdicts.
-template <typename Fn>
-void for_each_open_edge(const FlatAdjacency& flat, const EdgeSampler& sampler, Fn&& fn) {
-  const std::uint64_t n = flat.num_vertices();
-  for (VertexId v = 0; v < n; ++v) {
-    const std::uint64_t end = flat.row_end(v);
-    for (std::uint64_t pos = flat.row_begin(v); pos < end; ++pos) {
-      const VertexId w = flat.neighbor_at(pos);
-      if (w <= v) continue;
-      if (sampler.is_open_indexed(flat.edge_id_at(pos), flat.edge_key_at(pos))) fn(v, w);
-    }
-  }
-}
-
-std::vector<VertexId> open_cluster_of_flat(const FlatAdjacency& flat,
-                                           const EdgeSampler& sampler, VertexId source,
-                                           std::uint64_t max_vertices) {
+template <typename Edges>
+std::vector<VertexId> open_cluster_bfs(const Edges& edges, VertexId source,
+                                       std::uint64_t max_vertices) {
   // The BFS queue *is* the returned visit order (a vertex is enqueued
-  // exactly when first visited), so one vector with a head cursor replaces
-  // both the hash set and the node-based queue.
+  // exactly when first visited), so one vector with a head cursor serves as
+  // both.
   std::vector<VertexId> order;
   detail::BfsScratch& scratch = detail::bfs_scratch();
-  scratch.begin(flat.num_vertices());
-  scratch.mark(source);
+  scratch.begin(edges.num_vertices());
+  scratch.marks.emplace(source, source);
   order.push_back(source);
   std::size_t head = 0;
   while (head < order.size()) {
     if (max_vertices != 0 && order.size() >= max_vertices) break;
     const VertexId x = order[head++];
-    const std::uint64_t end = flat.row_end(x);
-    for (std::uint64_t pos = flat.row_begin(x); pos < end; ++pos) {
-      const VertexId y = flat.neighbor_at(pos);
-      if (scratch.seen(y)) continue;
-      if (!sampler.is_open_indexed(flat.edge_id_at(pos), flat.edge_key_at(pos))) continue;
-      scratch.mark(y);
+    const std::uint64_t end = edges.row_end(x);
+    for (std::uint64_t pos = edges.row_begin(x); pos < end; ++pos) {
+      const VertexId y = edges.neighbor(x, pos);
+      if (scratch.marks.contains(y)) continue;
+      if (!edges.is_open(x, pos)) continue;
+      scratch.marks.emplace(y, x);
       order.push_back(y);
       if (max_vertices != 0 && order.size() >= max_vertices) return order;
     }
@@ -69,24 +51,24 @@ std::vector<VertexId> open_cluster_of_flat(const FlatAdjacency& flat,
   return order;
 }
 
-std::optional<bool> open_connected_flat(const FlatAdjacency& flat, const EdgeSampler& sampler,
-                                        VertexId u, VertexId v,
-                                        std::uint64_t max_vertices) {
+template <typename Edges>
+std::optional<bool> open_connected_bfs(const Edges& edges, VertexId u, VertexId v,
+                                       std::uint64_t max_vertices) {
   detail::BfsScratch& scratch = detail::bfs_scratch();
-  scratch.begin(flat.num_vertices());
-  scratch.mark(u);
+  scratch.begin(edges.num_vertices());
+  scratch.marks.emplace(u, u);
   scratch.queue.push_back(u);
   std::uint64_t count = 1;
   std::size_t head = 0;
   while (head < scratch.queue.size()) {
     const VertexId x = scratch.queue[head++];
-    const std::uint64_t end = flat.row_end(x);
-    for (std::uint64_t pos = flat.row_begin(x); pos < end; ++pos) {
-      const VertexId y = flat.neighbor_at(pos);
-      if (scratch.seen(y)) continue;
-      if (!sampler.is_open_indexed(flat.edge_id_at(pos), flat.edge_key_at(pos))) continue;
+    const std::uint64_t end = edges.row_end(x);
+    for (std::uint64_t pos = edges.row_begin(x); pos < end; ++pos) {
+      const VertexId y = edges.neighbor(x, pos);
+      if (scratch.marks.contains(y)) continue;
+      if (!edges.is_open(x, pos)) continue;
       if (y == v) return true;
-      scratch.mark(y);
+      scratch.marks.emplace(y, x);
       ++count;
       if (max_vertices != 0 && count >= max_vertices) return std::nullopt;
       scratch.queue.push_back(y);
@@ -105,11 +87,8 @@ ClusterDecomposition::ClusterDecomposition(const Topology& graph, const EdgeSamp
     ++summary_.num_open_edges;
     dsu_.unite(a, b);
   };
-  if (const FlatAdjacency* flat = resolve_adjacency(graph, mode)) {
-    for_each_open_edge(*flat, sampler, accumulate);
-  } else {
-    for_each_open_edge(graph, sampler, accumulate);
-  }
+  detail::with_open_edges(graph, sampler, mode,
+                          [&](const auto& open) { for_each_open_edge(open, accumulate); });
   summary_.num_components = dsu_.num_components();
   // Scan roots for the two largest clusters.
   for (VertexId v = 0; v < summary_.num_vertices; ++v) {
@@ -137,72 +116,26 @@ ComponentSummary analyze_components(const Topology& graph, const EdgeSampler& sa
 std::vector<VertexId> open_cluster_of(const Topology& graph, const EdgeSampler& sampler,
                                       VertexId source, std::uint64_t max_vertices,
                                       AdjacencyMode mode) {
-  if (const FlatAdjacency* flat = resolve_adjacency(graph, mode)) {
-    return open_cluster_of_flat(*flat, sampler, source, max_vertices);
-  }
-  std::vector<VertexId> visited_order;
-  std::unordered_set<VertexId> visited;
-  std::queue<VertexId> queue;
-  visited.insert(source);
-  visited_order.push_back(source);
-  queue.push(source);
-  while (!queue.empty()) {
-    if (max_vertices != 0 && visited_order.size() >= max_vertices) break;
-    const VertexId x = queue.front();
-    queue.pop();
-    const int deg = graph.degree(x);
-    for (int i = 0; i < deg; ++i) {
-      const VertexId y = graph.neighbor(x, i);
-      if (visited.contains(y)) continue;
-      if (!sampler.is_open(graph.edge_key(x, i))) continue;
-      visited.insert(y);
-      visited_order.push_back(y);
-      if (max_vertices != 0 && visited_order.size() >= max_vertices) return visited_order;
-      queue.push(y);
-    }
-  }
-  return visited_order;
+  return detail::with_open_edges(graph, sampler, mode, [&](const auto& edges) {
+    return open_cluster_bfs(edges, source, max_vertices);
+  });
 }
 
 std::optional<bool> open_connected(const Topology& graph, const EdgeSampler& sampler,
                                    VertexId u, VertexId v, std::uint64_t max_vertices,
                                    AdjacencyMode mode) {
   if (u == v) return true;
-  if (const FlatAdjacency* flat = resolve_adjacency(graph, mode)) {
-    return open_connected_flat(*flat, sampler, u, v, max_vertices);
-  }
-  std::unordered_set<VertexId> visited;
-  std::queue<VertexId> queue;
-  visited.insert(u);
-  queue.push(u);
-  std::uint64_t count = 1;
-  while (!queue.empty()) {
-    const VertexId x = queue.front();
-    queue.pop();
-    const int deg = graph.degree(x);
-    for (int i = 0; i < deg; ++i) {
-      const VertexId y = graph.neighbor(x, i);
-      if (visited.contains(y)) continue;
-      if (!sampler.is_open(graph.edge_key(x, i))) continue;
-      if (y == v) return true;
-      visited.insert(y);
-      ++count;
-      if (max_vertices != 0 && count >= max_vertices) return std::nullopt;
-      queue.push(y);
-    }
-  }
-  return false;
+  return detail::with_open_edges(graph, sampler, mode, [&](const auto& edges) {
+    return open_connected_bfs(edges, u, v, max_vertices);
+  });
 }
 
 ExplicitGraph materialize_open_subgraph(const Topology& graph, const EdgeSampler& sampler,
                                         AdjacencyMode mode) {
   ExplicitGraph::EdgeList edges;
   const auto collect = [&edges](VertexId a, VertexId b) { edges.emplace_back(a, b); };
-  if (const FlatAdjacency* flat = resolve_adjacency(graph, mode)) {
-    for_each_open_edge(*flat, sampler, collect);
-  } else {
-    for_each_open_edge(graph, sampler, collect);
-  }
+  detail::with_open_edges(graph, sampler, mode,
+                          [&](const auto& open) { for_each_open_edge(open, collect); });
   return ExplicitGraph(graph.num_vertices(), edges);
 }
 

@@ -63,11 +63,11 @@ class ClusterDecomposition {
 
 /// BFS over open edges from `source`, stopping once `max_vertices` vertices
 /// have been reached (0 = unbounded). Returns the visited vertices in BFS
-/// order. Backend per `mode`: vertex-indexed epoch-stamped visited arrays
-/// over CSR rows when flat (zero steady-state allocation for the marks;
-/// repeated sweeps reuse per-thread scratch); hash containers over the
-/// implicit interface otherwise — the latter is what makes huge implicit
-/// graphs affordable, which is exactly what kAuto's budget preserves.
+/// order. Adjacency per `mode`: CSR rows when flat, the implicit interface
+/// otherwise — the latter is what makes huge implicit graphs affordable,
+/// which is exactly what kAuto's budget preserves. The visited set is
+/// per-thread VertexMarks (graph/vertex_marks.hpp), so repeated sweeps
+/// allocate nothing for the marks within its dense budget.
 [[nodiscard]] std::vector<VertexId> open_cluster_of(const Topology& graph,
                                                     const EdgeSampler& sampler,
                                                     VertexId source,

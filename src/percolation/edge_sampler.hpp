@@ -89,6 +89,7 @@ class ExplicitEdgeSampler final : public EdgeSampler {
 
  private:
   bool default_open_;
+  // lint:allow-hash(explicit per-key states on arbitrary keys; index_edges() adds the dense memo)
   std::unordered_map<EdgeKey, bool> states_;
   /// Answer memo per dense edge id (unknown / closed / open), resolved
   /// lazily and published with relaxed stores — answers are a pure function

@@ -14,7 +14,7 @@ namespace faultroute::detail {
 /// Each cell is one atomic word packing (generation, state): a cell is live
 /// only while its generation matches the memo's current one, so
 /// invalidate() is a single counter bump, never an O(cells) sweep — the
-/// epoch idiom of ProbeArena/DenseMarks, in atomic form. On the (once per
+/// epoch idiom of ProbeArena/VertexMarks, in atomic form. On the (once per
 /// 2^30 invalidations) generation wrap, cells are zero-filled so stale
 /// generations can never read as live.
 ///

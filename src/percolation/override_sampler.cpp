@@ -48,7 +48,9 @@ bool OverrideSampler::is_open_indexed(std::uint32_t edge_id, EdgeKey key) const 
 std::vector<EdgeKey> edges_within_ball(const Topology& graph, VertexId center,
                                        int radius) {
   std::vector<EdgeKey> keys;
+  // lint:allow-hash(one-shot setup BFS over a small ball of an implicit graph)
   std::unordered_set<EdgeKey> seen;
+  // lint:allow-hash(same one-shot setup BFS)
   std::unordered_map<VertexId, int> dist;
   std::queue<VertexId> queue;
   dist.emplace(center, 0);

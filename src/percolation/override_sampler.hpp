@@ -58,6 +58,7 @@ class OverrideSampler final : public EdgeSampler {
 
  private:
   const EdgeSampler& base_;
+  // lint:allow-hash(a handful of forced edges on any topology; memo_ serves the indexed path)
   std::unordered_map<EdgeKey, bool> overrides_;
   /// Per-edge-id override memo (no-override / forced-closed / forced-open),
   /// lazily resolved from `overrides_` with relaxed publication — override

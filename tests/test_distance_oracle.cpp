@@ -7,7 +7,7 @@
 // admissible and symmetric, and budget denials must degrade to the exact
 // fallback rather than to wrong answers. This suite pins all of that across
 // every topology family — including the butterfly's parallel edges — and
-// carries the dense-scratch regression tests for Topology::distance /
+// carries the BFS-scratch regression tests for Topology::distance /
 // shortest_path (u == v, the unreachable sentinel, parallel edges, and
 // agreement with a naive reference BFS).
 
@@ -188,8 +188,8 @@ TEST(DistanceOracle, UnreachableSentinelMatchesTopologyDistance) {
 }
 
 TEST(DistanceOracle, DenseScratchDistanceRegressions) {
-  // Satellite regressions for the epoch-stamped dense tier that replaced the
-  // hash-map BFS inside Topology::distance / shortest_path.
+  // Regressions for the BFS inside Topology::distance / shortest_path, here
+  // on the dense side of its VertexMarks scratch.
   for (const std::string& spec : {std::string("de_bruijn:5"), std::string("butterfly:3"),
                                   std::string("ccc:3")}) {
     SCOPED_TRACE(spec);
@@ -219,7 +219,7 @@ TEST(DistanceOracle, DenseScratchDistanceRegressions) {
 }
 
 TEST(DistanceOracle, ParallelEdgeExplicitGraphRegressions) {
-  // Parallel edges and the dense tier: distances see the multigraph as its
+  // Parallel edges and the metric BFS: distances see the multigraph as its
   // simple projection; shortest_path stays valid.
   const ExplicitGraph graph(4, {{0, 1}, {0, 1}, {1, 2}, {2, 3}, {2, 3}});
   EXPECT_EQ(graph.distance(0, 1), 1u);

@@ -14,6 +14,7 @@
 #include "graph/cycle_matching.hpp"
 #include "graph/de_bruijn.hpp"
 #include "graph/explicit_graph.hpp"
+#include "graph/hypercube.hpp"
 #include "graph/shuffle_exchange.hpp"
 #include "helpers/reference_edge_ids.hpp"
 #include "helpers/topology_checks.hpp"
@@ -411,6 +412,21 @@ class SlotListTopology final : public Topology {
  private:
   Slots slots_;
 };
+
+TEST(ChannelIndex, RefusesMoreThan32BitChannelsBeforeAllocating) {
+  // 40 * 2^40 directed channels. The refusal must come from num_edges()
+  // alone: the 2^40-entry offset table it would otherwise allocate first
+  // cannot fit in memory.
+  EXPECT_THROW((void)ChannelIndex(Hypercube(40)), std::length_error);
+  try {
+    (void)ChannelIndex(Hypercube(40));
+  } catch (const std::length_error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "hypercube(n=40) has 43980465111040 directed channels; ids are 32-bit"),
+              std::string::npos)
+        << e.what();
+  }
+}
 
 TEST(ChannelIndex, PairingRejectsAChannelWithoutATwin) {
   struct Case {

@@ -10,7 +10,7 @@ in docs/ARCHITECTURE.md and by differential tests:
   hot-alloc
       From the annotated hot roots (`// analyze:hot-root(<name>)`: route_all's
       worker body, run_traffic's step loop, DistanceOracle column builds, the
-      dense BFS scratch paths), no reachable
+      BFS metric on pooled scratch), no reachable
       call may allocate: no `new` / malloc / make_shared, no growing container
       member (push_back / insert / resize / reserve / rehash / ...), no
       sized container construction. Justified warm-up sites carry
@@ -101,7 +101,7 @@ REQUIRED_HOT_ROOTS = (
     "route_all",                  # routing worker body (src/traffic/routing_phase.cpp)
     "run_traffic",                # event-engine step loop (src/traffic/traffic_engine.cpp)
     "DistanceOracle::bfs_block",  # oracle column builds (src/graph/distance_oracle.cpp)
-    "Topology::distance",         # dense BFS scratch path (src/graph/topology.cpp)
+    "Topology::distance",         # BFS metric on pooled scratch (src/graph/topology.cpp)
 )
 REQUIRED_DET_ROOTS = (
     "JsonLinesReporter::report",  # scenario cell emission (src/scenario/reporter.cpp)
@@ -840,8 +840,8 @@ class InternalParser:
                                  f"'{recv or '<expr>'}'"))
             else:
                 # Receiver of unknown type: this may be a project method that
-                # merely shares a container method's name (DenseMarks::emplace
-                # is stamp writes, not growth). Record a call edge so the
+                # merely shares a container method's name (VertexMarks::emplace
+                # is stamp writes on its dense side, not growth). Record a call edge so the
                 # graph traverses into the real definition, plus a conditional
                 # op the rule engine fires only when nothing resolves.
                 site = CallSite(callee, line, args, is_member)

@@ -20,8 +20,8 @@ compiler, a grep in a reviewer's head) knows about:
 
   no-hash-in-hot-paths
       `std::unordered_map` / `std::unordered_set` are banned in the hot-path
-      directories (src/traffic, src/graph, src/core/routers): PRs 3-7 moved
-      every hot structure to dense-id arrays, and a hash container sneaking
+      directories (src/traffic, src/graph, src/core/routers, src/percolation):
+      hot structures live in dense-id arrays, and a hash container sneaking
       back in is almost always a perf regression. A deliberate exception
       (cold path, differential baseline, fallback for huge graphs) carries a
       `// lint:allow-hash(<reason>)` tag on the same or the previous line.
@@ -92,6 +92,7 @@ HOT_PATH_DIRS = (
     Path("src") / "traffic",
     Path("src") / "graph",
     Path("src") / "core" / "routers",
+    Path("src") / "percolation",
 )
 
 # Files whose relaxed-atomic use has a reviewed concurrency model (TSan'd by
