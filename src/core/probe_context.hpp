@@ -107,8 +107,8 @@ class ProbeContext {
   /// snapshot of `graph` (graph/flat_adjacency.hpp); when given, probes
   /// resolve neighbor / edge key / edge id with array loads instead of
   /// virtual dispatch — a pure representation change, observable-identical
-  /// to the implicit path, composing with either probe-state backend. Must
-  /// be a snapshot of `graph` and outlive the context. `oracle`: optional
+  /// to the implicit path. Must be a snapshot of `graph` and outlive the
+  /// context. `oracle`: optional
   /// cached fault-free DistanceOracle for `graph` (graph/distance_oracle
   /// .hpp); metric routers fetch per-target distance columns through
   /// target_distances() below. Purely an accelerator for graph.distance —

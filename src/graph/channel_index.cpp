@@ -20,23 +20,21 @@ namespace {
                          "; the neighbor/edge_key symmetry contract is violated");
 }
 
+}  // namespace
+
 /// Channel ids are 32-bit; a topology with more directed channels is refused.
-[[noreturn]] void throw_too_many_channels(const Topology& graph, std::uint64_t channels) {
+void ChannelIndex::throw_too_many_channels(const Topology& graph, std::uint64_t channels) {
+  // analyze:allow-throw-safety(size refusal; run_scenario raises it in the fail-fast phase, before the cell loop)
   throw std::length_error("ChannelIndex: " + graph.name() + " has " +
                           std::to_string(channels) +
                           " directed channels; ids are 32-bit (max 4294967295)");
 }
 
-}  // namespace
-
 ChannelIndex::ChannelIndex(const Topology& graph) : graph_(&graph) {
-  constexpr std::uint64_t kMaxChannels = std::numeric_limits<std::uint32_t>::max();
-  // By the handshake lemma the degrees sum to 2 * num_edges(), so an
-  // oversized topology is refused before the vertex-sized offset table is
-  // allocated or a single degree() is asked. The check after the loop
-  // still guards a family whose num_edges() disagrees with its degrees.
-  const std::uint64_t edges = graph.num_edges();
-  if (edges > kMaxChannels / 2) throw_too_many_channels(graph, 2 * edges);
+  // Refused before the vertex-sized offset table is allocated or a single
+  // degree() is asked. The check after the loop still guards a family whose
+  // num_edges() disagrees with its degrees.
+  check_capacity(graph);
   const std::uint64_t n = graph.num_vertices();
   offsets_.resize(n + 1);
   std::uint64_t total = 0;
@@ -45,7 +43,7 @@ ChannelIndex::ChannelIndex(const Topology& graph) : graph_(&graph) {
     total += static_cast<std::uint64_t>(graph.degree(v));
   }
   offsets_[n] = total;
-  if (total > kMaxChannels) throw_too_many_channels(graph, total);
+  if (total > std::numeric_limits<std::uint32_t>::max()) throw_too_many_channels(graph, total);
   num_channels_ = static_cast<std::uint32_t>(total);
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <mutex>
 #include <vector>
 
@@ -31,6 +32,18 @@ namespace faultroute {
 class ChannelIndex {
  public:
   explicit ChannelIndex(const Topology& graph);
+
+  /// Throws the constructor's std::length_error when `graph`'s
+  /// 2·num_edges() directed channels cannot have 32-bit ids. O(1) and
+  /// allocation-free, so a request too large to simulate can be refused
+  /// before anything vertex-sized (a workload, the index itself) is built.
+  static void check_capacity(const Topology& graph) {
+    // By the handshake lemma the degrees sum to 2 * num_edges().
+    const std::uint64_t edges = graph.num_edges();
+    if (edges > std::numeric_limits<std::uint32_t>::max() / 2) {
+      throw_too_many_channels(graph, 2 * edges);
+    }
+  }
 
   /// Total directed channels (== degree sum of the graph).
   [[nodiscard]] std::uint32_t num_channels() const { return num_channels_; }
@@ -102,6 +115,8 @@ class ChannelIndex {
   [[nodiscard]] const std::uint64_t* offsets_data() const { return offsets_.data(); }
 
  private:
+  [[noreturn]] static void throw_too_many_channels(const Topology& graph,
+                                                   std::uint64_t channels);
   void build_edge_ids() const;
 
   const Topology* graph_;

@@ -1,7 +1,5 @@
 #include "graph/flat_adjacency.hpp"
 
-#include <stdexcept>
-
 #include "graph/bfs_scratch.hpp"
 #include "graph/distance_oracle.hpp"
 #include "obs/counter_registry.hpp"
@@ -46,27 +44,6 @@ const DistanceOracle& FlatAdjacency::distance_oracle() const {
   std::call_once(oracle_once_,
                  [this] { oracle_ = std::make_unique<DistanceOracle>(*this); });
   return *oracle_;
-}
-
-AdjacencyMode parse_adjacency_mode(const std::string& name) {
-  if (name == "flat") return AdjacencyMode::kFlat;
-  if (name == "implicit") return AdjacencyMode::kImplicit;
-  if (name == "auto") return AdjacencyMode::kAuto;
-  // analyze:allow-throw-safety(config parse error raised during scenario setup)
-  throw std::invalid_argument("adjacency mode must be 'flat', 'implicit', or 'auto', got '" +
-                              name + "'");
-}
-
-std::string adjacency_mode_name(AdjacencyMode mode) {
-  switch (mode) {
-    case AdjacencyMode::kFlat:
-      return "flat";
-    case AdjacencyMode::kImplicit:
-      return "implicit";
-    case AdjacencyMode::kAuto:
-      return "auto";
-  }
-  return "auto";  // unreachable
 }
 
 const FlatAdjacency* resolve_adjacency(const Topology& graph, AdjacencyMode mode,

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "graph/channel_index.hpp"
@@ -34,8 +33,8 @@ class MappedSnapshot;
 /// by caching both on the topology). Memory cost: 16 bytes per directed
 /// channel of its own (neighbor + key), on top of the index's 4 per channel
 /// and 8 per vertex, which is why huge implicit topologies keep the virtual
-/// path: AdjacencyMode below selects per call site, and kAuto materializes
-/// only when num_vertices() fits a budget.
+/// path: kAuto (AdjacencyMode below) materializes only when num_vertices()
+/// fits a budget.
 ///
 /// Besides the owning build above, a snapshot can be a *non-owning view*
 /// over a memory-mapped on-disk snapshot (graph/snapshot.hpp): the view
@@ -146,7 +145,8 @@ class FlatAdjacency {
 
 /// Which adjacency backend a hot path resolves queries through. Every
 /// observable result is bit-identical across modes; the choice trades CSR
-/// memory for speed.
+/// memory for speed. Library paths take kAuto, so the choice follows from
+/// the vertex count; kFlat and kImplicit let tests force either side.
 enum class AdjacencyMode {
   kFlat,      ///< always materialize (cached) — the fast path
   kImplicit,  ///< always the virtual Topology interface — huge graphs
@@ -156,13 +156,8 @@ enum class AdjacencyMode {
 /// Default kAuto materialization budget: snapshot when the graph has at most
 /// this many vertices. At constant degree d the snapshot costs ~20·2d bytes
 /// per vertex, so 2^20 vertices tops out around a few hundred MB for the
-/// densest library families — past that, stay implicit unless asked.
+/// densest library families — past that, stay implicit.
 inline constexpr std::uint64_t kDefaultFlatBudgetVertices = 1ull << 20;
-
-/// Parses "flat" / "implicit" / "auto" (throws std::invalid_argument
-/// otherwise); the inverse of adjacency_mode_name.
-[[nodiscard]] AdjacencyMode parse_adjacency_mode(const std::string& name);
-[[nodiscard]] std::string adjacency_mode_name(AdjacencyMode mode);
 
 /// Resolves a mode against a topology: the cached snapshot for kFlat,
 /// nullptr (= use the virtual interface) for kImplicit, and for kAuto the

@@ -98,9 +98,9 @@ std::string header_line(const ScenarioSpec& spec) {
 
 std::uint64_t spec_fingerprint(const ScenarioSpec& spec) {
   // Exactly the fields cell values depend on, in a fixed order with
-  // unambiguous framing. name/threads/adjacency/snapshot_dir are
-  // deliberately absent: they never change results, so resuming under a
-  // different thread count or adjacency backend is legal.
+  // unambiguous framing. name/threads/snapshot_dir are deliberately
+  // absent: they never change results, so resuming under a different
+  // thread count or with a snapshot directory is legal.
   std::ostringstream buffer;
   const char sep = '\x1f';
   for (const auto& t : spec.topologies) buffer << 't' << sep << t << sep;

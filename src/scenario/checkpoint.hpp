@@ -29,9 +29,9 @@ namespace faultroute::scenario {
 ///
 /// The header fingerprint hashes exactly the result-determining spec fields
 /// (axes, messages, trials, seed, capacity, budget, max_steps) — and *not*
-/// name / threads / adjacency / snapshot_dir, which never change
-/// results — so a resume under a different thread count or adjacency
-/// backend legitimately reuses the journal, while any edit that would
+/// name / threads / snapshot_dir, which never change results — so a
+/// resume under a different thread count or with a snapshot directory
+/// legitimately reuses the journal, while any edit that would
 /// change cell values is refused with a diagnostic. Doubles are serialized
 /// as C hexfloats (%a), which round-trip exactly; replayed cells therefore
 /// re-render byte-identically in reports, and a resumed run's report equals

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/parallel.hpp"
+#include "graph/channel_index.hpp"
 #include "graph/snapshot.hpp"
 #include "obs/run_metrics.hpp"
 #include "scenario/checkpoint.hpp"
@@ -65,6 +66,9 @@ RunSummary run_scenario(const ScenarioSpec& spec, Reporter& reporter,
   topologies.reserve(spec.topologies.size());
   for (const auto& topo_spec : spec.topologies) {
     topologies.push_back(sim::make_topology(topo_spec));
+    // Every cell delivers over the topology's ChannelIndex; refuse one too
+    // large for it now, before any cell draws a vertex-sized workload.
+    ChannelIndex::check_capacity(*topologies.back());
   }
   for (const auto& topology : topologies) {
     for (const auto& router : spec.routers) (void)sim::make_router(router, *topology);
@@ -157,7 +161,6 @@ RunSummary run_scenario(const ScenarioSpec& spec, Reporter& reporter,
       if (spec.probe_budget > 0) config.probe_budget = spec.probe_budget;
       config.max_steps = spec.max_steps;
       config.threads = 1;  // parallelism is across cells, not within one
-      config.adjacency = parse_adjacency_mode(spec.adjacency);
       config.flat_snapshot = snapshots[coords.topology].get();
       config.metrics = options.metrics;  // counters merge across cells; the
                                          // registry shards per worker thread

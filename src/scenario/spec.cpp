@@ -125,15 +125,13 @@ void apply_scenario_assignments(ScenarioSpec& spec, const std::string& text) {
       spec.probe_budget = parse_u64(key, value);
     } else if (key == "max_steps") {
       spec.max_steps = parse_u64(key, value);
-    } else if (key == "adjacency") {
-      spec.adjacency = value;
     } else if (key == "snapshot_dir") {
       spec.snapshot_dir = value;
     } else {
       throw std::invalid_argument(
           "scenario: unknown key '" + key +
           "' (known: name, topology, router, workload, p, messages, trials, seed, threads, "
-          "capacity, budget, max_steps, adjacency, snapshot_dir)");
+          "capacity, budget, max_steps, snapshot_dir)");
     }
   }
 }
@@ -151,9 +149,6 @@ void validate_scenario(const ScenarioSpec& spec) {
   if (spec.messages == 0) fail("messages", "must be >= 1");
   if (spec.trials == 0) fail("trials", "must be >= 1");
   if (spec.edge_capacity == 0) fail("capacity", "must be >= 1");
-  if (spec.adjacency != "flat" && spec.adjacency != "implicit" && spec.adjacency != "auto") {
-    fail("adjacency", "must be 'flat', 'implicit', or 'auto', got '" + spec.adjacency + "'");
-  }
   // The runner buffers one CellResult per cell (a few hundred bytes each) to
   // report in deterministic order, so cap the cross-product well below
   // memory trouble; larger sweeps should be split across scenario files.

@@ -28,7 +28,6 @@ namespace faultroute::scenario {
 ///   capacity  = 1                        # edge capacity, msgs/step (>= 1)
 ///   budget    = 0                        # probe budget per message (0 = off)
 ///   max_steps = 0                        # delivery-step safety cap (0 = off)
-///   adjacency = auto                     # flat | implicit | auto (CSR snapshot or not)
 ///   snapshot_dir = snapshots             # mmap CSR snapshots from this dir (default off)
 struct ScenarioSpec {
   std::string name = "scenario";
@@ -43,11 +42,6 @@ struct ScenarioSpec {
   std::uint64_t edge_capacity = 1;
   std::uint64_t probe_budget = 0;  // 0 = unbounded
   std::uint64_t max_steps = 0;     // 0 = unbounded
-  /// Adjacency backend of every cell's routing phase ("flat", "implicit",
-  /// or "auto" — see graph/flat_adjacency.hpp). Results are bit-identical
-  /// across backends; "implicit" needs no CSR memory on graphs too large
-  /// for one.
-  std::string adjacency = "auto";
   /// When non-empty, the runner resolves each topology's CSR adjacency from
   /// this directory of on-disk snapshots (graph/snapshot.hpp, built with
   /// `faultroute snapshot build`): present snapshots are mmap'd instead of

@@ -101,19 +101,15 @@ std::vector<RoutedJourney> route_and_validate(
   // One adjacency resolution for the whole batch: every probe, validation
   // scan, and slot resolution below goes through the same backend. An
   // externally provided snapshot (config.flat_snapshot — e.g. an mmap view
-  // from a snapshot directory) short-circuits materialization for every
-  // mode but kImplicit.
+  // from a snapshot directory) costs no build, so it bypasses the vertex
+  // budget; otherwise the CSR is materialized iff the graph fits it.
   const FlatAdjacency* flat =
-      config.adjacency == AdjacencyMode::kImplicit
-          ? nullptr
-          : (config.flat_snapshot != nullptr
-                 ? config.flat_snapshot
-                 : resolve_adjacency(graph, config.adjacency, config.flat_budget_vertices));
+      config.flat_snapshot != nullptr
+          ? config.flat_snapshot
+          : resolve_adjacency(graph, AdjacencyMode::kAuto, config.flat_budget_vertices);
   const AdjacencyView adj(graph, flat);
 
-  std::optional<SharedProbeCache> cache;
-  const EdgeSampler* env = &sampler;
-  if (config.use_shared_cache) env = &cache.emplace(sampler, graph);
+  const SharedProbeCache cache(sampler, graph);
 
   // On the flat path, classify the batch's router via one prototype —
   // factories hand out identically-behaving routers, that is what makes
@@ -138,18 +134,16 @@ std::vector<RoutedJourney> route_and_validate(
   }
   {
     const obs::PhaseProfiler::Scope route_scope(profiler, "route");
-    route_all(graph, *env, make_router, prototype, messages, config, flat, oracle,
+    route_all(graph, cache, make_router, prototype, messages, config, flat, oracle,
               result.outcomes, paths);
   }
   // Hit/miss totals are exact, not approximate, in this pipeline: the
   // per-message memo means the cache sees one lookup per (message, edge),
   // so hits + misses == total_distinct_probes and misses ==
   // unique_edges_probed, deterministically (see TrafficResult::cache_hits).
-  if (cache) {
-    result.unique_edges_probed = cache->unique_edges();
-    result.cache_hits = cache->approx_hits();
-    result.cache_misses = cache->approx_misses();
-  }
+  result.unique_edges_probed = cache.unique_edges();
+  result.cache_hits = cache.approx_hits();
+  result.cache_misses = cache.approx_misses();
 
   // Validate paths and resolve every hop's incident slot.
   const obs::PhaseProfiler::Scope validate_scope(profiler, "validate");

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/edge_load.hpp"
 #include "graph/channel_index.hpp"
 #include "obs/run_metrics.hpp"
 #include "traffic/routing_phase.hpp"
@@ -209,11 +208,17 @@ TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampler,
   // ------------------------------------------------------------- aggregation
   delivery_scope.reset();
   const obs::PhaseProfiler::Scope aggregate_scope(profiler, "aggregate");
-  const EdgeLoadStats congestion = summarize_edge_id_load(edge_load, used_edges);
-  result.transmissions = congestion.total;
-  result.max_edge_load = congestion.max_load;
-  result.edges_used = congestion.edges_used;
-  result.mean_edge_load = congestion.mean_load;
+  // Congestion over undirected edges, O(edges used): `used_edges` lists
+  // every loaded id exactly once.
+  for (const std::uint32_t edge : used_edges) {
+    result.transmissions += edge_load[edge];
+    result.max_edge_load = std::max(result.max_edge_load, edge_load[edge]);
+  }
+  result.edges_used = used_edges.size();
+  if (result.edges_used > 0) {
+    result.mean_edge_load = static_cast<double>(result.transmissions) /
+                            static_cast<double>(result.edges_used);
+  }
 
   double delay_sum = 0.0;
   double hops_sum = 0.0;

@@ -31,30 +31,21 @@ struct TrafficConfig {
   /// Worker threads for the routing phase (0 = hardware concurrency). The
   /// result is bit-identical for every thread count.
   unsigned threads = 0;
-  /// Route through a SharedProbeCache so concurrent messages amortise
-  /// environment discovery. Turning it off only disables the optimisation;
-  /// results are unchanged (the cache is semantically transparent).
-  bool use_shared_cache = true;
-  /// Adjacency backend for routing, validation, and journey compilation:
-  /// kFlat resolves every neighbor / edge-key / edge-id query through the
-  /// topology's CSR snapshot (Topology::flat_adjacency()), kImplicit through
-  /// the virtual interface, kAuto picks flat iff num_vertices() fits
-  /// `flat_budget_vertices`. Outcomes and counters are bit-identical across
-  /// modes (tests/test_traffic_differential.cpp); flat is faster, implicit
-  /// needs no CSR memory, so leave it on auto.
-  AdjacencyMode adjacency = AdjacencyMode::kAuto;
-  /// kAuto's materialization budget: snapshot topologies with at most this
-  /// many vertices (~20 bytes per directed channel once, cached).
+  /// Adjacency budget of the routing phase, validation, and journey
+  /// compilation: graphs with at most this many vertices route over the
+  /// topology's CSR snapshot (Topology::flat_adjacency(), ~20 bytes per
+  /// directed channel once, cached), larger ones over the virtual interface
+  /// without CSR memory. Outcomes and counters are bit-identical either way
+  /// (tests/test_traffic_differential.cpp); 0 forces the virtual interface.
   std::uint64_t flat_budget_vertices = kDefaultFlatBudgetVertices;
   /// When non-null, the routing phase resolves flat-adjacency queries
   /// through this externally provided snapshot — typically a memory-mapped
   /// view opened from a snapshot directory (graph/snapshot.hpp /
   /// open_snapshot_adjacency) — instead of materializing one via
-  /// resolve_adjacency. Honoured for every adjacency mode except kImplicit,
-  /// *including* kAuto above flat_budget_vertices: a mapped view costs no
-  /// build, so the materialization budget does not apply and huge graphs
-  /// keep the CSR fast path. Must describe the same topology (bit-identical
-  /// results are pinned by tests/test_snapshot.cpp) and outlive the run.
+  /// resolve_adjacency. A mapped view costs no build, so the vertex budget
+  /// does not apply and huge graphs keep the CSR fast path. Must describe
+  /// the same topology (bit-identical results are pinned by
+  /// tests/test_snapshot.cpp) and outlive the run.
   const FlatAdjacency* flat_snapshot = nullptr;
   /// Verify every returned path against the environment; invalid paths are
   /// counted and the message dropped from the delivery simulation.
@@ -100,15 +91,13 @@ struct TrafficResult {
 
   // Probe economics (the SharedProbeCache amortisation).
   std::uint64_t total_distinct_probes = 0;  // summed per-message Definition-2 cost
-  /// Union over messages = batch discovery cost. Only tracked when
-  /// use_shared_cache is on (0 otherwise).
+  /// Union over messages = batch discovery cost.
   std::uint64_t unique_edges_probed = 0;
   /// SharedProbeCache hit/miss split of the batch's distinct probes. Exact
   /// and deterministic despite concurrent routing: ProbeContext memoises per
   /// message, so the cache sees each (message, edge) pair once, giving
   /// cache_hits + cache_misses == total_distinct_probes and
-  /// cache_misses == unique_edges_probed. Both 0 when use_shared_cache is
-  /// off.
+  /// cache_misses == unique_edges_probed.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   /// total_distinct_probes / unique_edges_probed: how many times the batch

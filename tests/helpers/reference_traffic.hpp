@@ -17,8 +17,8 @@
 // The contract is run_traffic's (traffic/traffic_engine.hpp), and every
 // field of the result must match it, except `channels`, which the reference
 // has no channel index for and leaves at 0. `config.threads`,
-// `config.adjacency`, `config.flat_snapshot` and `config.metrics` are
-// ignored: none of them may change a result.
+// `config.flat_budget_vertices`, `config.flat_snapshot` and
+// `config.metrics` are ignored: none of them may change a result.
 
 #include <algorithm>
 #include <cstdint>
@@ -85,10 +85,7 @@ inline TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampl
   result.outcomes.resize(messages.size());
 
   // ---------------------------------------------------------------- routing
-  std::optional<MapProbeCache> cache;
-  const EdgeSampler& env =
-      config.use_shared_cache ? static_cast<const EdgeSampler&>(cache.emplace(sampler))
-                              : sampler;
+  const MapProbeCache cache(sampler);
   const auto router = make_router();
   std::vector<std::vector<Channel>> journeys(messages.size());
   for (std::size_t i = 0; i < messages.size(); ++i) {
@@ -98,7 +95,7 @@ inline TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampl
 
     Path path{msg.source};
     if (msg.source != msg.target) {
-      ProbeContext ctx(graph, env, msg.source, router->required_mode(), config.probe_budget);
+      ProbeContext ctx(graph, cache, msg.source, router->required_mode(), config.probe_budget);
       std::optional<Path> routed;
       try {
         routed = router->route(ctx, msg.source, msg.target);
@@ -144,11 +141,9 @@ inline TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampl
   for (const MessageOutcome& out : result.outcomes) {
     result.total_distinct_probes += out.distinct_probes;
   }
-  if (cache) {
-    result.unique_edges_probed = cache->unique_edges();
-    result.cache_hits = cache->hits();
-    result.cache_misses = cache->misses();
-  }
+  result.unique_edges_probed = cache.unique_edges();
+  result.cache_hits = cache.hits();
+  result.cache_misses = cache.misses();
 
   // --------------------------------------------------------------- delivery
   // Each step: admit the messages due now to their next channel queue in

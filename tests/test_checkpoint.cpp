@@ -219,7 +219,6 @@ TEST(CheckpointFingerprint, IgnoresPresentationOnlyFields) {
   ScenarioSpec other = base;
   other.name = "renamed";
   other.threads = 7;
-  other.adjacency = "implicit";
   other.snapshot_dir = "somewhere";
   EXPECT_EQ(spec_fingerprint(other), fp);  // none of these change results
 }

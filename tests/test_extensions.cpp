@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hpp"
-#include "core/permutation_routing.hpp"
 #include "core/probe_context.hpp"
 #include "core/routers/hybrid_router.hpp"
 #include "core/routers/landmark_router.hpp"
@@ -125,59 +124,6 @@ TEST(HybridRouter, CheaperThanLandmarkWhenFaultsAreLight) {
   }
   ASSERT_GT(cases, 5);
   EXPECT_LT(hybrid_total, landmark_total);
-}
-
-// --------------------------------------------------- Permutation routing
-
-TEST(PermutationRouting, FaultFreeMeshAllRouted) {
-  const Mesh g(2, 8);
-  const HashEdgeSampler s(1.0, 1);
-  PermutationRoutingConfig config;
-  config.pairs = 40;
-  config.pair_seed = 7;
-  const auto result = route_permutation(
-      g, s, [] { return std::make_unique<LandmarkRouter>(); }, config);
-  EXPECT_EQ(result.failed, 0u);
-  EXPECT_EQ(result.skipped_disconnected, 0u);
-  EXPECT_EQ(result.routed, result.pairs);
-  EXPECT_GE(result.max_edge_load, 1u);
-  EXPECT_GE(result.mean_edge_load, 1.0);
-  EXPECT_GT(result.mean_path_length(), 0.0);
-}
-
-TEST(PermutationRouting, SkipsDisconnectedPairs) {
-  const Mesh g(2, 8);
-  const HashEdgeSampler s(0.45, 3);  // subcritical-ish: many pairs cut off
-  PermutationRoutingConfig config;
-  config.pairs = 40;
-  const auto result = route_permutation(
-      g, s, [] { return std::make_unique<LandmarkRouter>(); }, config);
-  EXPECT_GT(result.skipped_disconnected, 0u);
-  EXPECT_EQ(result.failed, 0u);  // conditioning guarantees routability
-}
-
-TEST(PermutationRouting, BudgetCountsAsFailed) {
-  const Hypercube g(8);
-  const HashEdgeSampler s(0.8, 5);
-  PermutationRoutingConfig config;
-  config.pairs = 20;
-  config.probe_budget = 3;  // absurd budget
-  const auto result = route_permutation(
-      g, s, [] { return std::make_unique<LandmarkRouter>(); }, config);
-  EXPECT_GT(result.failed, 0u);
-}
-
-TEST(PermutationRouting, CongestionGrowsWithLoad) {
-  const Mesh g(2, 6);
-  const HashEdgeSampler s(1.0, 1);
-  PermutationRoutingConfig few;
-  few.pairs = 5;
-  PermutationRoutingConfig many;
-  many.pairs = 80;
-  const auto make = [] { return std::make_unique<LandmarkRouter>(); };
-  const auto light = route_permutation(g, s, make, few);
-  const auto heavy = route_permutation(g, s, make, many);
-  EXPECT_GE(heavy.max_edge_load, light.max_edge_load);
 }
 
 // ------------------------------------------------------ Parallel trials

@@ -2,15 +2,14 @@
 //
 // The snapshot (graph/flat_adjacency.hpp) is a pure representation change:
 // every slot of every row must agree with the implicit virtual interface,
-// and every pipeline that can run over it — routing, traffic, percolation
-// analyses, permutation batches — must produce bit-identical results under
+// and every pipeline that can run over it — probing, routing, traffic,
+// percolation analyses — must produce bit-identical results under
 // AdjacencyMode::kFlat and kImplicit. This suite pins both: property tests
 // across every registered topology family (including the k=2 wrapped
 // butterfly's parallel edges), and differential runs of the percolation
-// analyses and permutation batches. The traffic engine's flat and implicit
-// paths are held to the naive reference in test_traffic_differential.cpp.
-// The satellite pieces ride along: the indexed-memo samplers and the dense
-// edge-load accumulation.
+// analyses. The traffic engine's flat and implicit paths are held to the
+// naive reference in test_traffic_differential.cpp. The indexed-memo
+// samplers ride along.
 
 #include <gtest/gtest.h>
 
@@ -20,8 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "core/edge_load.hpp"
-#include "core/permutation_routing.hpp"
 #include "core/probe_context.hpp"
 #include "graph/channel_index.hpp"
 #include "graph/explicit_graph.hpp"
@@ -218,15 +215,6 @@ TEST(FlatAdjacency, ResolveAdjacencyHonoursModeAndBudget) {
   EXPECT_EQ(resolve_adjacency(cube, AdjacencyMode::kAuto, 31), nullptr);
 }
 
-TEST(FlatAdjacency, ModeNamesRoundTripAndRejectGarbage) {
-  for (const AdjacencyMode mode :
-       {AdjacencyMode::kFlat, AdjacencyMode::kImplicit, AdjacencyMode::kAuto}) {
-    EXPECT_EQ(parse_adjacency_mode(adjacency_mode_name(mode)), mode);
-  }
-  EXPECT_THROW((void)parse_adjacency_mode("dense"), std::invalid_argument);
-  EXPECT_THROW((void)parse_adjacency_mode(""), std::invalid_argument);
-}
-
 // ---------------------------------------------------------------- probing
 
 TEST(FlatAdjacency, ProbeContextFlatPathMatchesImplicitOnBothBackends) {
@@ -263,29 +251,6 @@ TEST(FlatAdjacency, ProbeContextFlatPathMatchesImplicitOnBothBackends) {
   EXPECT_EQ(implicit_hash, implicit_dense);
   EXPECT_EQ(implicit_hash, flat_dense);
   EXPECT_EQ(flat.graph().num_vertices(), graph->num_vertices());
-}
-
-// ------------------------------------------------------------ permutation
-
-TEST(FlatAdjacencyPermutation, PermutationBatchMatchesAcrossBackends) {
-  const auto graph = sim::make_topology("de_bruijn:6");
-  const HashEdgeSampler env(0.6, 21);
-  const auto factory = [&]() { return sim::make_router("landmark", *graph); };
-  PermutationRoutingConfig flat_config;
-  flat_config.pairs = 64;
-  flat_config.adjacency = AdjacencyMode::kFlat;
-  PermutationRoutingConfig implicit_config = flat_config;
-  implicit_config.adjacency = AdjacencyMode::kImplicit;
-  const auto a = route_permutation(*graph, env, factory, flat_config);
-  const auto b = route_permutation(*graph, env, factory, implicit_config);
-  EXPECT_EQ(a.pairs, b.pairs);
-  EXPECT_EQ(a.routed, b.routed);
-  EXPECT_EQ(a.failed, b.failed);
-  EXPECT_EQ(a.skipped_disconnected, b.skipped_disconnected);
-  EXPECT_EQ(a.total_probes, b.total_probes);
-  EXPECT_EQ(a.total_path_edges, b.total_path_edges);
-  EXPECT_EQ(a.max_edge_load, b.max_edge_load);
-  EXPECT_EQ(a.mean_edge_load, b.mean_edge_load);
 }
 
 // ------------------------------------------------------------- percolation
@@ -420,41 +385,18 @@ TEST(IndexedMemoSamplers, OverrideSamplerNeverServesStaleBaseAnswers) {
   EXPECT_TRUE(sampler.is_open_indexed(id, key));
 }
 
-// -------------------------------------------------------------- edge load
-
-TEST(DenseEdgeLoad, IdAndKeyAccumulationsSummarizeIdentically) {
-  const auto graph = sim::make_topology("butterfly:2");
-  const FlatAdjacency& flat = graph->flat_adjacency();
-  std::unordered_map<EdgeKey, std::uint64_t> by_key;
-  std::vector<std::uint64_t> by_id(flat.num_edge_ids(), 0);
-  std::vector<std::uint32_t> used;
-  Rng rng(17);
-  for (int hit = 0; hit < 500; ++hit) {
-    const VertexId v = uniform_below(rng, graph->num_vertices());
-    const int deg = graph->degree(v);
-    if (deg == 0) continue;
-    const int i = static_cast<int>(uniform_below(rng, static_cast<std::uint64_t>(deg)));
-    ++by_key[flat.edge_key(v, i)];
-    const std::uint32_t id = flat.edge_id(v, i);
-    if (by_id[id]++ == 0) used.push_back(id);
-  }
-  const EdgeLoadStats keyed = summarize_edge_load(by_key);
-  const EdgeLoadStats dense = summarize_edge_id_load(by_id, used);
-  EXPECT_EQ(dense.max_load, keyed.max_load);
-  EXPECT_EQ(dense.edges_used, keyed.edges_used);
-  EXPECT_EQ(dense.total, keyed.total);
-  EXPECT_EQ(dense.mean_load, keyed.mean_load);
-}
-
 // ---------------------------------------------------------------- scenario
 
-TEST(ScenarioAdjacencyKey, ParsesValidatesAndRejectsGarbage) {
-  const scenario::ScenarioSpec spec =
-      scenario::parse_scenario("topology = hypercube:5; adjacency = implicit");
-  EXPECT_EQ(spec.adjacency, "implicit");
-  EXPECT_EQ(scenario::parse_scenario("topology = hypercube:5").adjacency, "auto");
-  EXPECT_THROW((void)scenario::parse_scenario("topology = hypercube:5; adjacency = dense"),
-               std::invalid_argument);
+TEST(ScenarioAdjacencyKey, RetiredKeyIsRefusedByName) {
+  // The backend follows from the vertex count alone; a spec that still asks
+  // for one must fail loudly rather than silently run on the default.
+  try {
+    (void)scenario::parse_scenario("topology = hypercube:5; adjacency = implicit");
+    FAIL() << "the retired adjacency key was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown key 'adjacency'"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

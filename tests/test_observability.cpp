@@ -262,16 +262,6 @@ TEST(TrafficCacheCounters, HitMissSplitObeysExactIdentities) {
   EXPECT_GT(result.cache_hits, 0u);  // a permutation batch always shares edges
 }
 
-TEST(TrafficCacheCounters, ZeroWhenSharedCacheIsOff) {
-  const TrafficFixture fx;
-  TrafficConfig config;
-  config.use_shared_cache = false;
-  const auto result =
-      run_traffic(fx.graph, fx.sampler, best_first_factory(), fx.messages, config);
-  EXPECT_EQ(result.cache_hits, 0u);
-  EXPECT_EQ(result.cache_misses, 0u);
-}
-
 TEST(TrafficCacheCounters, AppearInTheReportTable) {
   const TrafficFixture fx;
   const auto result =

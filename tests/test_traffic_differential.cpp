@@ -81,18 +81,19 @@ void expect_identical(const TrafficResult& fast, const TrafficResult& ref,
   }
 }
 
-/// One way the engine can resolve adjacency.
+/// One way the engine can resolve adjacency: the CSR under the default
+/// vertex budget, the virtual interface under a zero budget, or an mmap'd
+/// snapshot view.
 struct Backend {
   std::string name;
-  AdjacencyMode adjacency;
-  const FlatAdjacency* snapshot = nullptr;  // mmap'd view, honoured unless implicit
+  std::uint64_t flat_budget_vertices = kDefaultFlatBudgetVertices;
+  const FlatAdjacency* snapshot = nullptr;
 };
 
 /// Flat and implicit adjacency, plus the snapshot view when one is given.
 std::vector<Backend> backends(const FlatAdjacency* view) {
-  std::vector<Backend> all = {{"flat", AdjacencyMode::kFlat},
-                              {"implicit", AdjacencyMode::kImplicit}};
-  if (view != nullptr) all.push_back({"snapshot", AdjacencyMode::kAuto, view});
+  std::vector<Backend> all = {{"flat"}, {"implicit", /*flat_budget_vertices=*/0}};
+  if (view != nullptr) all.push_back({"snapshot", kDefaultFlatBudgetVertices, view});
   return all;
 }
 
@@ -120,7 +121,7 @@ void check_against_reference(const Topology& graph, const EdgeSampler& env,
   const TrafficResult expected = reference::run_traffic(graph, env, factory, messages, config);
   for (const Backend& backend : modes) {
     TrafficConfig fast = config;
-    fast.adjacency = backend.adjacency;
+    fast.flat_budget_vertices = backend.flat_budget_vertices;
     fast.flat_snapshot = backend.snapshot;
     for (const unsigned threads : {1u, 2u, 4u}) {
       fast.threads = threads;
@@ -202,7 +203,7 @@ struct RouterCase {
   std::uint64_t budget = 0;  // 0 = unbounded
 };
 
-void check_router_case(const RouterCase& c, bool shared_cache) {
+void check_router_case(const RouterCase& c) {
   const auto graph = sim::make_topology(c.topology);
   const HashEdgeSampler env(c.p, derive_seed(2005, 7));
   WorkloadConfig workload = sim::make_workload(c.workload);
@@ -212,14 +213,12 @@ void check_router_case(const RouterCase& c, bool shared_cache) {
   const auto factory = [&]() { return sim::make_router(c.router, *graph); };
 
   TrafficConfig config;
-  config.use_shared_cache = shared_cache;
   if (c.budget > 0) config.probe_budget = c.budget;
   const auto view = snapshot_view(c.topology, *graph);
   check_against_reference(*graph, env, factory, messages, config, backends(view.get()),
                           c.topology + "/" + c.router + "/" + c.workload +
                               " p=" + std::to_string(c.p) +
-                              " budget=" + std::to_string(c.budget) +
-                              (shared_cache ? " cached" : " uncached"));
+                              " budget=" + std::to_string(c.budget));
 }
 
 TEST(TrafficDifferential, SearchRoutersOnTheFlatPath) {
@@ -236,7 +235,7 @@ TEST(TrafficDifferential, SearchRoutersOnTheFlatPath) {
       {"complete:128", "bidirectional", "random-pairs", 0.03},
       {"butterfly:2", "bidirectional", "random-pairs", 0.7},  // parallel edges
   };
-  for (const auto& c : cases) check_router_case(c, /*shared_cache=*/true);
+  for (const auto& c : cases) check_router_case(c);
 }
 
 TEST(TrafficDifferential, MetricRoutersWithAndWithoutTheDistanceOracle) {
@@ -253,7 +252,7 @@ TEST(TrafficDifferential, MetricRoutersWithAndWithoutTheDistanceOracle) {
       {"hypercube:7", "greedy", "hotspot:0", 0.7},
       {"torus:2:12", "hybrid", "poisson:2", 0.7},
   };
-  for (const auto& c : cases) check_router_case(c, /*shared_cache=*/true);
+  for (const auto& c : cases) check_router_case(c);
 }
 
 TEST(TrafficDifferential, LandmarkAndGnpRouters) {
@@ -270,15 +269,7 @@ TEST(TrafficDifferential, LandmarkAndGnpRouters) {
       {"complete:128", "gnp-oracle", "random-pairs", 0.03},
       {"complete:128", "gnp-local", "random-pairs", 0.03},
   };
-  for (const auto& c : cases) check_router_case(c, /*shared_cache=*/true);
-}
-
-TEST(TrafficDifferential, WithoutTheSharedCache) {
-  // With the cache off both sides probe the raw sampler and report zero
-  // cache traffic; the routes must not care.
-  check_router_case({"hypercube:8", "landmark", "permutation", 0.55}, false);
-  check_router_case({"hypercube:8", "flood", "random-pairs", 0.5, 400}, false);
-  check_router_case({"de_bruijn:8", "greedy", "random-pairs", 0.55}, false);
+  for (const auto& c : cases) check_router_case(c);
 }
 
 // -------------------------------------------------- delivery edge cases

@@ -5,7 +5,6 @@
 //   components  cluster structure of an environment
 //   threshold   bisect the giant-component threshold of a topology
 //   trials      routing-complexity measurement (Definition 2), with stats
-//   permutation batch-route random pairs and report path congestion
 //   traffic     store-and-forward congestion simulation of a workload
 //   scenario    run a declarative scenario spec (sweep cross-products) and
 //               emit schema-versioned JSON-lines or CSV; supports
@@ -24,7 +23,6 @@
 //   faultroute components --topology torus:2:64 --p 0.55
 //   faultroute threshold --topology de_bruijn:12
 //   faultroute trials --topology mesh:2:96 --p 0.6 --router landmark --trials 50
-//   faultroute permutation --topology hypercube:10 --p 0.6 --router best-first --pairs 256
 //   faultroute traffic --topology hypercube:12 --p 0.5 --router greedy
 //       --workload permutation --messages 4096
 //   faultroute scenario scenarios/hypercube_phase.scn
@@ -50,8 +48,8 @@
 
 #include "analysis/table.hpp"
 #include "core/experiment.hpp"
-#include "core/permutation_routing.hpp"
 #include "core/probe_context.hpp"
+#include "graph/channel_index.hpp"
 #include "graph/double_tree.hpp"
 #include "graph/flat_adjacency.hpp"
 #include "graph/mesh.hpp"
@@ -136,13 +134,6 @@ class Args {
   std::map<std::string, std::string> values_;
   mutable std::set<std::string> read_;
 };
-
-/// Shared --adjacency flag: CSR-snapshot vs implicit-virtual adjacency
-/// backend (graph/flat_adjacency.hpp). Results are identical; implicit
-/// skips the CSR build on graphs too large for one.
-AdjacencyMode adjacency_of(const Args& args) {
-  return parse_adjacency_mode(args.get("adjacency", "auto"));
-}
 
 /// Shared --metrics PATH / --trace PATH handling, available on every
 /// subcommand. When either flag is given the sink owns a RunMetrics for the
@@ -263,14 +254,13 @@ int cmd_components(const Args& args) {
   const auto graph = sim::make_topology(args.require("topology"));
   const double p = args.get_double("p", 0.5);
   const std::uint64_t seed = args.get_u64("seed", 2005);
-  const AdjacencyMode adjacency = adjacency_of(args);
   ObsSink sink(args, "components");
   args.reject_unread();
   ComponentSummary summary;
   {
     const obs::PhaseProfiler::Scope scope(
         sink.metrics() ? &sink.metrics()->profiler() : nullptr, "components");
-    summary = analyze_components(*graph, HashEdgeSampler(p, seed), adjacency);
+    summary = analyze_components(*graph, HashEdgeSampler(p, seed));
   }
   if (sink.metrics()) {
     obs::CounterRegistry& counters = sink.metrics()->counters();
@@ -296,7 +286,6 @@ int cmd_threshold(const Args& args) {
   config.trials_per_point = static_cast<int>(args.get_u64("trials", 6));
   config.tolerance = args.get_double("tolerance", 0.005);
   config.seed = args.get_u64("seed", 2005);
-  const AdjacencyMode adjacency = adjacency_of(args);
   const double lo = args.get_double("lo", 0.02);
   const double hi = args.get_double("hi", 0.98);
   ObsSink sink(args, "threshold");
@@ -305,7 +294,7 @@ int cmd_threshold(const Args& args) {
   {
     const obs::PhaseProfiler::Scope scope(
         sink.metrics() ? &sink.metrics()->profiler() : nullptr, "threshold");
-    const auto order = largest_cluster_order(*graph, adjacency);
+    const auto order = largest_cluster_order(*graph);
     pc = estimate_threshold(order, lo, hi, config);
   }
   std::cout << graph->name() << ": giant-component threshold ~ " << pc
@@ -361,50 +350,6 @@ int cmd_trials(const Args& args) {
   return 0;
 }
 
-int cmd_permutation(const Args& args) {
-  const auto graph = sim::make_topology(args.require("topology"));
-  const double p = args.get_double("p", 0.5);
-  const std::string router_name = args.get("router", "landmark");
-  const std::uint64_t seed = args.get_u64("seed", 2005);
-
-  PermutationRoutingConfig config;
-  config.pairs = args.get_u64("pairs", 64);
-  config.pair_seed = args.get_u64("pair-seed", 1);
-  if (args.get_u64("budget", 0) > 0) config.probe_budget = args.get_u64("budget", 0);
-  config.adjacency = adjacency_of(args);
-
-  ObsSink sink(args, "permutation");
-  args.reject_unread();
-  const HashEdgeSampler env(p, seed);
-  const auto factory = [&]() { return sim::make_router(router_name, *graph); };
-  PermutationRoutingResult r;
-  {
-    const obs::PhaseProfiler::Scope scope(
-        sink.metrics() ? &sink.metrics()->profiler() : nullptr, "permutation");
-    r = route_permutation(*graph, env, factory, config);
-  }
-  if (sink.metrics()) {
-    obs::CounterRegistry& counters = sink.metrics()->counters();
-    counters.add(counters.id("permutation.pairs"), r.pairs);
-    counters.add(counters.id("permutation.routed"), r.routed);
-    counters.add(counters.id("permutation.failed"), r.failed);
-  }
-
-  Table table({"metric", "value"});
-  table.add_row({"pairs (connected)", Table::fmt(r.pairs)});
-  table.add_row({"routed", Table::fmt(r.routed)});
-  table.add_row({"failed", Table::fmt(r.failed)});
-  table.add_row({"skipped disconnected", Table::fmt(r.skipped_disconnected)});
-  table.add_row({"mean probes", Table::fmt(r.mean_probes(), 1)});
-  table.add_row({"mean path length", Table::fmt(r.mean_path_length(), 1)});
-  table.add_row({"max edge load", Table::fmt(r.max_edge_load)});
-  table.add_row({"mean edge load", Table::fmt(r.mean_edge_load, 2)});
-  table.print(graph->name() + "  p=" + Table::fmt(p, 3) + "  router=" + router_name +
-              "  permutation batch");
-  sink.finish();
-  return 0;
-}
-
 int cmd_traffic(const Args& args) {
   const auto graph = sim::make_topology(args.require("topology"));
   const double p = args.get_double("p", 0.5);
@@ -422,16 +367,6 @@ int cmd_traffic(const Args& args) {
   config.edge_capacity = args.get_u64("capacity", 1);
   config.threads = static_cast<unsigned>(args.get_u64("threads", 0));
   if (args.get_u64("budget", 0) > 0) config.probe_budget = args.get_u64("budget", 0);
-  const std::string cache_flag = args.get("shared-cache", "true");
-  if (cache_flag != "true" && cache_flag != "false") {
-    throw std::invalid_argument("--shared-cache must be 'true' or 'false', got '" +
-                                cache_flag + "'");
-  }
-  config.use_shared_cache = cache_flag == "true";
-
-  // --adjacency flat|implicit|auto: CSR-snapshot vs virtual adjacency for
-  // the routing phase. Results identical.
-  config.adjacency = adjacency_of(args);
 
   // --snapshot-dir DIR resolves the routing adjacency from an on-disk
   // snapshot (`faultroute snapshot build`), mmap'd instead of materialized.
@@ -453,14 +388,16 @@ int cmd_traffic(const Args& args) {
   config.metrics = sink.metrics();
   if (sink.metrics()) sink.metrics()->enable_delivery_sampler(trace_samples);
 
+  // Delivery runs over the topology's ChannelIndex; refuse a topology too
+  // large for one before drawing a vertex-sized workload.
+  ChannelIndex::check_capacity(*graph);
   const HashEdgeSampler env(p, seed);
   const auto messages = generate_workload(*graph, workload);
   const auto factory = [&]() { return sim::make_router(router_name, *graph); };
   const TrafficResult result = run_traffic(*graph, env, factory, messages, config);
 
   traffic_table(result).print(graph->name() + "  p=" + Table::fmt(p, 3) + "  router=" +
-                              router_name + "  workload=" + workload_name(workload.kind) +
-                              "  adjacency=" + adjacency_mode_name(config.adjacency));
+                              router_name + "  workload=" + workload_name(workload.kind));
   sink.finish();
   return 0;
 }
@@ -633,8 +570,8 @@ int cmd_merge(const std::vector<std::string>& inputs, const Args& args) {
 
 void print_usage() {
   std::cout
-      << "usage: faultroute <route|components|threshold|trials|permutation|traffic|scenario"
-         "|snapshot|merge> [--flags]\n\n"
+      << "usage: faultroute <route|components|threshold|trials|traffic|scenario|snapshot"
+         "|merge> [--flags]\n\n"
       << "topologies:";
   for (const auto& s : sim::topology_spec_examples()) std::cout << ' ' << s;
   std::cout << "\nrouters:   ";
@@ -643,13 +580,9 @@ void print_usage() {
   for (const auto& s : workload_names()) std::cout << ' ' << s;
   std::cout << "\n\ncommon flags:      --topology SPEC --p P --seed S --router NAME\n"
             << "trials flags:      --trials N --budget B --threads T --from U --to V\n"
-            << "permutation flags: --pairs N --pair-seed S --budget B\n"
             << "traffic flags:     --workload W --messages N --workload-seed S\n"
             << "                   --capacity C --threads T --budget B --target V\n"
-            << "                   --rate R --shared-cache true|false\n"
-            << "                   --adjacency flat|implicit|auto (CSR snapshot or\n"
-            << "                     virtual adjacency; also on components/threshold/\n"
-            << "                     permutation)\n"
+            << "                   --rate R\n"
             << "                   --snapshot-dir DIR (mmap the CSR adjacency from an\n"
             << "                     on-disk snapshot; also on scenario)\n"
             << "scenario:          faultroute scenario FILE.scn [--spec \"k=v; ...\"]\n"
@@ -710,15 +643,16 @@ int main(int argc, char** argv) {
       }
       return cmd_merge(inputs, Args(static_cast<int>(flag_argv.size()), flag_argv.data(), 2));
     }
-    const Args args(argc, argv, 2);
-    if (command == "route") return cmd_route(args);
-    if (command == "components") return cmd_components(args);
-    if (command == "threshold") return cmd_threshold(args);
-    if (command == "trials") return cmd_trials(args);
-    if (command == "permutation") return cmd_permutation(args);
-    if (command == "traffic") return cmd_traffic(args);
-    print_usage();
-    return 2;
+    const std::map<std::string, int (*)(const Args&)> commands = {
+        {"route", cmd_route},   {"components", cmd_components}, {"threshold", cmd_threshold},
+        {"trials", cmd_trials}, {"traffic", cmd_traffic}};
+    const auto it = commands.find(command);
+    if (it == commands.end()) {
+      std::fprintf(stderr, "faultroute: unknown command '%s'\n", command.c_str());
+      print_usage();
+      return 2;
+    }
+    return it->second(Args(argc, argv, 2));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "faultroute %s: %s\n", command.c_str(), e.what());
     return 1;

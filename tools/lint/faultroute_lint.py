@@ -7,7 +7,7 @@ compiler, a grep in a reviewer's head) knows about:
   counters-manifest
       Every counter/metric dot-path string used in C++ (string literals with
       a known counter namespace prefix: traffic., graph., scenario., route.,
-      components., trials., permutation.) must be documented exactly once in
+      components., trials.) must be documented exactly once in
       docs/COUNTERS.md, and every path documented there must still be used
       somewhere in the code. The manifest is the contract consumed by
       --metrics report readers; this rule keeps it complete and alive.
@@ -79,7 +79,6 @@ COUNTER_NAMESPACES = (
     "route",
     "components",
     "trials",
-    "permutation",
 )
 
 COUNTERS_MANIFEST = Path("docs") / "COUNTERS.md"
