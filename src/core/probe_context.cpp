@@ -1,35 +1,23 @@
 #include "core/probe_context.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "graph/channel_index.hpp"
 #include "graph/distance_oracle.hpp"
-#include "graph/flat_adjacency.hpp"
 
 namespace faultroute {
 
-void ProbeArena::begin_message(const Topology& graph) {
-  // Re-fetch the channel index every message rather than caching it behind
-  // a topology-address compare: a new topology allocated where a destroyed
-  // one lived would alias such a cache (dangling index, wrongly-sized
-  // arrays). channel_index() is one call_once fast path — nothing against
-  // the cost of routing a message. Arrays only ever grow; slots stamped by
-  // a previous topology are harmless because their stamps are strictly
-  // below the post-increment epoch.
-  channels_ = &graph.channel_index();
-  if (edge_epoch_.size() < channels_->num_edge_ids()) {
-    edge_epoch_.resize(channels_->num_edge_ids(), 0);  // analyze:allow-hot-alloc(grow-only arena warm-up, reused across messages)
-    edge_open_.resize(channels_->num_edge_ids(), 0);  // analyze:allow-hot-alloc(same grow-only warm-up)
-  }
-  if (vertex_epoch_.size() < graph.num_vertices()) {
-    vertex_epoch_.resize(graph.num_vertices(), 0);  // analyze:allow-hot-alloc(same grow-only warm-up)
-  }
-  if (epoch_ == std::numeric_limits<std::uint32_t>::max()) {
-    // Epoch wrap: stamps from ~4 billion messages ago would read as live.
+ProbeArena::ProbeArena(const SharedProbeCache& cache)
+    : cache_(cache),
+      edge_stamp_(cache.channels().num_edge_ids(), 0),
+      vertex_stamp_(cache.graph().num_vertices(), 0) {}
+
+void ProbeArena::begin_message() {
+  if (epoch_ == kMaxEpoch) {
+    // Epoch wrap: stamps from ~2 billion messages ago would read as live.
     // Zero everything and restart — amortised cost is a rounding error.
-    std::fill(edge_epoch_.begin(), edge_epoch_.end(), 0u);
-    std::fill(vertex_epoch_.begin(), vertex_epoch_.end(), 0u);
+    std::fill(edge_stamp_.begin(), edge_stamp_.end(), 0u);
+    std::fill(vertex_stamp_.begin(), vertex_stamp_.end(), 0u);
     epoch_ = 0;
   }
   ++epoch_;
@@ -37,25 +25,30 @@ void ProbeArena::begin_message(const Topology& graph) {
 
 ProbeContext::ProbeContext(const Topology& graph, const EdgeSampler& sampler,
                            VertexId source, RoutingMode mode,
-                           std::optional<std::uint64_t> budget, ProbeArena* arena,
-                           const FlatAdjacency* flat, const DistanceOracle* oracle)
+                           std::optional<std::uint64_t> budget, const FlatAdjacency* flat,
+                           const DistanceOracle* oracle)
     : graph_(graph), sampler_(sampler), source_(source), mode_(mode), budget_(budget),
-      arena_(arena), flat_(flat), oracle_(oracle) {
-  if (arena_ != nullptr) {
-    arena_->begin_message(graph_);
-    channels_ = arena_->channels_;
-  }
+      flat_(flat), oracle_(oracle) {
+  if (mode_ == RoutingMode::kLocal) reached_insert(source_);
+}
+
+ProbeContext::ProbeContext(ProbeArena& arena, VertexId source, RoutingMode mode,
+                           std::optional<std::uint64_t> budget, const FlatAdjacency* flat,
+                           const DistanceOracle* oracle)
+    : graph_(arena.cache().graph()), sampler_(arena.cache()), source_(source), mode_(mode),
+      budget_(budget), arena_(&arena), flat_(flat), oracle_(oracle) {
+  arena_->begin_message();
   if (mode_ == RoutingMode::kLocal) reached_insert(source_);
 }
 
 bool ProbeContext::reached_contains(VertexId v) const {
-  if (arena_ != nullptr) return arena_->vertex_epoch_[v] == arena_->epoch_;
+  if (arena_ != nullptr) return arena_->vertex_stamp_[v] == arena_->epoch_;
   return reached_.contains(v);
 }
 
 void ProbeContext::reached_insert(VertexId v) {
   if (arena_ != nullptr) {
-    arena_->vertex_epoch_[v] = arena_->epoch_;
+    arena_->vertex_stamp_[v] = arena_->epoch_;
   } else {
     reached_.insert(v);  // analyze:allow-hot-alloc(hash-backend reached set for one-off contexts; the traffic engine always passes an arena)
   }
@@ -79,20 +72,12 @@ std::optional<std::uint64_t> ProbeContext::remaining_budget() const {
 
 namespace {
 
-/// Adjacency accessors the shared probe bookkeeping is parameterized on:
-/// array loads off the CSR snapshot on the flat path, virtual dispatch (and
-/// the channel index's edge-id table) on the implicit path. One bookkeeping
-/// body + two accessor structs = the backends cannot drift.
-struct FlatAccess {
-  const FlatAdjacency* flat;
-  [[nodiscard]] VertexId neighbor(VertexId v, int i) const { return flat->neighbor(v, i); }
-  [[nodiscard]] std::uint32_t edge_id(VertexId v, int i) const { return flat->edge_id(v, i); }
-  [[nodiscard]] EdgeKey edge_key(VertexId v, int i) const { return flat->edge_key(v, i); }
-};
-
+/// The implicit adjacency accessor: virtual dispatch, and the channel
+/// index's edge-id table for the dense kernel (the CSR one, FlatAccess, is
+/// in the header).
 struct VirtualAccess {
   const Topology* graph;
-  const ChannelIndex* channels;  // non-null only on the dense backend
+  const ChannelIndex* channels;
   [[nodiscard]] VertexId neighbor(VertexId v, int i) const { return graph->neighbor(v, i); }
   [[nodiscard]] std::uint32_t edge_id(VertexId v, int i) const {
     return channels->edge_id_of(channels->channel_of(v, i));
@@ -102,8 +87,12 @@ struct VirtualAccess {
 
 }  // namespace
 
+bool ProbeContext::probe_dense_implicit(VertexId v, int i) {
+  return probe_dense(VirtualAccess{&graph_, &arena_->cache_.channels()}, v, i);
+}
+
 template <typename Access>
-bool ProbeContext::probe_with(const Access& access, VertexId v, int i) {
+bool ProbeContext::probe_hashed_with(const Access& access, VertexId v, int i) {
   const VertexId w = access.neighbor(v, i);
   if (mode_ == RoutingMode::kLocal && !reached_contains(v) && !reached_contains(w)) {
     // analyze:allow-throw-safety(locality contract violation is a programming error; surfaced via first_error)
@@ -111,35 +100,17 @@ bool ProbeContext::probe_with(const Access& access, VertexId v, int i) {
   }
   ++total_probes_;
   bool open;
-  if (arena_ != nullptr) {
-    // Dense backend: the memo is a flat per-edge array, live iff stamped
-    // with this message's epoch. A hit touches one cache line and computes
-    // no edge key; only a fresh probe asks the sampler.
-    const std::uint32_t edge = access.edge_id(v, i);
-    if (arena_->edge_epoch_[edge] == arena_->epoch_) {
-      open = arena_->edge_open_[edge] != 0;
-    } else {
-      if (budget_ && distinct_probes_ >= *budget_) {
-        throw ProbeBudgetExceeded("probe budget exhausted");  // analyze:allow-throw-safety(probe-budget censoring signal, caught per message by the engine)
-      }
-      open = sampler_.is_open_indexed(edge, access.edge_key(v, i));
-      arena_->edge_epoch_[edge] = arena_->epoch_;
-      arena_->edge_open_[edge] = open ? 1 : 0;
-      ++distinct_probes_;
-    }
+  const EdgeKey key = access.edge_key(v, i);
+  const auto it = memo_.find(key);
+  if (it != memo_.end()) {
+    open = it->second;
   } else {
-    const EdgeKey key = access.edge_key(v, i);
-    const auto it = memo_.find(key);
-    if (it != memo_.end()) {
-      open = it->second;
-    } else {
-      if (budget_ && distinct_probes_ >= *budget_) {
-        throw ProbeBudgetExceeded("probe budget exhausted");  // analyze:allow-throw-safety(probe-budget censoring signal, caught per message by the engine)
-      }
-      open = sampler_.is_open(key);
-      memo_.emplace(key, open);  // analyze:allow-hot-alloc(hash-backend probe memo for one-off contexts: one insert per distinct edge)
-      ++distinct_probes_;
+    if (budget_ && distinct_probes_ >= *budget_) {
+      throw ProbeBudgetExceeded("probe budget exhausted");  // analyze:allow-throw-safety(probe-budget censoring signal, caught per message by the engine)
     }
+    open = sampler_.is_open(key);
+    memo_.emplace(key, open);  // analyze:allow-hot-alloc(hash-backend probe memo for one-off contexts: one insert per distinct edge)
+    ++distinct_probes_;
   }
   if (open && mode_ == RoutingMode::kLocal) {
     // An open edge incident to the reached set extends it.
@@ -151,9 +122,9 @@ bool ProbeContext::probe_with(const Access& access, VertexId v, int i) {
   return open;
 }
 
-bool ProbeContext::probe(VertexId v, int i) {
-  if (flat_ != nullptr) return probe_with(FlatAccess{flat_}, v, i);
-  return probe_with(VirtualAccess{&graph_, channels_}, v, i);
+bool ProbeContext::probe_hashed(VertexId v, int i) {
+  if (flat_ != nullptr) return probe_hashed_with(FlatAccess{flat_}, v, i);
+  return probe_hashed_with(VirtualAccess{&graph_, nullptr}, v, i);
 }
 
 bool ProbeContext::probe_between(VertexId a, VertexId b) {

@@ -7,14 +7,14 @@
 #include <unordered_set>
 #include <vector>
 
+#include "graph/flat_adjacency.hpp"
 #include "graph/topology.hpp"
 #include "percolation/edge_sampler.hpp"
+#include "percolation/shared_probe_cache.hpp"
 
 namespace faultroute {
 
-class ChannelIndex;
 class DistanceOracle;
-class FlatAdjacency;
 
 /// Whether the router is restricted to local probes (Definition 1 of the
 /// paper) or may query arbitrary edges (oracle routing, Section 5).
@@ -36,43 +36,61 @@ class ProbeBudgetExceeded : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Pooled per-thread storage for the dense ProbeContext backend.
+/// Pooled per-worker storage for the dense ProbeContext backend, bound to
+/// the batch's SharedProbeCache.
 ///
 /// A batch routes many messages on one topology, and the per-message probe
 /// memo / reached set die with each message. Hash containers pay allocation
 /// and hashing for that churn on every probe of every message; the arena
-/// replaces them with two flat arrays — per-undirected-edge probe state
-/// (indexed by ChannelIndex::edge_id_of) and per-vertex reached marks —
-/// that are *epoch-stamped*: a slot is live only if its stamp equals the
-/// arena's current epoch, so "clearing" between messages is one integer
-/// increment, never a memset or an allocation. Steady-state routing through
-/// an arena does zero allocation.
+/// replaces them with two flat arrays of one word per slot, sized once for
+/// the cache's topology:
+///  * the probe memo, one word per undirected edge id
+///    (ChannelIndex::edge_id_of): `epoch << 1 | open`;
+///  * the kLocal reached set, one word per vertex: the epoch itself.
+/// A slot is live only if its stamp carries the arena's current epoch, so
+/// "clearing" between messages is one integer increment, never a memset or
+/// an allocation. Steady-state routing through an arena allocates nothing.
+///
+/// The arena also owns its worker's CacheTally: every lookup its contexts
+/// make in the cache is counted there, in plain integers, and the owner
+/// folds it into the cache once (route_all does so when the worker drains).
 ///
 /// Lifecycle: create one arena per worker thread (route_all does this in
-/// parallel_index_loop's make_body), then construct a ProbeContext per
-/// message with a pointer to it. The ProbeContext constructor bumps the
-/// epoch, invalidating every slot the previous message stamped. At most one
-/// ProbeContext may use an arena at a time (they share the same slots);
-/// arenas are not thread-safe and must not be shared across threads.
+/// parallel_index_loop's make_body), then construct a dense ProbeContext per
+/// message on it. The ProbeContext constructor bumps the epoch, invalidating
+/// every slot the previous message stamped. At most one ProbeContext may use
+/// an arena at a time (they share the same slots); arenas are not
+/// thread-safe and must not be shared across threads.
 class ProbeArena {
  public:
-  ProbeArena() = default;
+  /// Binds the arena to `cache`, which must outlive it, and sizes the stamp
+  /// arrays for the cache's topology.
+  explicit ProbeArena(const SharedProbeCache& cache);
   ProbeArena(const ProbeArena&) = delete;
   ProbeArena& operator=(const ProbeArena&) = delete;
 
+  [[nodiscard]] const SharedProbeCache& cache() const { return cache_; }
+
+  /// Cache hits and misses of every context on this arena so far. Not yet
+  /// part of cache().hits()/misses(): the owner folds it in.
+  [[nodiscard]] const CacheTally& tally() const { return tally_; }
+
  private:
   friend class ProbeContext;
+  friend class ProbeArenaTestPeer;
 
-  /// Sizes the arrays for `graph` (grow-only) and starts a fresh epoch. On
-  /// the (once per ~4 billion messages) epoch wrap, every stamp array is
-  /// zero-filled so stale stamps can never collide.
-  void begin_message(const Topology& graph);
+  /// The largest epoch an edge stamp can carry above its open bit.
+  static constexpr std::uint32_t kMaxEpoch = (1u << 31) - 1;
 
-  const ChannelIndex* channels_ = nullptr;
+  /// Starts a fresh epoch. On the (once per ~2 billion messages) epoch wrap,
+  /// both stamp arrays are zero-filled so stale stamps can never collide.
+  void begin_message();
+
+  const SharedProbeCache& cache_;
   std::uint32_t epoch_ = 0;
-  std::vector<std::uint32_t> edge_epoch_;    // per undirected edge id
-  std::vector<std::uint8_t> edge_open_;      // valid iff edge_epoch_ == epoch_
-  std::vector<std::uint32_t> vertex_epoch_;  // reached iff == epoch_ (kLocal)
+  std::vector<std::uint32_t> edge_stamp_;    // epoch << 1 | open, per edge id
+  std::vector<std::uint32_t> vertex_stamp_;  // reached iff == epoch_ (kLocal)
+  CacheTally tally_;
 };
 
 /// The probing interface a routing algorithm sees, and the referee that
@@ -87,36 +105,43 @@ class ProbeArena {
 ///  * enforces an optional probe budget (distinct edges),
 ///  * reports the complexity statistics that the paper's Definition 2 counts.
 ///
-/// Two backends hold the memo and the reached set:
-///  * hash (default, `arena == nullptr`): per-context unordered containers
-///    keyed by EdgeKey/VertexId — self-contained, right for one-off
-///    contexts (single-pair experiments, `faultroute route`);
-///  * dense (`arena != nullptr`): epoch-stamped flat arrays indexed by the
-///    topology's ChannelIndex edge ids and by vertex id, pooled in the
-///    caller's ProbeArena — the traffic engine's hot path, zero allocation
-///    per message.
+/// Two backends hold the memo and the reached set, one per constructor:
+///  * hash (over any EdgeSampler): per-context unordered containers keyed
+///    by EdgeKey/VertexId, probed out of line — self-contained, right for
+///    one-off contexts (single-pair experiments, `faultroute route`);
+///  * dense (on a ProbeArena): the arena's one-word-per-slot stamp arrays,
+///    with the environment read straight from the arena's SharedProbeCache
+///    — the traffic engine's hot path. probe() is inline here; on a CSR
+///    snapshot the whole probe (memo, cache lookup, reach growth) inlines
+///    into the router's loop, and the implicit adjacency path runs the same
+///    kernel body out of line.
 /// Every observable (probe answers, distinct/total counts, reach, budget
 /// and locality enforcement) is bit-identical across backends; the traffic
 /// differential suite holds the engine to a hash-backend reference.
 class ProbeContext {
  public:
-  /// `budget`: maximum number of distinct edges that may be probed
-  /// (nullopt = unbounded). `arena`: selects the dense backend (see class
-  /// comment); the arena must outlive the context and serve only it until
-  /// the next ProbeContext takes it over. `flat`: optional CSR adjacency
-  /// snapshot of `graph` (graph/flat_adjacency.hpp); when given, probes
-  /// resolve neighbor / edge key / edge id with array loads instead of
-  /// virtual dispatch — a pure representation change, observable-identical
-  /// to the implicit path. Must be a snapshot of `graph` and outlive the
-  /// context. `oracle`: optional
-  /// cached fault-free DistanceOracle for `graph` (graph/distance_oracle
-  /// .hpp); metric routers fetch per-target distance columns through
-  /// target_distances() below. Purely an accelerator for graph.distance —
-  /// column values are identical, so results never depend on its presence.
+  /// Hash backend over `sampler`. `budget`: maximum number of distinct
+  /// edges that may be probed (nullopt = unbounded). `flat`: optional CSR
+  /// adjacency snapshot of `graph` (graph/flat_adjacency.hpp); when given,
+  /// probes resolve neighbor / edge key / edge id with array loads instead
+  /// of virtual dispatch — a pure representation change, observable-
+  /// identical to the implicit path. Must be a snapshot of `graph` and
+  /// outlive the context. `oracle`: optional cached fault-free
+  /// DistanceOracle for `graph` (graph/distance_oracle.hpp); metric routers
+  /// fetch per-target distance columns through target_distances() below.
+  /// Purely an accelerator for graph.distance — column values are
+  /// identical, so results never depend on its presence.
   ProbeContext(const Topology& graph, const EdgeSampler& sampler, VertexId source,
                RoutingMode mode, std::optional<std::uint64_t> budget = std::nullopt,
-               ProbeArena* arena = nullptr, const FlatAdjacency* flat = nullptr,
-               const DistanceOracle* oracle = nullptr);
+               const FlatAdjacency* flat = nullptr, const DistanceOracle* oracle = nullptr);
+
+  /// Dense backend on `arena`: probes the topology of the arena's cache,
+  /// through that cache, counting its lookups in the arena's tally. The
+  /// arena must outlive the context and serve only it until the next
+  /// ProbeContext takes it over. `budget`, `flat` and `oracle` are as above.
+  ProbeContext(ProbeArena& arena, VertexId source, RoutingMode mode,
+               std::optional<std::uint64_t> budget = std::nullopt,
+               const FlatAdjacency* flat = nullptr, const DistanceOracle* oracle = nullptr);
 
   ProbeContext(const ProbeContext&) = delete;
   ProbeContext& operator=(const ProbeContext&) = delete;
@@ -124,7 +149,13 @@ class ProbeContext {
   /// Probes the i-th incident edge of v. Returns true iff open.
   /// Throws LocalityViolation (kLocal mode, edge not incident to the reached
   /// set) or ProbeBudgetExceeded.
-  bool probe(VertexId v, int i);
+  bool probe(VertexId v, int i) {
+    if (arena_ != nullptr) {
+      if (flat_ != nullptr) return probe_dense(FlatAccess{flat_}, v, i);
+      return probe_dense_implicit(v, i);
+    }
+    return probe_hashed(v, i);
+  }
 
   /// Convenience: probes the edge {a, b} (first incident index at a whose
   /// neighbor is b). Requires adjacency; linear in degree(a) unless the
@@ -169,14 +200,30 @@ class ProbeContext {
   [[nodiscard]] std::optional<std::uint64_t> remaining_budget() const;
 
  private:
+  /// The CSR accessor of the dense kernel: array loads off the snapshot.
+  struct FlatAccess {
+    const FlatAdjacency* flat;
+    [[nodiscard]] VertexId neighbor(VertexId v, int i) const { return flat->neighbor(v, i); }
+    [[nodiscard]] std::uint32_t edge_id(VertexId v, int i) const {
+      return flat->edge_id(v, i);
+    }
+    [[nodiscard]] EdgeKey edge_key(VertexId v, int i) const { return flat->edge_key(v, i); }
+  };
+
+  /// The dense kernel (locality, budget, memo, cache lookup, reach growth),
+  /// parameterized only on how neighbor / edge id / edge key are resolved —
+  /// one body, so the CSR and implicit paths cannot drift.
+  template <typename Access>
+  bool probe_dense(const Access& access, VertexId v, int i);
+  /// probe_dense over the virtual interface and the channel index.
+  bool probe_dense_implicit(VertexId v, int i);
+  /// The hash backend's probe.
+  bool probe_hashed(VertexId v, int i);
+  template <typename Access>
+  bool probe_hashed_with(const Access& access, VertexId v, int i);
+
   [[nodiscard]] bool reached_contains(VertexId v) const;
   void reached_insert(VertexId v);
-  /// The probe bookkeeping (locality, budget, memo, reached-set growth),
-  /// shared by the flat and implicit paths and parameterized only on how
-  /// neighbor / edge id / edge key are resolved — one body, so the two
-  /// adjacency backends cannot drift.
-  template <typename Access>
-  bool probe_with(const Access& access, VertexId v, int i);
 
   const Topology& graph_;
   const EdgeSampler& sampler_;
@@ -187,9 +234,8 @@ class ProbeContext {
   std::uint64_t distinct_probes_ = 0;
   std::uint64_t expansions_ = 0;
 
-  // Dense backend (arena_ != nullptr): pooled arrays + the channel index.
+  // Dense backend (arena_ != nullptr).
   ProbeArena* arena_ = nullptr;
-  const ChannelIndex* channels_ = nullptr;
   // Flat adjacency snapshot (nullptr = implicit virtual path).
   const FlatAdjacency* flat_ = nullptr;
   // Cached distance oracle (nullptr = metric routers call graph.distance).
@@ -199,5 +245,41 @@ class ProbeContext {
   std::unordered_map<EdgeKey, bool> memo_;
   std::unordered_set<VertexId> reached_;  // kLocal only
 };
+
+template <typename Access>
+bool ProbeContext::probe_dense(const Access& access, VertexId v, int i) {
+  ProbeArena& arena = *arena_;
+  const std::uint32_t epoch = arena.epoch_;
+  std::uint32_t* const reached = arena.vertex_stamp_.data();
+  const VertexId w = access.neighbor(v, i);
+  if (mode_ == RoutingMode::kLocal && reached[v] != epoch && reached[w] != epoch) {
+    // analyze:allow-throw-safety(locality contract violation is a programming error; surfaced via first_error)
+    throw LocalityViolation("local probe of edge not incident to the reached set");
+  }
+  ++total_probes_;
+  // The memo: live iff the stamp carries this message's epoch. A hit
+  // touches one word and computes no edge key; only a fresh probe reaches
+  // the shared cache.
+  const std::uint32_t edge = access.edge_id(v, i);
+  std::uint32_t& stamp = arena.edge_stamp_[edge];
+  bool open;
+  if ((stamp >> 1) == epoch) {
+    open = (stamp & 1u) != 0;
+  } else {
+    if (budget_ && distinct_probes_ >= *budget_) {
+      throw ProbeBudgetExceeded("probe budget exhausted");  // analyze:allow-throw-safety(probe-budget censoring signal, caught per message by the engine)
+    }
+    open = arena.cache_.lookup(edge, access.edge_key(v, i), arena.tally_);
+    stamp = epoch << 1 | (open ? 1u : 0u);
+    ++distinct_probes_;
+  }
+  if (open && mode_ == RoutingMode::kLocal) {
+    // The locality check passed, so one endpoint is reached already; the
+    // open edge connects the other.
+    reached[v] = epoch;
+    reached[w] = epoch;
+  }
+  return open;
+}
 
 }  // namespace faultroute

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <new>
 #include <stdexcept>
 #include <string>
 
@@ -36,7 +37,11 @@ ChannelIndex::ChannelIndex(const Topology& graph) : graph_(&graph) {
   // num_edges() disagrees with its degrees.
   check_capacity(graph);
   const std::uint64_t n = graph.num_vertices();
-  offsets_.resize(n + 1);
+  try {
+    offsets_.resize(n + 1);
+  } catch (const std::bad_alloc&) {
+    throw_allocation_failure(graph, "channel index offset table", (n + 1) * sizeof(std::uint64_t));
+  }
   std::uint64_t total = 0;
   for (VertexId v = 0; v < n; ++v) {
     offsets_[v] = total;
@@ -79,9 +84,17 @@ void ChannelIndex::build_edge_ids() const {
   // v filed under w; filed channels out of v form one contiguous run, found
   // by binary search for v's channel range.
   const std::uint64_t n = graph_->num_vertices();
-  edge_ids_.resize(num_channels_);  // analyze:allow-hot-alloc(one-shot lazy index build, memoised per topology)
-  std::vector<std::uint32_t> filed(num_channels_);  // analyze:allow-hot-alloc(same one-shot build)
-  std::vector<std::uint32_t> filed_count(n, 0);  // analyze:allow-hot-alloc(same one-shot build)
+  std::vector<std::uint32_t> filed;
+  std::vector<std::uint32_t> filed_count;
+  try {
+    edge_ids_.resize(num_channels_);  // analyze:allow-hot-alloc(one-shot lazy index build, memoised per topology)
+    filed.resize(num_channels_);  // analyze:allow-hot-alloc(same one-shot build)
+    filed_count.resize(n, 0);  // analyze:allow-hot-alloc(same one-shot build)
+  } catch (const std::bad_alloc&) {
+    throw_allocation_failure(*graph_, "channel index edge-id table",
+                             2 * std::uint64_t{num_channels_} * sizeof(std::uint32_t) +
+                                 n * sizeof(std::uint32_t));
+  }
   std::vector<std::uint8_t> claimed;  // per filed channel of the current row
   std::uint32_t next_id = 0;
   std::uint32_t channel = 0;

@@ -1,5 +1,7 @@
 #include "graph/flat_adjacency.hpp"
 
+#include <new>
+
 #include "graph/bfs_scratch.hpp"
 #include "graph/distance_oracle.hpp"
 #include "obs/counter_registry.hpp"
@@ -20,8 +22,13 @@ FlatAdjacency::FlatAdjacency(const Topology& graph)
   num_vertices_ = graph.num_vertices();
 
   num_channels_ = index.num_channels();
-  owned_neighbors_.resize(num_channels_);
-  owned_keys_.resize(num_channels_);
+  try {
+    owned_neighbors_.resize(num_channels_);
+    owned_keys_.resize(num_channels_);
+  } catch (const std::bad_alloc&) {
+    throw_allocation_failure(graph, "CSR adjacency",
+                             std::uint64_t{num_channels_} * (sizeof(VertexId) + sizeof(EdgeKey)));
+  }
   // One pass in channel order: slot i of v lands at flat position
   // channel_of(v, i) by construction.
   std::uint32_t channel = 0;

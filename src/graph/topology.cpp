@@ -1,5 +1,7 @@
 #include "graph/topology.hpp"
 
+#include <stdexcept>
+
 #include "graph/bfs_scratch.hpp"
 #include "graph/channel_index.hpp"
 #include "graph/flat_adjacency.hpp"
@@ -56,6 +58,13 @@ std::vector<VertexId> Topology::shortest_path(VertexId u, VertexId v) const {
 }
 
 std::string Topology::vertex_label(VertexId v) const { return std::to_string(v); }
+
+void throw_allocation_failure(const Topology& graph, const std::string& structure,
+                              std::uint64_t bytes) {
+  // analyze:allow-throw-safety(out-of-memory refusal of a one-shot lazy build; surfaced via first_error)
+  throw std::runtime_error(structure + " of " + graph.name() + ": cannot allocate " +
+                           std::to_string(bytes) + " bytes");
+}
 
 int edge_index_of(const Topology& g, VertexId u, VertexId v) {
   const int deg = g.degree(u);

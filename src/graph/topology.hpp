@@ -135,6 +135,13 @@ class Topology {
 /// edges exist the lowest matching index is returned.
 [[nodiscard]] int edge_index_of(const Topology& g, VertexId u, VertexId v);
 
+/// Throws std::runtime_error naming the topology-sized `structure` that
+/// could not be allocated (the CSR adjacency, a channel-index table), the
+/// topology, and the bytes it asked for — in place of a bare
+/// std::bad_alloc that names none of them.
+[[noreturn]] void throw_allocation_failure(const Topology& graph, const std::string& structure,
+                                           std::uint64_t bytes);
+
 /// Collects all canonical edge keys incident to v (ascending i).
 [[nodiscard]] std::vector<EdgeKey> incident_edge_keys(const Topology& g, VertexId v);
 

@@ -26,9 +26,9 @@ class EdgeSampler {
   /// its dense undirected-edge id (ChannelIndex::edge_id_of). Pure samplers
   /// ignore the id — the default forwards to is_open — but memoising layers
   /// (SharedProbeCache) override it to index a flat array instead of hashing
-  /// the key. Callers that already hold the id (the dense ProbeContext
-  /// backend) probe through this entry point; `edge_id` must belong to the
-  /// same topology that produced `key`.
+  /// the key. Callers that already hold the id (path validation and the
+  /// percolation analyses on a CSR snapshot) probe through this entry point;
+  /// `edge_id` must belong to the same topology that produced `key`.
   [[nodiscard]] virtual bool is_open_indexed(std::uint32_t edge_id, EdgeKey key) const {
     (void)edge_id;
     return is_open(key);
@@ -73,8 +73,8 @@ class ExplicitEdgeSampler final : public EdgeSampler {
   }
 
   /// Sizes a dense per-edge-id answer memo over `graph`'s ChannelIndex
-  /// edge-id space, so is_open_indexed (which the dense probe-state backend
-  /// and the flat analyses call with ids in hand) resolves repeat queries
+  /// edge-id space, so is_open_indexed (which path validation and the flat
+  /// analyses call with ids in hand) resolves repeat queries
   /// with one array load instead of hashing the key. Purely an accelerator:
   /// answers are identical with or without it, ids outside the indexed
   /// space fall back to the key path, and any later set() invalidates the

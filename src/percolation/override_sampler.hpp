@@ -35,7 +35,7 @@ class OverrideSampler final : public EdgeSampler {
 
   /// Sizes a dense per-edge-id *override* memo over `graph`'s ChannelIndex
   /// edge-id space, so is_open_indexed stops hashing the override map on
-  /// the dense/flat hot paths (which already hold the id). Only this
+  /// the flat hot paths (which already hold the id). Only this
   /// sampler's own override state is memoized — un-forced edges always
   /// delegate to the base's live is_open_indexed — so the memo can never
   /// serve stale base answers, and force()/close_all() invalidate the rest

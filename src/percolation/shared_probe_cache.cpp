@@ -1,4 +1,4 @@
-#include "traffic/shared_probe_cache.hpp"
+#include "percolation/shared_probe_cache.hpp"
 
 #include <stdexcept>
 #include <string>
@@ -19,29 +19,23 @@ SharedProbeCache::SharedProbeCache(const EdgeSampler& base, const Topology& grap
   }
 }
 
-bool SharedProbeCache::is_open_indexed(std::uint32_t edge_id, EdgeKey key) const {
-  std::atomic<std::uint8_t>& slot = states_[edge_id];
-  std::uint8_t state = slot.load(std::memory_order_relaxed);
-  if (state != kUnknown) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return state == kOpen;
-  }
+bool SharedProbeCache::resolve(std::uint32_t edge_id, EdgeKey key, CacheTally& tally) const {
   // Resolve outside any critical section: the sampler is pure, so a racing
   // double-compute yields the same value and the CAS loser's work is merely
   // wasted, never wrong. Relaxed ordering suffices — the published byte is
   // the entire message, a pure function of (sampler, key).
   const bool open = base_.is_open(key);
   std::uint8_t expected = kUnknown;
-  if (slot.compare_exchange_strong(expected, open ? kOpen : kClosed,
-                                   std::memory_order_relaxed,
-                                   std::memory_order_relaxed)) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+  if (states_[edge_id].compare_exchange_strong(expected, open ? kOpen : kClosed,
+                                               std::memory_order_relaxed,
+                                               std::memory_order_relaxed)) {
+    ++tally.misses;
     return open;
   }
   // Lost the publication race: the edge was already discovered, so this
-  // probe is a hit. Counting it as a miss would break misses ==
+  // lookup is a hit. Counting it as a miss would break misses ==
   // unique_edges().
-  hits_.fetch_add(1, std::memory_order_relaxed);
+  ++tally.hits;
   return expected == kOpen;
 }
 

@@ -7,20 +7,33 @@
 #include "core/parallel.hpp"
 #include "graph/distance_oracle.hpp"
 #include "obs/run_metrics.hpp"
-#include "traffic/shared_probe_cache.hpp"
+#include "percolation/shared_probe_cache.hpp"
 
 namespace faultroute::detail {
 
 namespace {
 
-/// Routing proper: every message independently through the (cached)
-/// environment. Messages are independent, so a work-stealing index loop with
-/// a fresh-per-thread router reproduces the sequential outcome exactly.
-/// Each worker owns one ProbeArena, created here in make_body and
-/// re-epoched per message, so steady-state routing allocates nothing.
+/// One routing worker's probe state: its arena, bound to the batch's cache.
+/// The arena's cache tally is folded into the cache once, when the worker
+/// drains and its body (holding this) is destroyed.
+struct RouteWorker {
+  explicit RouteWorker(const SharedProbeCache& cache) : arena(cache) {}
+  RouteWorker(const RouteWorker&) = delete;
+  RouteWorker& operator=(const RouteWorker&) = delete;
+  ~RouteWorker() { arena.cache().fold(arena.tally()); }
+
+  ProbeArena arena;
+};
+
+/// Routing proper: every message independently through the shared cache.
+/// Messages are independent, so a work-stealing index loop with a
+/// fresh-per-thread router reproduces the sequential outcome exactly. Each
+/// worker owns one ProbeArena, created here in make_body and re-epoched per
+/// message, so steady-state routing allocates nothing, and counts its cache
+/// hits and misses in the arena's plain tally.
 // analyze:hot-root(routing worker body: per-message inner loop of every sweep)
-void route_all(const Topology& graph, const EdgeSampler& env,
-               const RouterFactory& make_router, const std::shared_ptr<Router>& prototype,
+void route_all(const SharedProbeCache& cache, const RouterFactory& make_router,
+               const std::shared_ptr<Router>& prototype,
                const std::vector<TrafficMessage>& messages, const TrafficConfig& config,
                const FlatAdjacency* flat, const DistanceOracle* oracle,
                std::vector<MessageOutcome>& outcomes, std::vector<Path>& paths) {
@@ -48,13 +61,13 @@ void route_all(const Topology& graph, const EdgeSampler& env,
         unclaimed.exchange(nullptr, std::memory_order_acq_rel) != nullptr
             ? prototype
             : make_router();
-    const std::shared_ptr<ProbeArena> arena = std::make_shared<ProbeArena>();
+    const std::shared_ptr<RouteWorker> worker = std::make_shared<RouteWorker>(cache);
     // The worker's whole routing stint is one span on its own track; the
     // body closure (and with it the scope) is destroyed on the worker
     // thread when the worker drains, closing the span there.
     const std::shared_ptr<obs::PhaseProfiler::Scope> span =
         std::make_shared<obs::PhaseProfiler::Scope>(profiler, "route-worker");
-    return [&, router, arena, span](std::size_t i) {
+    return [&, router, worker, span](std::size_t i) {
       const TrafficMessage& msg = messages[i];
       MessageOutcome& out = outcomes[i];
       out.message = msg;
@@ -63,8 +76,8 @@ void route_all(const Topology& graph, const EdgeSampler& env,
         paths[i] = Path{msg.source};
         return;
       }
-      ProbeContext ctx(graph, env, msg.source, router->required_mode(),
-                       config.probe_budget, arena.get(), flat, oracle);
+      ProbeContext ctx(worker->arena, msg.source, router->required_mode(),
+                       config.probe_budget, flat, oracle);
       std::optional<Path> path;
       try {
         path = router->route(ctx, msg.source, msg.target);
@@ -134,16 +147,16 @@ std::vector<RoutedJourney> route_and_validate(
   }
   {
     const obs::PhaseProfiler::Scope route_scope(profiler, "route");
-    route_all(graph, cache, make_router, prototype, messages, config, flat, oracle,
-              result.outcomes, paths);
+    route_all(cache, make_router, prototype, messages, config, flat, oracle, result.outcomes,
+              paths);
   }
-  // Hit/miss totals are exact, not approximate, in this pipeline: the
-  // per-message memo means the cache sees one lookup per (message, edge),
-  // so hits + misses == total_distinct_probes and misses ==
+  // Every worker has drained and folded its tally, so the totals are exact:
+  // the per-message memo means the cache sees one lookup per (message,
+  // edge), so hits + misses == total_distinct_probes and misses ==
   // unique_edges_probed, deterministically (see TrafficResult::cache_hits).
   result.unique_edges_probed = cache.unique_edges();
-  result.cache_hits = cache.approx_hits();
-  result.cache_misses = cache.approx_misses();
+  result.cache_hits = cache.hits();
+  result.cache_misses = cache.misses();
 
   // Validate paths and resolve every hop's incident slot.
   const obs::PhaseProfiler::Scope validate_scope(profiler, "validate");

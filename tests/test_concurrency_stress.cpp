@@ -34,9 +34,9 @@
 #include "obs/phase_profiler.hpp"
 #include "percolation/edge_sampler.hpp"
 #include "percolation/indexed_memo.hpp"
+#include "percolation/shared_probe_cache.hpp"
 #include "random/rng.hpp"
 #include "sim/registry.hpp"
-#include "traffic/shared_probe_cache.hpp"
 #include "traffic/traffic_engine.hpp"
 #include "traffic/workload.hpp"
 
@@ -109,8 +109,8 @@ TEST(ConcurrencyStress, SharedProbeCacheCasPublicationIsExactUnderContention) {
   // miss, and a miss is counted only by the CAS winner.
   const std::uint64_t probes =
       static_cast<std::uint64_t>(kThreads) * kRounds * edges;
-  EXPECT_EQ(cache.approx_hits() + cache.approx_misses(), probes);
-  EXPECT_EQ(cache.approx_misses(), cache.unique_edges());
+  EXPECT_EQ(cache.hits() + cache.misses(), probes);
+  EXPECT_EQ(cache.misses(), cache.unique_edges());
   EXPECT_EQ(cache.unique_edges(), edges);
 }
 
@@ -276,8 +276,8 @@ TEST(ConcurrencyStress, IndexedStateMemoRacingStoresOfPureValuesStayConsistent) 
 TEST(ConcurrencyStress, ThreadedTrafficIsBitIdenticalToSingleThreaded) {
   // The capstone: the full engine at threads=4 must reproduce the
   // single-threaded run bit-for-bit. Under TSan this routes real batches
-  // through ProbeArena pooling, the lock-free cache, the DistanceOracle
-  // prewarm, and the counter slabs at once.
+  // through ProbeArena pooling, the lock-free cache with its per-worker
+  // tallies, the DistanceOracle prewarm, and the counter slabs at once.
   const auto graph = sim::make_topology("de_bruijn:8");
   const HashEdgeSampler env(0.55, derive_seed(2005, 3));
   WorkloadConfig workload = sim::make_workload("random-pairs");
@@ -299,6 +299,15 @@ TEST(ConcurrencyStress, ThreadedTrafficIsBitIdenticalToSingleThreaded) {
   EXPECT_EQ(threaded.makespan, baseline.makespan);
   EXPECT_EQ(threaded.total_distinct_probes, baseline.total_distinct_probes);
   EXPECT_EQ(threaded.unique_edges_probed, baseline.unique_edges_probed);
+  // Each worker folds its tally into the cache once, when it drains; a
+  // lost or doubled fold would break these identities at threads=4.
+  EXPECT_EQ(threaded.cache_hits, baseline.cache_hits);
+  EXPECT_EQ(threaded.cache_misses, baseline.cache_misses);
+  for (const TrafficResult* run : {&baseline, &threaded}) {
+    EXPECT_GT(run->cache_hits, 0u);
+    EXPECT_EQ(run->cache_hits + run->cache_misses, run->total_distinct_probes);
+    EXPECT_EQ(run->cache_misses, run->unique_edges_probed);
+  }
   ASSERT_EQ(threaded.outcomes.size(), baseline.outcomes.size());
   for (std::size_t i = 0; i < baseline.outcomes.size(); ++i) {
     EXPECT_EQ(threaded.outcomes[i].delivered, baseline.outcomes[i].delivered);

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <queue>
 #include <set>
 #include <string>
@@ -28,6 +29,7 @@
 #include "percolation/cluster_analysis.hpp"
 #include "percolation/edge_sampler.hpp"
 #include "percolation/override_sampler.hpp"
+#include "percolation/shared_probe_cache.hpp"
 #include "percolation/threshold.hpp"
 #include "random/rng.hpp"
 #include "scenario/spec.hpp"
@@ -224,8 +226,17 @@ TEST(FlatAdjacency, ProbeContextFlatPathMatchesImplicitOnBothBackends) {
   // Drive an identical probe sequence through all four backend combinations
   // (hash/dense probe state x flat/implicit adjacency) and hold every
   // answer and counter equal.
-  const auto drive = [&](ProbeArena* arena, const FlatAdjacency* snapshot) {
-    ProbeContext ctx(*graph, env, 0, RoutingMode::kOracle, std::nullopt, arena, snapshot);
+  const auto drive = [&](bool dense, const FlatAdjacency* snapshot) {
+    const SharedProbeCache cache(env, *graph);
+    ProbeArena arena(cache);
+    std::optional<ProbeContext> hash_ctx;
+    std::optional<ProbeContext> dense_ctx;
+    if (dense) {
+      dense_ctx.emplace(arena, 0, RoutingMode::kOracle, std::nullopt, snapshot);
+    } else {
+      hash_ctx.emplace(*graph, env, 0, RoutingMode::kOracle, std::nullopt, snapshot);
+    }
+    ProbeContext& ctx = dense ? *dense_ctx : *hash_ctx;
     std::vector<bool> answers;
     for (VertexId v = 0; v < graph->num_vertices(); ++v) {
       for (int i = 0; i < graph->degree(v); ++i) {
@@ -239,14 +250,17 @@ TEST(FlatAdjacency, ProbeContextFlatPathMatchesImplicitOnBothBackends) {
     EXPECT_EQ(ctx.total_probes(),
               2ull * graph->channel_index().num_channels() + 1);
     EXPECT_EQ(ctx.distinct_probes(), graph->channel_index().num_edge_ids());
+    if (dense) {
+      // The memo let exactly one lookup per edge through to the cache.
+      EXPECT_EQ(arena.tally().misses, graph->channel_index().num_edge_ids());
+      EXPECT_EQ(arena.tally().hits, 0u);
+    }
     return std::make_pair(answers, ctx.distinct_probes());
   };
-  ProbeArena arena_a;
-  ProbeArena arena_b;
-  const auto implicit_hash = drive(nullptr, nullptr);
-  const auto flat_hash = drive(nullptr, &flat);
-  const auto implicit_dense = drive(&arena_a, nullptr);
-  const auto flat_dense = drive(&arena_b, &flat);
+  const auto implicit_hash = drive(false, nullptr);
+  const auto flat_hash = drive(false, &flat);
+  const auto implicit_dense = drive(true, nullptr);
+  const auto flat_dense = drive(true, &flat);
   EXPECT_EQ(implicit_hash, flat_hash);
   EXPECT_EQ(implicit_hash, implicit_dense);
   EXPECT_EQ(implicit_hash, flat_dense);

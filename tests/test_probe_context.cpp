@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+
 #include "core/path.hpp"
 #include "core/probe_context.hpp"
 #include "graph/hypercube.hpp"
 #include "graph/mesh.hpp"
 #include "percolation/edge_sampler.hpp"
+#include "percolation/shared_probe_cache.hpp"
 
 namespace faultroute {
 namespace {
@@ -122,14 +126,25 @@ TEST(ProbeContext, ProbeBetweenFindsTheEdge) {
 //
 // The dense (arena-backed) and hash backends must be observably identical.
 // Each test below runs once per backend and once per routing mode where the
-// mode matters; `arena_for` hands out nullptr (hash) or a live arena (dense).
+// mode matters; `make_context` builds a hash context over the sampler, or a
+// dense one on an arena bound to a SharedProbeCache over it.
 
 class ProbeContextBackends : public ::testing::TestWithParam<bool> {
  protected:
-  ProbeArena* arena_for() { return GetParam() ? &arena_ : nullptr; }
+  std::unique_ptr<ProbeContext> make_context(const Topology& g, const EdgeSampler& s,
+                                             RoutingMode mode,
+                                             std::optional<std::uint64_t> budget) {
+    if (!GetParam()) return std::make_unique<ProbeContext>(g, s, 0, mode, budget);
+    if (!arena_) {
+      cache_ = std::make_unique<SharedProbeCache>(s, g);
+      arena_ = std::make_unique<ProbeArena>(*cache_);
+    }
+    return std::make_unique<ProbeContext>(*arena_, 0, mode, budget);
+  }
 
  private:
-  ProbeArena arena_;
+  std::unique_ptr<SharedProbeCache> cache_;
+  std::unique_ptr<ProbeArena> arena_;
 };
 
 INSTANTIATE_TEST_SUITE_P(HashAndDense, ProbeContextBackends, ::testing::Bool(),
@@ -141,12 +156,12 @@ TEST_P(ProbeContextBackends, BudgetZeroThrowsOnTheVeryFirstFreshProbe) {
   const Hypercube g(4);
   const HashEdgeSampler s(1.0, 1);
   for (const RoutingMode mode : {RoutingMode::kLocal, RoutingMode::kOracle}) {
-    ProbeContext ctx(g, s, 0, mode, /*budget=*/0, arena_for());
-    EXPECT_EQ(ctx.remaining_budget(), 0u);
-    EXPECT_THROW(ctx.probe(0, 0), ProbeBudgetExceeded);
+    const auto ctx = make_context(g, s, mode, /*budget=*/0);
+    EXPECT_EQ(ctx->remaining_budget(), 0u);
+    EXPECT_THROW(ctx->probe(0, 0), ProbeBudgetExceeded);
     // The rejected probe still counted as a call, but discovered nothing.
-    EXPECT_EQ(ctx.total_probes(), 1u);
-    EXPECT_EQ(ctx.distinct_probes(), 0u);
+    EXPECT_EQ(ctx->total_probes(), 1u);
+    EXPECT_EQ(ctx->distinct_probes(), 0u);
   }
 }
 
@@ -154,14 +169,14 @@ TEST_P(ProbeContextBackends, ExactlyAtBudgetSucceedsAndOneMoreThrows) {
   const Hypercube g(4);
   const HashEdgeSampler s(1.0, 1);
   for (const RoutingMode mode : {RoutingMode::kLocal, RoutingMode::kOracle}) {
-    ProbeContext ctx(g, s, 0, mode, /*budget=*/4, arena_for());
-    for (int i = 0; i < 4; ++i) EXPECT_NO_THROW(ctx.probe(0, i));  // spends it all
-    EXPECT_EQ(ctx.distinct_probes(), 4u);
-    EXPECT_EQ(ctx.remaining_budget(), 0u);
+    const auto ctx = make_context(g, s, mode, /*budget=*/4);
+    for (int i = 0; i < 4; ++i) EXPECT_NO_THROW(ctx->probe(0, i));  // spends it all
+    EXPECT_EQ(ctx->distinct_probes(), 4u);
+    EXPECT_EQ(ctx->remaining_budget(), 0u);
     // Memoised re-probes stay free after exhaustion; a fresh edge throws.
-    EXPECT_NO_THROW(ctx.probe(0, 3));
-    EXPECT_THROW(ctx.probe(1, 1), ProbeBudgetExceeded);
-    EXPECT_EQ(ctx.distinct_probes(), 4u);
+    EXPECT_NO_THROW(ctx->probe(0, 3));
+    EXPECT_THROW(ctx->probe(1, 1), ProbeBudgetExceeded);
+    EXPECT_EQ(ctx->distinct_probes(), 4u);
   }
 }
 
@@ -172,17 +187,17 @@ TEST_P(ProbeContextBackends, RemainingBudgetIsConsistentWithTheThrowCondition) {
   const Hypercube g(4);
   const HashEdgeSampler s(0.7, 5);
   constexpr std::uint64_t kBudget = 6;
-  ProbeContext ctx(g, s, 0, RoutingMode::kOracle, kBudget, arena_for());
+  const auto ctx = make_context(g, s, RoutingMode::kOracle, kBudget);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     for (int i = 0; i < g.degree(v); ++i) {
-      const std::uint64_t before = ctx.distinct_probes();
-      ASSERT_EQ(ctx.remaining_budget(), kBudget - before);
+      const std::uint64_t before = ctx->distinct_probes();
+      ASSERT_EQ(ctx->remaining_budget(), kBudget - before);
       try {
-        ctx.probe(v, i);
-        EXPECT_LE(ctx.distinct_probes(), kBudget);
+        ctx->probe(v, i);
+        EXPECT_LE(ctx->distinct_probes(), kBudget);
       } catch (const ProbeBudgetExceeded&) {
         EXPECT_EQ(before, kBudget);  // threw exactly at exhaustion
-        EXPECT_EQ(ctx.remaining_budget(), 0u);
+        EXPECT_EQ(ctx->remaining_budget(), 0u);
         return;  // invariant held all the way to exhaustion
       }
     }
@@ -193,10 +208,10 @@ TEST_P(ProbeContextBackends, RemainingBudgetIsConsistentWithTheThrowCondition) {
 TEST_P(ProbeContextBackends, UnboundedBudgetReportsNullopt) {
   const Hypercube g(3);
   const HashEdgeSampler s(1.0, 1);
-  ProbeContext ctx(g, s, 0, RoutingMode::kOracle, std::nullopt, arena_for());
-  EXPECT_EQ(ctx.remaining_budget(), std::nullopt);
-  ctx.probe(0, 0);
-  EXPECT_EQ(ctx.remaining_budget(), std::nullopt);
+  const auto ctx = make_context(g, s, RoutingMode::kOracle, std::nullopt);
+  EXPECT_EQ(ctx->remaining_budget(), std::nullopt);
+  ctx->probe(0, 0);
+  EXPECT_EQ(ctx->remaining_budget(), std::nullopt);
 }
 
 // ----------------------------------------------------- dense backend proper
@@ -204,9 +219,10 @@ TEST_P(ProbeContextBackends, UnboundedBudgetReportsNullopt) {
 TEST(ProbeArena, EpochBumpIsolatesMessagesWithoutLeakingState) {
   const Hypercube g(4);
   const HashEdgeSampler s(1.0, 9);
-  ProbeArena arena;
+  const SharedProbeCache cache(s, g);
+  ProbeArena arena(cache);
   {
-    ProbeContext first(g, s, 0, RoutingMode::kLocal, std::nullopt, &arena);
+    ProbeContext first(arena, 0, RoutingMode::kLocal);
     first.probe(0, 0);
     first.probe(0, 1);
     EXPECT_EQ(first.distinct_probes(), 2u);
@@ -215,36 +231,104 @@ TEST(ProbeArena, EpochBumpIsolatesMessagesWithoutLeakingState) {
   // Same arena, next message: the previous memo and reached set must be
   // invisible — the same edges count as distinct again, and vertex 1 is no
   // longer reached (only the new source is).
-  ProbeContext second(g, s, 2, RoutingMode::kLocal, std::nullopt, &arena);
+  ProbeContext second(arena, 2, RoutingMode::kLocal);
   EXPECT_EQ(second.distinct_probes(), 0u);
   EXPECT_FALSE(second.is_reached(1));
   EXPECT_TRUE(second.is_reached(2));
   EXPECT_THROW(second.probe(0, 0), LocalityViolation);  // 0-1 not incident to {2}
   second.probe(2, 0);
   EXPECT_EQ(second.distinct_probes(), 1u);
+  // Three distinct probes reached the cache: two first touches, then the
+  // second message's edge 2-3 (a first touch too).
+  EXPECT_EQ(arena.tally().hits + arena.tally().misses, 3u);
+  EXPECT_EQ(arena.tally().misses, 3u);
 }
 
 TEST(ProbeArena, SurvivesTopologySwitches) {
-  // Scenario sweeps reuse one worker arena across cells with different
-  // topologies; the arena must resize and reset cleanly.
+  // Scenario sweeps route each cell's batch on its own cache, so one
+  // worker's arenas come and go across topologies; an arena takes its
+  // sizes from its cache's topology and routes there.
   const Hypercube cube(4);
   const Mesh mesh(2, 8);
   const HashEdgeSampler s(1.0, 3);
-  ProbeArena arena;
+  const SharedProbeCache cube_cache(s, cube);
+  const SharedProbeCache mesh_cache(s, mesh);
+  ProbeArena cube_arena(cube_cache);
   {
-    ProbeContext ctx(cube, s, 0, RoutingMode::kLocal, std::nullopt, &arena);
+    ProbeContext ctx(cube_arena, 0, RoutingMode::kLocal);
     ctx.probe(0, 0);
     EXPECT_EQ(ctx.distinct_probes(), 1u);
+    EXPECT_EQ(&ctx.graph(), &cube);
   }
   {
-    ProbeContext ctx(mesh, s, 0, RoutingMode::kLocal, std::nullopt, &arena);
+    ProbeArena mesh_arena(mesh_cache);
+    ProbeContext ctx(mesh_arena, 0, RoutingMode::kLocal);
+    EXPECT_EQ(&ctx.graph(), &mesh);
     EXPECT_EQ(ctx.distinct_probes(), 0u);
     EXPECT_TRUE(ctx.probe_between(0, 1));
     EXPECT_TRUE(ctx.is_reached(1));
+    // The far corner of the 8x8 mesh is past every cube vertex id.
+    EXPECT_FALSE(ctx.is_reached(63));
   }
-  ProbeContext back(cube, s, 1, RoutingMode::kOracle, std::nullopt, &arena);
+  ProbeContext back(cube_arena, 1, RoutingMode::kOracle);
   back.probe(1, 0);
   EXPECT_EQ(back.distinct_probes(), 1u);
+}
+
+}  // namespace
+
+/// Test-only access to a ProbeArena's epoch, to reach the wrap without
+/// routing two billion messages.
+class ProbeArenaTestPeer {
+ public:
+  static constexpr std::uint32_t kMaxEpoch = ProbeArena::kMaxEpoch;
+  static std::uint32_t epoch(const ProbeArena& arena) { return arena.epoch_; }
+  static void set_epoch(ProbeArena& arena, std::uint32_t epoch) { arena.epoch_ = epoch; }
+};
+
+namespace {
+
+TEST(ProbeArena, EpochWrapAtTheStampBoundLeavesNoStaleSlotLive) {
+  static_assert(ProbeArenaTestPeer::kMaxEpoch == (1u << 31) - 1,
+                "an edge stamp packs the epoch above the open bit in 32 bits");
+  const Hypercube g(4);
+  const HashEdgeSampler s(1.0, 9);
+  const SharedProbeCache cache(s, g);
+  ProbeArena arena(cache);
+  {
+    // Epoch 1 stamps edge 0-1 and reaches vertex 1.
+    ProbeContext ancient(arena, 0, RoutingMode::kLocal);
+    EXPECT_EQ(ProbeArenaTestPeer::epoch(arena), 1u);
+    EXPECT_TRUE(ancient.probe(0, 0));
+    EXPECT_TRUE(ancient.is_reached(1));
+  }
+  // Skip ahead to the last epoch before the wrap.
+  ProbeArenaTestPeer::set_epoch(arena, ProbeArenaTestPeer::kMaxEpoch - 1);
+  {
+    ProbeContext last(arena, 0, RoutingMode::kLocal);
+    EXPECT_EQ(ProbeArenaTestPeer::epoch(arena), ProbeArenaTestPeer::kMaxEpoch);
+    // Stamps at the largest epoch still read back: a repeat is a memo hit.
+    EXPECT_TRUE(last.probe(0, 1));
+    EXPECT_TRUE(last.probe(0, 1));
+    EXPECT_EQ(last.distinct_probes(), 1u);
+    EXPECT_EQ(last.total_probes(), 2u);
+    EXPECT_TRUE(last.is_reached(2));
+    EXPECT_FALSE(last.is_reached(1));  // epoch 1's reach is stale
+  }
+  // The wrap restarts at epoch 1 — the epoch that stamped edge 0-1 and
+  // vertex 1 above. Unless the wrap zero-filled both arrays, they would
+  // read as live now.
+  ProbeContext wrapped(arena, 3, RoutingMode::kLocal);
+  EXPECT_EQ(ProbeArenaTestPeer::epoch(arena), 1u);
+  EXPECT_FALSE(wrapped.is_reached(1));
+  EXPECT_FALSE(wrapped.is_reached(2));
+  EXPECT_FALSE(wrapped.is_reached(0));
+  EXPECT_TRUE(wrapped.is_reached(3));
+  EXPECT_THROW(wrapped.probe(0, 0), LocalityViolation);  // 0 is not reached
+  EXPECT_TRUE(wrapped.probe_between(3, 1));
+  EXPECT_TRUE(wrapped.probe_between(1, 0));  // edge 0-1 again: fresh
+  EXPECT_EQ(wrapped.distinct_probes(), 2u);
+  EXPECT_TRUE(wrapped.is_reached(0));
 }
 
 TEST(ProbeContext, DenseAndHashBackendsAgreeOnEveryObservable) {
@@ -253,9 +337,10 @@ TEST(ProbeContext, DenseAndHashBackendsAgreeOnEveryObservable) {
   // observable after every step.
   const Hypercube g(5);
   const HashEdgeSampler s(0.6, 31);
-  ProbeArena arena;
+  const SharedProbeCache cache(s, g);
+  ProbeArena arena(cache);
   ProbeContext hash(g, s, 0, RoutingMode::kLocal);
-  ProbeContext dense(g, s, 0, RoutingMode::kLocal, std::nullopt, &arena);
+  ProbeContext dense(arena, 0, RoutingMode::kLocal);
   std::uint64_t frontier = 0;  // walk outward along whatever opens
   for (int round = 0; round < 40; ++round) {
     const VertexId v = frontier;
@@ -284,6 +369,9 @@ TEST(ProbeContext, DenseAndHashBackendsAgreeOnEveryObservable) {
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     ASSERT_EQ(hash.is_reached(v), dense.is_reached(v)) << "vertex " << v;
   }
+  // One message on a fresh cache: every distinct probe was a first touch.
+  EXPECT_EQ(arena.tally().misses, dense.distinct_probes());
+  EXPECT_EQ(arena.tally().hits, 0u);
 }
 
 // ------------------------------------------------------------------- Path

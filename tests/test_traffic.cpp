@@ -13,7 +13,7 @@
 #include "graph/hypercube.hpp"
 #include "graph/mesh.hpp"
 #include "percolation/edge_sampler.hpp"
-#include "traffic/shared_probe_cache.hpp"
+#include "percolation/shared_probe_cache.hpp"
 #include "traffic/traffic_engine.hpp"
 #include "traffic/workload.hpp"
 
@@ -209,8 +209,8 @@ TEST(SharedProbeCache, HitsPlusMissesEqualsProbesUnderThreadRaces) {
     });
   }
   for (auto& t : pool) t.join();
-  EXPECT_EQ(cache.approx_hits() + cache.approx_misses(), calls.load());
-  EXPECT_EQ(cache.approx_misses(), cache.unique_edges());
+  EXPECT_EQ(cache.hits() + cache.misses(), calls.load());
+  EXPECT_EQ(cache.misses(), cache.unique_edges());
   EXPECT_EQ(cache.unique_edges(), g.num_edges());
 }
 
@@ -228,8 +228,32 @@ TEST(SharedProbeCache, SequentialCountsAreExact) {
     }
   }
   // 2E probes over E edges: E misses (first touch) + E hits (reverse side).
-  EXPECT_EQ(cache.approx_misses(), g.num_edges());
-  EXPECT_EQ(cache.approx_hits(), g.num_edges());
+  EXPECT_EQ(cache.misses(), g.num_edges());
+  EXPECT_EQ(cache.hits(), g.num_edges());
+  EXPECT_EQ(cache.unique_edges(), g.num_edges());
+}
+
+TEST(SharedProbeCache, LookupCountsInTheCallersTallyUntilFolded) {
+  const Hypercube g(5);
+  const HashEdgeSampler base(0.5, 9);
+  const SharedProbeCache cache(base, g);
+  CacheTally tally;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    for (int i = 0; i < g.degree(v); ++i) {
+      const std::uint32_t edge = g.channel_index().edge_id_of(
+          g.channel_index().channel_of(v, i));
+      const EdgeKey key = g.edge_key(v, i);
+      EXPECT_EQ(cache.lookup(edge, key, tally), base.is_open(key));
+    }
+  }
+  EXPECT_EQ(tally.misses, g.num_edges());
+  EXPECT_EQ(tally.hits, g.num_edges());
+  // The cache's own counters see the tally only once it is folded.
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), 0u);
+  cache.fold(tally);
+  EXPECT_EQ(cache.hits(), g.num_edges());
+  EXPECT_EQ(cache.misses(), g.num_edges());
   EXPECT_EQ(cache.unique_edges(), g.num_edges());
 }
 

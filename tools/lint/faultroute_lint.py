@@ -103,8 +103,8 @@ HOT_PATH_DIRS = (
 #     ordered and thread join publishes the bodies' writes
 #   test_concurrency_stress: the stress suite exercising all of the above
 RELAXED_ALLOWLIST = {
-    Path("src") / "traffic" / "shared_probe_cache.hpp",
-    Path("src") / "traffic" / "shared_probe_cache.cpp",
+    Path("src") / "percolation" / "shared_probe_cache.hpp",
+    Path("src") / "percolation" / "shared_probe_cache.cpp",
     Path("src") / "core" / "parallel.cpp",
     Path("src") / "obs" / "counter_registry.cpp",
     Path("src") / "obs" / "counter_registry.hpp",
