@@ -9,14 +9,21 @@ namespace faultroute {
 
 ProbeArena::ProbeArena(const SharedProbeCache& cache)
     : cache_(cache),
-      edge_stamp_(cache.channels().num_edge_ids(), 0),
-      vertex_stamp_(cache.graph().num_vertices(), 0) {}
+      edge_probed_((std::uint64_t{cache.channels().num_edge_ids()} + 63) / 64, 0),
+      vertex_stamp_(cache.graph().num_vertices(), 0) {
+  // Room for every edge id up front, so the list never reallocates and the
+  // pages it occupies are only the ones the busiest message has written.
+  probed_edges_.reserve(cache.channels().num_edge_ids());
+}
 
 void ProbeArena::begin_message() {
+  // Every set bit is on the list, so zeroing each listed edge's word clears
+  // them all and touches nothing the last message did not.
+  for (const std::uint32_t edge : probed_edges_) edge_probed_[edge >> 6] = 0;
+  probed_edges_.clear();
   if (epoch_ == kMaxEpoch) {
-    // Epoch wrap: stamps from ~2 billion messages ago would read as live.
-    // Zero everything and restart — amortised cost is a rounding error.
-    std::fill(edge_stamp_.begin(), edge_stamp_.end(), 0u);
+    // Epoch wrap: stamps from ~4 billion messages ago would read as live.
+    // Zero them and restart — amortised cost is a rounding error.
     std::fill(vertex_stamp_.begin(), vertex_stamp_.end(), 0u);
     epoch_ = 0;
   }
@@ -37,8 +44,17 @@ ProbeContext::ProbeContext(ProbeArena& arena, VertexId source, RoutingMode mode,
                            const DistanceOracle* oracle)
     : graph_(arena.cache().graph()), sampler_(arena.cache()), source_(source), mode_(mode),
       budget_(budget), arena_(&arena), flat_(flat), oracle_(oracle) {
-  arena_->begin_message();
+  if (arena.in_use_) {
+    // analyze:allow-throw-safety(arena-sharing contract violation is a programming error; surfaced via first_error)
+    throw ProbeArenaInUse("ProbeContext: the ProbeArena is held by another live context");
+  }
+  arena.in_use_ = true;
+  arena.begin_message();
   if (mode_ == RoutingMode::kLocal) reached_insert(source_);
+}
+
+ProbeContext::~ProbeContext() {
+  if (arena_ != nullptr) arena_->in_use_ = false;
 }
 
 bool ProbeContext::reached_contains(VertexId v) const {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <unordered_map>
@@ -36,20 +37,34 @@ class ProbeBudgetExceeded : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Thrown when a dense ProbeContext is constructed on a ProbeArena that a
+/// live ProbeContext still uses. Both would share the arena's memo and
+/// reached set, and the newcomer's start would wipe the first one's memo.
+class ProbeArenaInUse : public std::logic_error {
+ public:
+  using std::logic_error::logic_error;
+};
+
 /// Pooled per-worker storage for the dense ProbeContext backend, bound to
 /// the batch's SharedProbeCache.
 ///
 /// A batch routes many messages on one topology, and the per-message probe
 /// memo / reached set die with each message. Hash containers pay allocation
 /// and hashing for that churn on every probe of every message; the arena
-/// replaces them with two flat arrays of one word per slot, sized once for
-/// the cache's topology:
-///  * the probe memo, one word per undirected edge id
-///    (ChannelIndex::edge_id_of): `epoch << 1 | open`;
-///  * the kLocal reached set, one word per vertex: the epoch itself.
-/// A slot is live only if its stamp carries the arena's current epoch, so
-/// "clearing" between messages is one integer increment, never a memset or
-/// an allocation. Steady-state routing through an arena allocates nothing.
+/// replaces them with flat arrays sized once for the cache's topology:
+///  * the probe memo, one bit per undirected edge id
+///    (ChannelIndex::edge_id_of): "probed by this message". It holds no
+///    answer; a repeat probe reads the answer back from the cache byte the
+///    message's first probe published. Next to the bits, a list of the edge
+///    ids the current message has set, so starting the next message clears
+///    exactly those bits: O(probes), never a pass over every edge;
+///  * the kLocal reached set, one word per vertex: reached iff the word
+///    equals the arena's epoch, so clearing it is one integer increment.
+/// The list reserves a slot per edge id once and never reallocates, so
+/// routing through an arena allocates nothing; its resident pages are those
+/// the busiest message wrote. The memo costs 1 bit per edge plus 4 bytes per
+/// edge that message probed — never more than the 4 bytes per edge of an
+/// epoch-stamped word memo.
 ///
 /// The arena also owns its worker's CacheTally: every lookup its contexts
 /// make in the cache is counted there, in plain integers, and the owner
@@ -57,14 +72,15 @@ class ProbeBudgetExceeded : public std::runtime_error {
 ///
 /// Lifecycle: create one arena per worker thread (route_all does this in
 /// parallel_index_loop's make_body), then construct a dense ProbeContext per
-/// message on it. The ProbeContext constructor bumps the epoch, invalidating
-/// every slot the previous message stamped. At most one ProbeContext may use
-/// an arena at a time (they share the same slots); arenas are not
-/// thread-safe and must not be shared across threads.
+/// message on it. The ProbeContext constructor starts a message: it clears
+/// the previous message's memo bits and bumps the epoch. At most one
+/// ProbeContext may use an arena at a time: constructing a second while the
+/// first is alive throws ProbeArenaInUse. Arenas are not thread-safe and
+/// must not be shared across threads.
 class ProbeArena {
  public:
-  /// Binds the arena to `cache`, which must outlive it, and sizes the stamp
-  /// arrays for the cache's topology.
+  /// Binds the arena to `cache`, which must outlive it, and sizes the memo
+  /// bits and vertex stamps for the cache's topology.
   explicit ProbeArena(const SharedProbeCache& cache);
   ProbeArena(const ProbeArena&) = delete;
   ProbeArena& operator=(const ProbeArena&) = delete;
@@ -79,17 +95,20 @@ class ProbeArena {
   friend class ProbeContext;
   friend class ProbeArenaTestPeer;
 
-  /// The largest epoch an edge stamp can carry above its open bit.
-  static constexpr std::uint32_t kMaxEpoch = (1u << 31) - 1;
+  /// The largest epoch a vertex stamp can carry (0 marks "never reached").
+  static constexpr std::uint32_t kMaxEpoch = std::numeric_limits<std::uint32_t>::max();
 
-  /// Starts a fresh epoch. On the (once per ~2 billion messages) epoch wrap,
-  /// both stamp arrays are zero-filled so stale stamps can never collide.
+  /// Starts a fresh message: clears the memo bits on the list and bumps the
+  /// epoch. On the (once per ~4 billion messages) epoch wrap, the vertex
+  /// stamps are zero-filled so stale stamps can never collide.
   void begin_message();
 
   const SharedProbeCache& cache_;
   std::uint32_t epoch_ = 0;
-  std::vector<std::uint32_t> edge_stamp_;    // epoch << 1 | open, per edge id
-  std::vector<std::uint32_t> vertex_stamp_;  // reached iff == epoch_ (kLocal)
+  bool in_use_ = false;                       // a live ProbeContext holds the arena
+  std::vector<std::uint64_t> edge_probed_;    // bit e: edge id e probed by this message
+  std::vector<std::uint32_t> probed_edges_;   // the edge ids whose bit is set
+  std::vector<std::uint32_t> vertex_stamp_;   // reached iff == epoch_ (kLocal)
   CacheTally tally_;
 };
 
@@ -109,12 +128,13 @@ class ProbeArena {
 ///  * hash (over any EdgeSampler): per-context unordered containers keyed
 ///    by EdgeKey/VertexId, probed out of line — self-contained, right for
 ///    one-off contexts (single-pair experiments, `faultroute route`);
-///  * dense (on a ProbeArena): the arena's one-word-per-slot stamp arrays,
-///    with the environment read straight from the arena's SharedProbeCache
-///    — the traffic engine's hot path. probe() is inline here; on a CSR
-///    snapshot the whole probe (memo, cache lookup, reach growth) inlines
-///    into the router's loop, and the implicit adjacency path runs the same
-///    kernel body out of line.
+///  * dense (on a ProbeArena): the arena's one-bit-per-edge memo and
+///    per-vertex reach stamps, with the environment read straight from the
+///    arena's SharedProbeCache — the traffic engine's hot path. A repeat
+///    probe reads its answer back from the cache byte the first probe
+///    published. probe() is inline here; on a CSR snapshot the whole probe
+///    (memo, cache lookup, reach growth) inlines into the router's loop, and
+///    the implicit adjacency path runs the same kernel body out of line.
 /// Every observable (probe answers, distinct/total counts, reach, budget
 /// and locality enforcement) is bit-identical across backends; the traffic
 /// differential suite holds the engine to a hash-backend reference.
@@ -137,14 +157,17 @@ class ProbeContext {
 
   /// Dense backend on `arena`: probes the topology of the arena's cache,
   /// through that cache, counting its lookups in the arena's tally. The
-  /// arena must outlive the context and serve only it until the next
-  /// ProbeContext takes it over. `budget`, `flat` and `oracle` are as above.
+  /// arena must outlive the context, which holds it until destroyed; throws
+  /// ProbeArenaInUse if another live context holds it. `budget`, `flat` and
+  /// `oracle` are as above.
   ProbeContext(ProbeArena& arena, VertexId source, RoutingMode mode,
                std::optional<std::uint64_t> budget = std::nullopt,
                const FlatAdjacency* flat = nullptr, const DistanceOracle* oracle = nullptr);
 
   ProbeContext(const ProbeContext&) = delete;
   ProbeContext& operator=(const ProbeContext&) = delete;
+  /// Releases the arena (dense backend) for the next context.
+  ~ProbeContext();
 
   /// Probes the i-th incident edge of v. Returns true iff open.
   /// Throws LocalityViolation (kLocal mode, edge not incident to the reached
@@ -257,20 +280,22 @@ bool ProbeContext::probe_dense(const Access& access, VertexId v, int i) {
     throw LocalityViolation("local probe of edge not incident to the reached set");
   }
   ++total_probes_;
-  // The memo: live iff the stamp carries this message's epoch. A hit
-  // touches one word and computes no edge key; only a fresh probe reaches
-  // the shared cache.
+  // The memo: the edge's bit is set iff this message probed it already. A
+  // hit computes no edge key and counts no lookup: it reads back the cache
+  // byte that the first probe published. Only a fresh probe is a lookup.
   const std::uint32_t edge = access.edge_id(v, i);
-  std::uint32_t& stamp = arena.edge_stamp_[edge];
+  std::uint64_t& word = arena.edge_probed_[edge >> 6];
+  const std::uint64_t bit = std::uint64_t{1} << (edge & 63u);
   bool open;
-  if ((stamp >> 1) == epoch) {
-    open = (stamp & 1u) != 0;
+  if ((word & bit) != 0) {
+    open = arena.cache_.published_open(edge);
   } else {
     if (budget_ && distinct_probes_ >= *budget_) {
       throw ProbeBudgetExceeded("probe budget exhausted");  // analyze:allow-throw-safety(probe-budget censoring signal, caught per message by the engine)
     }
     open = arena.cache_.lookup(edge, access.edge_key(v, i), arena.tally_);
-    stamp = epoch << 1 | (open ? 1u : 0u);
+    word |= bit;
+    arena.probed_edges_.push_back(edge);  // analyze:allow-hot-alloc(the arena reserves a slot per edge id, so this never reallocates)
     ++distinct_probes_;
   }
   if (open && mode_ == RoutingMode::kLocal) {

@@ -1,38 +1,39 @@
 #include "core/routers/gnp_routers.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <stdexcept>
-#include <vector>
 
 #include "graph/complete.hpp"
 
-// analyze:allow-file-hot-alloc(complete-graph cross-scan routers size per-search state once per message)
 namespace faultroute {
 
-namespace {
+// The scan's lists are router members: they grow to a message's largest
+// U and stalled sets once, then clear and refill in place.
+void GnpOracleRouter::CrossScan::clear() {
+  cursor.clear();
+  active.clear();
+  head = 0;
+  stalled.clear();
+}
 
-enum class Membership : std::uint8_t { kUnreached = 0, kInU = 1, kInV = 2 };
+void GnpOracleRouter::CrossScan::add_u(std::uint32_t u_index) {
+  cursor.push_back(0);        // analyze:allow-hot-alloc(pooled scan list; capacity kept across messages)
+  active.push_back(u_index);  // analyze:allow-hot-alloc(pooled scan list; capacity kept across messages)
+}
 
-/// Lazy enumeration state for the cross pairs (U x V): each U member holds a
-/// cursor over the growing V list. Stalled cursors (cursor == |V| at the
-/// time of inspection) are parked and revived when V grows.
-struct CrossScan {
-  std::vector<std::uint32_t> cursor;       // per U-index: next V-index to probe
-  std::deque<std::uint32_t> active;        // U-indices with cursor < |V|
-  std::vector<std::uint32_t> stalled;      // U-indices waiting for V to grow
+void GnpOracleRouter::CrossScan::revive_all() {
+  // analyze:allow-hot-alloc(pooled scan list; capacity kept across messages)
+  for (const std::uint32_t i : stalled) active.push_back(i);
+  stalled.clear();
+}
 
-  void add_u(std::uint32_t u_index) {
-    cursor.push_back(0);
-    active.push_back(u_index);
+void GnpOracleRouter::CrossScan::stall_front() {
+  stalled.push_back(active[head]);  // analyze:allow-hot-alloc(pooled scan list; capacity kept across messages)
+  if (++head == active.size()) {
+    active.clear();
+    head = 0;
   }
-  void revive_all() {
-    for (const std::uint32_t i : stalled) active.push_back(i);
-    stalled.clear();
-  }
-};
-
-}  // namespace
+}
 
 std::optional<Path> GnpOracleRouter::route(ProbeContext& ctx, VertexId u, VertexId v) {
   if (u == v) return Path{u};
@@ -43,39 +44,37 @@ std::optional<Path> GnpOracleRouter::route(ProbeContext& ctx, VertexId u, Vertex
   }
   const std::uint64_t n = clique->num_vertices();
 
-  std::vector<Membership> status(n, Membership::kUnreached);
-  std::vector<VertexId> parent(n, 0);
-  std::vector<VertexId> members_u{u};
-  std::vector<VertexId> members_v{v};
-  status[u] = Membership::kInU;
-  status[v] = Membership::kInV;
-  parent[u] = u;
-  parent[v] = v;
+  // Per-vertex state is refilled in place: no allocation once the pooled
+  // arrays have grown to n. parent_ is written before it is read.
+  status_.assign(n, Membership::kUnreached);  // analyze:allow-hot-alloc(pooled per-vertex state; grows once, then refills in place)
+  grow_cursor_.assign(n, 0);  // analyze:allow-hot-alloc(pooled per-vertex state; grows once, then refills in place)
+  parent_.resize(n);  // analyze:allow-hot-alloc(pooled per-vertex state; grows once, then refills in place)
+  members_u_.assign(1, u);  // analyze:allow-hot-alloc(pooled member list; capacity kept across messages)
+  members_v_.assign(1, v);  // analyze:allow-hot-alloc(pooled member list; capacity kept across messages)
+  status_[u] = Membership::kInU;
+  status_[v] = Membership::kInV;
+  parent_[u] = u;
+  parent_[v] = v;
 
-  CrossScan cross;
-  cross.add_u(0);
-
-  // Per-(U u V)-member growth cursor: next vertex id to consider probing.
-  std::vector<std::uint64_t> grow_cursor(n, 0);
-  std::size_t grow_next_u = 0;  // round-robin position within members_u
+  cross_.clear();
+  cross_.add_u(0);
+  std::size_t grow_next_u = 0;  // round-robin position within members_u_
   std::size_t grow_next_v = 0;
 
-  const auto chain = [&parent](VertexId from) {
-    Path path;
-    for (VertexId x = from;; x = parent[x]) {
-      path.push_back(x);
-      if (parent[x] == x) break;
+  // Appends from, parent(from), ... up to the root of from's side.
+  const auto append_chain = [this](Path& path, VertexId from) {
+    for (VertexId x = from;; x = parent_[x]) {
+      path.push_back(x);  // analyze:allow-hot-alloc(the returned path: one per routed message)
+      if (parent_[x] == x) break;
     }
-    return path;  // from .. root
   };
   const auto build_path = [&](VertexId a, VertexId b) {
-    // a in U, b in V, open edge a-b.
-    Path left = chain(a);  // a .. u
-    std::reverse(left.begin(), left.end());
-    const Path right = chain(b);  // b .. v
-    Path full = std::move(left);
-    full.insert(full.end(), right.begin(), right.end());
-    return full;
+    // a in U, b in V, open edge a-b: u .. a, then b .. v.
+    Path path;
+    append_chain(path, a);
+    std::reverse(path.begin(), path.end());
+    append_chain(path, b);
+    return path;
   };
 
   // One growth attempt from `members[pos]`: probe its next unreached
@@ -85,20 +84,19 @@ std::optional<Path> GnpOracleRouter::route(ProbeContext& ctx, VertexId u, Vertex
     const std::size_t count = members.size();
     for (std::size_t scanned = 0; scanned < count; ++scanned) {
       const VertexId s = members[(pos + scanned) % count];
-      std::uint64_t& cur = grow_cursor[s];
-      while (cur < n && status[cur] != Membership::kUnreached) ++cur;
+      std::uint64_t& cur = grow_cursor_[s];
+      while (cur < n && status_[cur] != Membership::kUnreached) ++cur;
       if (cur >= n) continue;
       const VertexId x = cur++;
       pos = (pos + scanned) % count;  // stay with this member next round
       if (ctx.probe(s, clique->index_of(s, x))) {
-        status[x] = tag;
-        parent[x] = s;
+        status_[x] = tag;
+        parent_[x] = s;
+        members.push_back(x);  // analyze:allow-hot-alloc(pooled member list; capacity kept across messages)
         if (tag == Membership::kInU) {
-          members_u.push_back(x);
-          cross.add_u(static_cast<std::uint32_t>(members_u.size() - 1));
+          cross_.add_u(static_cast<std::uint32_t>(members.size() - 1));
         } else {
-          members_v.push_back(x);
-          cross.revive_all();  // V grew: stalled U cursors have new pairs
+          cross_.revive_all();  // V grew: stalled U cursors have new pairs
         }
       }
       return true;
@@ -109,19 +107,15 @@ std::optional<Path> GnpOracleRouter::route(ProbeContext& ctx, VertexId u, Vertex
   while (true) {
     // (1) Probe an unqueried U x V pair if one exists.
     bool probed_cross = false;
-    while (!cross.active.empty()) {
-      const std::uint32_t ui = cross.active.front();
-      if (cross.cursor[ui] >= members_v.size()) {
-        cross.active.pop_front();
-        cross.stalled.push_back(ui);
+    while (!cross_.empty()) {
+      const std::uint32_t ui = cross_.front();
+      if (cross_.cursor[ui] >= members_v_.size()) {
+        cross_.stall_front();
         continue;
       }
-      const VertexId a = members_u[ui];
-      const VertexId b = members_v[cross.cursor[ui]++];
-      if (cross.cursor[ui] >= members_v.size()) {
-        cross.active.pop_front();
-        cross.stalled.push_back(ui);
-      }
+      const VertexId a = members_u_[ui];
+      const VertexId b = members_v_[cross_.cursor[ui]++];
+      if (cross_.cursor[ui] >= members_v_.size()) cross_.stall_front();
       if (ctx.probe(a, clique->index_of(a, b))) return build_path(a, b);
       probed_cross = true;
       break;
@@ -129,13 +123,13 @@ std::optional<Path> GnpOracleRouter::route(ProbeContext& ctx, VertexId u, Vertex
     if (probed_cross) continue;
 
     // (2) Grow the smaller side (ties: U).
-    const bool u_smaller = members_u.size() <= members_v.size();
+    const bool u_smaller = members_u_.size() <= members_v_.size();
     if (u_smaller) {
-      if (try_grow(members_u, grow_next_u, Membership::kInU)) continue;
-      if (try_grow(members_v, grow_next_v, Membership::kInV)) continue;
+      if (try_grow(members_u_, grow_next_u, Membership::kInU)) continue;
+      if (try_grow(members_v_, grow_next_v, Membership::kInV)) continue;
     } else {
-      if (try_grow(members_v, grow_next_v, Membership::kInV)) continue;
-      if (try_grow(members_u, grow_next_u, Membership::kInU)) continue;
+      if (try_grow(members_v_, grow_next_v, Membership::kInV)) continue;
+      if (try_grow(members_u_, grow_next_u, Membership::kInU)) continue;
     }
 
     // (3) Nothing left to probe: u and v are disconnected.

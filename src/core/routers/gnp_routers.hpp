@@ -1,5 +1,9 @@
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
 #include "core/router.hpp"
 #include "core/routers/flood_router.hpp"
 
@@ -34,6 +38,37 @@ class GnpOracleRouter final : public Router {
 
   [[nodiscard]] std::string name() const override { return "gnp-oracle"; }
   [[nodiscard]] RoutingMode required_mode() const override { return RoutingMode::kOracle; }
+
+ private:
+  enum class Membership : std::uint8_t { kUnreached = 0, kInU = 1, kInV = 2 };
+
+  /// Lazy enumeration state for the cross pairs (U x V): each U member holds
+  /// a cursor over the growing V list. Stalled cursors (cursor == |V| at the
+  /// time of inspection) are parked and revived when V grows. `active` is a
+  /// FIFO read from `head`; it is emptied whenever it drains, and it only
+  /// grows while drained, so it never holds more than |U| entries.
+  struct CrossScan {
+    std::vector<std::uint32_t> cursor;   // per U-index: next V-index to probe
+    std::vector<std::uint32_t> active;   // U-indices with cursor < |V|, from head
+    std::size_t head = 0;
+    std::vector<std::uint32_t> stalled;  // U-indices waiting for V to grow
+
+    void clear();
+    void add_u(std::uint32_t u_index);
+    void revive_all();
+    [[nodiscard]] bool empty() const { return head == active.size(); }
+    [[nodiscard]] std::uint32_t front() const { return active[head]; }
+    /// Moves the front U-index to the stalled list.
+    void stall_front();
+  };
+
+  // Search state pooled across the messages a worker routes.
+  std::vector<Membership> status_;         // per vertex
+  std::vector<VertexId> parent_;           // per vertex; valid for U and V members
+  std::vector<std::uint64_t> grow_cursor_; // per vertex: next vertex id to consider
+  std::vector<VertexId> members_u_;
+  std::vector<VertexId> members_v_;
+  CrossScan cross_;
 };
 
 }  // namespace faultroute

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <memory>
 
@@ -42,7 +43,9 @@ struct CacheTally {
 /// the inline, non-virtual lookup() with a tally its worker owns, and the
 /// worker folds the tally in once when it drains. Every other caller goes
 /// through the EdgeSampler interface (is_open / is_open_indexed), which
-/// folds a one-call tally at once.
+/// folds a one-call tally at once. A context that probes an edge again in
+/// the same message reads the published byte back with published_open(),
+/// which counts nothing: the memo hit is not a cache lookup.
 ///
 /// Correctness under threads: the underlying sampler is a deterministic
 /// pure function of the edge key, so two threads racing to resolve the same
@@ -80,6 +83,18 @@ class SharedProbeCache final : public EdgeSampler {
       return state == kOpen;
     }
     return resolve(edge_id, key, tally);
+  }
+
+  /// The answer already published for edge `edge_id`, read back without
+  /// counting it anywhere. The caller must have looked the edge up before,
+  /// on the same thread: that lookup saw or published a known state, a
+  /// state goes from unknown to known exactly once, and read-read coherence
+  /// keeps a later relaxed load of the same byte from reading unknown. The
+  /// dense ProbeContext answers its memo hits from here.
+  [[nodiscard]] bool published_open(std::uint32_t edge_id) const {
+    const std::uint8_t state = states_[edge_id].load(std::memory_order_relaxed);
+    assert(state != kUnknown && "published_open before the edge's first lookup");
+    return state == kOpen;
   }
 
   /// Adds a caller's tally to hits() and misses(). Call it once per tally.

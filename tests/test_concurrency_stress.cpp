@@ -7,7 +7,8 @@
 // PhaseProfiler scopes from worker threads, DistanceOracle grow-only column
 // memo, the lazy Topology::channel_index / flat_adjacency /
 // FlatAdjacency::distance_oracle caches, IndexedStateMemo epoch cells, and
-// the full threaded traffic engine.
+// the full threaded traffic engine, including its memo-hit replays of
+// published cache bytes.
 //
 // The assertions are the structures' documented determinism contracts
 // (exact counter identities, value purity, one-instance lazy init). Run
@@ -32,6 +33,7 @@
 #include "graph/hypercube.hpp"
 #include "obs/counter_registry.hpp"
 #include "obs/phase_profiler.hpp"
+#include "obs/run_metrics.hpp"
 #include "percolation/edge_sampler.hpp"
 #include "percolation/indexed_memo.hpp"
 #include "percolation/shared_probe_cache.hpp"
@@ -313,6 +315,63 @@ TEST(ConcurrencyStress, ThreadedTrafficIsBitIdenticalToSingleThreaded) {
     EXPECT_EQ(threaded.outcomes[i].delivered, baseline.outcomes[i].delivered);
     EXPECT_EQ(threaded.outcomes[i].finish_time, baseline.outcomes[i].finish_time);
     EXPECT_EQ(threaded.outcomes[i].path_edges, baseline.outcomes[i].path_edges);
+  }
+}
+
+TEST(ConcurrencyStress, MemoHitsReplayPublishedAnswersUnderThreads) {
+  // A memo hit reads its answer back from the cache byte the message's
+  // first probe published, with a relaxed load that counts nothing, while
+  // other workers publish their first touches by CAS. landmark re-probes
+  // edges within a message, so this batch makes many such replays; under
+  // TSan it is the race detector for that load.
+  const auto graph = sim::make_topology("torus:2:12");
+  const HashEdgeSampler env(0.7, derive_seed(2005, 5));
+  WorkloadConfig workload = sim::make_workload("random-pairs");
+  workload.messages = 256;
+  workload.seed = derive_seed(2005, 6);
+  const auto messages = generate_workload(*graph, workload);
+  const auto factory = [&]() { return sim::make_router("landmark", *graph); };
+
+  struct Run {
+    TrafficResult result;
+    std::uint64_t probe_calls = 0;
+  };
+  const auto run_with = [&](unsigned threads) {
+    obs::RunMetrics metrics;
+    TrafficConfig config;
+    config.threads = threads;
+    config.metrics = &metrics;
+    Run run{run_traffic(*graph, env, factory, messages, config), 0};
+    run.probe_calls =
+        metrics.counters().value(metrics.counters().id("traffic.routing.probe_calls"));
+    return run;
+  };
+
+  const Run baseline = run_with(1);
+  const Run threaded = run_with(4);
+  for (const Run* run : {&baseline, &threaded}) {
+    // Repeat probes happened, and none of them reached the cache tallies.
+    EXPECT_GT(run->probe_calls, run->result.total_distinct_probes);
+    EXPECT_EQ(run->result.cache_hits + run->result.cache_misses,
+              run->result.total_distinct_probes);
+    EXPECT_EQ(run->result.cache_misses, run->result.unique_edges_probed);
+  }
+  EXPECT_EQ(threaded.probe_calls, baseline.probe_calls);
+  EXPECT_EQ(threaded.result.routed, baseline.result.routed);
+  EXPECT_EQ(threaded.result.delivered, baseline.result.delivered);
+  EXPECT_EQ(threaded.result.total_distinct_probes, baseline.result.total_distinct_probes);
+  EXPECT_EQ(threaded.result.unique_edges_probed, baseline.result.unique_edges_probed);
+  EXPECT_EQ(threaded.result.cache_hits, baseline.result.cache_hits);
+  EXPECT_EQ(threaded.result.cache_misses, baseline.result.cache_misses);
+  ASSERT_EQ(threaded.result.outcomes.size(), baseline.result.outcomes.size());
+  for (std::size_t i = 0; i < baseline.result.outcomes.size(); ++i) {
+    const MessageOutcome& a = baseline.result.outcomes[i];
+    const MessageOutcome& b = threaded.result.outcomes[i];
+    EXPECT_EQ(b.routed, a.routed) << "message " << i;
+    EXPECT_EQ(b.distinct_probes, a.distinct_probes) << "message " << i;
+    EXPECT_EQ(b.path_edges, a.path_edges) << "message " << i;
+    EXPECT_EQ(b.delivered, a.delivered) << "message " << i;
+    EXPECT_EQ(b.finish_time, a.finish_time) << "message " << i;
   }
 }
 

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 
 #include "core/path.hpp"
 #include "core/probe_context.hpp"
+#include "graph/channel_index.hpp"
 #include "graph/hypercube.hpp"
 #include "graph/mesh.hpp"
 #include "percolation/edge_sampler.hpp"
@@ -278,19 +282,33 @@ TEST(ProbeArena, SurvivesTopologySwitches) {
 }  // namespace
 
 /// Test-only access to a ProbeArena's epoch, to reach the wrap without
-/// routing two billion messages.
+/// routing four billion messages, and to its memo bits.
 class ProbeArenaTestPeer {
  public:
   static constexpr std::uint32_t kMaxEpoch = ProbeArena::kMaxEpoch;
   static std::uint32_t epoch(const ProbeArena& arena) { return arena.epoch_; }
   static void set_epoch(ProbeArena& arena, std::uint32_t epoch) { arena.epoch_ = epoch; }
+  /// Memo bits set anywhere in the arena, and the words that hold them.
+  static std::uint64_t memo_bits(const ProbeArena& arena) {
+    std::uint64_t bits = 0;
+    for (const std::uint64_t word : arena.edge_probed_) bits += std::popcount(word);
+    return bits;
+  }
+  static std::uint64_t memo_words_in_use(const ProbeArena& arena) {
+    std::uint64_t words = 0;
+    for (const std::uint64_t word : arena.edge_probed_) words += word != 0 ? 1 : 0;
+    return words;
+  }
+  static std::size_t listed_edges(const ProbeArena& arena) {
+    return arena.probed_edges_.size();
+  }
 };
 
 namespace {
 
 TEST(ProbeArena, EpochWrapAtTheStampBoundLeavesNoStaleSlotLive) {
-  static_assert(ProbeArenaTestPeer::kMaxEpoch == (1u << 31) - 1,
-                "an edge stamp packs the epoch above the open bit in 32 bits");
+  static_assert(ProbeArenaTestPeer::kMaxEpoch == std::numeric_limits<std::uint32_t>::max(),
+                "a vertex stamp is the epoch itself, a full 32-bit word");
   const Hypercube g(4);
   const HashEdgeSampler s(1.0, 9);
   const SharedProbeCache cache(s, g);
@@ -307,7 +325,7 @@ TEST(ProbeArena, EpochWrapAtTheStampBoundLeavesNoStaleSlotLive) {
   {
     ProbeContext last(arena, 0, RoutingMode::kLocal);
     EXPECT_EQ(ProbeArenaTestPeer::epoch(arena), ProbeArenaTestPeer::kMaxEpoch);
-    // Stamps at the largest epoch still read back: a repeat is a memo hit.
+    // The memo works at the largest epoch: a repeat is a memo hit.
     EXPECT_TRUE(last.probe(0, 1));
     EXPECT_TRUE(last.probe(0, 1));
     EXPECT_EQ(last.distinct_probes(), 1u);
@@ -315,9 +333,9 @@ TEST(ProbeArena, EpochWrapAtTheStampBoundLeavesNoStaleSlotLive) {
     EXPECT_TRUE(last.is_reached(2));
     EXPECT_FALSE(last.is_reached(1));  // epoch 1's reach is stale
   }
-  // The wrap restarts at epoch 1 — the epoch that stamped edge 0-1 and
-  // vertex 1 above. Unless the wrap zero-filled both arrays, they would
-  // read as live now.
+  // The wrap restarts at epoch 1 — the epoch that stamped vertex 1 above.
+  // Unless the wrap zero-filled the vertex stamps, it would read as live
+  // now; edge 0-1's memo bit went with the message after it.
   ProbeContext wrapped(arena, 3, RoutingMode::kLocal);
   EXPECT_EQ(ProbeArenaTestPeer::epoch(arena), 1u);
   EXPECT_FALSE(wrapped.is_reached(1));
@@ -329,6 +347,129 @@ TEST(ProbeArena, EpochWrapAtTheStampBoundLeavesNoStaleSlotLive) {
   EXPECT_TRUE(wrapped.probe_between(1, 0));  // edge 0-1 again: fresh
   EXPECT_EQ(wrapped.distinct_probes(), 2u);
   EXPECT_TRUE(wrapped.is_reached(0));
+}
+
+TEST(ProbeArena, SecondLiveContextThrowsAndASequentialOneWorks) {
+  const Hypercube g(4);
+  const HashEdgeSampler s(1.0, 9);
+  const SharedProbeCache cache(s, g);
+  ProbeArena arena(cache);
+  {
+    ProbeContext first(arena, 0, RoutingMode::kLocal);
+    EXPECT_TRUE(first.probe(0, 0));
+    EXPECT_THROW({ ProbeContext second(arena, 1, RoutingMode::kOracle); }, ProbeArenaInUse);
+    // The refused context touched nothing: the first keeps its memo and
+    // its reached set, and still holds the arena.
+    EXPECT_TRUE(first.probe(0, 0));
+    EXPECT_EQ(first.distinct_probes(), 1u);
+    EXPECT_EQ(first.total_probes(), 2u);
+    EXPECT_TRUE(first.is_reached(1));
+    EXPECT_THROW({ ProbeContext third(arena, 2, RoutingMode::kLocal); }, ProbeArenaInUse);
+  }
+  // Once the first is gone, the next context takes the arena over.
+  ProbeContext next(arena, 1, RoutingMode::kOracle);
+  EXPECT_EQ(next.distinct_probes(), 0u);
+  EXPECT_TRUE(next.probe(0, 0));
+  EXPECT_EQ(next.distinct_probes(), 1u);
+}
+
+TEST(ProbeArena, MemoBitsAcrossManyWordsAreAllFreshForTheNextMessage) {
+  const Hypercube g(8);  // 1024 edge ids: 16 words of memo bits
+  const HashEdgeSampler s(0.5, 17);
+  const SharedProbeCache cache(s, g);
+  const std::uint64_t edges = g.channel_index().num_edge_ids();
+  ASSERT_EQ(edges, 1024u);
+  ProbeArena arena(cache);
+  {
+    // Every slot of every vertex: each edge is probed once from each end.
+    ProbeContext first(arena, 0, RoutingMode::kOracle);
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      for (int i = 0; i < g.degree(v); ++i) first.probe(v, i);
+    }
+    EXPECT_EQ(first.distinct_probes(), edges);
+    EXPECT_EQ(first.total_probes(), 2 * edges);
+    EXPECT_EQ(ProbeArenaTestPeer::memo_bits(arena), edges);
+    EXPECT_EQ(ProbeArenaTestPeer::memo_words_in_use(arena), edges / 64);
+    EXPECT_EQ(ProbeArenaTestPeer::listed_edges(arena), edges);
+  }
+  // One lookup per edge, all first touches; the repeats were memo hits.
+  EXPECT_EQ(arena.tally().misses, edges);
+  EXPECT_EQ(arena.tally().hits, 0u);
+
+  ProbeContext second(arena, 0, RoutingMode::kOracle);
+  EXPECT_EQ(ProbeArenaTestPeer::memo_bits(arena), 0u);
+  EXPECT_EQ(ProbeArenaTestPeer::listed_edges(arena), 0u);
+  EXPECT_EQ(second.distinct_probes(), 0u);
+  // Each edge once, from its lower endpoint: every probe is fresh again.
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    for (int i = 0; i < g.degree(v); ++i) {
+      if (g.neighbor(v, i) > v) second.probe(v, i);
+    }
+  }
+  EXPECT_EQ(second.distinct_probes(), edges);
+  EXPECT_EQ(second.total_probes(), second.distinct_probes());
+  // Fresh to the message, known to the cache: every lookup was a hit.
+  EXPECT_EQ(arena.tally().misses, edges);
+  EXPECT_EQ(arena.tally().hits, edges);
+}
+
+TEST(ProbeArena, RepeatProbesReplayTheCachedAnswerWithoutCounting) {
+  const Hypercube g(3);
+  ExplicitEdgeSampler s(false);
+  s.set(g.edge_key(0, 0), true);  // 0 - 1 open; 0 - 2 (slot 1) closed
+  const SharedProbeCache cache(s, g);
+  ProbeArena arena(cache);
+  ProbeContext ctx(arena, 0, RoutingMode::kOracle);
+  EXPECT_TRUE(ctx.probe(0, 0));
+  EXPECT_FALSE(ctx.probe(0, 1));
+  EXPECT_EQ(arena.tally().misses, 2u);
+  EXPECT_EQ(arena.tally().hits, 0u);
+  // Repeats from both endpoints replay what the first probes published.
+  const ChannelIndex& channels = g.channel_index();
+  const auto id_of = [&](VertexId v, int i) {
+    return channels.edge_id_of(channels.channel_of(v, i));
+  };
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_TRUE(ctx.probe(0, 0));
+    EXPECT_TRUE(ctx.probe_between(1, 0));
+    EXPECT_FALSE(ctx.probe(0, 1));
+    EXPECT_FALSE(ctx.probe_between(2, 0));
+  }
+  EXPECT_TRUE(cache.published_open(id_of(0, 0)));
+  EXPECT_FALSE(cache.published_open(id_of(0, 1)));
+  EXPECT_EQ(ctx.distinct_probes(), 2u);
+  EXPECT_EQ(ctx.total_probes(), 10u);
+  // The eight repeats added nothing to the tally.
+  EXPECT_EQ(arena.tally().misses, 2u);
+  EXPECT_EQ(arena.tally().hits, 0u);
+}
+
+TEST(ProbeArena, AMessageThatDiesOnItsBudgetLeavesNoBitForTheNext) {
+  const Hypercube g(6);
+  const HashEdgeSampler s(0.5, 23);
+  const SharedProbeCache cache(s, g);
+  ProbeArena arena(cache);
+  {
+    ProbeContext doomed(arena, 0, RoutingMode::kOracle, /*budget=*/5);
+    EXPECT_THROW(
+        {
+          for (VertexId v = 0; v < g.num_vertices(); ++v) {
+            for (int i = 0; i < g.degree(v); ++i) doomed.probe(v, i);
+          }
+        },
+        ProbeBudgetExceeded);
+    EXPECT_EQ(doomed.distinct_probes(), 5u);
+  }
+  // The dead message's bits stay until the next one starts ...
+  EXPECT_EQ(ProbeArenaTestPeer::memo_bits(arena), 5u);
+  ProbeContext next(arena, 0, RoutingMode::kOracle, /*budget=*/5);
+  // ... which clears them all, so the same five edges are fresh again.
+  EXPECT_EQ(ProbeArenaTestPeer::memo_bits(arena), 0u);
+  EXPECT_EQ(ProbeArenaTestPeer::listed_edges(arena), 0u);
+  for (int i = 0; i < 5; ++i) next.probe(0, i);
+  EXPECT_EQ(next.distinct_probes(), 5u);
+  EXPECT_EQ(next.total_probes(), 5u);
+  EXPECT_THROW(next.probe(3, 0), ProbeBudgetExceeded);  // 3 is not adjacent to 0
 }
 
 TEST(ProbeContext, DenseAndHashBackendsAgreeOnEveryObservable) {

@@ -353,6 +353,41 @@ TEST(GnpOracle, CompleteOnSparseGnp) {
   EXPECT_GT(connected_cases, 3);
 }
 
+TEST(GnpOracle, PooledStateMatchesAFreshRouterAcrossMessagesAndCliqueSizes) {
+  // One router keeps its search state across messages; a fresh router per
+  // message must route every pair identically, also when the clique size
+  // changes between messages, the messages fail, or the budget cuts them.
+  GnpOracleRouter pooled;
+  int censored = 0;
+  for (const std::uint64_t n : {64u, 24u, 64u}) {
+    const CompleteGraph g(n);
+    for (std::uint64_t seed = 0; seed < 12; ++seed) {
+      const HashEdgeSampler s(2.5 / static_cast<double>(n), seed);
+      const auto u = static_cast<VertexId>(seed % n);
+      const auto v = static_cast<VertexId>((seed * 7 + n / 2) % n);
+      const std::optional<std::uint64_t> budget =
+          seed % 4 == 3 ? std::optional<std::uint64_t>(40) : std::nullopt;
+      const auto run = [&](Router& router, std::optional<Path>& path) {
+        ProbeContext ctx(g, s, u, RoutingMode::kOracle, budget);
+        try {
+          path = router.route(ctx, u, v);
+        } catch (const ProbeBudgetExceeded&) {
+          path = Path{};  // censored: distinct from nullopt (disconnected)
+        }
+        return ctx.distinct_probes();
+      };
+      GnpOracleRouter fresh;
+      std::optional<Path> pooled_path;
+      std::optional<Path> fresh_path;
+      const std::uint64_t pooled_probes = run(pooled, pooled_path);
+      EXPECT_EQ(pooled_probes, run(fresh, fresh_path)) << "n " << n << " seed " << seed;
+      EXPECT_EQ(pooled_path, fresh_path) << "n " << n << " seed " << seed;
+      censored += pooled_path && pooled_path->empty() ? 1 : 0;
+    }
+  }
+  EXPECT_GT(censored, 0);
+}
+
 TEST(GnpLocal, CompleteOnSparseGnp) {
   const CompleteGraph g(60);
   GnpLocalRouter r;
