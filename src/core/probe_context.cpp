@@ -32,10 +32,8 @@ void ProbeArena::begin_message() {
 
 ProbeContext::ProbeContext(const Topology& graph, const EdgeSampler& sampler,
                            VertexId source, RoutingMode mode,
-                           std::optional<std::uint64_t> budget, const FlatAdjacency* flat,
-                           const DistanceOracle* oracle)
-    : graph_(graph), sampler_(sampler), source_(source), mode_(mode), budget_(budget),
-      flat_(flat), oracle_(oracle) {
+                           std::optional<std::uint64_t> budget)
+    : graph_(graph), sampler_(sampler), source_(source), mode_(mode), budget_(budget) {
   if (mode_ == RoutingMode::kLocal) reached_insert(source_);
 }
 
@@ -88,9 +86,9 @@ std::optional<std::uint64_t> ProbeContext::remaining_budget() const {
 
 namespace {
 
-/// The implicit adjacency accessor: virtual dispatch, and the channel
-/// index's edge-id table for the dense kernel (the CSR one, FlatAccess, is
-/// in the header).
+/// The dense kernel's implicit adjacency accessor: virtual dispatch, and
+/// the channel index's edge-id table (the CSR one, FlatAccess, is in the
+/// header).
 struct VirtualAccess {
   const Topology* graph;
   const ChannelIndex* channels;
@@ -107,16 +105,15 @@ bool ProbeContext::probe_dense_implicit(VertexId v, int i) {
   return probe_dense(VirtualAccess{&graph_, &arena_->cache_.channels()}, v, i);
 }
 
-template <typename Access>
-bool ProbeContext::probe_hashed_with(const Access& access, VertexId v, int i) {
-  const VertexId w = access.neighbor(v, i);
+bool ProbeContext::probe_hashed(VertexId v, int i) {
+  const VertexId w = graph_.neighbor(v, i);
   if (mode_ == RoutingMode::kLocal && !reached_contains(v) && !reached_contains(w)) {
     // analyze:allow-throw-safety(locality contract violation is a programming error; surfaced via first_error)
     throw LocalityViolation("local probe of edge not incident to the reached set");
   }
   ++total_probes_;
   bool open;
-  const EdgeKey key = access.edge_key(v, i);
+  const EdgeKey key = graph_.edge_key(v, i);
   const auto it = memo_.find(key);
   if (it != memo_.end()) {
     open = it->second;
@@ -136,11 +133,6 @@ bool ProbeContext::probe_hashed_with(const Access& access, VertexId v, int i) {
     if (w_reached && !v_reached) reached_insert(v);
   }
   return open;
-}
-
-bool ProbeContext::probe_hashed(VertexId v, int i) {
-  if (flat_ != nullptr) return probe_hashed_with(FlatAccess{flat_}, v, i);
-  return probe_hashed_with(VirtualAccess{&graph_, nullptr}, v, i);
 }
 
 bool ProbeContext::probe_between(VertexId a, VertexId b) {

@@ -126,8 +126,9 @@ class ProbeArena {
 ///
 /// Two backends hold the memo and the reached set, one per constructor:
 ///  * hash (over any EdgeSampler): per-context unordered containers keyed
-///    by EdgeKey/VertexId, probed out of line — self-contained, right for
-///    one-off contexts (single-pair experiments, `faultroute route`);
+///    by EdgeKey/VertexId, probed out of line through the topology's
+///    virtual interface — self-contained, right for one-off contexts
+///    (single-pair experiments, `faultroute route`);
 ///  * dense (on a ProbeArena): the arena's one-bit-per-edge memo and
 ///    per-vertex reach stamps, with the environment read straight from the
 ///    arena's SharedProbeCache — the traffic engine's hot path. A repeat
@@ -140,26 +141,26 @@ class ProbeArena {
 /// differential suite holds the engine to a hash-backend reference.
 class ProbeContext {
  public:
-  /// Hash backend over `sampler`. `budget`: maximum number of distinct
-  /// edges that may be probed (nullopt = unbounded). `flat`: optional CSR
-  /// adjacency snapshot of `graph` (graph/flat_adjacency.hpp); when given,
-  /// probes resolve neighbor / edge key / edge id with array loads instead
-  /// of virtual dispatch — a pure representation change, observable-
-  /// identical to the implicit path. Must be a snapshot of `graph` and
-  /// outlive the context. `oracle`: optional cached fault-free
-  /// DistanceOracle for `graph` (graph/distance_oracle.hpp); metric routers
-  /// fetch per-target distance columns through target_distances() below.
-  /// Purely an accelerator for graph.distance — column values are
-  /// identical, so results never depend on its presence.
+  /// Hash backend over `sampler`, probing `graph` through its virtual
+  /// interface. `budget`: maximum number of distinct edges that may be
+  /// probed (nullopt = unbounded).
   ProbeContext(const Topology& graph, const EdgeSampler& sampler, VertexId source,
-               RoutingMode mode, std::optional<std::uint64_t> budget = std::nullopt,
-               const FlatAdjacency* flat = nullptr, const DistanceOracle* oracle = nullptr);
+               RoutingMode mode, std::optional<std::uint64_t> budget = std::nullopt);
 
   /// Dense backend on `arena`: probes the topology of the arena's cache,
   /// through that cache, counting its lookups in the arena's tally. The
   /// arena must outlive the context, which holds it until destroyed; throws
-  /// ProbeArenaInUse if another live context holds it. `budget`, `flat` and
-  /// `oracle` are as above.
+  /// ProbeArenaInUse if another live context holds it. `budget` is as
+  /// above. `flat`: optional CSR adjacency snapshot of the topology
+  /// (graph/flat_adjacency.hpp); when given, probes resolve neighbor / edge
+  /// key / edge id with array loads instead of virtual dispatch — a pure
+  /// representation change, observable-identical to the implicit path.
+  /// Must be a snapshot of the topology and outlive the context. `oracle`:
+  /// optional cached fault-free DistanceOracle for the topology
+  /// (graph/distance_oracle.hpp); metric routers fetch per-target distance
+  /// columns through target_distances() below. Purely an accelerator for
+  /// graph.distance — column values are identical, so results never depend
+  /// on its presence.
   ProbeContext(ProbeArena& arena, VertexId source, RoutingMode mode,
                std::optional<std::uint64_t> budget = std::nullopt,
                const FlatAdjacency* flat = nullptr, const DistanceOracle* oracle = nullptr);
@@ -242,8 +243,6 @@ class ProbeContext {
   bool probe_dense_implicit(VertexId v, int i);
   /// The hash backend's probe.
   bool probe_hashed(VertexId v, int i);
-  template <typename Access>
-  bool probe_hashed_with(const Access& access, VertexId v, int i);
 
   [[nodiscard]] bool reached_contains(VertexId v) const;
   void reached_insert(VertexId v);

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "graph/channel_index.hpp"
 #include "random/splitmix64.hpp"
 
 namespace faultroute {
@@ -34,27 +33,6 @@ ExplicitEdgeSampler::ExplicitEdgeSampler(bool default_open) : default_open_(defa
 bool ExplicitEdgeSampler::is_open(EdgeKey key) const {
   const auto it = states_.find(key);
   return it != states_.end() ? it->second : default_open_;
-}
-
-namespace {
-
-// Memo states of the per-edge-id answer memo (0 is IndexedStateMemo's
-// reserved "unknown").
-constexpr std::uint8_t kMemoClosed = 1;
-constexpr std::uint8_t kMemoOpen = 2;
-
-}  // namespace
-
-void ExplicitEdgeSampler::index_edges(const Topology& graph) {
-  memo_.attach(graph.channel_index().num_edge_ids());
-}
-
-bool ExplicitEdgeSampler::is_open_indexed(std::uint32_t edge_id, EdgeKey key) const {
-  const std::uint8_t state = memo_.load(edge_id);
-  if (state != detail::IndexedStateMemo::kUnknown) return state == kMemoOpen;
-  const bool open = is_open(key);
-  memo_.store(edge_id, open ? kMemoOpen : kMemoClosed);
-  return open;
 }
 
 }  // namespace faultroute

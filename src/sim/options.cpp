@@ -1,7 +1,10 @@
 #include "sim/options.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
+
+#include "sim/strict_parse.hpp"
 
 namespace faultroute::sim {
 
@@ -23,9 +26,19 @@ Options parse_options(int argc, char** argv) {
     if (arg == "--quick") {
       options.quick = true;
     } else if (arg.rfind("--trials=", 0) == 0) {
-      options.trials = std::stoi(arg.substr(9));
+      const auto trials = strict_i64(arg.substr(9));
+      if (!trials || *trials < 1 || *trials > std::numeric_limits<int>::max()) {
+        throw std::invalid_argument("--trials: expected a positive integer, got '" +
+                                    arg.substr(9) + "'");
+      }
+      options.trials = static_cast<int>(*trials);
     } else if (arg.rfind("--seed=", 0) == 0) {
-      options.seed = std::stoull(arg.substr(7));
+      const auto seed = strict_u64(arg.substr(7));
+      if (!seed) {
+        throw std::invalid_argument("--seed: expected an unsigned integer, got '" +
+                                    arg.substr(7) + "'");
+      }
+      options.seed = *seed;
     } else if (arg.rfind("--csv=", 0) == 0) {
       options.csv_dir = arg.substr(6);
     } else {

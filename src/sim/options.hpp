@@ -9,8 +9,8 @@ namespace faultroute::sim {
 /// Shared CLI options for the experiment bench binaries.
 ///
 ///   --quick            shrink instance sizes / trial counts (CI smoke run)
-///   --trials=N         override the per-point trial count
-///   --seed=S           override the base seed
+///   --trials=N         override the per-point trial count (N >= 1)
+///   --seed=S           override the base seed (unsigned 64-bit)
 ///   --csv=DIR          also write each printed table as DIR/<table>.csv
 struct Options {
   bool quick = false;
@@ -26,9 +26,10 @@ struct Options {
   [[nodiscard]] std::optional<std::string> csv_path(const std::string& table_name) const;
 };
 
-/// Parses argv; throws std::invalid_argument on unknown flags or malformed
-/// values (benches pass through google-benchmark style args only when
-/// explicitly listed). argv[0] is ignored; argv is only read.
+/// Parses argv; throws std::invalid_argument, naming the flag, on unknown
+/// flags or malformed values (whole-token numbers only: `--trials=2abc`,
+/// `--trials=0` and `--seed=-1` are refused). argv[0] is ignored; argv is
+/// only read.
 [[nodiscard]] Options parse_options(int argc, char** argv);
 
 }  // namespace faultroute::sim

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
+#include <string>
 
 #include "analysis/stats.hpp"
 #include "analysis/table.hpp"
@@ -243,8 +245,20 @@ TEST(Options, QuickQuartersTrials) {
 }
 
 TEST(Options, RejectsUnknownFlag) {
-  const char* argv[] = {"bench", "--wat"};
-  EXPECT_THROW(sim::parse_options(2, const_cast<char**>(argv)), std::invalid_argument);
+  // Unknown flags and malformed values alike: a trailing-garbage trial
+  // count, a zero trial count (nothing to summarize) and a negative seed.
+  // The error names the flag.
+  for (const char* bad_flag : {"--wat", "--trials=2abc", "--trials=0", "--seed=-1"}) {
+    const std::string bad = bad_flag;
+    const char* argv[] = {"bench", bad_flag};
+    try {
+      (void)sim::parse_options(2, const_cast<char**>(argv));
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(bad.substr(0, bad.find('='))), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // -------------------------------------------------------------------- Sweep

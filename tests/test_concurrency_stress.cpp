@@ -6,9 +6,8 @@
 // CounterRegistry per-thread slabs (with a concurrent snapshotter),
 // PhaseProfiler scopes from worker threads, DistanceOracle grow-only column
 // memo, the lazy Topology::channel_index / flat_adjacency /
-// FlatAdjacency::distance_oracle caches, IndexedStateMemo epoch cells, and
-// the full threaded traffic engine, including its memo-hit replays of
-// published cache bytes.
+// FlatAdjacency::distance_oracle caches, and the full threaded traffic
+// engine, including its memo-hit replays of published cache bytes.
 //
 // The assertions are the structures' documented determinism contracts
 // (exact counter identities, value purity, one-instance lazy init). Run
@@ -35,7 +34,6 @@
 #include "obs/phase_profiler.hpp"
 #include "obs/run_metrics.hpp"
 #include "percolation/edge_sampler.hpp"
-#include "percolation/indexed_memo.hpp"
 #include "percolation/shared_probe_cache.hpp"
 #include "random/rng.hpp"
 #include "sim/registry.hpp"
@@ -240,36 +238,6 @@ TEST(ConcurrencyStress, LazySnapshotCachesInitializeOnceUnderFirstTouchRaces) {
       EXPECT_EQ(flat_seen[t], flat_seen[0]);
       EXPECT_EQ(oracle_seen[t], oracle_seen[0]);
     }
-  }
-}
-
-// ----------------------------------------------------------- indexed memo
-
-TEST(ConcurrencyStress, IndexedStateMemoRacingStoresOfPureValuesStayConsistent) {
-  detail::IndexedStateMemo memo;
-  constexpr std::uint32_t kCells = 4096;
-  memo.attach(kCells);
-  // The samplers' contract: concurrent load/store of *pure* per-id values.
-  const auto pure_state = [](std::uint32_t id) {
-    return static_cast<std::uint8_t>(1 + id % 3);  // states 1..3 fit kStateBits
-  };
-  std::atomic<std::uint64_t> wrong{0};
-  hammer(kThreads, [&](unsigned worker) {
-    for (int round = 0; round < 6; ++round) {
-      for (std::uint32_t i = 0; i < kCells; ++i) {
-        const std::uint32_t id = (worker % 2 == 0) ? i : (kCells - 1 - i);
-        const std::uint8_t loaded = memo.load(id);
-        if (loaded == detail::IndexedStateMemo::kUnknown) {
-          memo.store(id, pure_state(id));
-        } else if (loaded != pure_state(id)) {
-          wrong.fetch_add(1);
-        }
-      }
-    }
-  });
-  EXPECT_EQ(wrong.load(), 0u);
-  for (std::uint32_t id = 0; id < kCells; ++id) {
-    EXPECT_EQ(memo.load(id), pure_state(id)) << "cell " << id;
   }
 }
 

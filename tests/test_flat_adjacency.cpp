@@ -8,8 +8,7 @@
 // across every registered topology family (including the k=2 wrapped
 // butterfly's parallel edges), and differential runs of the percolation
 // analyses. The traffic engine's flat and implicit paths are held to the
-// naive reference in test_traffic_differential.cpp. The indexed-memo
-// samplers ride along.
+// naive reference in test_traffic_differential.cpp.
 
 #include <gtest/gtest.h>
 
@@ -28,7 +27,6 @@
 #include "percolation/chemical_distance.hpp"
 #include "percolation/cluster_analysis.hpp"
 #include "percolation/edge_sampler.hpp"
-#include "percolation/override_sampler.hpp"
 #include "percolation/shared_probe_cache.hpp"
 #include "percolation/threshold.hpp"
 #include "random/rng.hpp"
@@ -223,8 +221,8 @@ TEST(FlatAdjacency, ProbeContextFlatPathMatchesImplicitOnBothBackends) {
   const auto graph = sim::make_topology("butterfly:3");
   const FlatAdjacency& flat = graph->flat_adjacency();
   const HashEdgeSampler env(0.6, 99);
-  // Drive an identical probe sequence through all four backend combinations
-  // (hash/dense probe state x flat/implicit adjacency) and hold every
+  // Drive an identical probe sequence through the hash backend (implicit
+  // adjacency) and the dense backend on both adjacencies, and hold every
   // answer and counter equal.
   const auto drive = [&](bool dense, const FlatAdjacency* snapshot) {
     const SharedProbeCache cache(env, *graph);
@@ -234,7 +232,7 @@ TEST(FlatAdjacency, ProbeContextFlatPathMatchesImplicitOnBothBackends) {
     if (dense) {
       dense_ctx.emplace(arena, 0, RoutingMode::kOracle, std::nullopt, snapshot);
     } else {
-      hash_ctx.emplace(*graph, env, 0, RoutingMode::kOracle, std::nullopt, snapshot);
+      hash_ctx.emplace(*graph, env, 0, RoutingMode::kOracle);
     }
     ProbeContext& ctx = dense ? *dense_ctx : *hash_ctx;
     std::vector<bool> answers;
@@ -258,10 +256,8 @@ TEST(FlatAdjacency, ProbeContextFlatPathMatchesImplicitOnBothBackends) {
     return std::make_pair(answers, ctx.distinct_probes());
   };
   const auto implicit_hash = drive(false, nullptr);
-  const auto flat_hash = drive(false, &flat);
   const auto implicit_dense = drive(true, nullptr);
   const auto flat_dense = drive(true, &flat);
-  EXPECT_EQ(implicit_hash, flat_hash);
   EXPECT_EQ(implicit_hash, implicit_dense);
   EXPECT_EQ(implicit_hash, flat_dense);
   EXPECT_EQ(flat.graph().num_vertices(), graph->num_vertices());
@@ -316,87 +312,6 @@ TEST(FlatAdjacencyPercolation, LargestClusterOrderMatchesAcrossBackends) {
   for (const double p : {0.2, 0.5, 0.8}) {
     EXPECT_EQ(flat_order(p, 9), implicit_order(p, 9)) << p;
   }
-}
-
-// --------------------------------------------------------------- samplers
-
-TEST(IndexedMemoSamplers, ExplicitSamplerIndexedMatchesKeyedAndSurvivesMutation) {
-  const auto graph = sim::make_topology("butterfly:2");  // parallel edges
-  const FlatAdjacency& flat = graph->flat_adjacency();
-  ExplicitEdgeSampler sampler(/*default_open=*/false);
-  sampler.index_edges(*graph);
-  Rng rng(3);
-  for (VertexId v = 0; v < graph->num_vertices(); ++v) {
-    for (int i = 0; i < graph->degree(v); ++i) {
-      if (uniform_below(rng, 2) == 0) sampler.set(flat.edge_key(v, i), true);
-    }
-  }
-  const auto check_all = [&]() {
-    for (VertexId v = 0; v < graph->num_vertices(); ++v) {
-      for (int i = 0; i < graph->degree(v); ++i) {
-        const EdgeKey key = flat.edge_key(v, i);
-        const std::uint32_t id = flat.edge_id(v, i);
-        // Twice: miss path, then memo-hit path.
-        ASSERT_EQ(sampler.is_open_indexed(id, key), sampler.is_open(key));
-        ASSERT_EQ(sampler.is_open_indexed(id, key), sampler.is_open(key));
-      }
-    }
-  };
-  check_all();
-  // Mutation after queries must invalidate the memo, not serve stale bytes.
-  sampler.set(flat.edge_key(0, 0), false);
-  EXPECT_FALSE(sampler.is_open_indexed(flat.edge_id(0, 0), flat.edge_key(0, 0)));
-  sampler.set(flat.edge_key(0, 0), true);
-  EXPECT_TRUE(sampler.is_open_indexed(flat.edge_id(0, 0), flat.edge_key(0, 0)));
-  check_all();
-  // Out-of-space ids fall back to the keyed path.
-  EXPECT_EQ(sampler.is_open_indexed(flat.num_edge_ids() + 7, flat.edge_key(0, 0)),
-            sampler.is_open(flat.edge_key(0, 0)));
-}
-
-TEST(IndexedMemoSamplers, OverrideSamplerIndexedMatchesKeyedAndSurvivesMutation) {
-  const auto graph = sim::make_topology("hypercube:5");
-  const FlatAdjacency& flat = graph->flat_adjacency();
-  const HashEdgeSampler base(0.7, 55);
-  OverrideSampler sampler(base);
-  sampler.index_edges(*graph);
-  const auto check_all = [&]() {
-    for (VertexId v = 0; v < graph->num_vertices(); ++v) {
-      for (int i = 0; i < graph->degree(v); ++i) {
-        const EdgeKey key = flat.edge_key(v, i);
-        const std::uint32_t id = flat.edge_id(v, i);
-        ASSERT_EQ(sampler.is_open_indexed(id, key), sampler.is_open(key));
-        ASSERT_EQ(sampler.is_open_indexed(id, key), sampler.is_open(key));
-      }
-    }
-  };
-  check_all();
-  sampler.close_all(incident_cut(*graph, 0));  // adversary arrives mid-run
-  EXPECT_FALSE(sampler.is_open_indexed(flat.edge_id(0, 0), flat.edge_key(0, 0)));
-  check_all();
-  sampler.force(flat.edge_key(0, 0), true);
-  EXPECT_TRUE(sampler.is_open_indexed(flat.edge_id(0, 0), flat.edge_key(0, 0)));
-  check_all();
-}
-
-TEST(IndexedMemoSamplers, OverrideSamplerNeverServesStaleBaseAnswers) {
-  // The override memo must only cache the sampler's *own* override state:
-  // un-forced edges delegate to the base live, so a mutable base changing
-  // after indexed queries can never make is_open_indexed contradict
-  // is_open.
-  const auto graph = sim::make_topology("hypercube:4");
-  const FlatAdjacency& flat = graph->flat_adjacency();
-  ExplicitEdgeSampler base(/*default_open=*/true);
-  OverrideSampler sampler(base);
-  sampler.index_edges(*graph);
-  const EdgeKey key = flat.edge_key(0, 0);
-  const std::uint32_t id = flat.edge_id(0, 0);
-  EXPECT_TRUE(sampler.is_open_indexed(id, key));  // memoizes "no override"
-  base.set(key, false);                           // base mutates underneath
-  EXPECT_FALSE(sampler.is_open(key));
-  EXPECT_FALSE(sampler.is_open_indexed(id, key));  // must follow the base
-  base.set(key, true);
-  EXPECT_TRUE(sampler.is_open_indexed(id, key));
 }
 
 // ---------------------------------------------------------------- scenario
