@@ -87,15 +87,14 @@ std::optional<std::uint64_t> ProbeContext::remaining_budget() const {
 namespace {
 
 /// The dense kernel's implicit adjacency accessor: virtual dispatch, and
-/// the channel index's edge-id table (the CSR one, FlatAccess, is in the
+/// the channel index's edge ids — the family's closed form where it has
+/// one, so no table is built (the CSR accessor, FlatAccess, is in the
 /// header).
 struct VirtualAccess {
   const Topology* graph;
   const ChannelIndex* channels;
   [[nodiscard]] VertexId neighbor(VertexId v, int i) const { return graph->neighbor(v, i); }
-  [[nodiscard]] std::uint32_t edge_id(VertexId v, int i) const {
-    return channels->edge_id_of(channels->channel_of(v, i));
-  }
+  [[nodiscard]] std::uint32_t edge_id(VertexId v, int i) const { return channels->edge_id(v, i); }
   [[nodiscard]] EdgeKey edge_key(VertexId v, int i) const { return graph->edge_key(v, i); }
 };
 

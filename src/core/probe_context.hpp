@@ -53,7 +53,7 @@ class ProbeArenaInUse : public std::logic_error {
 /// and hashing for that churn on every probe of every message; the arena
 /// replaces them with flat arrays sized once for the cache's topology:
 ///  * the probe memo, one bit per undirected edge id
-///    (ChannelIndex::edge_id_of): "probed by this message". It holds no
+///    (ChannelIndex::edge_id): "probed by this message". It holds no
 ///    answer; a repeat probe reads the answer back from the cache byte the
 ///    message's first probe published. Next to the bits, a list of the edge
 ///    ids the current message has set, so starting the next message clears

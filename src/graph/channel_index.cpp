@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "obs/counter_registry.hpp"
+
 namespace faultroute {
 
 namespace {
@@ -50,6 +52,9 @@ ChannelIndex::ChannelIndex(const Topology& graph) : graph_(&graph) {
   offsets_[n] = total;
   if (total > std::numeric_limits<std::uint32_t>::max()) throw_too_many_channels(graph, total);
   num_channels_ = static_cast<std::uint32_t>(total);
+  closed_form_ = graph.has_closed_form_edge_ids();
+  // check_capacity bounds num_edges() by 2^31.
+  if (closed_form_) num_edge_ids_ = static_cast<std::uint32_t>(graph.num_edges());
 }
 
 VertexId ChannelIndex::tail(std::uint32_t channel) const {
@@ -76,6 +81,40 @@ EdgeKey ChannelIndex::edge_of(std::uint32_t channel) const {
 }
 
 void ChannelIndex::build_edge_ids() const {
+  // Process-global, like graph.flat_adjacency.materializations: the table
+  // is per topology, and a build on the implicit path of a closed-form
+  // family is exactly the regression this count exposes.
+  obs::global_count("graph.channel_index.edge_id_tables");
+  try {
+    edge_ids_.resize(num_channels_);  // analyze:allow-hot-alloc(one-shot lazy index build, memoised per topology)
+  } catch (const std::bad_alloc&) {
+    throw_allocation_failure(*graph_, "channel index edge-id table",
+                             std::uint64_t{num_channels_} * sizeof(std::uint32_t));
+  }
+  if (closed_form_) {
+    fill_closed_form_edge_ids();
+  } else {
+    pair_edge_ids();
+  }
+}
+
+void ChannelIndex::fill_closed_form_edge_ids() const {
+  // A channel v -> w with w > v is its edge's first appearance, so a
+  // running counter numbers it; its twin w -> v comes later and takes the
+  // closed form, with no scratch to find it. (The families with a closed
+  // form have no parallel edges and no self-loops, so w > v decides.)
+  const std::uint64_t n = graph_->num_vertices();
+  std::uint32_t next_id = 0;
+  std::uint32_t channel = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    const int deg = graph_->degree(v);
+    for (int i = 0; i < deg; ++i, ++channel) {
+      edge_ids_[channel] = graph_->neighbor(v, i) > v ? next_id++ : graph_->edge_id(v, i);
+    }
+  }
+}
+
+void ChannelIndex::pair_edge_ids() const {
   // One pass over channels in ascending id order. A channel v -> w with
   // w > v is its edge's first appearance (the twin w -> v has a larger id),
   // so it takes the next id and is filed under w: filed[offsets_[w] + k] is
@@ -87,12 +126,11 @@ void ChannelIndex::build_edge_ids() const {
   std::vector<std::uint32_t> filed;
   std::vector<std::uint32_t> filed_count;
   try {
-    edge_ids_.resize(num_channels_);  // analyze:allow-hot-alloc(one-shot lazy index build, memoised per topology)
-    filed.resize(num_channels_);  // analyze:allow-hot-alloc(same one-shot build)
+    filed.resize(num_channels_);  // analyze:allow-hot-alloc(one-shot scratch of the lazy table build)
     filed_count.resize(n, 0);  // analyze:allow-hot-alloc(same one-shot build)
   } catch (const std::bad_alloc&) {
-    throw_allocation_failure(*graph_, "channel index edge-id table",
-                             2 * std::uint64_t{num_channels_} * sizeof(std::uint32_t) +
+    throw_allocation_failure(*graph_, "channel index edge-id pairing scratch",
+                             std::uint64_t{num_channels_} * sizeof(std::uint32_t) +
                                  n * sizeof(std::uint32_t));
   }
   std::vector<std::uint8_t> claimed;  // per filed channel of the current row

@@ -25,10 +25,11 @@ namespace faultroute {
 /// single delivery simulation can drive anyway; the constructor throws
 /// std::length_error rather than truncate.
 ///
-/// The index stores only a prefix-sum offset table (8 bytes per vertex) and
-/// borrows the topology, which must outlive it. All methods are const and
-/// thread-safe. Build once per topology — Topology::channel_index() caches
-/// exactly that.
+/// The index stores a prefix-sum offset table (8 bytes per vertex), plus a
+/// channel -> edge-id table (4 bytes per channel) only once something asks
+/// for it (see edge_ids_data), and borrows the topology, which must outlive
+/// it. All methods are const and thread-safe. Build once per topology —
+/// Topology::channel_index() caches exactly that.
 class ChannelIndex {
  public:
   explicit ChannelIndex(const Topology& graph);
@@ -75,34 +76,52 @@ class ChannelIndex {
   /// canonical *and* dense.
   ///
   /// Ids are assigned in order of first appearance by ascending channel id,
-  /// so they are a pure function of the topology. The table is built lazily
-  /// on first call — thread-safe, O(channels) once, O(1) after — by a
-  /// hash-free pairing pass: a channel v -> w with w > v is its edge's first
-  /// appearance and takes the next id; its twin w -> v, met later, finds it
-  /// by binary search among the channels filed under w, comparing edge keys
-  /// only between parallel edges. The table keeps 4 bytes per channel; the
-  /// pass borrows another 4 per channel and 4 per vertex while it runs. The
-  /// ids equal the first-appearance numbering of edge keys that a key-to-id
-  /// map gives (tests/helpers/reference_edge_ids.hpp), which is what snapshot
-  /// files (graph/snapshot.hpp) store. Throws std::logic_error
-  /// naming the topology and the channel if some channel has no twin (the
-  /// neighbor / edge_key symmetry contract of graph/topology.hpp is broken,
-  /// or the graph has a self-loop).
+  /// so they are a pure function of the topology: the numbering a key-to-id
+  /// map gives (tests/helpers/reference_edge_ids.hpp), which is what
+  /// snapshot files (graph/snapshot.hpp) store.
+  ///
+  /// edge_id(v, i) is the call for code that may run on the implicit path:
+  /// for families with a closed form (Topology::has_closed_form_edge_ids:
+  /// hypercube, mesh/torus, complete) it computes the id and builds nothing;
+  /// for the others it reads the table below.
+  [[nodiscard]] std::uint32_t edge_id(VertexId v, int i) const {
+    if (closed_form_) return graph_->edge_id(v, i);
+    return edge_ids_data()[channel_of(v, i)];
+  }
+
+  /// The id of a channel through the channel -> edge-id table, built on
+  /// first use. Code on the implicit path calls edge_id(v, i) instead, so
+  /// it never forces the table; the CSR (graph/flat_adjacency.hpp) and the
+  /// snapshot writer borrow the table.
   [[nodiscard]] std::uint32_t edge_id_of(std::uint32_t channel) const {
     return edge_ids_data()[channel];
   }
 
   /// Number of distinct undirected edges (== num_edges() of the topology,
-  /// counting parallel edges separately). Builds the edge-id table if needed.
+  /// counting parallel edges separately). O(1) for closed-form families;
+  /// for the others it builds the edge-id table if needed.
   [[nodiscard]] std::uint32_t num_edge_ids() const {
-    std::call_once(edge_ids_once_, [this] { build_edge_ids(); });
+    if (!closed_form_) std::call_once(edge_ids_once_, [this] { build_edge_ids(); });
     return num_edge_ids_;
   }
 
-  /// The raw channel -> edge-id table (num_channels() entries), built if
-  /// needed. Borrowers (FlatAdjacency, the delivery engine) keep the pointer
-  /// so a lookup is one load with no call_once fence; it is valid for the
+  /// The raw channel -> edge-id table (num_channels() entries), built on
+  /// first call — thread-safe, O(channels) once, 4 bytes per channel — and
+  /// counted in graph.channel_index.edge_id_tables (docs/COUNTERS.md).
+  /// Borrowers (FlatAdjacency, the snapshot writer) keep the pointer so a
+  /// lookup is one load with no call_once fence; it is valid for the
   /// index's lifetime.
+  ///
+  /// Closed-form families fill it in one sequential pass: a channel v -> w
+  /// with w > v is its edge's first appearance and takes the next id, and
+  /// its twin takes the closed form. The others run a hash-free pairing
+  /// pass: the first appearance is filed under w, and the twin w -> v, met
+  /// later, finds it by binary search among the channels filed under w,
+  /// comparing edge keys only between parallel edges; that pass borrows
+  /// another 4 bytes per channel and 4 per vertex while it runs, and throws
+  /// std::logic_error naming the topology and the channel if some channel
+  /// has no twin (the neighbor / edge_key symmetry contract of
+  /// graph/topology.hpp is broken, or the graph has a self-loop).
   [[nodiscard]] const std::uint32_t* edge_ids_data() const {
     std::call_once(edge_ids_once_, [this] { build_edge_ids(); });
     return edge_ids_.data();
@@ -118,13 +137,18 @@ class ChannelIndex {
   [[noreturn]] static void throw_too_many_channels(const Topology& graph,
                                                    std::uint64_t channels);
   void build_edge_ids() const;
+  void fill_closed_form_edge_ids() const;
+  void pair_edge_ids() const;
 
   const Topology* graph_;
   std::vector<std::uint64_t> offsets_;  // size V+1: prefix sums of degree
   std::uint32_t num_channels_ = 0;
-  // Lazily-built channel -> undirected-edge-id table (see edge_id_of).
+  bool closed_form_ = false;  // graph_->has_closed_form_edge_ids()
+  // Lazily-built channel -> undirected-edge-id table (see edge_ids_data).
   mutable std::once_flag edge_ids_once_;
   mutable std::vector<std::uint32_t> edge_ids_;
+  // Set by the constructor for closed-form families, by the pairing pass
+  // otherwise.
   mutable std::uint32_t num_edge_ids_ = 0;
 };
 

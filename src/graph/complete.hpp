@@ -49,6 +49,17 @@ class CompleteGraph final : public Topology {
 
   [[nodiscard]] bool has_closed_form_metric() const override { return true; }
 
+  /// The triangular index of {a, b}, a < b: the vertices u < a list their
+  /// n − 1 − u edges to larger vertices first, then a lists b − a − 1
+  /// before b. O(1).
+  [[nodiscard]] bool has_closed_form_edge_ids() const override { return true; }
+  [[nodiscard]] std::uint32_t edge_id(VertexId v, int i) const override {
+    const VertexId w = neighbor(v, i);
+    const VertexId a = v < w ? v : w;
+    const VertexId b = v < w ? w : v;
+    return static_cast<std::uint32_t>(a * (n_ - 1) - a * (a - 1) / 2 + (b - a - 1));
+  }
+
  private:
   std::uint64_t n_;
 };

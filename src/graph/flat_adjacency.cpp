@@ -23,25 +23,26 @@ FlatAdjacency::FlatAdjacency(const Topology& graph)
 
   num_channels_ = index.num_channels();
   try {
-    owned_neighbors_.resize(num_channels_);
-    owned_keys_.resize(num_channels_);
+    owned_.resize(2 * std::uint64_t{num_channels_});
   } catch (const std::bad_alloc&) {
     throw_allocation_failure(graph, "CSR adjacency",
                              std::uint64_t{num_channels_} * (sizeof(VertexId) + sizeof(EdgeKey)));
   }
+  VertexId* const neighbors = owned_.data();
+  EdgeKey* const keys = owned_.data() + num_channels_;
   // One pass in channel order: slot i of v lands at flat position
   // channel_of(v, i) by construction.
   std::uint32_t channel = 0;
   for (VertexId v = 0; v < num_vertices_; ++v) {
     const int deg = graph.degree(v);
     for (int i = 0; i < deg; ++i, ++channel) {
-      owned_neighbors_[channel] = graph.neighbor(v, i);
-      owned_keys_[channel] = graph.edge_key(v, i);
+      neighbors[channel] = graph.neighbor(v, i);
+      keys[channel] = graph.edge_key(v, i);
     }
   }
   num_edge_ids_ = index.num_edge_ids();
-  neighbors_ = owned_neighbors_.data();
-  keys_ = owned_keys_.data();
+  neighbors_ = neighbors;
+  keys_ = keys;
   edge_ids_ = index.edge_ids_data();
 }
 
@@ -53,22 +54,16 @@ const DistanceOracle& FlatAdjacency::distance_oracle() const {
   return *oracle_;
 }
 
-const FlatAdjacency* resolve_adjacency(const Topology& graph, AdjacencyMode mode,
-                                       std::uint64_t auto_budget_vertices) {
-  switch (mode) {
-    case AdjacencyMode::kFlat:
-      return &graph.flat_adjacency();
-    case AdjacencyMode::kImplicit:
-      return nullptr;
-    case AdjacencyMode::kAuto:
-      if (graph.num_vertices() <= auto_budget_vertices) return &graph.flat_adjacency();
-      // Falling back to virtual dispatch above budget is correct but slow;
-      // count it globally so large-graph perf regressions are visible in
-      // --metrics reports rather than only in wall clock.
-      obs::global_count("graph.flat_adjacency.auto_fallbacks");
-      return nullptr;
+const FlatAdjacency* resolve_adjacency(const Topology& graph,
+                                       std::uint64_t flat_budget_vertices) {
+  if (flat_budget_vertices != 0 && graph.num_vertices() <= flat_budget_vertices) {
+    return &graph.flat_adjacency();
   }
-  return nullptr;  // unreachable
+  // Falling back to virtual dispatch above budget is correct but slow;
+  // count it globally so large-graph perf regressions are visible in
+  // --metrics reports rather than only in wall clock.
+  obs::global_count("graph.flat_adjacency.auto_fallbacks");
+  return nullptr;
 }
 
 int AdjacencyView::edge_index_of(VertexId u, VertexId v) const {

@@ -33,7 +33,7 @@ class MappedSnapshot;
 /// by caching both on the topology). Memory cost: 16 bytes per directed
 /// channel of its own (neighbor + key), on top of the index's 4 per channel
 /// and 8 per vertex, which is why huge implicit topologies keep the virtual
-/// path: kAuto (AdjacencyMode below) materializes only when num_vertices()
+/// path: resolve_adjacency (below) materializes only when num_vertices()
 /// fits a budget.
 ///
 /// Besides the owning build above, a snapshot can be a *non-owning view*
@@ -107,7 +107,7 @@ class FlatAdjacency {
   /// edge-id tables). A mapped view owns nothing — its pages belong to the
   /// file mapping.
   [[nodiscard]] std::uint64_t memory_bytes() const {
-    return owned_neighbors_.size() * (sizeof(VertexId) + sizeof(EdgeKey));
+    return owned_.size() * sizeof(std::uint64_t);
   }
 
   /// Raw array views for the on-disk snapshot writer (graph/snapshot.cpp):
@@ -130,9 +130,14 @@ class FlatAdjacency {
   const VertexId* neighbors_ = nullptr;
   const EdgeKey* keys_ = nullptr;
   const std::uint32_t* edge_ids_ = nullptr;
-  // Owning storage (empty in view mode).
-  std::vector<VertexId> owned_neighbors_;
-  std::vector<EdgeKey> owned_keys_;
+  // Owning storage (empty in view mode): the neighbor array, then the key
+  // array (VertexId and EdgeKey are both 64-bit), in one block like the
+  // mapped region. One block instead of two also lets a process that builds
+  // and drops CSRs in turn (a set-up sweep over fresh topologies) reuse
+  // its heap pages: glibc sets its trim threshold to twice the largest
+  // block it has unmapped, so a CSR-sized block keeps the next build from
+  // faulting the pages in again.
+  std::vector<std::uint64_t> owned_;
   // View mode: keeps the mapping (and with it every pointer above) alive.
   std::shared_ptr<const MappedSnapshot> snapshot_;
 
@@ -143,31 +148,33 @@ class FlatAdjacency {
   mutable std::unique_ptr<DistanceOracle> oracle_;
 };
 
-/// Which adjacency backend a hot path resolves queries through. Every
-/// observable result is bit-identical across modes; the choice trades CSR
-/// memory for speed. Library paths take kAuto, so the choice follows from
-/// the vertex count; kFlat and kImplicit let tests force either side.
-enum class AdjacencyMode {
-  kFlat,      ///< always materialize (cached) — the fast path
-  kImplicit,  ///< always the virtual Topology interface — huge graphs
-  kAuto,      ///< flat iff num_vertices() fits the caller's budget
-};
-
-/// Default kAuto materialization budget: snapshot when the graph has at most
+/// Default materialization budget: snapshot when the graph has at most
 /// this many vertices. At constant degree d the snapshot costs ~20·2d bytes
 /// per vertex, so 2^20 vertices tops out around a few hundred MB for the
 /// densest library families — past that, stay implicit.
 inline constexpr std::uint64_t kDefaultFlatBudgetVertices = 1ull << 20;
 
-/// Resolves a mode against a topology: the cached snapshot for kFlat,
-/// nullptr (= use the virtual interface) for kImplicit, and for kAuto the
-/// snapshot iff num_vertices() <= auto_budget_vertices. A kAuto fall-back
-/// to virtual dispatch is counted in graph.flat_adjacency.auto_fallbacks
-/// (docs/COUNTERS.md), so a sweep silently losing the CSR fast path on a
-/// large graph shows up in --metrics instead of only in wall clock.
+/// The adjacency backend a hot path resolves queries through: the cached
+/// snapshot iff num_vertices() fits `flat_budget_vertices`, else nullptr
+/// (= the virtual Topology interface). Every observable result is
+/// bit-identical either way; the budget trades CSR memory for speed.
+/// Library paths take the default, so the choice follows from the vertex
+/// count; a budget of 0 forces the implicit side and UINT64_MAX the CSR.
+/// A fall-back to virtual dispatch is counted in
+/// graph.flat_adjacency.auto_fallbacks (docs/COUNTERS.md), so a sweep
+/// silently losing the CSR fast path on a large graph shows up in
+/// --metrics instead of only in wall clock.
 [[nodiscard]] const FlatAdjacency* resolve_adjacency(
-    const Topology& graph, AdjacencyMode mode,
-    std::uint64_t auto_budget_vertices = kDefaultFlatBudgetVertices);
+    const Topology& graph, std::uint64_t flat_budget_vertices = kDefaultFlatBudgetVertices);
+
+/// The retired mode argument, kept only because pipebench/pipebench.cpp
+/// still spells resolve_adjacency(graph, AdjacencyMode::kAuto): the same
+/// call as the default budget. Delete both once it moves to the budget form.
+enum class AdjacencyMode { kAuto };
+[[nodiscard]] inline const FlatAdjacency* resolve_adjacency(const Topology& graph,
+                                                            AdjacencyMode /*mode*/) {
+  return resolve_adjacency(graph);
+}
 
 /// A zero-cost switchable view over the two adjacency backends, for code
 /// (routers, validators) that must run on either: CSR loads when a snapshot

@@ -49,6 +49,13 @@ class Hypercube final : public Topology {
 
   [[nodiscard]] bool has_closed_form_metric() const override { return true; }
 
+  /// First-appearance id of the edge {a, a | 2^i} with bit i of a clear:
+  /// every vertex u < a first lists its n - popcount(u) edges to larger
+  /// vertices, so n·a − Σ_{u<a} popcount(u) ids precede a's own, and the
+  /// edge ranks among a's clear bits below i. O(n / 8), a byte at a time.
+  [[nodiscard]] bool has_closed_form_edge_ids() const override { return true; }
+  [[nodiscard]] std::uint32_t edge_id(VertexId v, int i) const override;
+
   [[nodiscard]] int dimension() const { return n_; }
 
  private:

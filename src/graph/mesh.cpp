@@ -72,7 +72,10 @@ void Mesh::locate_move(VertexId v, int i, int& axis, int& direction) const {
     direction = i % 2;
     return;
   }
-  const Coords c = coords_of(v);
+  locate_mesh_move(coords_of(v), i, axis, direction);
+}
+
+void Mesh::locate_mesh_move(const Coords& c, int i, int& axis, int& direction) const {
   int count = 0;
   for (int a = 0; a < dim_; ++a) {
     if (c[static_cast<std::size_t>(a)] > 0) {
@@ -120,6 +123,71 @@ EdgeKey Mesh::edge_key(VertexId v, int i) const {
   locate_move(v, i, axis, direction);
   const VertexId owner = (direction == 1) ? v : neighbor(v, i);
   return static_cast<EdgeKey>(axis) * num_vertices_ + owner;
+}
+
+std::uint32_t Mesh::edge_id(VertexId v, int i) const {
+  // coords_of in 32 bits, where division is cheaper: a channel index (which
+  // bounds where edge_id is defined) has fewer than 2^32 channels, so v and
+  // side fit.
+  Coords c{};
+  auto rest = static_cast<std::uint32_t>(v);
+  const auto side = static_cast<std::uint32_t>(side_);
+  for (int k = 0; k < dim_; ++k) {
+    c[static_cast<std::size_t>(k)] = rest % side;
+    rest /= side;
+  }
+  int axis = i / 2;
+  int direction = i % 2;
+  if (!wrap_) locate_mesh_move(c, i, axis, direction);
+  // Step to the lower endpoint a. The edge leaves a increasing the axis
+  // coordinate, except a torus wrap edge, which leaves a (at coordinate 0)
+  // decreasing.
+  const auto ax = static_cast<std::size_t>(axis);
+  const std::int64_t last = side_ - 1;
+  VertexId a = v;
+  bool wrap_edge = false;
+  if (direction == 1 && c[ax] == last) {
+    a = v - static_cast<std::uint64_t>(last) * stride_[ax];
+    c[ax] = 0;
+    wrap_edge = true;
+  } else if (direction == 0 && c[ax] > 0) {
+    a = v - stride_[ax];
+    --c[ax];
+  } else if (direction == 0) {
+    wrap_edge = true;
+  }
+  // A vertex with coordinate x lists, along one axis, up(x) edges to larger
+  // vertices: the increasing one below the last coordinate and, on the
+  // torus, the decreasing wrap at 0. The ids taken before a's first slot
+  // are Σ_{u<a} Σ_k up(u_k). Per axis k write a = hi·side^(k+1) + x·side^k
+  // + low, low < side^k: among u < a each coordinate value occurs side^k
+  // times per unit of hi, side^k times for each value below x, and low
+  // times for x itself. Weighted by up(), that is a + [x>0]·side^k +
+  // ([x=0] − [x=last])·low on the torus and a − hi·side^k − [x=last]·low on
+  // the mesh, where Σ_k hi·side^k = Σ_k k·x_k·side^(k−1). Each sum is below
+  // num_edges(), so the unsigned wrap of its terms cancels.
+  const auto up = [&](std::int64_t x) {
+    return static_cast<std::uint64_t>(x < last) + static_cast<std::uint64_t>(wrap_ && x == 0);
+  };
+  std::uint64_t before = 0;
+  std::uint64_t rank = 0;
+  std::uint64_t low = 0;
+  for (int k = 0; k < dim_; ++k) {
+    const auto kk = static_cast<std::size_t>(k);
+    const std::int64_t x = c[kk];
+    const auto d = static_cast<std::uint64_t>(x);
+    if (wrap_) {
+      before += a + (x > 0 ? stride_[kk] : 0) + (x == 0 ? low : 0) - (x == last ? low : 0);
+    } else {
+      before += a - (k > 0 ? static_cast<std::uint64_t>(k) * d * stride_[kk - 1] : 0) -
+                (x == last ? low : 0);
+    }
+    if (k < axis) rank += up(x);
+    low += d * stride_[kk];
+  }
+  // On the torus, a's decreasing wrap slot precedes its increasing one.
+  if (wrap_ && !wrap_edge && c[ax] == 0) ++rank;
+  return static_cast<std::uint32_t>(before + rank);
 }
 
 EdgeEndpoints Mesh::endpoints(EdgeKey key) const {

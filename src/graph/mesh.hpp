@@ -41,6 +41,13 @@ class Mesh final : public Topology {
 
   [[nodiscard]] bool has_closed_form_metric() const override { return true; }
 
+  /// First-appearance id of the edge, counted from its lower endpoint a:
+  /// per axis, the vertices u < a with each coordinate value are a
+  /// mixed-radix count, which gives the edges first listed before a; the
+  /// edge then ranks among a's own slots to larger vertices. O(d).
+  [[nodiscard]] bool has_closed_form_edge_ids() const override { return true; }
+  [[nodiscard]] std::uint32_t edge_id(VertexId v, int i) const override;
+
   [[nodiscard]] std::string vertex_label(VertexId v) const override;
 
   [[nodiscard]] int dimension() const { return dim_; }
@@ -57,6 +64,8 @@ class Mesh final : public Topology {
   /// Enumerates the i-th valid (axis, direction) move from v.
   /// direction: 0 = decreasing coordinate, 1 = increasing.
   void locate_move(VertexId v, int i, int& axis, int& direction) const;
+  /// locate_move on the mesh (no wrap), given v's coordinates.
+  void locate_mesh_move(const Coords& c, int i, int& axis, int& direction) const;
 
   int dim_;
   std::int64_t side_;

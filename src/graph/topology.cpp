@@ -59,6 +59,11 @@ std::vector<VertexId> Topology::shortest_path(VertexId u, VertexId v) const {
 
 std::string Topology::vertex_label(VertexId v) const { return std::to_string(v); }
 
+std::uint32_t Topology::edge_id(VertexId /*v*/, int /*i*/) const {
+  // analyze:allow-throw-safety(contract violation: ChannelIndex asks only families that declare a closed form)
+  throw std::logic_error("Topology::edge_id: " + name() + " has no closed-form edge ids");
+}
+
 void throw_allocation_failure(const Topology& graph, const std::string& structure,
                               std::uint64_t bytes) {
   // analyze:allow-throw-safety(out-of-memory refusal of a one-shot lazy build; surfaced via first_error)

@@ -41,7 +41,10 @@ struct EdgeEndpoints {
 ///    edge_key(v, i) == edge_key(w, j);
 ///  * the default `distance` / `shortest_path` run a BFS on the implicit
 ///    graph and are therefore only suitable for small instances; topologies
-///    with a closed-form metric override them.
+///    with a closed-form metric override them;
+///  * a family with closed-form edge ids (`has_closed_form_edge_ids`)
+///    returns from `edge_id(v, i)` exactly the first-appearance numbering
+///    ChannelIndex's table holds.
 class Topology {
  public:
   Topology();
@@ -96,6 +99,23 @@ class Topology {
   /// (tests/test_flat_adjacency.cpp pins the agreement for every family).
   [[nodiscard]] virtual bool has_closed_form_metric() const { return false; }
 
+  /// True iff this family overrides edge_id() below with a closed form
+  /// (hypercube, mesh/torus, complete graph). ChannelIndex then answers
+  /// edge ids and their count without building its channel -> edge-id
+  /// table, so the implicit path pays no per-channel bytes for them.
+  [[nodiscard]] virtual bool has_closed_form_edge_ids() const { return false; }
+
+  /// Closed-form dense undirected-edge id of slot i of v. Contract: equal
+  /// to ChannelIndex's first-appearance numbering — walking channels in
+  /// ascending id order (vertices ascending, slots ascending), each edge
+  /// takes the next id where it first appears — for every slot, so
+  /// snapshot files and reports do not depend on which side computed an
+  /// id (tests/helpers/reference_edge_ids.hpp pins both). Defined wherever
+  /// the topology's ChannelIndex exists (fewer than 2^32 channels); call it
+  /// through ChannelIndex::edge_id, which falls back to the table for other
+  /// families. The default throws std::logic_error.
+  [[nodiscard]] virtual std::uint32_t edge_id(VertexId v, int i) const;
+
   /// Some shortest path from u to v in the fault-free topology, as a vertex
   /// sequence beginning with u and ending with v. Default: BFS.
   /// Returns an empty vector if v is unreachable from u.
@@ -119,7 +139,7 @@ class Topology {
   /// adjacency with array loads instead of virtual dispatch. Built lazily on
   /// first use and cached — O(channels) once, O(1) thereafter. Costs ~20
   /// bytes per directed channel; huge implicit topologies should not call
-  /// this (AdjacencyMode::kAuto budgets exactly that). Thread-safe under
+  /// this (resolve_adjacency's vertex budget sees to that). Thread-safe under
   /// const access.
   [[nodiscard]] const FlatAdjacency& flat_adjacency() const;
 

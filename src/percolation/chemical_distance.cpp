@@ -49,14 +49,14 @@ ChemicalPathResult chemical_path_bfs(const Edges& edges, VertexId u, VertexId v,
 
 ChemicalPathResult chemical_path(const Topology& graph, const EdgeSampler& sampler,
                                  VertexId u, VertexId v, std::uint64_t max_vertices,
-                                 AdjacencyMode mode) {
+                                 std::uint64_t flat_budget_vertices) {
   if (u == v) {
     ChemicalPathResult result;
     result.distance = 0;
     result.path = {u};
     return result;
   }
-  return detail::with_open_edges(graph, sampler, mode, [&](const auto& edges) {
+  return detail::with_open_edges(graph, sampler, flat_budget_vertices, [&](const auto& edges) {
     return chemical_path_bfs(edges, u, v, max_vertices);
   });
 }
@@ -64,8 +64,8 @@ ChemicalPathResult chemical_path(const Topology& graph, const EdgeSampler& sampl
 std::optional<std::uint64_t> chemical_distance(const Topology& graph,
                                                const EdgeSampler& sampler, VertexId u,
                                                VertexId v, std::uint64_t max_vertices,
-                                               AdjacencyMode mode) {
-  return chemical_path(graph, sampler, u, v, max_vertices, mode).distance;
+                                               std::uint64_t flat_budget_vertices) {
+  return chemical_path(graph, sampler, u, v, max_vertices, flat_budget_vertices).distance;
 }
 
 }  // namespace faultroute

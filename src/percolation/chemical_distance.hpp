@@ -19,13 +19,15 @@ namespace faultroute {
 /// D(x, y) <= rho * d(x, y) up to exponentially unlikely exceptions; the
 /// chemical-distance experiments (E9, E10) measure exactly this ratio.
 ///
-/// `mode` selects the adjacency backend (graph/flat_adjacency.hpp): CSR rows
-/// when flat, the virtual interface when implicit (the only option for huge
-/// implicit graphs). Either way the parents live in per-thread VertexMarks
+/// `flat_budget_vertices` selects the adjacency backend (resolve_adjacency
+/// in graph/flat_adjacency.hpp): CSR rows when the graph fits it, the
+/// virtual interface otherwise (the only option for huge implicit graphs).
+/// Either way the parents live in per-thread VertexMarks
 /// (graph/vertex_marks.hpp). Identical distances and paths.
 [[nodiscard]] std::optional<std::uint64_t> chemical_distance(
     const Topology& graph, const EdgeSampler& sampler, VertexId u, VertexId v,
-    std::uint64_t max_vertices = 0, AdjacencyMode mode = AdjacencyMode::kAuto);
+    std::uint64_t max_vertices = 0,
+    std::uint64_t flat_budget_vertices = kDefaultFlatBudgetVertices);
 
 /// As above, but also returns a shortest open path (empty if disconnected).
 struct ChemicalPathResult {
@@ -33,9 +35,9 @@ struct ChemicalPathResult {
   std::vector<VertexId> path;  // u .. v when distance.has_value()
 };
 
-[[nodiscard]] ChemicalPathResult chemical_path(const Topology& graph,
-                                               const EdgeSampler& sampler, VertexId u,
-                                               VertexId v, std::uint64_t max_vertices = 0,
-                                               AdjacencyMode mode = AdjacencyMode::kAuto);
+[[nodiscard]] ChemicalPathResult chemical_path(
+    const Topology& graph, const EdgeSampler& sampler, VertexId u, VertexId v,
+    std::uint64_t max_vertices = 0,
+    std::uint64_t flat_budget_vertices = kDefaultFlatBudgetVertices);
 
 }  // namespace faultroute

@@ -80,14 +80,14 @@ std::optional<bool> open_connected_bfs(const Edges& edges, VertexId u, VertexId 
 }  // namespace
 
 ClusterDecomposition::ClusterDecomposition(const Topology& graph, const EdgeSampler& sampler,
-                                           AdjacencyMode mode)
+                                           std::uint64_t flat_budget_vertices)
     : dsu_(graph.num_vertices()), largest_root_(0) {
   summary_.num_vertices = graph.num_vertices();
   const auto accumulate = [this](VertexId a, VertexId b) {
     ++summary_.num_open_edges;
     dsu_.unite(a, b);
   };
-  detail::with_open_edges(graph, sampler, mode,
+  detail::with_open_edges(graph, sampler, flat_budget_vertices,
                           [&](const auto& open) { for_each_open_edge(open, accumulate); });
   summary_.num_components = dsu_.num_components();
   // Scan roots for the two largest clusters.
@@ -109,32 +109,32 @@ bool ClusterDecomposition::in_largest_cluster(VertexId v) {
 }
 
 ComponentSummary analyze_components(const Topology& graph, const EdgeSampler& sampler,
-                                    AdjacencyMode mode) {
-  return ClusterDecomposition(graph, sampler, mode).summary();
+                                    std::uint64_t flat_budget_vertices) {
+  return ClusterDecomposition(graph, sampler, flat_budget_vertices).summary();
 }
 
 std::vector<VertexId> open_cluster_of(const Topology& graph, const EdgeSampler& sampler,
                                       VertexId source, std::uint64_t max_vertices,
-                                      AdjacencyMode mode) {
-  return detail::with_open_edges(graph, sampler, mode, [&](const auto& edges) {
+                                      std::uint64_t flat_budget_vertices) {
+  return detail::with_open_edges(graph, sampler, flat_budget_vertices, [&](const auto& edges) {
     return open_cluster_bfs(edges, source, max_vertices);
   });
 }
 
 std::optional<bool> open_connected(const Topology& graph, const EdgeSampler& sampler,
                                    VertexId u, VertexId v, std::uint64_t max_vertices,
-                                   AdjacencyMode mode) {
+                                   std::uint64_t flat_budget_vertices) {
   if (u == v) return true;
-  return detail::with_open_edges(graph, sampler, mode, [&](const auto& edges) {
+  return detail::with_open_edges(graph, sampler, flat_budget_vertices, [&](const auto& edges) {
     return open_connected_bfs(edges, u, v, max_vertices);
   });
 }
 
 ExplicitGraph materialize_open_subgraph(const Topology& graph, const EdgeSampler& sampler,
-                                        AdjacencyMode mode) {
+                                        std::uint64_t flat_budget_vertices) {
   ExplicitGraph::EdgeList edges;
   const auto collect = [&edges](VertexId a, VertexId b) { edges.emplace_back(a, b); };
-  detail::with_open_edges(graph, sampler, mode,
+  detail::with_open_edges(graph, sampler, flat_budget_vertices,
                           [&](const auto& open) { for_each_open_edge(open, collect); });
   return ExplicitGraph(graph.num_vertices(), edges);
 }

@@ -33,14 +33,15 @@ struct ComponentSummary {
 /// queries. Materialises every edge once — O(V + E) time, O(V) memory — so
 /// only use on graphs small enough to enumerate (<= ~10^8 edges).
 ///
-/// `mode` selects the adjacency backend the edge sweep runs over (see
-/// graph/flat_adjacency.hpp): CSR rows with indexed sampler queries when
-/// flat, the virtual interface when implicit. Results are identical; the
+/// `flat_budget_vertices` selects the adjacency backend the edge sweep runs
+/// over (resolve_adjacency in graph/flat_adjacency.hpp): CSR rows with
+/// indexed sampler queries when the graph fits it, the virtual interface
+/// otherwise. Results are identical; the
 /// flat sweep is faster.
 class ClusterDecomposition {
  public:
   ClusterDecomposition(const Topology& graph, const EdgeSampler& sampler,
-                       AdjacencyMode mode = AdjacencyMode::kAuto);
+                       std::uint64_t flat_budget_vertices = kDefaultFlatBudgetVertices);
 
   [[nodiscard]] const ComponentSummary& summary() const { return summary_; }
 
@@ -57,36 +58,35 @@ class ClusterDecomposition {
 };
 
 /// Convenience: just the summary (no same-cluster queries needed).
-[[nodiscard]] ComponentSummary analyze_components(const Topology& graph,
-                                                  const EdgeSampler& sampler,
-                                                  AdjacencyMode mode = AdjacencyMode::kAuto);
+[[nodiscard]] ComponentSummary analyze_components(
+    const Topology& graph, const EdgeSampler& sampler,
+    std::uint64_t flat_budget_vertices = kDefaultFlatBudgetVertices);
 
 /// BFS over open edges from `source`, stopping once `max_vertices` vertices
 /// have been reached (0 = unbounded). Returns the visited vertices in BFS
-/// order. Adjacency per `mode`: CSR rows when flat, the implicit interface
-/// otherwise — the latter is what makes huge implicit graphs affordable,
-/// which is exactly what kAuto's budget preserves. The visited set is
-/// per-thread VertexMarks (graph/vertex_marks.hpp), so repeated sweeps
-/// allocate nothing for the marks within its dense budget.
-[[nodiscard]] std::vector<VertexId> open_cluster_of(const Topology& graph,
-                                                    const EdgeSampler& sampler,
-                                                    VertexId source,
-                                                    std::uint64_t max_vertices = 0,
-                                                    AdjacencyMode mode = AdjacencyMode::kAuto);
+/// order. Adjacency per `flat_budget_vertices`: CSR rows when the graph
+/// fits it, the implicit interface otherwise — the latter is what makes
+/// huge implicit graphs affordable, which is exactly what the default
+/// budget preserves. The visited set is per-thread VertexMarks
+/// (graph/vertex_marks.hpp), so repeated sweeps allocate nothing for the
+/// marks within its dense budget.
+[[nodiscard]] std::vector<VertexId> open_cluster_of(
+    const Topology& graph, const EdgeSampler& sampler, VertexId source,
+    std::uint64_t max_vertices = 0,
+    std::uint64_t flat_budget_vertices = kDefaultFlatBudgetVertices);
 
 /// Ground-truth connectivity test used to condition experiments on {u ~ v}:
 /// BFS from u over open edges until v is found or the cluster is exhausted
 /// (or `max_vertices` visited, in which case std::nullopt = "unknown").
-[[nodiscard]] std::optional<bool> open_connected(const Topology& graph,
-                                                 const EdgeSampler& sampler, VertexId u,
-                                                 VertexId v,
-                                                 std::uint64_t max_vertices = 0,
-                                                 AdjacencyMode mode = AdjacencyMode::kAuto);
+[[nodiscard]] std::optional<bool> open_connected(
+    const Topology& graph, const EdgeSampler& sampler, VertexId u, VertexId v,
+    std::uint64_t max_vertices = 0,
+    std::uint64_t flat_budget_vertices = kDefaultFlatBudgetVertices);
 
 /// Materialises the percolated subgraph (all vertices, only open edges) as an
 /// ExplicitGraph. Small graphs only.
-[[nodiscard]] ExplicitGraph materialize_open_subgraph(const Topology& graph,
-                                                      const EdgeSampler& sampler,
-                                                      AdjacencyMode mode = AdjacencyMode::kAuto);
+[[nodiscard]] ExplicitGraph materialize_open_subgraph(
+    const Topology& graph, const EdgeSampler& sampler,
+    std::uint64_t flat_budget_vertices = kDefaultFlatBudgetVertices);
 
 }  // namespace faultroute

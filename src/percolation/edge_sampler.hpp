@@ -22,7 +22,7 @@ class EdgeSampler {
   [[nodiscard]] virtual bool is_open(EdgeKey key) const = 0;
 
   /// Identical answer to is_open(key), with the edge additionally named by
-  /// its dense undirected-edge id (ChannelIndex::edge_id_of). Pure samplers
+  /// its dense undirected-edge id (ChannelIndex::edge_id). Pure samplers
   /// ignore the id — the default forwards to is_open — but memoising layers
   /// (SharedProbeCache) override it to index a flat array instead of hashing
   /// the key. Callers that already hold the id (path validation and the

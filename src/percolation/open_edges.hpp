@@ -48,13 +48,13 @@ struct ImplicitOpenEdges {
   }
 };
 
-/// Returns fn(edges) for the backend `mode` resolves to on `graph` (see
-/// resolve_adjacency): FlatOpenEdges over the snapshot, ImplicitOpenEdges
-/// otherwise.
+/// Returns fn(edges) for the backend resolve_adjacency picks on `graph`
+/// under `flat_budget_vertices`: FlatOpenEdges over the snapshot,
+/// ImplicitOpenEdges otherwise.
 template <typename Fn>
-auto with_open_edges(const Topology& graph, const EdgeSampler& sampler, AdjacencyMode mode,
-                     Fn&& fn) {
-  if (const FlatAdjacency* flat = resolve_adjacency(graph, mode)) {
+auto with_open_edges(const Topology& graph, const EdgeSampler& sampler,
+                     std::uint64_t flat_budget_vertices, Fn&& fn) {
+  if (const FlatAdjacency* flat = resolve_adjacency(graph, flat_budget_vertices)) {
     return fn(FlatOpenEdges{*flat, sampler});
   }
   return fn(ImplicitOpenEdges{graph, sampler});

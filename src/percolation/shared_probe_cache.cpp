@@ -46,7 +46,7 @@ bool SharedProbeCache::is_open(EdgeKey key) const {
   const int deg = graph_.degree(ends.a);
   for (int i = 0; i < deg; ++i) {
     if (graph_.edge_key(ends.a, i) == key) {
-      return is_open_indexed(channels_.edge_id_of(channels_.channel_of(ends.a, i)), key);
+      return is_open_indexed(channels_.edge_id(ends.a, i), key);
     }
   }
   // analyze:allow-throw-safety(edge-key precondition guard; surfaced via first_error)

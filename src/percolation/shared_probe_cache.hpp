@@ -105,7 +105,9 @@ class SharedProbeCache final : public EdgeSampler {
 
   /// Returns the cached answer, querying (and caching) `base` on first
   /// touch. Resolves `key` to its dense edge id by scanning the incident
-  /// slots of one endpoint — O(degree), for callers that hold only a key.
+  /// slots of one endpoint — O(degree), for callers that hold only a key —
+  /// through ChannelIndex::edge_id, so no edge-id table is built for a
+  /// closed-form family.
   [[nodiscard]] bool is_open(EdgeKey key) const override;
 
   /// lookup() for callers without a tally of their own: the call is

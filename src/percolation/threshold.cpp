@@ -36,9 +36,11 @@ double estimate_threshold(const OrderParameter& order, double lo, double hi,
   return 0.5 * (lo + hi);
 }
 
-OrderParameter largest_cluster_order(const Topology& graph, AdjacencyMode mode) {
-  return [&graph, mode](double p, std::uint64_t seed) {
-    return analyze_components(graph, HashEdgeSampler(p, seed), mode).largest_fraction();
+OrderParameter largest_cluster_order(const Topology& graph,
+                                     std::uint64_t flat_budget_vertices) {
+  return [&graph, flat_budget_vertices](double p, std::uint64_t seed) {
+    return analyze_components(graph, HashEdgeSampler(p, seed), flat_budget_vertices)
+        .largest_fraction();
   };
 }
 

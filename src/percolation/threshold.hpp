@@ -37,11 +37,11 @@ using OrderParameter = std::function<double(double p, std::uint64_t seed)>;
 /// The standard order parameter for graph percolation: (p, seed) -> the
 /// largest-cluster fraction of `graph` percolated by HashEdgeSampler(p,
 /// seed). Every trial of a bisection re-sweeps all edges of the graph, so
-/// `mode` matters: the default kAuto runs the component sweep over the
-/// cached CSR snapshot (graph/flat_adjacency.hpp) whenever the graph fits,
-/// falling back to the implicit interface beyond the budget. The returned
+/// the backend matters: the default budget runs the component sweep over
+/// the cached CSR snapshot (graph/flat_adjacency.hpp) whenever the graph
+/// fits, falling back to the implicit interface beyond it. The returned
 /// callable borrows `graph`, which must outlive it.
-[[nodiscard]] OrderParameter largest_cluster_order(const Topology& graph,
-                                                   AdjacencyMode mode = AdjacencyMode::kAuto);
+[[nodiscard]] OrderParameter largest_cluster_order(
+    const Topology& graph, std::uint64_t flat_budget_vertices = kDefaultFlatBudgetVertices);
 
 }  // namespace faultroute

@@ -102,7 +102,7 @@ void route_all(const SharedProbeCache& cache, const RouterFactory& make_router,
 
 }  // namespace
 
-std::vector<RoutedJourney> route_and_validate(
+RoutedBatch route_and_validate(
     const Topology& graph, const EdgeSampler& sampler, const RouterFactory& make_router,
     const std::vector<TrafficMessage>& messages, const TrafficConfig& config,
     TrafficResult& result) {
@@ -116,10 +116,9 @@ std::vector<RoutedJourney> route_and_validate(
   // externally provided snapshot (config.flat_snapshot — e.g. an mmap view
   // from a snapshot directory) costs no build, so it bypasses the vertex
   // budget; otherwise the CSR is materialized iff the graph fits it.
-  const FlatAdjacency* flat =
-      config.flat_snapshot != nullptr
-          ? config.flat_snapshot
-          : resolve_adjacency(graph, AdjacencyMode::kAuto, config.flat_budget_vertices);
+  const FlatAdjacency* flat = config.flat_snapshot != nullptr
+                                  ? config.flat_snapshot
+                                  : resolve_adjacency(graph, config.flat_budget_vertices);
   const AdjacencyView adj(graph, flat);
 
   const SharedProbeCache cache(sampler, graph);
@@ -160,7 +159,10 @@ std::vector<RoutedJourney> route_and_validate(
 
   // Validate paths and resolve every hop's incident slot.
   const obs::PhaseProfiler::Scope validate_scope(profiler, "validate");
-  std::vector<RoutedJourney> journeys(messages.size());  // analyze:allow-hot-alloc(per-batch result array sized once)
+  RoutedBatch batch;
+  batch.flat = flat;
+  std::vector<RoutedJourney>& journeys = batch.journeys;
+  journeys.resize(messages.size());  // analyze:allow-hot-alloc(per-batch result array sized once)
   for (std::size_t i = 0; i < messages.size(); ++i) {
     MessageOutcome& out = result.outcomes[i];
     result.total_distinct_probes += out.distinct_probes;
@@ -203,7 +205,7 @@ std::vector<RoutedJourney> route_and_validate(
     journey.path = std::move(path);
     ++result.routed;
   }
-  return journeys;
+  return batch;
 }
 
 void record_traffic_counters(obs::RunMetrics& metrics, const TrafficResult& result) {

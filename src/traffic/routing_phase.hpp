@@ -16,13 +16,20 @@ struct RoutedJourney {
   std::vector<int> slots;  // slots[k]: incident slot of path[k] -> path[k+1]
 };
 
+/// Phase 1's output: the journeys, and the CSR routing resolved (nullptr on
+/// the implicit path), whose edge-id table journey compilation reads.
+struct RoutedBatch {
+  std::vector<RoutedJourney> journeys;
+  const FlatAdjacency* flat = nullptr;
+};
+
 /// Phase 1 of run_traffic. Routes every message (thread-parallel, deterministic), verifies paths when
 /// config.verify_paths is on, resolves every hop's incident slot, and fills
 /// the routing side of `result`: outcomes (message/routed/censored/
 /// distinct_probes/path_edges), routed/failed_routing/censored/invalid_paths,
 /// total_distinct_probes, and unique_edges_probed. `result.outcomes` must
 /// already be sized to messages.size().
-[[nodiscard]] std::vector<RoutedJourney> route_and_validate(
+[[nodiscard]] RoutedBatch route_and_validate(
     const Topology& graph, const EdgeSampler& sampler, const RouterFactory& make_router,
     const std::vector<TrafficMessage>& messages, const TrafficConfig& config,
     TrafficResult& result);

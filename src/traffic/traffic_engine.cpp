@@ -42,8 +42,9 @@ TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampler,
       config.metrics != nullptr ? config.metrics->delivery_sampler() : nullptr;
 
   // ---------------------------------------------------------- phase 1: route
-  const auto journeys =
+  const detail::RoutedBatch routed =
       detail::route_and_validate(graph, sampler, make_router, messages, config, result);
+  const std::vector<detail::RoutedJourney>& journeys = routed.journeys;
 
   // -------------------------------------------------------- phase 2: deliver
   // Event-driven store-and-forward over dense directed-channel ids: at each
@@ -52,7 +53,6 @@ TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampler,
   // `edge_capacity` messages, which arrive at the far endpoint next step.
   const ChannelIndex& index = graph.channel_index();
   result.channels = index.num_channels();
-  const std::uint32_t* edge_of_channel = index.edge_ids_data();
 
   // Journeys compiled flat: per hop, the channel it queues on and the
   // undirected edge it loads, all hops concatenated; per message a
@@ -70,14 +70,20 @@ TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampler,
   std::vector<std::uint64_t> hop_cursor(messages.size(), 0);  // analyze:allow-hot-alloc(per-batch journey compilation)
   std::vector<std::uint64_t> hop_end(messages.size(), 0);  // analyze:allow-hot-alloc(per-batch journey compilation)
   // channel_of is pure offset arithmetic over the same prefix-sum table the
-  // flat snapshot borrows, so compiling against the index is already
-  // compiling against the snapshot — no adjacency-mode branch needed here.
+  // flat snapshot borrows. The edge id is one load from the CSR's table when
+  // routing resolved a CSR; on the implicit path ChannelIndex::edge_id
+  // computes it for closed-form families, so no table is built for them.
+  const FlatAdjacency* flat = routed.flat;
   for (std::size_t i = 0; i < messages.size(); ++i) {
     hop_cursor[i] = hops.size();
     const auto& journey = journeys[i];
     for (std::size_t step = 0; step < journey.slots.size(); ++step) {
-      const std::uint32_t channel = index.channel_of(journey.path[step], journey.slots[step]);
-      hops.push_back({channel, edge_of_channel[channel]});  // analyze:allow-hot-alloc(fills the reservation above)
+      const VertexId v = journey.path[step];
+      const int slot = journey.slots[step];
+      const std::uint32_t channel = index.channel_of(v, slot);
+      const std::uint32_t edge =
+          flat != nullptr ? flat->edge_id_at(channel) : index.edge_id(v, slot);
+      hops.push_back({channel, edge});  // analyze:allow-hot-alloc(fills the reservation above)
     }
     hop_end[i] = hops.size();
   }

@@ -2,7 +2,8 @@
 
 // Naive references for the channel index's edge pairing, for tests.
 //
-// ChannelIndex pairs the two directions of every edge in one hash-free pass
+// ChannelIndex numbers edges by a closed form (hypercube, mesh/torus,
+// complete) or pairs the two directions of every edge in one hash-free pass
 // (graph/channel_index.cpp). These references pair them the obvious way:
 // by scanning the head's slots for the one that leads back with the same
 // edge key, and by numbering edge keys in order of first appearance with a

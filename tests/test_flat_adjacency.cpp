@@ -3,8 +3,9 @@
 // The snapshot (graph/flat_adjacency.hpp) is a pure representation change:
 // every slot of every row must agree with the implicit virtual interface,
 // and every pipeline that can run over it — probing, routing, traffic,
-// percolation analyses — must produce bit-identical results under
-// AdjacencyMode::kFlat and kImplicit. This suite pins both: property tests
+// percolation analyses — must produce bit-identical results with the CSR
+// forced (vertex budget UINT64_MAX) and with it refused (budget 0). This
+// suite pins both: property tests
 // across every registered topology family (including the k=2 wrapped
 // butterfly's parallel edges), and differential runs of the percolation
 // analyses. The traffic engine's flat and implicit paths are held to the
@@ -12,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <queue>
@@ -35,6 +38,10 @@
 
 namespace faultroute {
 namespace {
+
+/// Vertex budgets that force either adjacency backend (resolve_adjacency).
+constexpr std::uint64_t kForceFlat = std::numeric_limits<std::uint64_t>::max();
+constexpr std::uint64_t kForceImplicit = 0;
 
 /// Every registered topology family at unit-test scale; butterfly:2 is the
 /// parallel-edge stress case (distinct edges between the same endpoints).
@@ -207,12 +214,12 @@ TEST(FlatAdjacency, ClosedFormMetricFlagNamesTheOverridingFamilies) {
   }
 }
 
-TEST(FlatAdjacency, ResolveAdjacencyHonoursModeAndBudget) {
+TEST(FlatAdjacency, ResolveAdjacencyHonoursTheVertexBudget) {
   const Hypercube cube(5);  // 32 vertices
-  EXPECT_EQ(resolve_adjacency(cube, AdjacencyMode::kFlat), &cube.flat_adjacency());
-  EXPECT_EQ(resolve_adjacency(cube, AdjacencyMode::kImplicit), nullptr);
-  EXPECT_EQ(resolve_adjacency(cube, AdjacencyMode::kAuto, 32), &cube.flat_adjacency());
-  EXPECT_EQ(resolve_adjacency(cube, AdjacencyMode::kAuto, 31), nullptr);
+  EXPECT_EQ(resolve_adjacency(cube, kForceFlat), &cube.flat_adjacency());
+  EXPECT_EQ(resolve_adjacency(cube, kForceImplicit), nullptr);
+  EXPECT_EQ(resolve_adjacency(cube, 32), &cube.flat_adjacency());
+  EXPECT_EQ(resolve_adjacency(cube, 31), nullptr);
 }
 
 // ---------------------------------------------------------------- probing
@@ -271,9 +278,9 @@ TEST(FlatAdjacencyPercolation, ClusterAnalysesMatchAcrossBackends) {
       const auto graph = sim::make_topology(spec);
       const HashEdgeSampler env(p, 4242);
 
-      const ComponentSummary flat = analyze_components(*graph, env, AdjacencyMode::kFlat);
+      const ComponentSummary flat = analyze_components(*graph, env, kForceFlat);
       const ComponentSummary implicit =
-          analyze_components(*graph, env, AdjacencyMode::kImplicit);
+          analyze_components(*graph, env, kForceImplicit);
       EXPECT_EQ(flat.num_vertices, implicit.num_vertices) << spec;
       EXPECT_EQ(flat.num_open_edges, implicit.num_open_edges) << spec;
       EXPECT_EQ(flat.num_components, implicit.num_components) << spec;
@@ -283,22 +290,22 @@ TEST(FlatAdjacencyPercolation, ClusterAnalysesMatchAcrossBackends) {
       // BFS visit order, connectivity verdicts, and shortest open paths are
       // equal query-for-query.
       const VertexId far = graph->num_vertices() - 1;
-      EXPECT_EQ(open_cluster_of(*graph, env, 0, 0, AdjacencyMode::kFlat),
-                open_cluster_of(*graph, env, 0, 0, AdjacencyMode::kImplicit))
+      EXPECT_EQ(open_cluster_of(*graph, env, 0, 0, kForceFlat),
+                open_cluster_of(*graph, env, 0, 0, kForceImplicit))
           << spec;
-      EXPECT_EQ(open_cluster_of(*graph, env, 0, 5, AdjacencyMode::kFlat),
-                open_cluster_of(*graph, env, 0, 5, AdjacencyMode::kImplicit))
+      EXPECT_EQ(open_cluster_of(*graph, env, 0, 5, kForceFlat),
+                open_cluster_of(*graph, env, 0, 5, kForceImplicit))
           << spec;
-      EXPECT_EQ(open_connected(*graph, env, 0, far, 0, AdjacencyMode::kFlat),
-                open_connected(*graph, env, 0, far, 0, AdjacencyMode::kImplicit))
+      EXPECT_EQ(open_connected(*graph, env, 0, far, 0, kForceFlat),
+                open_connected(*graph, env, 0, far, 0, kForceImplicit))
           << spec;
-      EXPECT_EQ(open_connected(*graph, env, 0, far, 4, AdjacencyMode::kFlat),
-                open_connected(*graph, env, 0, far, 4, AdjacencyMode::kImplicit))
+      EXPECT_EQ(open_connected(*graph, env, 0, far, 4, kForceFlat),
+                open_connected(*graph, env, 0, far, 4, kForceImplicit))
           << spec;
       const ChemicalPathResult flat_path =
-          chemical_path(*graph, env, 0, far, 0, AdjacencyMode::kFlat);
+          chemical_path(*graph, env, 0, far, 0, kForceFlat);
       const ChemicalPathResult implicit_path =
-          chemical_path(*graph, env, 0, far, 0, AdjacencyMode::kImplicit);
+          chemical_path(*graph, env, 0, far, 0, kForceImplicit);
       EXPECT_EQ(flat_path.distance, implicit_path.distance) << spec;
       EXPECT_EQ(flat_path.path, implicit_path.path) << spec;
     }
@@ -307,8 +314,8 @@ TEST(FlatAdjacencyPercolation, ClusterAnalysesMatchAcrossBackends) {
 
 TEST(FlatAdjacencyPercolation, LargestClusterOrderMatchesAcrossBackends) {
   const auto graph = sim::make_topology("torus:2:8");
-  const auto flat_order = largest_cluster_order(*graph, AdjacencyMode::kFlat);
-  const auto implicit_order = largest_cluster_order(*graph, AdjacencyMode::kImplicit);
+  const auto flat_order = largest_cluster_order(*graph, kForceFlat);
+  const auto implicit_order = largest_cluster_order(*graph, kForceImplicit);
   for (const double p : {0.2, 0.5, 0.8}) {
     EXPECT_EQ(flat_order(p, 9), implicit_order(p, 9)) << p;
   }

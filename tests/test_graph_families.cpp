@@ -18,6 +18,7 @@
 #include "graph/shuffle_exchange.hpp"
 #include "helpers/reference_edge_ids.hpp"
 #include "helpers/topology_checks.hpp"
+#include "obs/counter_registry.hpp"
 #include "sim/registry.hpp"
 
 namespace faultroute {
@@ -383,6 +384,55 @@ TEST(ChannelIndex, PairedEdgeIdsEqualTheNaiveFirstAppearanceNumbering) {
                                             index.edge_ids_data() + index.num_channels());
     EXPECT_EQ(actual, expected) << g->name();
     EXPECT_EQ(index.num_edge_ids(), g->num_edges()) << g->name();
+  }
+}
+
+std::uint64_t edge_id_tables_built() {
+  for (const auto& entry : obs::global_registry().snapshot()) {
+    if (entry.name == "graph.channel_index.edge_id_tables") return entry.value;
+  }
+  return 0;
+}
+
+TEST(ChannelIndex, ClosedFormEdgeIdsEqualTheNaiveFirstAppearanceNumbering) {
+  // Side 2, dimension 1, the smallest torus and the smallest clique are the
+  // corners of the closed forms. Each slot's closed form must equal the
+  // key -> id map's numbering with no table built, and the closed-form
+  // table fill must equal it channel for channel.
+  for (const char* spec :
+       {"hypercube:1", "hypercube:2", "hypercube:3", "hypercube:4", "hypercube:5",
+        "hypercube:6", "mesh:1:2", "mesh:1:7", "mesh:2:2", "mesh:3:4", "torus:1:3",
+        "torus:2:3", "torus:3:5", "torus:4:3", "complete:2", "complete:3", "complete:24"}) {
+    const auto g = sim::make_topology(spec);
+    ASSERT_TRUE(g->has_closed_form_edge_ids()) << spec;
+    const std::vector<std::uint32_t> expected = reference::first_appearance_edge_ids(*g);
+    const std::uint64_t tables_before = edge_id_tables_built();
+    const ChannelIndex& index = g->channel_index();
+    ASSERT_EQ(expected.size(), index.num_channels()) << spec;
+    EXPECT_EQ(index.num_edge_ids(), g->num_edges()) << spec;
+    for (VertexId v = 0; v < g->num_vertices(); ++v) {
+      for (int i = 0; i < g->degree(v); ++i) {
+        ASSERT_EQ(index.edge_id(v, i), expected[index.channel_of(v, i)])
+            << spec << " v=" << v << " i=" << i;
+      }
+    }
+    EXPECT_EQ(edge_id_tables_built(), tables_before) << spec << ": the closed form built a table";
+    const std::vector<std::uint32_t> filled(index.edge_ids_data(),
+                                            index.edge_ids_data() + index.num_channels());
+    EXPECT_EQ(filled, expected) << spec;
+    EXPECT_EQ(edge_id_tables_built(), tables_before + 1) << spec;
+  }
+}
+
+TEST(ChannelIndex, OnlyTheRegularFamiliesHaveClosedFormEdgeIds) {
+  for (const char* spec : {"double_tree:4", "de_bruijn:6", "shuffle_exchange:6", "butterfly:4",
+                           "ccc:4", "cycle_matching:64:7"}) {
+    const auto g = sim::make_topology(spec);
+    EXPECT_FALSE(g->has_closed_form_edge_ids()) << spec;
+    EXPECT_THROW((void)g->edge_id(0, 0), std::logic_error) << spec;
+    // ChannelIndex::edge_id reads the table instead.
+    const ChannelIndex& index = g->channel_index();
+    EXPECT_EQ(index.edge_id(0, 0), index.edge_id_of(index.channel_of(0, 0))) << spec;
   }
 }
 

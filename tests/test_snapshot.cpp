@@ -19,10 +19,13 @@
 #include "graph/flat_adjacency.hpp"
 #include "graph/snapshot.hpp"
 #include "obs/counter_registry.hpp"
+#include "percolation/edge_sampler.hpp"
 #include "scenario/reporter.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
 #include "sim/registry.hpp"
+#include "traffic/traffic_engine.hpp"
+#include "traffic/workload.hpp"
 
 namespace faultroute {
 namespace {
@@ -325,17 +328,47 @@ TEST(Snapshot, ScenarioWithCorruptSnapshotFailsTheRun) {
   EXPECT_TRUE(out.str().empty());  // fail-fast: nothing was reported
 }
 
-// --------------------------------------------------- kAuto fallback counter
+// --------------------------------------------------- budget fallback counter
 
 TEST(Snapshot, AutoFallbackPastBudgetIsCounted) {
   const auto graph = sim::make_topology("hypercube:7");  // 128 vertices
   const std::uint64_t before = global_counter("graph.flat_adjacency.auto_fallbacks");
   // Within budget: resolves the cached snapshot, no fallback counted.
-  EXPECT_NE(resolve_adjacency(*graph, AdjacencyMode::kAuto, 128), nullptr);
+  EXPECT_NE(resolve_adjacency(*graph, 128), nullptr);
   EXPECT_EQ(global_counter("graph.flat_adjacency.auto_fallbacks"), before);
   // Past budget: virtual dispatch, counted.
-  EXPECT_EQ(resolve_adjacency(*graph, AdjacencyMode::kAuto, 127), nullptr);
+  EXPECT_EQ(resolve_adjacency(*graph, 127), nullptr);
   EXPECT_EQ(global_counter("graph.flat_adjacency.auto_fallbacks"), before + 1);
+}
+
+// ------------------------------------------------------ edge-id table counter
+
+/// The number of channel -> edge-id tables a whole run_traffic batch on
+/// the implicit path (CSR budget 0) builds for a fresh `topology_spec`.
+std::uint64_t implicit_batch_edge_id_tables(const std::string& topology_spec) {
+  const auto graph = sim::make_topology(topology_spec);
+  WorkloadConfig workload;
+  workload.messages = 32;
+  workload.seed = 11;
+  const auto messages = generate_workload(*graph, workload);
+  const HashEdgeSampler env(0.7, 5);
+  TrafficConfig config;
+  config.flat_budget_vertices = 0;
+  const std::uint64_t before = global_counter("graph.channel_index.edge_id_tables");
+  const TrafficResult result = run_traffic(
+      *graph, env, [&] { return sim::make_router("flood", *graph); }, messages, config);
+  EXPECT_GT(result.routed, 0u) << topology_spec;
+  EXPECT_GT(result.transmissions, 0u) << topology_spec;
+  return global_counter("graph.channel_index.edge_id_tables") - before;
+}
+
+TEST(Snapshot, ImplicitBatchBuildsAnEdgeIdTableOnlyWithoutAClosedForm) {
+  // Probing, the shared cache, the memo and journey compilation all take
+  // the closed form on the torus and the hypercube; de Bruijn has none, so
+  // its table is built once and shared by all of them.
+  EXPECT_EQ(implicit_batch_edge_id_tables("torus:2:6"), 0u);
+  EXPECT_EQ(implicit_batch_edge_id_tables("hypercube:6"), 0u);
+  EXPECT_EQ(implicit_batch_edge_id_tables("de_bruijn:6"), 1u);
 }
 
 }  // namespace

@@ -272,6 +272,33 @@ TEST(TrafficDifferential, LandmarkAndGnpRouters) {
   for (const auto& c : cases) check_router_case(c);
 }
 
+TEST(TrafficDifferential, TorusBatchIsBitIdenticalWithAndWithoutTheCsr) {
+  // Under a CSR budget of 0 the torus's probes, shared cache and journey
+  // compilation all take its closed-form edge ids; under the default budget
+  // they read the table the CSR borrows. Per-edge loads are keyed by those
+  // ids, so the two results must agree field for field, channels included.
+  const auto graph = sim::make_topology("torus:3:6");
+  const HashEdgeSampler env(0.75, derive_seed(2005, 21));
+  WorkloadConfig workload = sim::make_workload("random-pairs");
+  workload.messages = 256;
+  workload.seed = derive_seed(2005, 22);
+  const auto messages = generate_workload(*graph, workload);
+  const auto factory = [&]() { return sim::make_router("landmark", *graph); };
+  TrafficConfig implicit;
+  implicit.flat_budget_vertices = 0;
+  TrafficConfig flat;
+  for (const unsigned threads : {1u, 4u}) {
+    implicit.threads = threads;
+    flat.threads = threads;
+    const TrafficResult a = run_traffic(*graph, env, factory, messages, implicit);
+    const TrafficResult b = run_traffic(*graph, env, factory, messages, flat);
+    const std::string label = "torus:3:6 threads=" + std::to_string(threads);
+    expect_identical(a, b, label);
+    EXPECT_EQ(a.channels, b.channels) << label;
+    EXPECT_GT(a.transmissions, 0u) << label;
+  }
+}
+
 // -------------------------------------------------- delivery edge cases
 
 RouterFactory best_first_factory() {

@@ -49,6 +49,16 @@ compiler, a grep in a reviewer's head) knows about:
       deliberate exception carries `// lint:allow-entropy(<reason>)` on the
       same or the previous line.
 
+  edge-id-table-borrowers
+      In src/, `edge_ids_data(` and `edge_id_of(` (the channel -> edge-id
+      table of graph/channel_index.hpp) may appear only in
+      graph/channel_index.*, graph/flat_adjacency.* and graph/snapshot.*.
+      Everything else resolves edge ids with ChannelIndex::edge_id(v, i),
+      which computes the closed form for hypercube, mesh/torus and complete
+      graphs, so a consumer on the implicit path cannot force the 4-byte-
+      per-channel table again without saying so. A deliberate exception
+      carries `// lint:allow-edge-id-table(<reason>)` on the same line.
+
 Usage:
     tools/lint/faultroute_lint.py [--root DIR]     # lint the tree
     tools/lint/faultroute_lint.py --self-test      # prove each rule fires
@@ -117,6 +127,13 @@ ENTROPY_EXEMPT_DIRS = (
     Path("src") / "obs",
 )
 
+# The files of src/ that may read the channel -> edge-id table directly.
+EDGE_ID_TABLE_OWNERS = {
+    Path("src") / "graph" / f"{stem}.{suffix}"
+    for stem in ("channel_index", "flat_adjacency", "snapshot")
+    for suffix in ("hpp", "cpp")
+}
+
 COUNTER_PATH_RE = re.compile(
     r'^(?:' + "|".join(COUNTER_NAMESPACES) + r')\.[a-z0-9_]+(?:\.[a-z0-9_]+)*$'
 )
@@ -124,6 +141,8 @@ SCHEMA_ID_RE = re.compile(r'faultroute\.[a-z0-9_.]+\.v[0-9]+')
 ALLOW_HASH_RE = re.compile(r'lint:allow-hash\([^)]+\)')
 HASH_CONTAINER_RE = re.compile(r'\bunordered_(?:map|set)\b')
 ALLOW_ENTROPY_RE = re.compile(r'lint:allow-entropy\([^)]+\)')
+ALLOW_EDGE_ID_TABLE_RE = re.compile(r'lint:allow-edge-id-table\([^)]+\)')
+EDGE_ID_TABLE_RE = re.compile(r'\b(?:edge_ids_data|edge_id_of)\s*\(')
 # Each pattern is (regex, human name). `rand(` uses a lookbehind so that
 # `srand(` (matched separately) and identifiers like `hash_grand(` don't
 # double-report, and `time(nullptr)` tolerates interior whitespace.
@@ -403,6 +422,33 @@ def check_no_ambient_entropy(root: Path) -> list[Violation]:
     return violations
 
 
+def check_edge_id_table_borrowers(root: Path) -> list[Violation]:
+    violations = []
+    src = root / "src"
+    if not src.is_dir():
+        return violations
+    for path in sorted(src.rglob("*")):
+        if path.suffix not in CXX_SUFFIXES or not path.is_file():
+            continue
+        rel = path.relative_to(root)
+        if rel in EDGE_ID_TABLE_OWNERS:
+            continue
+        raw_lines = path.read_text(encoding="utf-8").splitlines()
+        stripped_lines = strip_comments("\n".join(raw_lines)).splitlines()
+        for idx, code in enumerate(stripped_lines):
+            m = EDGE_ID_TABLE_RE.search(code)
+            if not m or ALLOW_EDGE_ID_TABLE_RE.search(raw_lines[idx]):
+                continue
+            violations.append(
+                Violation("edge-id-table-borrowers", rel, idx + 1,
+                          f"{m.group(0).rstrip('( ')}() reads the channel -> "
+                          "edge-id table, which closed-form families never "
+                          "need to build; use ChannelIndex::edge_id(v, i), or "
+                          "tag a deliberate borrower with "
+                          "'// lint:allow-edge-id-table(<reason>)'"))
+    return violations
+
+
 RULES = {
     "counters-manifest": check_counters_manifest,
     "schema-single-definition": check_schema_single_definition,
@@ -410,6 +456,7 @@ RULES = {
     "relaxed-ordering-allowlist": check_relaxed_ordering,
     "include-hygiene": check_include_hygiene,
     "no-ambient-entropy": check_no_ambient_entropy,
+    "edge-id-table-borrowers": check_edge_id_table_borrowers,
 }
 
 
@@ -574,6 +621,28 @@ def self_test() -> int:
                               'int strand(int x);\n'
                               'int f() { return strand(3); }\n'),
           "identifier merely ending in rand is NOT reported", expect_count=0)
+
+    # edge-id-table-borrowers
+    fires("edge-id-table-borrowers",
+          lambda root: _write(root, "src/core/probe.cpp",
+                              'unsigned f(const ChannelIndex& c, unsigned ch) '
+                              '{ return c.edge_id_of(ch); }\n'
+                              'const unsigned* g(const ChannelIndex& c) '
+                              '{ return c.edge_ids_data(); }\n'),
+          "edge_id_of() and edge_ids_data() outside graph/ are both reported",
+          expect_count=2)
+    fires("edge-id-table-borrowers",
+          lambda root: _write(root, "src/graph/channel_index.hpp",
+                              '#pragma once\n'
+                              'unsigned f(unsigned ch) { return edge_ids_data()[ch]; }\n'),
+          "the table's owners are NOT reported", expect_count=0)
+    fires("edge-id-table-borrowers",
+          lambda root: _write(root, "src/traffic/loads.cpp",
+                              '// edge_id_of(channel) in a comment is fine\n'
+                              'const unsigned* g(const ChannelIndex& c) { return '
+                              'c.edge_ids_data(); }  '
+                              '// lint:allow-edge-id-table(demo of the escape hatch)\n'),
+          "a tagged borrower and a comment are NOT reported", expect_count=0)
 
     # include-hygiene
     fires("include-hygiene",
