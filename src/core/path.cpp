@@ -1,6 +1,8 @@
 #include "core/path.hpp"
 
-#include <unordered_map>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 namespace faultroute {
 
@@ -39,23 +41,78 @@ bool is_valid_open_path(const AdjacencyView& adj, const EdgeSampler& sampler,
   return true;
 }
 
-// analyze:allow-hot-alloc(simplify_walk materializes one output path per message; state is bounded by walk length)
-Path simplify_walk(const Path& walk) {
-  Path out;
-  std::unordered_map<VertexId, std::size_t> position;  // vertex -> index in out
-  out.reserve(walk.size());
-  for (const VertexId v : walk) {
-    const auto it = position.find(v);
-    if (it != position.end()) {
-      // Cut the loop: drop everything after the first occurrence of v.
-      for (std::size_t i = it->second + 1; i < out.size(); ++i) position.erase(out[i]);
-      out.resize(it->second + 1);
-    } else {
-      position.emplace(v, out.size());
-      out.push_back(v);
+namespace {
+
+/// simplify_walk's per-thread position table: vertex -> its index in the
+/// simplified prefix, by open addressing. It is grow-only and epoch-stamped,
+/// so a call starts it empty in O(1) and steady-state calls allocate nothing.
+/// Cutting a loop erases nothing: an entry whose index is past the prefix, or
+/// whose prefix slot now holds another vertex, is stale, and the caller
+/// detects that against the walk itself.
+class WalkPositions {
+ public:
+  struct Entry {
+    VertexId vertex = 0;
+    std::size_t index = 0;
+    std::uint32_t epoch = 0;
+  };
+
+  /// Starts an empty table for a walk of `length` vertices (load <= 1/2).
+  void begin(std::size_t length) {
+    int bits = 4;
+    while ((std::size_t{1} << bits) < 2 * length) ++bits;
+    shift_ = 64 - bits;
+    mask_ = (std::size_t{1} << bits) - 1;
+    if (entries_.size() <= mask_) {
+      entries_.assign(mask_ + 1, Entry{});  // analyze:allow-hot-alloc(grow-only per-thread table warm-up)
+      epoch_ = 0;
+    }
+    if (epoch_ == std::numeric_limits<std::uint32_t>::max()) {
+      for (Entry& entry : entries_) entry.epoch = 0;
+      epoch_ = 0;
+    }
+    ++epoch_;
+  }
+
+  /// v's live entry, or the free entry v would take.
+  [[nodiscard]] Entry& entry_for(VertexId v) {
+    for (std::size_t i = (v * 0x9E3779B97F4A7C15ull) >> shift_;; i = (i + 1) & mask_) {
+      Entry& entry = entries_[i];
+      if (entry.epoch != epoch_ || entry.vertex == v) return entry;
     }
   }
-  return out;
+
+  [[nodiscard]] bool live(const Entry& entry) const { return entry.epoch == epoch_; }
+
+  void set(Entry& entry, VertexId v, std::size_t index) const { entry = {v, index, epoch_}; }
+
+ private:
+  std::vector<Entry> entries_;
+  int shift_ = 60;
+  std::size_t mask_ = 0;
+  std::uint32_t epoch_ = 0;
+};
+
+}  // namespace
+
+Path simplify_walk(Path walk) {
+  static thread_local WalkPositions positions;
+  positions.begin(walk.size());
+  // walk[0, size) is the simplified prefix; it is never longer than the part
+  // of the walk read so far, so the walk is compacted in place.
+  std::size_t size = 0;
+  for (std::size_t r = 0; r < walk.size(); ++r) {
+    const VertexId v = walk[r];
+    WalkPositions::Entry& entry = positions.entry_for(v);
+    if (positions.live(entry) && entry.index < size && walk[entry.index] == v) {
+      size = entry.index + 1;  // cut the loop back to v's first occurrence
+    } else {
+      positions.set(entry, v, size);
+      walk[size++] = v;
+    }
+  }
+  walk.resize(size);  // analyze:allow-hot-alloc(shrinks the walk in place; never grows)
+  return walk;
 }
 
 std::size_t path_length(const Path& path) {

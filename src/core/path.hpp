@@ -25,7 +25,9 @@ using Path = std::vector<VertexId>;
 
 /// Removes loops from a walk: whenever a vertex repeats, the portion between
 /// the repeats is cut. The result is a simple path with the same endpoints.
-[[nodiscard]] Path simplify_walk(const Path& walk);
+/// The walk is compacted in place and returned, so a moved-in walk costs no
+/// allocation; the position table behind it is pooled per thread.
+[[nodiscard]] Path simplify_walk(Path walk);
 
 /// Number of edges of the path (0 for empty or single-vertex paths).
 [[nodiscard]] std::size_t path_length(const Path& path);

@@ -1,6 +1,7 @@
 #include "core/routers/bidirectional_router.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "graph/flat_adjacency.hpp"
 
@@ -46,7 +47,7 @@ std::optional<Path> bidirectional_search(ProbeContext& ctx, const AdjacencyView&
     std::reverse(left.begin(), left.end());  // u .. via_u_side
     const Path right = chain_to_root(from_v, meeting);  // meeting .. v
     left.insert(left.end(), right.begin(), right.end());
-    return simplify_walk(left);
+    return simplify_walk(std::move(left));
   };
 
   while (from_u.live() > 0 || from_v.live() > 0) {

@@ -96,7 +96,12 @@ bool greedy_step(ProbeContext& ctx, const AdjacencyView& adj, const std::uint32_
 std::optional<Path> GreedyDescentRouter::route(ProbeContext& ctx, VertexId u, VertexId v) {
   const AdjacencyView adj(ctx.graph(), ctx.flat_adjacency());
   const std::uint32_t* col = ctx.target_distances(v);
-  Path path{u};
+  // Every accepted move lowers the fault-free distance to v by at least one,
+  // so a reachable target bounds the path at that distance + 1 vertices.
+  const std::uint64_t d = metric_distance(ctx.graph(), col, u, v);
+  Path path;
+  if (d < ctx.graph().num_vertices()) path.reserve(d + 1);  // analyze:allow-hot-alloc(path materialization, reserved once to its bound)
+  path.push_back(u);  // analyze:allow-hot-alloc(fills the reservation above)
   VertexId x = u;
   while (x != v) {
     ctx.note_expansion();  // each visited vertex is this router's "frontier pop"

@@ -1,5 +1,7 @@
 #include "core/routers/hybrid_router.hpp"
 
+#include <utility>
+
 #include "graph/flat_adjacency.hpp"
 
 namespace faultroute {
@@ -22,7 +24,7 @@ std::optional<Path> HybridGreedyRouter::route(ProbeContext& ctx, VertexId u, Ver
   // landmark walk (core/routers/landmark_walk.hpp) so the two phases share
   // one ProbeContext and the greedy prefix stays on the final path.
   if (!detail::landmark_walk(ctx, adj, x, v, walk, walk_state_)) return std::nullopt;
-  return simplify_walk(walk);
+  return simplify_walk(std::move(walk));
 }
 
 }  // namespace faultroute

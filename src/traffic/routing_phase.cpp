@@ -1,10 +1,15 @@
 #include "traffic/routing_phase.hpp"
 
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <optional>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "core/parallel.hpp"
+#include "graph/channel_index.hpp"
 #include "graph/distance_oracle.hpp"
 #include "obs/run_metrics.hpp"
 #include "percolation/shared_probe_cache.hpp"
@@ -93,7 +98,7 @@ void route_all(const SharedProbeCache& cache, const RouterFactory& make_router,
         out.routed = true;
         // Routers may legally return walks; forwarding a loop would burn
         // capacity for nothing, so ship along the simplified path.
-        paths[i] = simplify_walk(*path);
+        paths[i] = simplify_walk(std::move(*path));
         out.path_edges = path_length(paths[i]);
       }
     };
@@ -157,12 +162,18 @@ RoutedBatch route_and_validate(
   result.cache_hits = cache.hits();
   result.cache_misses = cache.misses();
 
-  // Validate paths and resolve every hop's incident slot.
+  // Validate paths and resolve every hop's slot, edge id and direction.
   const obs::PhaseProfiler::Scope validate_scope(profiler, "validate");
+  // A routed message's path_edges is its simplified path's hop count, so the
+  // sum bounds the hop array before it is reserved.
+  std::uint64_t hop_bound = 0;
+  for (const MessageOutcome& out : result.outcomes) hop_bound += out.path_edges;
+  check_hop_total(hop_bound);
+  const ChannelIndex& index = graph.channel_index();
   RoutedBatch batch;
-  batch.flat = flat;
-  std::vector<RoutedJourney>& journeys = batch.journeys;
-  journeys.resize(messages.size());  // analyze:allow-hot-alloc(per-batch result array sized once)
+  std::vector<std::uint32_t>& hops = batch.hops;
+  hops.reserve(hop_bound);  // analyze:allow-hot-alloc(per-batch flat hop array, reserved to its bound)
+  batch.ranges.resize(messages.size());  // analyze:allow-hot-alloc(per-batch result array sized once)
   for (std::size_t i = 0; i < messages.size(); ++i) {
     MessageOutcome& out = result.outcomes[i];
     result.total_distinct_probes += out.distinct_probes;
@@ -176,7 +187,7 @@ RoutedBatch route_and_validate(
     }
     // Validate before counting as routed, so the exact partition
     // routed + failed + censored + invalid == messages holds.
-    Path& path = paths[i];
+    const Path& path = paths[i];
     if (config.verify_paths &&
         !is_valid_open_path(adj, sampler, path, out.message.source, out.message.target)) {
       ++result.invalid_paths;
@@ -184,28 +195,43 @@ RoutedBatch route_and_validate(
       out.path_edges = 0;  // the rejected path's hop count must not leak out
       continue;
     }
-    RoutedJourney& journey = journeys[i];
-    journey.slots.reserve(path.size() > 0 ? path.size() - 1 : 0);  // analyze:allow-hot-alloc(journey slot materialization, reserved to hop count)
+    // The edge id is one load from the CSR's table when routing resolved a
+    // CSR; on the implicit path ChannelIndex::edge_id computes it for
+    // closed-form families, so no table is built for them.
+    const auto begin = static_cast<std::uint32_t>(hops.size());
     bool ok = true;
     for (std::size_t step = 0; step + 1 < path.size(); ++step) {
-      const int idx = adj.edge_index_of(path[step], path[step + 1]);
-      if (idx < 0) {  // unreachable when verify_paths is on; defensive otherwise
+      const VertexId a = path[step];
+      const VertexId b = path[step + 1];
+      const int slot = adj.edge_index_of(a, b);
+      if (slot < 0) {  // unreachable when verify_paths is on; defensive otherwise
         ok = false;
         break;
       }
-      journey.slots.push_back(idx);  // analyze:allow-hot-alloc(fills the reservation above)
+      const std::uint32_t edge =
+          flat != nullptr ? flat->edge_id_at(index.channel_of(a, slot)) : index.edge_id(a, slot);
+      hops.push_back(edge << 1 | static_cast<std::uint32_t>(a > b));  // analyze:allow-hot-alloc(fills the reservation above)
     }
     if (!ok) {
       ++result.invalid_paths;
       out.routed = false;
       out.path_edges = 0;
-      journey.slots.clear();
+      hops.resize(begin);  // analyze:allow-hot-alloc(drops this message's hops; never grows)
       continue;
     }
-    journey.path = std::move(path);
+    batch.ranges[i] = {begin, static_cast<std::uint32_t>(hops.size())};
     ++result.routed;
   }
   return batch;
+}
+
+void check_hop_total(std::uint64_t hops) {
+  if (hops > std::numeric_limits<std::uint32_t>::max()) {
+    // analyze:allow-throw-safety(size refusal before the batch's hop array is reserved)
+    throw std::length_error("run_traffic: the batch's paths have " + std::to_string(hops) +
+                            " hops; hop indices are 32-bit, so a batch takes at most "
+                            "4294967295 hops");
+  }
 }
 
 void record_traffic_counters(obs::RunMetrics& metrics, const TrafficResult& result) {

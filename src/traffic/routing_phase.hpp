@@ -1,30 +1,42 @@
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
-#include "core/path.hpp"
 #include "traffic/traffic_engine.hpp"
 
 namespace faultroute::detail {
 
-/// One message's routed journey in topology-slot form: hop k leaves vertex
-/// `path[k]` through incident slot `slots[k]` (so the channel of the hop is
-/// recoverable both as a ChannelIndex id and as an (edge key, tail) pair).
-/// Empty for messages that did not survive routing/validation.
-struct RoutedJourney {
-  Path path;               // simplified, validated vertex walk
-  std::vector<int> slots;  // slots[k]: incident slot of path[k] -> path[k+1]
+/// A message's hops in RoutedBatch::hops: [begin, end), empty for a message
+/// that did not survive routing/validation or whose source is its target.
+struct HopRange {
+  std::uint32_t begin = 0;
+  std::uint32_t end = 0;
 };
 
-/// Phase 1's output: the journeys, and the CSR routing resolved (nullptr on
-/// the implicit path), whose edge-id table journey compilation reads.
+/// Phase 1's output: every hop of the batch's validated paths in one flat
+/// array, in message-id order, and each message's range in it.
+///
+/// Hop a -> b is stored as `(edge id << 1) | [a > b]`: the undirected edge it
+/// loads and which of the edge's two directed channels it queues on. That
+/// pair names the channel exactly, because the two channels of one edge have
+/// distinct tails (ChannelIndex refuses self-loops) and parallel edges have
+/// distinct ids; and it fits 32 bits, because ChannelIndex caps channels
+/// below 2^32, so edge ids stay below 2^31.
 struct RoutedBatch {
-  std::vector<RoutedJourney> journeys;
-  const FlatAdjacency* flat = nullptr;
+  std::vector<std::uint32_t> hops;
+  std::vector<HopRange> ranges;  // indexed by message id
 };
 
-/// Phase 1 of run_traffic. Routes every message (thread-parallel, deterministic), verifies paths when
-/// config.verify_paths is on, resolves every hop's incident slot, and fills
+/// Throws std::length_error naming the count when a batch's hop total reaches
+/// 2^32: hop indices are 32-bit in HopRange and in delivery's channel
+/// numbering, and truncating one would silently alias two hops.
+void check_hop_total(std::uint64_t hops);
+
+/// Phase 1 of run_traffic. Routes every message (thread-parallel,
+/// deterministic), verifies paths when config.verify_paths is on, resolves
+/// every hop's incident slot and edge id into the flat hop array (refusing a
+/// batch check_hop_total refuses before the array is reserved), and fills
 /// the routing side of `result`: outcomes (message/routed/censored/
 /// distinct_probes/path_edges), routed/failed_routing/censored/invalid_paths,
 /// total_distinct_probes, and unique_edges_probed. `result.outcomes` must

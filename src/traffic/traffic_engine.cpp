@@ -1,6 +1,7 @@
 #include "traffic/traffic_engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -16,6 +17,53 @@ namespace {
 
 /// Sentinel for "no message" in the intrusive per-channel FIFOs.
 constexpr std::uint32_t kNoMessage = std::numeric_limits<std::uint32_t>::max();
+
+/// Renumbers the batch's hops (RoutedBatch::hops) onto batch-local channel
+/// ids in place and returns k, the number of distinct undirected edges they
+/// load. Those edges become 0..k-1 in ascending edge-id order, and each hop
+/// keeps its direction bit, so hop a -> b on local edge e' queues on local
+/// channel 2e' + [a > b]. O(hops) time and memory: an LSD radix sort of
+/// (edge id << 32 | hop index) keys on the edge id's 11-bit digits, at most
+/// three passes since edge ids are below 2^31. Hop indices fit the key's low
+/// half because check_hop_total refused larger batches.
+std::uint32_t number_local_channels(std::vector<std::uint32_t>& hops) {
+  constexpr int kDigitBits = 11;
+  constexpr std::size_t kDigits = std::size_t{1} << kDigitBits;
+  const std::size_t n = hops.size();
+  std::vector<std::uint64_t> keys(n);  // analyze:allow-hot-alloc(per-batch sort keys, one per hop)
+  std::uint32_t max_edge = 0;
+  for (std::size_t h = 0; h < n; ++h) {
+    const std::uint32_t edge = hops[h] >> 1;
+    max_edge = std::max(max_edge, edge);
+    keys[h] = std::uint64_t{edge} << 32 | h;
+  }
+  // Keys start in hop order and every pass is stable, so sorting the edge
+  // digits alone leaves each edge's hops in hop order.
+  const int edge_bits = std::bit_width(max_edge);
+  if (edge_bits > 0) {
+    std::vector<std::uint64_t> sorted(n);  // analyze:allow-hot-alloc(per-batch radix scratch, one per hop)
+    std::vector<std::size_t> start(kDigits);  // analyze:allow-hot-alloc(per-batch radix histogram)
+    for (int shift = 32; shift < 32 + edge_bits; shift += kDigitBits) {
+      std::fill(start.begin(), start.end(), 0);
+      for (const std::uint64_t key : keys) ++start[key >> shift & (kDigits - 1)];
+      std::size_t sum = 0;
+      for (std::size_t& slot : start) sum += std::exchange(slot, sum);
+      for (const std::uint64_t key : keys) sorted[start[key >> shift & (kDigits - 1)]++] = key;
+      keys.swap(sorted);
+    }
+  }
+  std::uint32_t k = 0;
+  std::uint64_t previous = std::numeric_limits<std::uint64_t>::max();
+  for (const std::uint64_t key : keys) {
+    if (key >> 32 != previous) {
+      previous = key >> 32;
+      ++k;
+    }
+    std::uint32_t& hop = hops[static_cast<std::uint32_t>(key)];
+    hop = (k - 1) << 1 | (hop & 1);
+  }
+  return k;
+}
 
 }  // namespace
 
@@ -42,51 +90,22 @@ TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampler,
       config.metrics != nullptr ? config.metrics->delivery_sampler() : nullptr;
 
   // ---------------------------------------------------------- phase 1: route
-  const detail::RoutedBatch routed =
+  detail::RoutedBatch routed =
       detail::route_and_validate(graph, sampler, make_router, messages, config, result);
-  const std::vector<detail::RoutedJourney>& journeys = routed.journeys;
+  std::vector<std::uint32_t>& hops = routed.hops;
+  std::vector<detail::HopRange>& ranges = routed.ranges;
+  result.channels = graph.channel_index().num_channels();
 
   // -------------------------------------------------------- phase 2: deliver
-  // Event-driven store-and-forward over dense directed-channel ids: at each
-  // timestep, messages due now are admitted to their next channel queue
+  // Event-driven store-and-forward over batch-local directed-channel ids: at
+  // each timestep, messages due now are admitted to their next channel queue
   // in ascending-id order, then every non-empty channel transmits up to
   // `edge_capacity` messages, which arrive at the far endpoint next step.
-  const ChannelIndex& index = graph.channel_index();
-  result.channels = index.num_channels();
-
-  // Journeys compiled flat: per hop, the channel it queues on and the
-  // undirected edge it loads, all hops concatenated; per message a
-  // [cursor, end) window into the flat array.
-  struct Hop {
-    std::uint32_t channel;
-    std::uint32_t edge;
-  };
+  // Compilation numbers the channels the batch's paths use, so every array
+  // below is sized by the batch, never by the topology.
   std::optional<obs::PhaseProfiler::Scope> compile_scope;
   compile_scope.emplace(profiler, "compile");
-  std::uint64_t total_hops = 0;
-  for (const auto& journey : journeys) total_hops += journey.slots.size();
-  std::vector<Hop> hops;
-  hops.reserve(total_hops);  // analyze:allow-hot-alloc(per-batch journey compilation, reserved to total hops)
-  std::vector<std::uint64_t> hop_cursor(messages.size(), 0);  // analyze:allow-hot-alloc(per-batch journey compilation)
-  std::vector<std::uint64_t> hop_end(messages.size(), 0);  // analyze:allow-hot-alloc(per-batch journey compilation)
-  // channel_of is pure offset arithmetic over the same prefix-sum table the
-  // flat snapshot borrows. The edge id is one load from the CSR's table when
-  // routing resolved a CSR; on the implicit path ChannelIndex::edge_id
-  // computes it for closed-form families, so no table is built for them.
-  const FlatAdjacency* flat = routed.flat;
-  for (std::size_t i = 0; i < messages.size(); ++i) {
-    hop_cursor[i] = hops.size();
-    const auto& journey = journeys[i];
-    for (std::size_t step = 0; step < journey.slots.size(); ++step) {
-      const VertexId v = journey.path[step];
-      const int slot = journey.slots[step];
-      const std::uint32_t channel = index.channel_of(v, slot);
-      const std::uint32_t edge =
-          flat != nullptr ? flat->edge_id_at(channel) : index.edge_id(v, slot);
-      hops.push_back({channel, edge});  // analyze:allow-hot-alloc(fills the reservation above)
-    }
-    hop_end[i] = hops.size();
-  }
+  const std::uint32_t local_edges = number_local_channels(hops);
   compile_scope.reset();
   std::optional<obs::PhaseProfiler::Scope> delivery_scope;
   delivery_scope.emplace(profiler, "delivery");
@@ -107,18 +126,16 @@ TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampler,
   // Per-channel FIFO queues as intrusive singly-linked lists threaded through
   // one per-message `next` slot: a message sits in at most one queue, so no
   // allocation ever happens inside the simulation loop, and queue state is
-  // bounded by (channels + messages) by construction.
-  std::vector<std::uint32_t> queue_head(index.num_channels(), kNoMessage);  // analyze:allow-hot-alloc(per-batch queue state sized once)
-  std::vector<std::uint32_t> queue_tail(index.num_channels(), kNoMessage);  // analyze:allow-hot-alloc(per-batch queue state sized once)
+  // bounded by (hops + messages) by construction.
+  std::vector<std::uint32_t> queue_head(2 * std::size_t{local_edges}, kNoMessage);  // analyze:allow-hot-alloc(per-batch queue state sized once)
+  std::vector<std::uint32_t> queue_tail(2 * std::size_t{local_edges}, kNoMessage);  // analyze:allow-hot-alloc(per-batch queue state sized once)
   std::vector<std::uint32_t> next_in_queue(messages.size(), kNoMessage);  // analyze:allow-hot-alloc(per-batch queue state sized once)
   std::vector<std::uint32_t> active;  // channels with a non-empty queue
 
-  // Per-undirected-edge transmission counts, accumulated densely (both
-  // directions of an edge share its id, so no pairing is left for
-  // aggregation); `used_edges` remembers first touches so aggregation never
-  // scans the whole edge space.
-  std::vector<std::uint64_t> edge_load(index.num_edge_ids(), 0);  // analyze:allow-hot-alloc(per-batch load accumulators sized once)
-  std::vector<std::uint32_t> used_edges;
+  // Per-undirected-edge transmission counts by local edge id (channel >> 1:
+  // both directions of an edge share it, so no pairing is left for
+  // aggregation).
+  std::vector<std::uint64_t> edge_load(local_edges, 0);  // analyze:allow-hot-alloc(per-batch load accumulators sized once)
 
   // Two-bucket calendar: a hop costs exactly one step, so every transmission
   // lands in the very next bucket, and the only other event source —
@@ -147,7 +164,7 @@ TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampler,
     std::sort(arrivals.begin(), arrivals.end());
     result.admission_events += arrivals.size();
     for (const std::uint32_t id : arrivals) {
-      if (hop_cursor[id] == hop_end[id]) {
+      if (ranges[id].begin == ranges[id].end) {
         MessageOutcome& out = result.outcomes[id];
         out.delivered = true;
         out.finish_time = t;
@@ -155,7 +172,7 @@ TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampler,
         --in_flight;
         continue;
       }
-      const std::uint32_t channel = hops[hop_cursor[id]].channel;
+      const std::uint32_t channel = hops[ranges[id].begin];
       next_in_queue[id] = kNoMessage;
       if (queue_head[channel] == kNoMessage) {
         queue_head[channel] = queue_tail[channel] = id;
@@ -178,10 +195,8 @@ TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampler,
            slot < config.edge_capacity && queue_head[channel] != kNoMessage; ++slot) {
         const std::uint32_t id = queue_head[channel];
         queue_head[channel] = next_in_queue[id];
-        const std::uint32_t edge = hops[hop_cursor[id]++].edge;
-        // analyze:allow-hot-alloc(first-touch record, one append per distinct edge)
-        if (edge_load[edge] == 0) used_edges.push_back(edge);
-        ++edge_load[edge];
+        ++ranges[id].begin;
+        ++edge_load[channel >> 1];
         next_arrivals.push_back(id);  // analyze:allow-hot-alloc(amortized calendar bucket; capacity is retained across steps)
       }
       if (queue_head[channel] == kNoMessage) {
@@ -214,13 +229,14 @@ TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampler,
   // ------------------------------------------------------------- aggregation
   delivery_scope.reset();
   const obs::PhaseProfiler::Scope aggregate_scope(profiler, "aggregate");
-  // Congestion over undirected edges, O(edges used): `used_edges` lists
-  // every loaded id exactly once.
-  for (const std::uint32_t edge : used_edges) {
-    result.transmissions += edge_load[edge];
-    result.max_edge_load = std::max(result.max_edge_load, edge_load[edge]);
+  // Congestion over undirected edges, O(edges the batch's paths use). A step
+  // cap can leave some of them untraversed, at load 0.
+  for (const std::uint64_t load : edge_load) {
+    if (load == 0) continue;
+    ++result.edges_used;
+    result.transmissions += load;
+    result.max_edge_load = std::max(result.max_edge_load, load);
   }
-  result.edges_used = used_edges.size();
   if (result.edges_used > 0) {
     result.mean_edge_load = static_cast<double>(result.transmissions) /
                             static_cast<double>(result.edges_used);

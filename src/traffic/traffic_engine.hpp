@@ -126,15 +126,17 @@ struct TrafficResult {
   }
 
   // Delivery-engine introspection (see docs/ARCHITECTURE.md). These expose
-  // the event-driven simulator's work and footprint: its state is O(channels
-  // + messages) arrays, never a function of simulated time, so long-horizon
-  // runs cost steps but not memory.
+  // the event-driven simulator's work: its state is O(hops + messages)
+  // arrays, never a function of simulated time or of the topology's size,
+  // so long-horizon runs cost steps but not memory.
   std::uint64_t sim_steps = 0;          ///< timeline steps executed (idle gaps skipped)
   std::uint64_t admission_events = 0;   ///< queue admissions, incl. one per hop taken
   std::uint64_t transmissions = 0;      ///< channel transmit events (== summed edge load)
   std::uint64_t peak_active_channels = 0;  ///< most channels simultaneously queued
   /// Directed channels of the topology's ChannelIndex (2·edges for simple
-  /// graphs); the size of the engine's per-channel state.
+  /// graphs), which bounds peak_active_channels. The engine's own per-channel
+  /// state covers only the channels the batch's paths use (batch-local ids),
+  /// so this is not its footprint.
   std::uint64_t channels = 0;
 
   std::vector<MessageOutcome> outcomes;  // indexed by message id
@@ -153,19 +155,23 @@ struct TrafficResult {
 /// through per-channel FIFO queues with `edge_capacity` transmissions per
 /// directed channel per timestep. Simultaneous queue admissions are ordered
 /// by message id, making the whole simulation deterministic. The phase is
-/// event-driven over the topology's dense ChannelIndex: journeys compile to
-/// flat channel-id arrays, arrivals flow through a two-bucket calendar (one
-/// hop costs exactly one step, so only the next step is ever scheduled, and
-/// injection gaps are skipped by cursor), and per-channel FIFOs are intrusive
-/// lists threaded through a single per-message `next` array — state is
-/// O(channels + messages), independent of simulated time.
+/// event-driven over batch-local channel ids: routing emits every hop into
+/// one flat array, compilation numbers the k distinct edges the hops use
+/// 0..k-1 (a radix sort of their edge ids) and gives hop a -> b the channel
+/// 2e' + [a > b], arrivals flow through a two-bucket calendar (one hop costs
+/// exactly one step, so only the next step is ever scheduled, and injection
+/// gaps are skipped by cursor), and per-channel FIFOs are intrusive lists
+/// threaded through a single per-message `next` array — state is
+/// O(hops + messages), independent of simulated time and of the topology's
+/// channel count.
 ///
 /// Preconditions (all guaranteed by generate_workload): message ids are the
 /// dense indices 0..messages.size()-1 in vector order, inject_times are
 /// nondecreasing, and every source/target is a distinct valid vertex of
 /// `graph`. config.edge_capacity >= 1. At most 2^32 - 1 messages (ids are
 /// 32-bit throughout the engine); more throws std::invalid_argument rather
-/// than silently aliasing ids.
+/// than silently aliasing ids. Likewise, routed paths totalling 2^32 or more
+/// hops throw std::length_error before the hop array is reserved.
 ///
 /// Thread-safety: `graph` and `sampler` are only read (both must be
 /// internally thread-safe under const access, which all library topologies

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <limits>
@@ -13,6 +14,7 @@
 #include "graph/mesh.hpp"
 #include "percolation/edge_sampler.hpp"
 #include "percolation/shared_probe_cache.hpp"
+#include "random/rng.hpp"
 
 namespace faultroute {
 namespace {
@@ -546,6 +548,37 @@ TEST(Path, SimplifyRemovesLoops) {
   EXPECT_EQ(simplify_walk({7}), (Path{7}));
   EXPECT_EQ(simplify_walk({}), (Path{}));
   EXPECT_EQ(simplify_walk({1, 2, 3}), (Path{1, 2, 3}));
+}
+
+// simplify_walk's definition, quadratically: on a repeat, cut the output
+// back to the vertex's first occurrence in it.
+Path naive_simplify(const Path& walk) {
+  Path out;
+  for (const VertexId v : walk) {
+    const auto it = std::find(out.begin(), out.end(), v);
+    if (it != out.end()) {
+      out.erase(it + 1, out.end());
+    } else {
+      out.push_back(v);
+    }
+  }
+  return out;
+}
+
+TEST(Path, SimplifyMatchesTheQuadraticDefinitionOnRandomWalks) {
+  Rng rng(20050701);
+  for (int trial = 0; trial < 3000; ++trial) {
+    // A small alphabet forces repeats and nested loops. Every 50th walk is
+    // long, so the pooled table grows and the short walks after it reuse a
+    // larger table with stale entries. Vertex ids are spread over 64 bits
+    // (times an odd constant) so the table's hash sees more than low bits.
+    const std::uint64_t length =
+        trial % 50 == 0 ? 1000 + uniform_below(rng, 4000) : uniform_below(rng, 80);
+    const std::uint64_t alphabet = 1 + uniform_below(rng, trial % 3 == 0 ? 6 : 60);
+    Path walk(length);
+    for (VertexId& v : walk) v = uniform_below(rng, alphabet) * 0x9E3779B97F4A7C15ull;
+    ASSERT_EQ(simplify_walk(walk), naive_simplify(walk)) << "trial " << trial;
+  }
 }
 
 TEST(Path, SimplifyKeepsEndpointsAndAdjacency) {

@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -14,6 +18,7 @@
 #include "graph/mesh.hpp"
 #include "percolation/edge_sampler.hpp"
 #include "percolation/shared_probe_cache.hpp"
+#include "traffic/routing_phase.hpp"
 #include "traffic/traffic_engine.hpp"
 #include "traffic/workload.hpp"
 
@@ -498,6 +503,38 @@ TEST(TrafficEngine, TwoEdgeContentionHandComputed) {
   EXPECT_EQ(r.channels, 4u);              // 2 undirected edges, both directions
 }
 
+TEST(TrafficEngine, TheTwoDirectionsOfOneEdgeQueueIndependently) {
+  // hypercube:1 is the single edge {0, 1}. Messages 0 -> 1 and 1 -> 0 leave
+  // at t=0 on its two directed channels, so at capacity 1 neither waits for
+  // the other, while the undirected edge's load pools both.
+  const Hypercube g(1);
+  const HashEdgeSampler env(1.0, 1);
+  TrafficConfig config;
+  config.edge_capacity = 1;
+  const std::vector<TrafficMessage> opposite{{0, 0, 1, 0}, {1, 1, 0, 0}};
+  const TrafficResult r = run_traffic(g, env, best_first_factory(), opposite, config);
+  ASSERT_EQ(r.delivered, 2u);
+  for (const MessageOutcome& out : r.outcomes) {
+    EXPECT_EQ(out.finish_time, 1u);
+    EXPECT_EQ(out.queueing_delay, 0u);
+  }
+  EXPECT_EQ(r.transmissions, 2u);
+  EXPECT_EQ(r.max_edge_load, 2u);
+  EXPECT_EQ(r.edges_used, 1u);
+}
+
+TEST(TrafficEngine, RefusesABatchOfTwoToThe32Hops) {
+  // Hop indices are 32-bit in the flat hop array; the check runs before the
+  // array is reserved, so it is tested here on the count alone.
+  EXPECT_NO_THROW(detail::check_hop_total(std::numeric_limits<std::uint32_t>::max()));
+  try {
+    detail::check_hop_total(std::uint64_t{1} << 32);
+    FAIL() << "a batch of 2^32 hops was accepted";
+  } catch (const std::length_error& e) {
+    EXPECT_NE(std::string(e.what()).find("4294967296 hops"), std::string::npos) << e.what();
+  }
+}
+
 TEST(TrafficEngine, DeliveryInvariantsOnAPoissonBatch) {
   const TrafficResult r = [] {
     const Hypercube g(7);
@@ -535,11 +572,12 @@ TEST(TrafficEngine, DeliveryInvariantsOnAPoissonBatch) {
 
 TEST(TrafficEngine, MemoryStateIsBoundedByChannelsPlusMessagesNotTime) {
   // Same message count, ~100x different simulated horizon: the engine's
-  // per-run state (channel index, per-channel FIFO heads, per-message slots)
-  // must not grow with simulated time. The counters expose exactly those
-  // sizes; under the old container engine the queue table grew with every
-  // distinct channel ever touched and the timeline with every distinct
-  // admission time.
+  // per-run state (per-channel FIFO heads over the channels the batch's
+  // paths use, per-message slots, per-hop channel ids) must not grow with
+  // simulated time. `channels` still reports the topology's ChannelIndex,
+  // which bounds the channels in use; under the old container engine the
+  // queue table grew with every distinct channel ever touched and the
+  // timeline with every distinct admission time.
   const Hypercube g(7);
   const HashEdgeSampler env(0.7, 9);
   const auto run_at_rate = [&](double rate) {
