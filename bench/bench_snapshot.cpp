@@ -21,7 +21,7 @@
 // --json emits one machine-readable object (schema
 // faultroute.bench.snapshot.v1, validated in CI by
 // scripts/check_bench_schema.py); the committed full-run perf record lives
-// in BENCH_snapshot.json at the repo root, next to BENCH_adjacency.json.
+// in BENCH_snapshot.json at the repo root.
 
 #include <chrono>
 #include <cstdio>

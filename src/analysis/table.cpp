@@ -1,6 +1,6 @@
 #include "analysis/table.hpp"
 
-#include <fstream>
+#include <algorithm>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
@@ -56,30 +56,6 @@ std::string Table::to_string() const {
 
 void Table::print(const std::string& title) const {
   std::cout << "\n== " << title << " ==\n" << to_string() << std::flush;
-}
-
-void Table::write_csv(const std::string& path) const {
-  std::ofstream file(path);
-  if (!file) throw std::runtime_error("Table::write_csv: cannot open " + path);
-  const auto quote = [](const std::string& cell) {
-    if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-    std::string quoted = "\"";
-    for (const char ch : cell) {
-      if (ch == '"') quoted += '"';
-      quoted += ch;
-    }
-    quoted += '"';
-    return quoted;
-  };
-  const auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (c > 0) file << ',';
-      file << quote(cells[c]);
-    }
-    file << '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
 }
 
 }  // namespace faultroute

@@ -6,8 +6,8 @@
 
 namespace faultroute {
 
-/// A small column-aligned table for experiment reports: prints to stdout in
-/// the benches and optionally dumps CSV for downstream plotting.
+/// A small column-aligned table for experiment reports, printed to stdout by
+/// the paper-claims gate and bench_snapshot.
 class Table {
  public:
   explicit Table(std::vector<std::string> headers);
@@ -28,9 +28,6 @@ class Table {
 
   /// Prints to stdout with a title line.
   void print(const std::string& title) const;
-
-  /// Writes RFC-4180-ish CSV (quotes applied when needed).
-  void write_csv(const std::string& path) const;
 
  private:
   std::vector<std::string> headers_;

@@ -15,8 +15,9 @@ namespace faultroute {
 /// landmark/BFS algorithm *from the closest vertex reached so far*.
 ///
 /// Complete: phase 2 alone is complete, and phase 1 only ever extends the
-/// reached set. The ablation bench (bench_ablations) compares its complexity
-/// exponent with pure landmark routing on the hypercube.
+/// reached set. `HybridRouter.CheaperThanLandmarkWhenFaultsAreLight`
+/// (tests/test_extensions.cpp) checks that it probes less than pure
+/// landmark routing on the hypercube, on both sides of alpha = 1/2.
 class HybridGreedyRouter : public Router {
  public:
   std::optional<Path> route(ProbeContext& ctx, VertexId u, VertexId v) override;

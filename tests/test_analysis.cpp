@@ -1,14 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <stdexcept>
 #include <string>
 
 #include "analysis/stats.hpp"
 #include "analysis/table.hpp"
-#include "sim/options.hpp"
 #include "sim/sweep.hpp"
 
 namespace faultroute {
@@ -198,67 +195,6 @@ TEST(Table, RejectsMalformedRows) {
   Table t({"a", "b"});
   EXPECT_THROW(t.add_row({"only-one"}), std::invalid_argument);
   EXPECT_THROW(Table({}), std::invalid_argument);
-}
-
-TEST(Table, WritesCsvWithQuoting) {
-  Table t({"k", "v"});
-  t.add_row({"plain", "1"});
-  t.add_row({"with,comma", "quote\"inside"});
-  const std::string path = ::testing::TempDir() + "/faultroute_table_test.csv";
-  t.write_csv(path);
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "k,v");
-  std::getline(in, line);
-  EXPECT_EQ(line, "plain,1");
-  std::getline(in, line);
-  EXPECT_EQ(line, "\"with,comma\",\"quote\"\"inside\"");
-  std::remove(path.c_str());
-}
-
-// ------------------------------------------------------------------ Options
-
-TEST(Options, DefaultsAreSane) {
-  const char* argv[] = {"bench"};
-  const auto opts = sim::parse_options(1, const_cast<char**>(argv));
-  EXPECT_FALSE(opts.quick);
-  EXPECT_FALSE(opts.trials.has_value());
-  EXPECT_EQ(opts.trials_or(100), 100);
-  EXPECT_FALSE(opts.csv_path("t").has_value());
-}
-
-TEST(Options, ParsesAllFlags) {
-  const char* argv[] = {"bench", "--quick", "--trials=17", "--seed=5", "--csv=/tmp"};
-  const auto opts = sim::parse_options(5, const_cast<char**>(argv));
-  EXPECT_TRUE(opts.quick);
-  EXPECT_EQ(opts.trials_or(100), 17);  // explicit trials beat quick
-  EXPECT_EQ(opts.seed, 5u);
-  EXPECT_EQ(*opts.csv_path("table"), "/tmp/table.csv");
-}
-
-TEST(Options, QuickQuartersTrials) {
-  const char* argv[] = {"bench", "--quick"};
-  const auto opts = sim::parse_options(2, const_cast<char**>(argv));
-  EXPECT_EQ(opts.trials_or(100), 25);
-  EXPECT_EQ(opts.trials_or(8), 5);  // floor at 5
-}
-
-TEST(Options, RejectsUnknownFlag) {
-  // Unknown flags and malformed values alike: a trailing-garbage trial
-  // count, a zero trial count (nothing to summarize) and a negative seed.
-  // The error names the flag.
-  for (const char* bad_flag : {"--wat", "--trials=2abc", "--trials=0", "--seed=-1"}) {
-    const std::string bad = bad_flag;
-    const char* argv[] = {"bench", bad_flag};
-    try {
-      (void)sim::parse_options(2, const_cast<char**>(argv));
-      ADD_FAILURE() << bad << " was accepted";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find(bad.substr(0, bad.find('='))), std::string::npos)
-          << e.what();
-    }
-  }
 }
 
 // -------------------------------------------------------------------- Sweep

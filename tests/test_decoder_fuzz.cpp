@@ -1,10 +1,12 @@
 // Seeded mutation fuzzing of the scenario layer's decoders of untrusted
-// bytes: the checkpoint journal's cell-line codec and the shard-report
-// stitcher behind `faultroute merge`. Every mutant must either round-trip
-// exactly or be refused with std::runtime_error; a crash, a hang, another
-// exception type, or a silently altered value fails the test. Seeds and
-// iteration counts are fixed, so every run replays the same mutants and a
-// failure reproduces exactly (the failing mutant is printed).
+// bytes: the spec parser, the checkpoint journal's cell-line codec and the
+// shard-report stitcher behind `faultroute merge`. Every spec mutant must
+// parse and validate or be refused with std::invalid_argument; every
+// journal or shard mutant must round-trip exactly or be refused with
+// std::runtime_error. A crash, a hang, another exception type, or a
+// silently altered value fails the test. Seeds and iteration counts are
+// fixed, so every run replays the same mutants and a failure reproduces
+// exactly (the failing mutant is printed).
 
 #include <gtest/gtest.h>
 
@@ -27,10 +29,12 @@ namespace faultroute::scenario {
 namespace {
 
 /// Bytes the decoders treat specially, so insertions and overwrites hit
-/// framing, escapes, signs, blanks, hexfloat syntax, and CSV quoting far
-/// more often than uniform random bytes would.
-constexpr char kDictionary[] = {'\t', '\n', '\r', '\\', '-', '+', ' ', '0', '9', 'x', 'p',
-                                '.',  ',',  '"',  '{',  '}', ':', 'e', 'n', 't', '\0'};
+/// framing, escapes, signs, blanks, hexfloat syntax, CSV quoting and the
+/// spec grammar's assignments, separators and comments far more often than
+/// uniform random bytes would.
+constexpr char kDictionary[] = {'\t', '\n', '\r', '\\', '-', '+', ' ', '0', '9', 'x',
+                                'p',  '.',  ',',  '"',  '{', '}', ':', 'e', 'n', 't',
+                                '=',  ';',  '#',  '\0'};
 
 char interesting_byte(Rng& rng) {
   if (uniform_below(rng, 4) == 0) return static_cast<char>(uniform_below(rng, 256));
@@ -61,6 +65,57 @@ std::string mutate(std::string text, Rng& rng) {
     }
   }
   return text;
+}
+
+TEST(DecoderFuzz, SpecMutantsParseOrThrowInvalidArgument) {
+  // Two curated specs (scenarios/hypercube_phase.scn and gnp_oracle_gap.scn,
+  // comments dropped) and one that sets capacity, budget, max_steps and
+  // threads, with `;` separators and comments.
+  const std::vector<std::string> corpus = {
+      "name     = hypercube-phase\n"
+      "topology = hypercube:10\n"
+      "p        = 0.2:0.8:7\n"
+      "router   = landmark\n"
+      "workload = permutation\n"
+      "messages = 1024\n"
+      "trials   = 3\n"
+      "seed     = 2005\n",
+      "name     = gnp-oracle-gap\n"
+      "topology = complete:512\n"
+      "p        = 0.01, 0.02, 0.04, 0.08\n"
+      "router   = gnp-local, gnp-oracle\n"
+      "workload = random-pairs\n"
+      "messages = 256\n"
+      "trials   = 3\n"
+      "seed     = 2005\n",
+      "# two workloads with parameters\n"
+      "topology = torus:2:8, mesh:2:6; p = 0.5, 0.9  # trailing comment\n"
+      "router = greedy, best-first\n"
+      "workload = poisson:0.5, hotspot:3\n"
+      "messages = 64; trials = 2; seed = 7\n"
+      "capacity = 2\n"
+      "budget = 500\n"
+      "max_steps = 1000\n"
+      "threads = 2\n",
+  };
+  // parse_scenario also runs validate_scenario.
+  for (const std::string& text : corpus) ASSERT_NO_THROW((void)parse_scenario(text));
+  Rng rng(0x73706563ULL);
+  std::uint64_t accepted = 0;
+  std::uint64_t refused = 0;
+  for (int iteration = 0; iteration < 20000; ++iteration) {
+    const std::string mutant = mutate(corpus[uniform_below(rng, corpus.size())], rng);
+    try {
+      (void)parse_scenario(mutant);
+      ++accepted;
+    } catch (const std::invalid_argument&) {
+      ++refused;
+    } catch (const std::exception& e) {
+      FAIL() << "iteration " << iteration << " threw " << e.what() << "; mutant:\n" << mutant;
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(refused, 0u);
 }
 
 /// Keeps every reported cell.

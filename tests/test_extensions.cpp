@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/experiment.hpp"
 #include "core/probe_context.hpp"
 #include "core/routers/hybrid_router.hpp"
@@ -11,7 +13,9 @@
 #include "helpers/topology_checks.hpp"
 #include "percolation/cluster_analysis.hpp"
 #include "percolation/edge_sampler.hpp"
+#include "random/rng.hpp"
 #include "sim/registry.hpp"
+#include "sim/sweep.hpp"
 
 namespace faultroute {
 namespace {
@@ -124,6 +128,24 @@ TEST(HybridRouter, CheaperThanLandmarkWhenFaultsAreLight) {
   }
   ASSERT_GT(cases, 5);
   EXPECT_LT(hybrid_total, landmark_total);
+
+  // Section 3.2 remarks that greedy early stages should cut the cost. On
+  // H_{14,p} at p = 14^-alpha the hybrid's median stays below landmark's
+  // on both sides of alpha = 1/2 (hybrid/landmark 0.25, 0.30, 0.60, 0.62).
+  const Hypercube h14(14);
+  const VertexId antipode = h14.num_vertices() - 1;
+  for (const double alpha : {0.25, 0.40, 0.55, 0.70}) {
+    const double p = sim::p_for_alpha(14, alpha);
+    ExperimentConfig config;
+    config.trials = 15;
+    config.probe_budget = 200000;
+    config.base_seed = derive_seed(20050701, static_cast<std::uint64_t>(alpha * 1000));
+    const ExperimentSummary hs = summarize_trials(run_routing_trials_parallel(
+        h14, p, [] { return std::make_unique<HybridGreedyRouter>(); }, 0, antipode, config));
+    const ExperimentSummary ls = summarize_trials(run_routing_trials_parallel(
+        h14, p, [] { return std::make_unique<LandmarkRouter>(); }, 0, antipode, config));
+    EXPECT_LT(hs.median_distinct, ls.median_distinct) << "alpha=" << alpha;
+  }
 }
 
 // ------------------------------------------------------ Parallel trials

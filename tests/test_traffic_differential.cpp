@@ -7,7 +7,7 @@
 // event-driven simulator over dense channel ids. The reference does none of
 // that. The two must agree on every aggregate, every per-message outcome,
 // and every engine counter except `channels` (the reference has no channel
-// index): across all six curated scenario sweeps at --quick size, a router
+// index): across every curated scenario sweep at --quick size, a router
 // x topology matrix, flat and implicit adjacency, snapshot views, threads
 // 1, 2 and 4, and the delivery edge cases (step caps, idle Poisson gaps,
 // extra capacity).
@@ -188,9 +188,15 @@ TEST(TrafficDifferential, BisectionTopologies) {
 TEST(TrafficDifferential, DebruijnRouterShootout) {
   check_scenario_file("debruijn_router_shootout.scn");
 }
+TEST(TrafficDifferential, ExtensionTopologies) {
+  check_scenario_file("extension_topologies.scn");
+}
 TEST(TrafficDifferential, GnpOracleGap) { check_scenario_file("gnp_oracle_gap.scn"); }
 TEST(TrafficDifferential, HotspotMeltdown) { check_scenario_file("hotspot_meltdown.scn"); }
 TEST(TrafficDifferential, HypercubePhase) { check_scenario_file("hypercube_phase.scn"); }
+TEST(TrafficDifferential, MeshBatchCongestion) {
+  check_scenario_file("mesh_batch_congestion.scn");
+}
 TEST(TrafficDifferential, MeshPoissonLoad) { check_scenario_file("mesh_poisson_load.scn"); }
 
 // ---------------------------------------------------------- router matrix
