@@ -38,15 +38,18 @@ void double_tree_demo() {
     DoubleTreePairedOracleRouter oracle(tree);
     Summary local_probes;
     Summary oracle_probes;
+    // One probe arena per router, reused by every trial.
+    ProbeArena local_arena(tree);
+    ProbeArena oracle_arena(tree);
     int accepted = 0;
     for (std::uint64_t t = 0; accepted < 25 && t < 2000; ++t) {
       const HashEdgeSampler env(p, derive_seed(99, static_cast<std::uint64_t>(n) * 10000 + t));
       if (!*open_connected(tree, env, tree.root1(), tree.root2())) continue;
       ++accepted;
-      ProbeContext lctx(tree, env, tree.root1(), RoutingMode::kLocal);
+      ProbeContext lctx(local_arena, env, tree.root1(), RoutingMode::kLocal);
       local.route(lctx, tree.root1(), tree.root2());
       local_probes.add(static_cast<double>(lctx.distinct_probes()));
-      ProbeContext octx(tree, env, tree.root1(), RoutingMode::kOracle);
+      ProbeContext octx(oracle_arena, env, tree.root1(), RoutingMode::kOracle);
       if (oracle.route(octx, tree.root1(), tree.root2())) {
         oracle_probes.add(static_cast<double>(octx.distinct_probes()));
       }
@@ -67,15 +70,17 @@ void gnp_demo() {
     GnpOracleRouter oracle;
     Summary local_probes;
     Summary oracle_probes;
+    ProbeArena local_arena(g);
+    ProbeArena oracle_arena(g);
     int accepted = 0;
     for (std::uint64_t t = 0; accepted < 10 && t < 200; ++t) {
       const HashEdgeSampler env(p, derive_seed(7, n * 1000 + t));
       if (!*open_connected(g, env, 0, n - 1)) continue;
       ++accepted;
-      ProbeContext lctx(g, env, 0, RoutingMode::kLocal);
+      ProbeContext lctx(local_arena, env, 0, RoutingMode::kLocal);
       local.route(lctx, 0, n - 1);
       local_probes.add(static_cast<double>(lctx.distinct_probes()));
-      ProbeContext octx(g, env, 0, RoutingMode::kOracle);
+      ProbeContext octx(oracle_arena, env, 0, RoutingMode::kOracle);
       oracle.route(octx, 0, n - 1);
       oracle_probes.add(static_cast<double>(octx.distinct_probes()));
     }

@@ -42,6 +42,10 @@ int main(int argc, char** argv) {
 
   Table table({"link_failure", "connected", "greedy_ok", "greedy_probes",
                "landmark_ok", "landmark_probes", "flood_probes"});
+  // One probe arena per router, reused by every trial.
+  ProbeArena greedy_arena(overlay);
+  ProbeArena landmark_arena(overlay);
+  ProbeArena flood_arena(overlay);
   for (const double q : failure_rates) {
     const double p = 1.0 - q;
     int connected_pairs = 0;
@@ -63,21 +67,21 @@ int main(int argc, char** argv) {
       ++connected_pairs;
 
       GreedyDescentRouter greedy;
-      ProbeContext gctx(overlay, env, requester, RoutingMode::kLocal);
+      ProbeContext gctx(greedy_arena, env, requester, RoutingMode::kLocal);
       if (greedy.route(gctx, requester, resource)) {
         ++greedy_ok;
         greedy_probes.add(static_cast<double>(gctx.distinct_probes()));
       }
 
       LandmarkRouter landmark;
-      ProbeContext lctx(overlay, env, requester, RoutingMode::kLocal);
+      ProbeContext lctx(landmark_arena, env, requester, RoutingMode::kLocal);
       if (landmark.route(lctx, requester, resource)) {
         ++landmark_ok;
         landmark_probes.add(static_cast<double>(lctx.distinct_probes()));
       }
 
       FloodRouter flood;
-      ProbeContext fctx(overlay, env, requester, RoutingMode::kLocal);
+      ProbeContext fctx(flood_arena, env, requester, RoutingMode::kLocal);
       flood.route(fctx, requester, resource);
       flood_probes.add(static_cast<double>(fctx.distinct_probes()));
     }

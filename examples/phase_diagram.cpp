@@ -44,6 +44,7 @@ int main(int argc, char** argv) {
     const Hypercube cube(n);
     const VertexId u = 0;
     const VertexId v = cube.num_vertices() - 1;
+    ProbeArena arena(cube);  // reused by every trial on this cube
     std::cout << "n=" << n << (n < 10 ? " " : "") << ' ';
     for (const double p : ps) {
       int connected = 0;
@@ -57,7 +58,7 @@ int main(int argc, char** argv) {
         if (!*open_connected(cube, env, u, v)) continue;
         ++connected;
         LandmarkRouter router;
-        ProbeContext ctx(cube, env, u, RoutingMode::kLocal);
+        ProbeContext ctx(arena, env, u, RoutingMode::kLocal);
         if (router.route(ctx, u, v)) probes.add(static_cast<double>(ctx.distinct_probes()));
       }
       char cell = ' ';

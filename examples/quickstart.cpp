@@ -50,7 +50,8 @@ int main(int argc, char** argv) {
   // 4. Route u -> v with the paper's landmark/BFS local router. The
   //    ProbeContext enforces Definition 1 (locality) and counts probes.
   LandmarkRouter router;
-  ProbeContext ctx(cube, environment, u, RoutingMode::kLocal);
+  ProbeArena arena(cube);
+  ProbeContext ctx(arena, environment, u, RoutingMode::kLocal);
   const auto path = router.route(ctx, u, v);
   if (!path) {
     std::cout << "routing failed unexpectedly\n";

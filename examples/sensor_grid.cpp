@@ -46,7 +46,8 @@ int main(int argc, char** argv) {
             << "% of the sensors\n";
   if (*open_connected(grid, env, gateway, sensor)) {
     LandmarkRouter router;
-    ProbeContext ctx(grid, env, gateway, RoutingMode::kLocal);
+    ProbeArena arena(grid);
+    ProbeContext ctx(arena, env, gateway, RoutingMode::kLocal);
     const auto path = router.route(ctx, gateway, sensor);
     std::cout << "routed in " << (path->size() - 1) << " hops using "
               << ctx.distinct_probes() << " link probes ("

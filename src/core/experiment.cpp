@@ -13,10 +13,12 @@ namespace faultroute {
 
 namespace {
 
-/// One conditioned routing trial; deterministic in (config.base_seed, trial).
+/// One conditioned routing trial on the worker's `arena` (over `graph`);
+/// deterministic in (config.base_seed, trial), whatever the arena routed
+/// before.
 TrialOutcome run_single_trial(const Topology& graph, double p, Router& router,
-                              VertexId u, VertexId v, const ExperimentConfig& config,
-                              int trial) {
+                              ProbeArena& arena, VertexId u, VertexId v,
+                              const ExperimentConfig& config, int trial) {
   TrialOutcome outcome;
 
     // Condition on {u ~ v} by rejection-sampling environments; the
@@ -50,7 +52,7 @@ TrialOutcome run_single_trial(const Topology& graph, double p, Router& router,
     outcome.seed = *accepted_seed;
 
     const HashEdgeSampler sampler(p, outcome.seed);
-    ProbeContext ctx(graph, sampler, u, router.required_mode(), config.probe_budget);
+    ProbeContext ctx(arena, sampler, u, router.required_mode(), config.probe_budget);
     std::optional<Path> path;
     try {
       path = router.route(ctx, u, v);
@@ -75,8 +77,9 @@ std::vector<TrialOutcome> run_routing_trials(const Topology& graph, double p,
                                              const ExperimentConfig& config) {
   std::vector<TrialOutcome> outcomes;
   outcomes.reserve(static_cast<std::size_t>(config.trials));
+  ProbeArena arena(graph);
   for (int trial = 0; trial < config.trials; ++trial) {
-    outcomes.push_back(run_single_trial(graph, p, router, u, v, config, trial));
+    outcomes.push_back(run_single_trial(graph, p, router, arena, u, v, config, trial));
   }
   return outcomes;
 }
@@ -89,9 +92,10 @@ std::vector<TrialOutcome> run_routing_trials_parallel(const Topology& graph, dou
   std::vector<TrialOutcome> outcomes(static_cast<std::size_t>(std::max(0, config.trials)));
   parallel_index_loop(outcomes.size(), threads, [&] {
     const std::shared_ptr<Router> router = make_router();
-    return [&, router](std::size_t trial) {
-      outcomes[trial] =
-          run_single_trial(graph, p, *router, u, v, config, static_cast<int>(trial));
+    const std::shared_ptr<ProbeArena> arena = std::make_shared<ProbeArena>(graph);
+    return [&, router, arena](std::size_t trial) {
+      outcomes[trial] = run_single_trial(graph, p, *router, *arena, u, v, config,
+                                         static_cast<int>(trial));
     };
   });
   return outcomes;

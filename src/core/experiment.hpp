@@ -60,6 +60,9 @@ struct ExperimentSummary {
 /// v on `graph` percolated at probability p. Each trial resamples the
 /// environment until {u ~ v} holds (ground-truth BFS, never the router).
 /// Censored trials (budget exhausted) still appear in the outcome list.
+/// The trials share one ProbeArena (one per worker in the parallel
+/// variant), so a trial costs O(its probes) on top of one O(edges) arena
+/// per worker on graphs within kDenseProbeBudgetEdges.
 [[nodiscard]] std::vector<TrialOutcome> run_routing_trials(const Topology& graph, double p,
                                                            Router& router, VertexId u,
                                                            VertexId v,

@@ -10,11 +10,13 @@
 
 #include "graph/flat_adjacency.hpp"
 #include "graph/topology.hpp"
+#include "graph/vertex_marks.hpp"
 #include "percolation/edge_sampler.hpp"
 #include "percolation/shared_probe_cache.hpp"
 
 namespace faultroute {
 
+class ChannelIndex;
 class DistanceOracle;
 
 /// Whether the router is restricted to local probes (Definition 1 of the
@@ -37,85 +39,125 @@ class ProbeBudgetExceeded : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Thrown when a dense ProbeContext is constructed on a ProbeArena that a
-/// live ProbeContext still uses. Both would share the arena's memo and
-/// reached set, and the newcomer's start would wipe the first one's memo.
+/// Thrown when a ProbeContext is constructed on a ProbeArena that a live
+/// ProbeContext still uses. Both would share the arena's memo and reached
+/// set, and the newcomer's start would wipe the first one's memo.
 class ProbeArenaInUse : public std::logic_error {
  public:
   using std::logic_error::logic_error;
 };
 
-/// Pooled per-worker storage for the dense ProbeContext backend, bound to
-/// the batch's SharedProbeCache.
+/// The probe state of one routing worker: the per-message probe memo and
+/// kLocal reached set, pooled across the messages (or trials) the worker
+/// routes on one topology.
 ///
-/// A batch routes many messages on one topology, and the per-message probe
-/// memo / reached set die with each message. Hash containers pay allocation
-/// and hashing for that churn on every probe of every message; the arena
-/// replaces them with flat arrays sized once for the cache's topology:
-///  * the probe memo, one bit per undirected edge id
-///    (ChannelIndex::edge_id): "probed by this message". It holds no
-///    answer; a repeat probe reads the answer back from the cache byte the
-///    message's first probe published. Next to the bits, a list of the edge
-///    ids the current message has set, so starting the next message clears
-///    exactly those bits: O(probes), never a pass over every edge;
-///  * the kLocal reached set, one word per vertex: reached iff the word
-///    equals the arena's epoch, so clearing it is one integer increment.
-/// The list reserves a slot per edge id once and never reallocates, so
-/// routing through an arena allocates nothing; its resident pages are those
-/// the busiest message wrote. The memo costs 1 bit per edge plus 4 bytes per
-/// edge that message probed — never more than the 4 bytes per edge of an
-/// epoch-stamped word memo.
+/// An arena serves one of two kinds of routing:
+///  * a traffic batch: ProbeArena(cache) binds it to the batch's
+///    SharedProbeCache, which every context on it probes. Its state is
+///    always the dense side below, because the batch already pays a byte per
+///    edge for the cache and a ChannelIndex: the memo holds no answer, a
+///    repeat probe reads it back from the cache byte the first probe
+///    published, and each cache lookup is counted in the arena's plain
+///    CacheTally, which the owner folds into the cache once (route_all does
+///    so when the worker drains).
+///  * single pairs: ProbeArena(graph), and each context names its own
+///    environment, whose sampler fresh probes read. Build one arena per
+///    worker and reuse it across trials (run_routing_trials does). Its side
+///    is picked from the topology's edge count alone against
+///    kDenseProbeBudgetEdges (graph/vertex_marks.hpp), the way VertexMarks
+///    picks its side from the vertex count; the caller never picks.
 ///
-/// The arena also owns its worker's CacheTally: every lookup its contexts
-/// make in the cache is counted there, in plain integers, and the owner
-/// folds it into the cache once (route_all does so when the worker drains).
+/// The two sides:
+///  * dense — flat arrays sized once for the topology: the probe memo, one
+///    bit per undirected edge id (ChannelIndex::edge_id), "probed by this
+///    message", next to a list of the ids the current message has set, so
+///    starting the next message clears exactly those bits: O(probes), never
+///    a pass over every edge; and the reached set, one word per vertex,
+///    reached iff it equals the arena's epoch, so clearing it is one integer
+///    increment. A single-pair arena keeps each answer in a second bit per
+///    edge id, cleared from the same list, so a trial costs O(its probes),
+///    not O(edges). The list reserves a slot per edge id once and never
+///    reallocates, so routing through an arena allocates nothing; its
+///    resident pages are those the busiest message wrote.
+///  * sparse (single pairs above the budget) — an EdgeKey-keyed memo holding
+///    the answers and a hashed reached set, both released by swapping with
+///    empty ones when a message starts, so a reset costs O(the last
+///    message's entries). Fresh probes read the sampler directly; the side
+///    builds no ChannelIndex, so a 2^30-vertex hypercube (past the index's
+///    2^32 channels) costs memory only for what a router probes.
+/// A router sees the same answers, counts, reach and exceptions on both
+/// sides (tests/test_probe_context.cpp pins it).
 ///
-/// Lifecycle: create one arena per worker thread (route_all does this in
-/// parallel_index_loop's make_body), then construct a dense ProbeContext per
-/// message on it. The ProbeContext constructor starts a message: it clears
-/// the previous message's memo bits and bumps the epoch. At most one
+/// Lifecycle: constructing a ProbeContext on the arena starts a message: it
+/// clears the previous message's memo and bumps the epoch. At most one
 /// ProbeContext may use an arena at a time: constructing a second while the
 /// first is alive throws ProbeArenaInUse. Arenas are not thread-safe and
 /// must not be shared across threads.
 class ProbeArena {
  public:
-  /// Binds the arena to `cache`, which must outlive it, and sizes the memo
-  /// bits and vertex stamps for the cache's topology.
+  /// A traffic batch's arena, bound to `cache`, which must outlive it.
   explicit ProbeArena(const SharedProbeCache& cache);
+  /// A single-pair arena over `graph`, which must outlive it.
+  explicit ProbeArena(const Topology& graph);
   ProbeArena(const ProbeArena&) = delete;
   ProbeArena& operator=(const ProbeArena&) = delete;
 
-  [[nodiscard]] const SharedProbeCache& cache() const { return cache_; }
+  /// The size test: whether a single-pair arena over `graph` takes the
+  /// dense side (a batch's arena always does).
+  [[nodiscard]] static bool fits_dense(const Topology& graph) {
+    return graph.num_edges() <= kDenseProbeBudgetEdges;
+  }
 
-  /// Cache hits and misses of every context on this arena so far. Not yet
-  /// part of cache().hits()/misses(): the owner folds it in.
+  [[nodiscard]] const Topology& graph() const { return graph_; }
+
+  /// Cache hits and misses of every context on a traffic batch's arena so
+  /// far. Not yet part of the cache's hits()/misses(): the owner folds it
+  /// in.
   [[nodiscard]] const CacheTally& tally() const { return tally_; }
 
  private:
   friend class ProbeContext;
   friend class ProbeArenaTestPeer;
 
+  /// `batch`: the traffic batch's cache, or nullptr for single pairs.
+  ProbeArena(const Topology& graph, const SharedProbeCache* batch, bool dense);
+
   /// The largest epoch a vertex stamp can carry (0 marks "never reached").
   static constexpr std::uint32_t kMaxEpoch = std::numeric_limits<std::uint32_t>::max();
 
-  /// Starts a fresh message: clears the memo bits on the list and bumps the
-  /// epoch. On the (once per ~4 billion messages) epoch wrap, the vertex
-  /// stamps are zero-filled so stale stamps can never collide.
-  void begin_message();
+  /// Starts a fresh message on `sampler` (nullptr on a batch's arena). Dense:
+  /// clears the memo and answer bits on the list and bumps the epoch; on
+  /// the (once per ~4 billion messages) epoch wrap, the vertex stamps are
+  /// zero-filled so stale stamps can never collide. Sparse: drops the memo
+  /// and the reached set.
+  void begin_message(const EdgeSampler* sampler);
 
-  const SharedProbeCache& cache_;
+  const Topology& graph_;
+  const SharedProbeCache* batch_;  // the batch's cache (nullptr: single pairs)
+  const EdgeSampler* sampler_ = nullptr;  // single pairs: the live context's environment
+  const bool dense_;
+  bool in_use_ = false;  // a live ProbeContext holds the arena
+
+  // Dense side.
+  const ChannelIndex* channels_ = nullptr;    // the topology's, for implicit edge ids
   std::uint32_t epoch_ = 0;
-  bool in_use_ = false;                       // a live ProbeContext holds the arena
   std::vector<std::uint64_t> edge_probed_;    // bit e: edge id e probed by this message
+  std::vector<std::uint64_t> edge_open_;      // single pairs: bit e: edge id e found open
   std::vector<std::uint32_t> probed_edges_;   // the edge ids whose bit is set
   std::vector<std::uint32_t> vertex_stamp_;   // reached iff == epoch_ (kLocal)
   CacheTally tally_;
+
+  // Sparse side (single pairs only).
+  // lint:allow-hash(the sparse side of ProbeArena: graphs past the dense budget)
+  std::unordered_map<EdgeKey, bool> memo_;
+  // lint:allow-hash(the sparse side's reached set, like memo_)
+  std::unordered_set<VertexId> reached_;  // kLocal only
 };
 
 /// The probing interface a routing algorithm sees, and the referee that
 /// scores it.
 ///
-/// A ProbeContext wraps a topology and a percolation environment. Routers
+/// A ProbeContext routes one message (or one trial) on a ProbeArena. Routers
 /// call `probe(v, i)` to ask "is the i-th edge of v open?". The context
 ///  * memoises answers (the world is fixed; re-probing is free of charge in
 ///    the *distinct* count but still increments the *total* count),
@@ -124,61 +166,50 @@ class ProbeArena {
 ///  * enforces an optional probe budget (distinct edges),
 ///  * reports the complexity statistics that the paper's Definition 2 counts.
 ///
-/// Two backends hold the memo and the reached set, one per constructor:
-///  * hash (over any EdgeSampler): per-context unordered containers keyed
-///    by EdgeKey/VertexId, probed out of line through the topology's
-///    virtual interface — self-contained, right for one-off contexts
-///    (single-pair experiments, `faultroute route`);
-///  * dense (on a ProbeArena): the arena's one-bit-per-edge memo and
-///    per-vertex reach stamps, with the environment read straight from the
-///    arena's SharedProbeCache — the traffic engine's hot path. A repeat
-///    probe reads its answer back from the cache byte the first probe
-///    published. probe() is inline here; on a CSR snapshot the whole probe
-///    (memo, cache lookup, reach growth) inlines into the router's loop, and
-///    the implicit adjacency path runs the same kernel body out of line.
-/// Every observable (probe answers, distinct/total counts, reach, budget
-/// and locality enforcement) is bit-identical across backends; the traffic
-/// differential suite holds the engine to a hash-backend reference.
+/// Those four are one probe body, probe_with(), over the arena's side: the
+/// memo and the reached set are the arena's (dense or sparse, by the
+/// topology's size), so every observable is the same on both. probe() is
+/// inline here; on a batch's CSR snapshot the whole dense probe (memo, cache
+/// lookup, reach growth) inlines into the router's loop, and the implicit
+/// adjacency path and the sparse side run the same body out of line. The
+/// traffic differential suite holds the engine's dense side to a reference
+/// routed on the sparse side.
 class ProbeContext {
  public:
-  /// Hash backend over `sampler`, probing `graph` through its virtual
-  /// interface. `budget`: maximum number of distinct edges that may be
-  /// probed (nullopt = unbounded).
-  ProbeContext(const Topology& graph, const EdgeSampler& sampler, VertexId source,
-               RoutingMode mode, std::optional<std::uint64_t> budget = std::nullopt);
-
-  /// Dense backend on `arena`: probes the topology of the arena's cache,
-  /// through that cache, counting its lookups in the arena's tally. The
-  /// arena must outlive the context, which holds it until destroyed; throws
-  /// ProbeArenaInUse if another live context holds it. `budget` is as
-  /// above. `flat`: optional CSR adjacency snapshot of the topology
-  /// (graph/flat_adjacency.hpp); when given, probes resolve neighbor / edge
-  /// key / edge id with array loads instead of virtual dispatch — a pure
-  /// representation change, observable-identical to the implicit path.
-  /// Must be a snapshot of the topology and outlive the context. `oracle`:
-  /// optional cached fault-free DistanceOracle for the topology
-  /// (graph/distance_oracle.hpp); metric routers fetch per-target distance
-  /// columns through target_distances() below. Purely an accelerator for
-  /// graph.distance — column values are identical, so results never depend
-  /// on its presence.
+  /// A message of a traffic batch, on `arena` bound to the batch's cache:
+  /// probes the cache's topology through the cache. The arena must outlive
+  /// the context, which holds it until destroyed; throws ProbeArenaInUse if
+  /// another live context holds it. `budget`: maximum number of distinct
+  /// edges that may be probed (nullopt = unbounded). `flat`: optional CSR
+  /// adjacency snapshot of the topology (graph/flat_adjacency.hpp); when
+  /// given, dense probes resolve neighbor / edge key / edge id with array
+  /// loads instead of virtual dispatch — a pure representation change,
+  /// observable-identical to the implicit path. Must be a snapshot of the
+  /// topology and outlive the context. `oracle`: optional cached fault-free
+  /// DistanceOracle for the topology (graph/distance_oracle.hpp); metric
+  /// routers fetch per-target distance columns through target_distances()
+  /// below. Purely an accelerator for graph.distance — column values are
+  /// identical, so results never depend on its presence.
   ProbeContext(ProbeArena& arena, VertexId source, RoutingMode mode,
                std::optional<std::uint64_t> budget = std::nullopt,
                const FlatAdjacency* flat = nullptr, const DistanceOracle* oracle = nullptr);
 
+  /// A single pair on a single-pair `arena`, in the environment `sampler`,
+  /// which must outlive the context. Arena and budget as above.
+  ProbeContext(ProbeArena& arena, const EdgeSampler& sampler, VertexId source,
+               RoutingMode mode, std::optional<std::uint64_t> budget = std::nullopt);
+
   ProbeContext(const ProbeContext&) = delete;
   ProbeContext& operator=(const ProbeContext&) = delete;
-  /// Releases the arena (dense backend) for the next context.
+  /// Releases the arena for the next context.
   ~ProbeContext();
 
   /// Probes the i-th incident edge of v. Returns true iff open.
   /// Throws LocalityViolation (kLocal mode, edge not incident to the reached
   /// set) or ProbeBudgetExceeded.
   bool probe(VertexId v, int i) {
-    if (arena_ != nullptr) {
-      if (flat_ != nullptr) return probe_dense(FlatAccess{flat_}, v, i);
-      return probe_dense_implicit(v, i);
-    }
-    return probe_hashed(v, i);
+    if (flat_ != nullptr) return probe_with<DenseMemo<FlatAccess, true>>(FlatAccess{flat_}, v, i);
+    return probe_implicit(v, i);
   }
 
   /// Convenience: probes the edge {a, b} (first incident index at a whose
@@ -224,7 +255,11 @@ class ProbeContext {
   [[nodiscard]] std::optional<std::uint64_t> remaining_budget() const;
 
  private:
-  /// The CSR accessor of the dense kernel: array loads off the snapshot.
+  ProbeContext(ProbeArena& arena, const EdgeSampler* sampler, VertexId source,
+               RoutingMode mode, std::optional<std::uint64_t> budget,
+               const FlatAdjacency* flat, const DistanceOracle* oracle);
+
+  /// The CSR accessor of the dense side: array loads off the snapshot.
   struct FlatAccess {
     const FlatAdjacency* flat;
     [[nodiscard]] VertexId neighbor(VertexId v, int i) const { return flat->neighbor(v, i); }
@@ -234,75 +269,109 @@ class ProbeContext {
     [[nodiscard]] EdgeKey edge_key(VertexId v, int i) const { return flat->edge_key(v, i); }
   };
 
-  /// The dense kernel (locality, budget, memo, cache lookup, reach growth),
-  /// parameterized only on how neighbor / edge id / edge key are resolved —
-  /// one body, so the CSR and implicit paths cannot drift.
-  template <typename Access>
-  bool probe_dense(const Access& access, VertexId v, int i);
-  /// probe_dense over the virtual interface and the channel index.
-  bool probe_dense_implicit(VertexId v, int i);
-  /// The hash backend's probe.
-  bool probe_hashed(VertexId v, int i);
+  /// The arena's dense side, parameterized only on how neighbor / edge id /
+  /// edge key are resolved, so the CSR and implicit paths cannot drift, and
+  /// on where answers live: the batch's cache (kBatch) or the arena's
+  /// answer bits. probe_with builds the memo from the arena and an Access,
+  /// and it keeps no per-probe state: slot() names the edge, by its id here.
+  template <typename AccessT, bool kBatch>
+  struct DenseMemo {
+    using Access = AccessT;
+    using Slot = std::uint32_t;
+    ProbeArena* arena;
+    Access access;
 
-  [[nodiscard]] bool reached_contains(VertexId v) const;
-  void reached_insert(VertexId v);
+    [[nodiscard]] VertexId neighbor(VertexId v, int i) const { return access.neighbor(v, i); }
+    [[nodiscard]] bool reached(VertexId v) const {
+      return arena->vertex_stamp_[v] == arena->epoch_;
+    }
+    [[nodiscard]] Slot slot(VertexId v, int i) const { return access.edge_id(v, i); }
+    /// The answer of an edge this message probed already: the cache byte
+    /// its first probe published, or its answer bit. A hit computes no edge
+    /// key and counts no lookup.
+    bool recall(Slot edge, bool& open) const {
+      const std::uint64_t bit = std::uint64_t{1} << (edge & 63u);
+      if ((arena->edge_probed_[edge >> 6] & bit) == 0) return false;
+      if constexpr (kBatch) {
+        open = arena->batch_->published_open(edge);
+      } else {
+        open = (arena->edge_open_[edge >> 6] & bit) != 0;
+      }
+      return true;
+    }
+    bool discover(Slot edge, VertexId v, int i) const {
+      const std::uint64_t bit = std::uint64_t{1} << (edge & 63u);
+      bool open;
+      if constexpr (kBatch) {
+        open = arena->batch_->lookup(edge, access.edge_key(v, i), arena->tally_);
+      } else {
+        open = arena->sampler_->is_open(access.edge_key(v, i));
+        if (open) arena->edge_open_[edge >> 6] |= bit;
+      }
+      arena->edge_probed_[edge >> 6] |= bit;
+      arena->probed_edges_.push_back(edge);  // analyze:allow-hot-alloc(the arena reserves a slot per edge id, so this never reallocates)
+      return open;
+    }
+    /// The locality check passed, so one endpoint is reached already; the
+    /// open edge connects the other.
+    void reach(VertexId v, VertexId w) const {
+      const std::uint32_t epoch = arena->epoch_;
+      arena->vertex_stamp_[v] = epoch;
+      arena->vertex_stamp_[w] = epoch;
+    }
+  };
 
+  /// The arena's sparse side, the same interface over the EdgeKey memo
+  /// (defined with probe_implicit, its only user).
+  struct SparseMemo;
+
+  /// The one probe body: locality, budget, distinct/total counts and reach
+  /// growth, over either side's memo. It takes the memo's adjacency
+  /// accessor by reference and builds the memo inside: that signature lets
+  /// GCC 12 clone it locally and inline the CSR path into each router's
+  /// loop, where a memo passed by value keeps a call per probe (~12% slower
+  /// on gnp-probe).
+  template <typename Memo>
+  bool probe_with(const typename Memo::Access& access, VertexId v, int i);
+  /// probe_with off the CSR: the dense side over the virtual interface and
+  /// the channel index, or the sparse side.
+  bool probe_implicit(VertexId v, int i);
+
+  ProbeArena& arena_;
   const Topology& graph_;
-  const EdgeSampler& sampler_;
   VertexId source_;
   RoutingMode mode_;
   std::optional<std::uint64_t> budget_;
   std::uint64_t total_probes_ = 0;
   std::uint64_t distinct_probes_ = 0;
   std::uint64_t expansions_ = 0;
-
-  // Dense backend (arena_ != nullptr).
-  ProbeArena* arena_ = nullptr;
-  // Flat adjacency snapshot (nullptr = implicit virtual path).
+  // A batch's flat adjacency snapshot (nullptr = implicit virtual path).
   const FlatAdjacency* flat_ = nullptr;
   // Cached distance oracle (nullptr = metric routers call graph.distance).
   const DistanceOracle* oracle_ = nullptr;
-
-  // Hash backend (arena_ == nullptr).
-  std::unordered_map<EdgeKey, bool> memo_;
-  std::unordered_set<VertexId> reached_;  // kLocal only
 };
 
-template <typename Access>
-bool ProbeContext::probe_dense(const Access& access, VertexId v, int i) {
-  ProbeArena& arena = *arena_;
-  const std::uint32_t epoch = arena.epoch_;
-  std::uint32_t* const reached = arena.vertex_stamp_.data();
-  const VertexId w = access.neighbor(v, i);
-  if (mode_ == RoutingMode::kLocal && reached[v] != epoch && reached[w] != epoch) {
+template <typename Memo>
+bool ProbeContext::probe_with(const typename Memo::Access& access, VertexId v, int i) {
+  const Memo memo{&arena_, access};
+  const VertexId w = memo.neighbor(v, i);
+  if (mode_ == RoutingMode::kLocal && !memo.reached(v) && !memo.reached(w)) {
     // analyze:allow-throw-safety(locality contract violation is a programming error; surfaced via first_error)
     throw LocalityViolation("local probe of edge not incident to the reached set");
   }
   ++total_probes_;
-  // The memo: the edge's bit is set iff this message probed it already. A
-  // hit computes no edge key and counts no lookup: it reads back the cache
-  // byte that the first probe published. Only a fresh probe is a lookup.
-  const std::uint32_t edge = access.edge_id(v, i);
-  std::uint64_t& word = arena.edge_probed_[edge >> 6];
-  const std::uint64_t bit = std::uint64_t{1} << (edge & 63u);
+  // A memo hit is free in the distinct count; only a fresh probe asks the
+  // environment, and only a fresh probe can exhaust the budget.
+  const typename Memo::Slot slot = memo.slot(v, i);
   bool open;
-  if ((word & bit) != 0) {
-    open = arena.cache_.published_open(edge);
-  } else {
+  if (!memo.recall(slot, open)) {
     if (budget_ && distinct_probes_ >= *budget_) {
       throw ProbeBudgetExceeded("probe budget exhausted");  // analyze:allow-throw-safety(probe-budget censoring signal, caught per message by the engine)
     }
-    open = arena.cache_.lookup(edge, access.edge_key(v, i), arena.tally_);
-    word |= bit;
-    arena.probed_edges_.push_back(edge);  // analyze:allow-hot-alloc(the arena reserves a slot per edge id, so this never reallocates)
+    open = memo.discover(slot, v, i);
     ++distinct_probes_;
   }
-  if (open && mode_ == RoutingMode::kLocal) {
-    // The locality check passed, so one endpoint is reached already; the
-    // open edge connects the other.
-    reached[v] = epoch;
-    reached[w] = epoch;
-  }
+  if (open && mode_ == RoutingMode::kLocal) memo.reach(v, w);
   return open;
 }
 

@@ -26,6 +26,7 @@ class Butterfly final : public Topology {
     return 2 * static_cast<std::uint64_t>(k_) * rows_;
   }
   [[nodiscard]] int degree(VertexId) const override { return 4; }
+  [[nodiscard]] int regular_degree() const override { return 4; }
 
   /// i == 0: up-straight, 1: up-cross, 2: down-straight, 3: down-cross,
   /// where "up" goes from level l to (l+1) mod k.

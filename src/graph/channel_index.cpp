@@ -45,9 +45,17 @@ ChannelIndex::ChannelIndex(const Topology& graph) : graph_(&graph) {
     throw_allocation_failure(graph, "channel index offset table", (n + 1) * sizeof(std::uint64_t));
   }
   std::uint64_t total = 0;
-  for (VertexId v = 0; v < n; ++v) {
-    offsets_[v] = total;
-    total += static_cast<std::uint64_t>(graph.degree(v));
+  if (const int degree = graph.regular_degree(); degree > 0) {
+    // A regular family's offsets are v * degree: no virtual call per vertex
+    // (torus:3:102, 1.06M vertices: ~1.2 ms instead of ~3-4 ms).
+    const auto d = static_cast<std::uint64_t>(degree);
+    for (VertexId v = 0; v < n; ++v) offsets_[v] = v * d;
+    total = n * d;
+  } else {
+    for (VertexId v = 0; v < n; ++v) {
+      offsets_[v] = total;
+      total += static_cast<std::uint64_t>(graph.degree(v));
+    }
   }
   offsets_[n] = total;
   if (total > std::numeric_limits<std::uint32_t>::max()) throw_too_many_channels(graph, total);

@@ -82,8 +82,8 @@ class ChannelIndex {
   ///
   /// edge_id(v, i) is the call for code that may run on the implicit path:
   /// for families with a closed form (Topology::has_closed_form_edge_ids:
-  /// hypercube, mesh/torus, complete) it computes the id and builds nothing;
-  /// for the others it reads the table below.
+  /// hypercube, mesh/torus, complete, double tree) it computes the id and
+  /// builds nothing; for the others it reads the table below.
   [[nodiscard]] std::uint32_t edge_id(VertexId v, int i) const {
     if (closed_form_) return graph_->edge_id(v, i);
     return edge_ids_data()[channel_of(v, i)];

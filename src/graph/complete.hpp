@@ -18,6 +18,7 @@ class CompleteGraph final : public Topology {
   [[nodiscard]] std::uint64_t num_vertices() const override { return n_; }
   [[nodiscard]] std::uint64_t num_edges() const override { return n_ * (n_ - 1) / 2; }
   [[nodiscard]] int degree(VertexId) const override { return static_cast<int>(n_ - 1); }
+  [[nodiscard]] int regular_degree() const override { return static_cast<int>(n_ - 1); }
 
   /// Neighbors of v are all other vertices, in increasing id order.
   [[nodiscard]] VertexId neighbor(VertexId v, int i) const override {

@@ -30,6 +30,7 @@ class CubeConnectedCycles final : public Topology {
            static_cast<std::uint64_t>(k_) * (rows_ >> 1);
   }
   [[nodiscard]] int degree(VertexId) const override { return 3; }
+  [[nodiscard]] int regular_degree() const override { return 3; }
 
   /// i == 0: previous on the cycle, 1: next on the cycle, 2: hypercube rung.
   [[nodiscard]] VertexId neighbor(VertexId v, int i) const override;

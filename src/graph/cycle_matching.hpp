@@ -20,6 +20,7 @@ class CycleWithMatching final : public Topology {
   [[nodiscard]] std::uint64_t num_vertices() const override { return n_; }
   [[nodiscard]] std::uint64_t num_edges() const override { return n_ + n_ / 2; }
   [[nodiscard]] int degree(VertexId) const override { return 3; }
+  [[nodiscard]] int regular_degree() const override { return 3; }
 
   /// i == 0: predecessor on the cycle, 1: successor, 2: matching partner.
   [[nodiscard]] VertexId neighbor(VertexId v, int i) const override;

@@ -86,6 +86,20 @@ EdgeKey DoubleBinaryTree::edge_key(VertexId v, int i) const {
   throw std::out_of_range("DoubleBinaryTree::edge_key: index out of range");
 }
 
+std::uint32_t DoubleBinaryTree::edge_id(VertexId v, int i) const {
+  // First appearance: the leaves have the lowest ids, so both parent edges
+  // of leaf j appear first there, as ids 2j (tree 1) and 2j + 1 (tree 2).
+  // Every other edge appears first at its parent, which precedes the child
+  // in heap order, tree 1's internal vertices before tree 2's; each parent
+  // files its two children in order, so child heap index c in [2, L) of
+  // tree s takes 2L + s (L - 2) + c - 2.
+  const EdgeKey key = edge_key(v, i);
+  const std::uint64_t child = key >> 1;
+  const std::uint64_t side = key & 1ULL;
+  if (child >= leaves_) return static_cast<std::uint32_t>(2 * (child - leaves_) + side);
+  return static_cast<std::uint32_t>(2 * leaves_ + side * (leaves_ - 2) + child - 2);
+}
+
 EdgeEndpoints DoubleBinaryTree::endpoints(EdgeKey key) const {
   const Side side = static_cast<Side>(key & 1ULL);
   const std::uint64_t child_heap = key >> 1;

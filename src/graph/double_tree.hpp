@@ -37,6 +37,8 @@ class DoubleBinaryTree final : public Topology {
   [[nodiscard]] VertexId neighbor(VertexId v, int i) const override;
   [[nodiscard]] EdgeKey edge_key(VertexId v, int i) const override;
   [[nodiscard]] EdgeEndpoints endpoints(EdgeKey key) const override;
+  [[nodiscard]] bool has_closed_form_edge_ids() const override { return true; }
+  [[nodiscard]] std::uint32_t edge_id(VertexId v, int i) const override;
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::string vertex_label(VertexId v) const override;
 

@@ -23,6 +23,7 @@ class Hypercube final : public Topology {
     return static_cast<std::uint64_t>(n_) << (n_ - 1);
   }
   [[nodiscard]] int degree(VertexId) const override { return n_; }
+  [[nodiscard]] int regular_degree() const override { return n_; }
   [[nodiscard]] VertexId neighbor(VertexId v, int i) const override {
     return v ^ (1ULL << i);
   }

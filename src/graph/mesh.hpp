@@ -28,6 +28,7 @@ class Mesh final : public Topology {
   [[nodiscard]] std::uint64_t num_vertices() const override { return num_vertices_; }
   [[nodiscard]] std::uint64_t num_edges() const override;
   [[nodiscard]] int degree(VertexId v) const override;
+  [[nodiscard]] int regular_degree() const override { return wrap_ ? 2 * dim_ : 0; }
   [[nodiscard]] VertexId neighbor(VertexId v, int i) const override;
   [[nodiscard]] EdgeKey edge_key(VertexId v, int i) const override;
   [[nodiscard]] EdgeEndpoints endpoints(EdgeKey key) const override;

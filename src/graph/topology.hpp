@@ -67,6 +67,12 @@ class Topology {
   /// Degree of vertex v (number of incident edges, counting parallel edges).
   [[nodiscard]] virtual int degree(VertexId v) const = 0;
 
+  /// The degree of every vertex when the family is regular (hypercube,
+  /// torus, complete graph, butterfly, CCC, cycle-matching), else 0.
+  /// ChannelIndex then lays its offsets out arithmetically instead of asking
+  /// degree() once per vertex.
+  [[nodiscard]] virtual int regular_degree() const { return 0; }
+
   /// The i-th neighbor of v, for i in [0, degree(v)).
   [[nodiscard]] virtual VertexId neighbor(VertexId v, int i) const = 0;
 
@@ -100,7 +106,7 @@ class Topology {
   [[nodiscard]] virtual bool has_closed_form_metric() const { return false; }
 
   /// True iff this family overrides edge_id() below with a closed form
-  /// (hypercube, mesh/torus, complete graph). ChannelIndex then answers
+  /// (hypercube, mesh/torus, complete graph, double tree). ChannelIndex then answers
   /// edge ids and their count without building its channel -> edge-id
   /// table, so the implicit path pays no per-channel bytes for them.
   [[nodiscard]] virtual bool has_closed_form_edge_ids() const { return false; }

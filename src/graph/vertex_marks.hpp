@@ -17,6 +17,22 @@ namespace faultroute {
 /// probed.
 inline constexpr std::uint64_t kDenseMarksBudgetVertices = 1ull << 23;
 
+/// Largest edge count whose single-pair probe state (ProbeArena,
+/// core/probe_context.hpp) is edge-indexed arrays. A worker's dense side
+/// costs per edge 1/8 byte of memo bits, 1/8 byte of answer bits and a
+/// reserved 4-byte list slot (resident only where written), plus 4 bytes of
+/// reach stamps per vertex: at the budget 4 + 4 MiB of bits, 128 MiB of list
+/// address space and at most 128 MiB of stamps (every family here is
+/// connected, so V <= E + 1). The budget does not count the topology's
+/// ChannelIndex, which the dense side builds once and shares: 8 bytes per
+/// vertex, plus on families without closed-form edge ids (de Bruijn,
+/// butterfly, CCC, shuffle-exchange, cycle-matching) a 4-byte edge id per
+/// directed channel, 256 MiB at the budget. It admits G(n, c/n) on
+/// complete:8000 (32.0M edges); past it, probe state costs memory only for
+/// the edges a router probes, which keeps a 2^30-vertex hypercube free
+/// until probed. A traffic batch's arena is dense at any size.
+inline constexpr std::uint64_t kDenseProbeBudgetEdges = 1ull << 25;
+
 /// The visited set of every BFS in the library: per-vertex marks carrying a
 /// VertexId value (a BFS parent, a landmark position), reset by begin(n)
 /// before each search. begin(n) picks the storage from the vertex count

@@ -39,9 +39,9 @@ struct CacheTally {
 /// base sampler *outside* any critical section and publishing the answer
 /// with a CAS.
 ///
-/// Two entry points share that body. The dense ProbeContext backend calls
-/// the inline, non-virtual lookup() with a tally its worker owns, and the
-/// worker folds the tally in once when it drains. Every other caller goes
+/// Two entry points share that body. The dense side of a batch's
+/// ProbeArena calls the inline, non-virtual lookup() with a tally its worker
+/// owns, and the worker folds the tally in once when it drains. Every other caller goes
 /// through the EdgeSampler interface (is_open / is_open_indexed), which
 /// folds a one-call tally at once. A context that probes an edge again in
 /// the same message reads the published byte back with published_open(),
@@ -90,7 +90,7 @@ class SharedProbeCache final : public EdgeSampler {
   /// on the same thread: that lookup saw or published a known state, a
   /// state goes from unknown to known exactly once, and read-read coherence
   /// keeps a later relaxed load of the same byte from reading unknown. The
-  /// dense ProbeContext answers its memo hits from here.
+  /// dense side of a ProbeArena answers its memo hits from here.
   [[nodiscard]] bool published_open(std::uint32_t edge_id) const {
     const std::uint8_t state = states_[edge_id].load(std::memory_order_relaxed);
     assert(state != kUnknown && "published_open before the edge's first lookup");

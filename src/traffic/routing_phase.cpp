@@ -22,11 +22,12 @@ namespace {
 /// The arena's cache tally is folded into the cache once, when the worker
 /// drains and its body (holding this) is destroyed.
 struct RouteWorker {
-  explicit RouteWorker(const SharedProbeCache& cache) : arena(cache) {}
+  explicit RouteWorker(const SharedProbeCache& batch) : cache(batch), arena(batch) {}
   RouteWorker(const RouteWorker&) = delete;
   RouteWorker& operator=(const RouteWorker&) = delete;
-  ~RouteWorker() { arena.cache().fold(arena.tally()); }
+  ~RouteWorker() { cache.fold(arena.tally()); }
 
+  const SharedProbeCache& cache;
   ProbeArena arena;
 };
 

@@ -6,8 +6,9 @@
 // engine's routing phase (detail::route_and_validate) or its event-driven
 // delivery loop:
 //  * routing is sequential: one router, one fresh ProbeContext per message
-//    on the hash backend (no ProbeArena, no CSR snapshot, no distance
-//    oracle);
+//    on a fresh arena forced onto the sparse side (an EdgeKey-keyed memo,
+//    where the engine runs the dense one on these graphs), with no CSR
+//    snapshot and no distance oracle;
 //  * the batch-wide probe cache is a std::map that counts every lookup as a
 //    hit or a miss;
 //  * paths are validated through the virtual Topology interface;
@@ -32,6 +33,7 @@
 
 #include "core/path.hpp"
 #include "core/probe_context.hpp"
+#include "helpers/probe_arena_test_peer.hpp"
 #include "traffic/traffic_engine.hpp"
 
 namespace faultroute::reference {
@@ -95,7 +97,8 @@ inline TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampl
 
     Path path{msg.source};
     if (msg.source != msg.target) {
-      ProbeContext ctx(graph, cache, msg.source, router->required_mode(), config.probe_budget);
+      const auto arena = ProbeArenaTestPeer::make(graph, /*dense=*/false);
+      ProbeContext ctx(*arena, cache, msg.source, router->required_mode(), config.probe_budget);
       std::optional<Path> routed;
       try {
         routed = router->route(ctx, msg.source, msg.target);

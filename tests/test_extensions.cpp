@@ -73,7 +73,8 @@ TEST(HybridRouter, FaultFreeEqualsGreedy) {
   const Hypercube g(8);
   const HashEdgeSampler s(1.0, 1);
   HybridGreedyRouter r;
-  ProbeContext ctx(g, s, 0, RoutingMode::kLocal);
+  ProbeArena arena(g);
+  ProbeContext ctx(arena, s, 0, RoutingMode::kLocal);
   const auto path = r.route(ctx, 0, 255);
   ASSERT_TRUE(path.has_value());
   EXPECT_EQ(path->size() - 1, 8u);
@@ -87,7 +88,8 @@ TEST(HybridRouter, CompleteUnderFaults) {
   for (std::uint64_t seed = 0; seed < 25; ++seed) {
     const HashEdgeSampler s(0.6, seed);
     const bool connected = *open_connected(g, s, 0, 99);
-    ProbeContext ctx(g, s, 0, RoutingMode::kLocal);
+    ProbeArena arena(g);
+    ProbeContext ctx(arena, s, 0, RoutingMode::kLocal);
     const auto path = r.route(ctx, 0, 99);
     EXPECT_EQ(path.has_value(), connected) << seed;
     if (path) {
@@ -103,7 +105,8 @@ TEST(HybridRouter, NeverViolatesLocality) {
   HybridGreedyRouter r;
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     const HashEdgeSampler s(0.35, seed);
-    ProbeContext ctx(g, s, 0, RoutingMode::kLocal);
+    ProbeArena arena(g);
+    ProbeContext ctx(arena, s, 0, RoutingMode::kLocal);
     EXPECT_NO_THROW(r.route(ctx, 0, g.num_vertices() - 1));
   }
 }
@@ -119,10 +122,12 @@ TEST(HybridRouter, CheaperThanLandmarkWhenFaultsAreLight) {
     const HashEdgeSampler s(0.7, seed);  // light faults
     if (!*open_connected(g, s, 0, g.num_vertices() - 1)) continue;
     ++cases;
-    ProbeContext hc(g, s, 0, RoutingMode::kLocal);
+    ProbeArena hc_arena(g);
+    ProbeContext hc(hc_arena, s, 0, RoutingMode::kLocal);
     ASSERT_TRUE(hybrid.route(hc, 0, g.num_vertices() - 1).has_value());
     hybrid_total += static_cast<double>(hc.distinct_probes());
-    ProbeContext lc(g, s, 0, RoutingMode::kLocal);
+    ProbeArena lc_arena(g);
+    ProbeContext lc(lc_arena, s, 0, RoutingMode::kLocal);
     ASSERT_TRUE(landmark.route(lc, 0, g.num_vertices() - 1).has_value());
     landmark_total += static_cast<double>(lc.distinct_probes());
   }

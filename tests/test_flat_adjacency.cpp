@@ -27,6 +27,7 @@
 #include "graph/explicit_graph.hpp"
 #include "graph/flat_adjacency.hpp"
 #include "graph/hypercube.hpp"
+#include "helpers/probe_arena_test_peer.hpp"
 #include "percolation/chemical_distance.hpp"
 #include "percolation/cluster_analysis.hpp"
 #include "percolation/edge_sampler.hpp"
@@ -228,20 +229,21 @@ TEST(FlatAdjacency, ProbeContextFlatPathMatchesImplicitOnBothBackends) {
   const auto graph = sim::make_topology("butterfly:3");
   const FlatAdjacency& flat = graph->flat_adjacency();
   const HashEdgeSampler env(0.6, 99);
-  // Drive an identical probe sequence through the hash backend (implicit
-  // adjacency) and the dense backend on both adjacencies, and hold every
-  // answer and counter equal.
+  // Drive an identical probe sequence through the arena's sparse side
+  // (implicit adjacency) and a batch's dense side on both adjacencies, and
+  // hold every answer and counter equal.
   const auto drive = [&](bool dense, const FlatAdjacency* snapshot) {
     const SharedProbeCache cache(env, *graph);
     ProbeArena arena(cache);
-    std::optional<ProbeContext> hash_ctx;
+    const auto sparse_arena = ProbeArenaTestPeer::make(*graph, /*dense=*/false);
+    std::optional<ProbeContext> sparse_ctx;
     std::optional<ProbeContext> dense_ctx;
     if (dense) {
       dense_ctx.emplace(arena, 0, RoutingMode::kOracle, std::nullopt, snapshot);
     } else {
-      hash_ctx.emplace(*graph, env, 0, RoutingMode::kOracle);
+      sparse_ctx.emplace(*sparse_arena, env, 0, RoutingMode::kOracle);
     }
-    ProbeContext& ctx = dense ? *dense_ctx : *hash_ctx;
+    ProbeContext& ctx = dense ? *dense_ctx : *sparse_ctx;
     std::vector<bool> answers;
     for (VertexId v = 0; v < graph->num_vertices(); ++v) {
       for (int i = 0; i < graph->degree(v); ++i) {
@@ -262,11 +264,11 @@ TEST(FlatAdjacency, ProbeContextFlatPathMatchesImplicitOnBothBackends) {
     }
     return std::make_pair(answers, ctx.distinct_probes());
   };
-  const auto implicit_hash = drive(false, nullptr);
+  const auto implicit_sparse = drive(false, nullptr);
   const auto implicit_dense = drive(true, nullptr);
   const auto flat_dense = drive(true, &flat);
-  EXPECT_EQ(implicit_hash, implicit_dense);
-  EXPECT_EQ(implicit_hash, flat_dense);
+  EXPECT_EQ(implicit_sparse, implicit_dense);
+  EXPECT_EQ(implicit_sparse, flat_dense);
   EXPECT_EQ(flat.graph().num_vertices(), graph->num_vertices());
 }
 

@@ -395,14 +395,16 @@ std::uint64_t edge_id_tables_built() {
 }
 
 TEST(ChannelIndex, ClosedFormEdgeIdsEqualTheNaiveFirstAppearanceNumbering) {
-  // Side 2, dimension 1, the smallest torus and the smallest clique are the
-  // corners of the closed forms. Each slot's closed form must equal the
+  // Side 2, dimension 1, the smallest torus, the smallest clique and the
+  // depth-1 double tree (every edge a leaf edge) are the corners of the
+  // closed forms. Each slot's closed form must equal the
   // key -> id map's numbering with no table built, and the closed-form
   // table fill must equal it channel for channel.
   for (const char* spec :
        {"hypercube:1", "hypercube:2", "hypercube:3", "hypercube:4", "hypercube:5",
         "hypercube:6", "mesh:1:2", "mesh:1:7", "mesh:2:2", "mesh:3:4", "torus:1:3",
-        "torus:2:3", "torus:3:5", "torus:4:3", "complete:2", "complete:3", "complete:24"}) {
+        "torus:2:3", "torus:3:5", "torus:4:3", "complete:2", "complete:3", "complete:24",
+        "double_tree:1", "double_tree:2", "double_tree:3", "double_tree:6"}) {
     const auto g = sim::make_topology(spec);
     ASSERT_TRUE(g->has_closed_form_edge_ids()) << spec;
     const std::vector<std::uint32_t> expected = reference::first_appearance_edge_ids(*g);
@@ -424,8 +426,31 @@ TEST(ChannelIndex, ClosedFormEdgeIdsEqualTheNaiveFirstAppearanceNumbering) {
   }
 }
 
-TEST(ChannelIndex, OnlyTheRegularFamiliesHaveClosedFormEdgeIds) {
-  for (const char* spec : {"double_tree:4", "de_bruijn:6", "shuffle_exchange:6", "butterfly:4",
+TEST(ChannelIndex, RegularFamiliesLayOutTheOffsetsOfTheirDegrees) {
+  // regular_degree() is either 0 or every vertex's degree, and the offsets
+  // it lays out arithmetically are the prefix sums of the degrees.
+  for (const char* spec :
+       {"hypercube:1", "hypercube:5", "mesh:2:4", "torus:1:3", "torus:3:4", "complete:2",
+        "complete:9", "butterfly:3", "ccc:3", "cycle_matching:16:9", "de_bruijn:4",
+        "shuffle_exchange:4", "double_tree:3"}) {
+    const auto g = sim::make_topology(spec);
+    const ChannelIndex& index = g->channel_index();
+    std::uint64_t offset = 0;
+    for (VertexId v = 0; v < g->num_vertices(); ++v) {
+      if (g->regular_degree() != 0) {
+        ASSERT_EQ(g->degree(v), g->regular_degree()) << spec;
+      }
+      ASSERT_EQ(index.channel_of(v, 0), offset) << spec << " v=" << v;
+      offset += static_cast<std::uint64_t>(g->degree(v));
+    }
+    EXPECT_EQ(index.num_channels(), offset) << spec;
+  }
+  EXPECT_NE(sim::make_topology("torus:2:5")->regular_degree(), 0);
+  EXPECT_EQ(sim::make_topology("mesh:2:5")->regular_degree(), 0);
+}
+
+TEST(ChannelIndex, FamiliesWithoutAClosedFormReadTheTable) {
+  for (const char* spec : {"de_bruijn:6", "shuffle_exchange:6", "butterfly:4",
                            "ccc:4", "cycle_matching:64:7"}) {
     const auto g = sim::make_topology(spec);
     EXPECT_FALSE(g->has_closed_form_edge_ids()) << spec;

@@ -68,7 +68,8 @@ TEST(Integration, GaltonWatsonPredictsDoubleTreeMirroredBranches) {
   const int trials = 400;
   for (int t = 0; t < trials; ++t) {
     const HashEdgeSampler sampler(p, derive_seed(17, static_cast<std::uint64_t>(t)));
-    ProbeContext ctx(tree, sampler, tree.root1(), RoutingMode::kOracle);
+    ProbeArena arena(tree);
+    ProbeContext ctx(arena, sampler, tree.root1(), RoutingMode::kOracle);
     successes += router.route(ctx, tree.root1(), tree.root2()).has_value() ? 1 : 0;
   }
   const BinaryGaltonWatson gw(p * p);

@@ -88,7 +88,8 @@ TEST_P(Lemma5Test, LocalRoutersRespectTheBoundOnTheDoubleTree) {
        ++t) {
     const HashEdgeSampler sampler(p, derive_seed(707, t));
     if (!*open_connected(tree, sampler, tree.root1(), tree.root2())) continue;
-    ProbeContext ctx(tree, sampler, tree.root1(), RoutingMode::kLocal);
+    ProbeArena arena(tree);
+    ProbeContext ctx(arena, sampler, tree.root1(), RoutingMode::kLocal);
     ASSERT_TRUE(router.route(ctx, tree.root1(), tree.root2()).has_value());
     probes.push_back(static_cast<double>(ctx.distinct_probes()));
   }
@@ -130,7 +131,8 @@ TEST(Lemma5, TheoremSevenScalePrediction) {
     const HashEdgeSampler sampler(p, derive_seed(7070, s));
     if (!*open_connected(tree, sampler, tree.root1(), tree.root2())) continue;
     ++total;
-    ProbeContext ctx(tree, sampler, tree.root1(), RoutingMode::kLocal);
+    ProbeArena arena(tree);
+    ProbeContext ctx(arena, sampler, tree.root1(), RoutingMode::kLocal);
     ASSERT_TRUE(router.route(ctx, tree.root1(), tree.root2()).has_value());
     if (static_cast<double>(ctx.distinct_probes()) < t) ++below;
   }
@@ -152,7 +154,8 @@ TEST(Lemma5, FloodRouterAlsoRespectsTheBound) {
   for (std::uint64_t t = 0; probes.size() < 150 && t < 20000; ++t) {
     const HashEdgeSampler sampler(p, derive_seed(909, t));
     if (!*open_connected(tree, sampler, tree.root1(), tree.root2())) continue;
-    ProbeContext ctx(tree, sampler, tree.root1(), RoutingMode::kLocal);
+    ProbeArena arena(tree);
+    ProbeContext ctx(arena, sampler, tree.root1(), RoutingMode::kLocal);
     ASSERT_TRUE(router.route(ctx, tree.root1(), tree.root2()).has_value());
     probes.push_back(static_cast<double>(ctx.distinct_probes()));
   }

@@ -118,7 +118,8 @@ TEST(NodeFaults, RoutersWorkUnchangedUnderNodeFaults) {
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     const NodeFaultSampler sampler(g, 0.9, 0.9, seed);
     const auto connected = open_connected(g, sampler, 0, g.num_vertices() - 1);
-    ProbeContext ctx(g, sampler, 0, RoutingMode::kLocal);
+    ProbeArena arena(g);
+    ProbeContext ctx(arena, sampler, 0, RoutingMode::kLocal);
     const auto path = router.route(ctx, 0, g.num_vertices() - 1);
     EXPECT_EQ(path.has_value(), *connected);
     if (!path) continue;

@@ -74,7 +74,8 @@ TEST(OverrideSampler, RegionalOutageForcesDetour) {
   const VertexId center = g.vertex_at({4, 4});
   sampler.close_all(edges_within_ball(g, center, 1));
   LandmarkRouter router;
-  ProbeContext ctx(g, sampler, 0, RoutingMode::kLocal);
+  ProbeArena arena(g);
+  ProbeContext ctx(arena, sampler, 0, RoutingMode::kLocal);
   const auto path = router.route(ctx, 0, g.num_vertices() - 1);
   ASSERT_TRUE(path.has_value());
   EXPECT_TRUE(is_valid_open_path(g, sampler, *path, 0, g.num_vertices() - 1));

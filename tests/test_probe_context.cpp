@@ -1,17 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "core/path.hpp"
 #include "core/probe_context.hpp"
 #include "graph/channel_index.hpp"
 #include "graph/hypercube.hpp"
 #include "graph/mesh.hpp"
+#include "helpers/probe_arena_test_peer.hpp"
 #include "percolation/edge_sampler.hpp"
 #include "percolation/shared_probe_cache.hpp"
 #include "random/rng.hpp"
@@ -24,7 +25,8 @@ namespace {
 TEST(ProbeContext, CountsDistinctAndTotalSeparately) {
   const Hypercube g(4);
   const HashEdgeSampler s(1.0, 1);
-  ProbeContext ctx(g, s, 0, RoutingMode::kLocal);
+  ProbeArena arena(g);
+  ProbeContext ctx(arena, s, 0, RoutingMode::kLocal);
   EXPECT_EQ(ctx.distinct_probes(), 0u);
   ctx.probe(0, 0);
   ctx.probe(0, 0);
@@ -36,7 +38,8 @@ TEST(ProbeContext, CountsDistinctAndTotalSeparately) {
 TEST(ProbeContext, MemoisesAnswers) {
   const Hypercube g(5);
   const HashEdgeSampler s(0.5, 42);
-  ProbeContext ctx(g, s, 0, RoutingMode::kOracle);
+  ProbeArena arena(g);
+  ProbeContext ctx(arena, s, 0, RoutingMode::kOracle);
   for (int i = 0; i < 5; ++i) {
     const bool first = ctx.probe(0, i);
     EXPECT_EQ(ctx.probe(0, i), first);
@@ -48,7 +51,8 @@ TEST(ProbeContext, ProbeAgreesAcrossEndpoints) {
   // Probing the same physical edge from either endpoint is one distinct edge.
   const Hypercube g(4);
   const HashEdgeSampler s(1.0, 9);
-  ProbeContext ctx(g, s, 0, RoutingMode::kOracle);
+  ProbeArena arena(g);
+  ProbeContext ctx(arena, s, 0, RoutingMode::kOracle);
   ctx.probe(0, 0);               // edge 0 - 1
   ctx.probe(1, 0);               // same edge from the other side
   EXPECT_EQ(ctx.distinct_probes(), 1u);
@@ -58,7 +62,8 @@ TEST(ProbeContext, LocalModeTracksReachedSet) {
   const Hypercube g(3);
   ExplicitEdgeSampler s(false);
   s.set(g.edge_key(0, 0), true);  // 0 - 1 open
-  ProbeContext ctx(g, s, 0, RoutingMode::kLocal);
+  ProbeArena arena(g);
+  ProbeContext ctx(arena, s, 0, RoutingMode::kLocal);
   EXPECT_TRUE(ctx.is_reached(0));
   EXPECT_FALSE(ctx.is_reached(1));
   EXPECT_TRUE(ctx.probe(0, 0));
@@ -70,7 +75,8 @@ TEST(ProbeContext, LocalModeTracksReachedSet) {
 TEST(ProbeContext, LocalModeRejectsNonIncidentProbes) {
   const Hypercube g(4);
   const HashEdgeSampler s(1.0, 1);
-  ProbeContext ctx(g, s, 0, RoutingMode::kLocal);
+  ProbeArena arena(g);
+  ProbeContext ctx(arena, s, 0, RoutingMode::kLocal);
   // Vertex 12 is far from the source 0 with nothing probed yet.
   EXPECT_THROW(ctx.probe(12, 0), LocalityViolation);
   // Edges at the source are fine, and extend the reach.
@@ -83,7 +89,8 @@ TEST(ProbeContext, LocalProbeFromFarEndpointTowardsReachedIsAllowed) {
   // set, regardless of which endpoint names the edge.
   const Hypercube g(3);
   const HashEdgeSampler s(1.0, 1);
-  ProbeContext ctx(g, s, 0, RoutingMode::kLocal);
+  ProbeArena arena(g);
+  ProbeContext ctx(arena, s, 0, RoutingMode::kLocal);
   // Edge 1-0 probed from vertex 1 (unreached) is incident to reached 0.
   EXPECT_NO_THROW(ctx.probe(1, 0));
   EXPECT_TRUE(ctx.is_reached(1));
@@ -92,7 +99,8 @@ TEST(ProbeContext, LocalProbeFromFarEndpointTowardsReachedIsAllowed) {
 TEST(ProbeContext, ClosedProbesDoNotExtendReach) {
   const Hypercube g(3);
   ExplicitEdgeSampler s(false);
-  ProbeContext ctx(g, s, 0, RoutingMode::kLocal);
+  ProbeArena arena(g);
+  ProbeContext ctx(arena, s, 0, RoutingMode::kLocal);
   EXPECT_FALSE(ctx.probe(0, 0));
   EXPECT_FALSE(ctx.is_reached(1));
   EXPECT_THROW(ctx.probe(1, 1), LocalityViolation);  // 1 is still unreached
@@ -101,7 +109,8 @@ TEST(ProbeContext, ClosedProbesDoNotExtendReach) {
 TEST(ProbeContext, OracleModeAllowsAnyProbe) {
   const Hypercube g(4);
   const HashEdgeSampler s(0.5, 3);
-  ProbeContext ctx(g, s, 0, RoutingMode::kOracle);
+  ProbeArena arena(g);
+  ProbeContext ctx(arena, s, 0, RoutingMode::kOracle);
   EXPECT_NO_THROW(ctx.probe(9, 1));
   EXPECT_NO_THROW(ctx.probe(15, 3));
   EXPECT_TRUE(ctx.is_reached(9));  // trivially true in oracle mode
@@ -110,7 +119,8 @@ TEST(ProbeContext, OracleModeAllowsAnyProbe) {
 TEST(ProbeContext, BudgetCountsDistinctEdgesOnly) {
   const Hypercube g(4);
   const HashEdgeSampler s(1.0, 1);
-  ProbeContext ctx(g, s, 0, RoutingMode::kOracle, /*budget=*/2);
+  ProbeArena arena(g);
+  ProbeContext ctx(arena, s, 0, RoutingMode::kOracle, /*budget=*/2);
   ctx.probe(0, 0);
   ctx.probe(0, 0);  // memoised, free
   ctx.probe(0, 1);
@@ -123,39 +133,35 @@ TEST(ProbeContext, BudgetCountsDistinctEdgesOnly) {
 TEST(ProbeContext, ProbeBetweenFindsTheEdge) {
   const Mesh g(2, 4);
   const HashEdgeSampler s(1.0, 1);
-  ProbeContext ctx(g, s, 0, RoutingMode::kLocal);
+  ProbeArena arena(g);
+  ProbeContext ctx(arena, s, 0, RoutingMode::kLocal);
   EXPECT_TRUE(ctx.probe_between(0, 1));
   EXPECT_THROW(ctx.probe_between(0, 5), std::invalid_argument);  // diagonal
 }
 
-// ---------------------------------------- both backends, parameterised
+// ------------------------------------------- both arena sides, parameterised
 //
-// The dense (arena-backed) and hash backends must be observably identical.
-// Each test below runs once per backend and once per routing mode where the
-// mode matters; `make_context` builds a hash context over the sampler, or a
-// dense one on an arena bound to a SharedProbeCache over it.
+// The arena's dense and sparse sides must be observably identical. Each test
+// below runs once per side and once per routing mode where the mode matters;
+// `make_context` builds a single-pair context over the sampler on an arena
+// forced onto the side (the size test would pick dense for these graphs).
 
 class ProbeContextBackends : public ::testing::TestWithParam<bool> {
  protected:
   std::unique_ptr<ProbeContext> make_context(const Topology& g, const EdgeSampler& s,
                                              RoutingMode mode,
                                              std::optional<std::uint64_t> budget) {
-    if (!GetParam()) return std::make_unique<ProbeContext>(g, s, 0, mode, budget);
-    if (!arena_) {
-      cache_ = std::make_unique<SharedProbeCache>(s, g);
-      arena_ = std::make_unique<ProbeArena>(*cache_);
-    }
-    return std::make_unique<ProbeContext>(*arena_, 0, mode, budget);
+    arenas_.push_back(ProbeArenaTestPeer::make(g, /*dense=*/GetParam()));
+    return std::make_unique<ProbeContext>(*arenas_.back(), s, 0, mode, budget);
   }
 
  private:
-  std::unique_ptr<SharedProbeCache> cache_;
-  std::unique_ptr<ProbeArena> arena_;
+  std::vector<std::unique_ptr<ProbeArena>> arenas_;
 };
 
-INSTANTIATE_TEST_SUITE_P(HashAndDense, ProbeContextBackends, ::testing::Bool(),
+INSTANTIATE_TEST_SUITE_P(SparseAndDense, ProbeContextBackends, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& param_info) {
-                           return param_info.param ? "dense" : "hash";
+                           return param_info.param ? "dense" : "sparse";
                          });
 
 TEST_P(ProbeContextBackends, BudgetZeroThrowsOnTheVeryFirstFreshProbe) {
@@ -280,33 +286,6 @@ TEST(ProbeArena, SurvivesTopologySwitches) {
   back.probe(1, 0);
   EXPECT_EQ(back.distinct_probes(), 1u);
 }
-
-}  // namespace
-
-/// Test-only access to a ProbeArena's epoch, to reach the wrap without
-/// routing four billion messages, and to its memo bits.
-class ProbeArenaTestPeer {
- public:
-  static constexpr std::uint32_t kMaxEpoch = ProbeArena::kMaxEpoch;
-  static std::uint32_t epoch(const ProbeArena& arena) { return arena.epoch_; }
-  static void set_epoch(ProbeArena& arena, std::uint32_t epoch) { arena.epoch_ = epoch; }
-  /// Memo bits set anywhere in the arena, and the words that hold them.
-  static std::uint64_t memo_bits(const ProbeArena& arena) {
-    std::uint64_t bits = 0;
-    for (const std::uint64_t word : arena.edge_probed_) bits += std::popcount(word);
-    return bits;
-  }
-  static std::uint64_t memo_words_in_use(const ProbeArena& arena) {
-    std::uint64_t words = 0;
-    for (const std::uint64_t word : arena.edge_probed_) words += word != 0 ? 1 : 0;
-    return words;
-  }
-  static std::size_t listed_edges(const ProbeArena& arena) {
-    return arena.probed_edges_.size();
-  }
-};
-
-namespace {
 
 TEST(ProbeArena, EpochWrapAtTheStampBoundLeavesNoStaleSlotLive) {
   static_assert(ProbeArenaTestPeer::kMaxEpoch == std::numeric_limits<std::uint32_t>::max(),
@@ -474,47 +453,134 @@ TEST(ProbeArena, AMessageThatDiesOnItsBudgetLeavesNoBitForTheNext) {
   EXPECT_THROW(next.probe(3, 0), ProbeBudgetExceeded);  // 3 is not adjacent to 0
 }
 
-TEST(ProbeContext, DenseAndHashBackendsAgreeOnEveryObservable) {
-  // Drive both backends through an identical mixed probe sequence (repeats,
+TEST(ProbeContext, DenseAndSparseSidesAgreeOnEveryObservable) {
+  // Drive both sides through an identical mixed probe sequence (repeats,
   // both endpoints of the same edge, reach growth) and compare every
   // observable after every step.
   const Hypercube g(5);
   const HashEdgeSampler s(0.6, 31);
-  const SharedProbeCache cache(s, g);
-  ProbeArena arena(cache);
-  ProbeContext hash(g, s, 0, RoutingMode::kLocal);
-  ProbeContext dense(arena, 0, RoutingMode::kLocal);
+  const auto sparse_arena = ProbeArenaTestPeer::make(g, /*dense=*/false);
+  const auto dense_arena = ProbeArenaTestPeer::make(g, /*dense=*/true);
+  ProbeContext sparse(*sparse_arena, s, 0, RoutingMode::kLocal);
+  ProbeContext dense(*dense_arena, s, 0, RoutingMode::kLocal);
   std::uint64_t frontier = 0;  // walk outward along whatever opens
   for (int round = 0; round < 40; ++round) {
     const VertexId v = frontier;
     for (int i = 0; i < g.degree(v); ++i) {
-      bool hash_open = false;
+      bool sparse_open = false;
       bool dense_open = false;
-      bool hash_threw = false;
+      bool sparse_threw = false;
       bool dense_threw = false;
       try {
-        hash_open = hash.probe(v, i);
+        sparse_open = sparse.probe(v, i);
       } catch (const LocalityViolation&) {
-        hash_threw = true;
+        sparse_threw = true;
       }
       try {
         dense_open = dense.probe(v, i);
       } catch (const LocalityViolation&) {
         dense_threw = true;
       }
-      ASSERT_EQ(hash_threw, dense_threw) << "round " << round << " slot " << i;
-      ASSERT_EQ(hash_open, dense_open) << "round " << round << " slot " << i;
-      ASSERT_EQ(hash.distinct_probes(), dense.distinct_probes());
-      ASSERT_EQ(hash.total_probes(), dense.total_probes());
-      if (!hash_threw && hash_open) frontier = g.neighbor(v, i);
+      ASSERT_EQ(sparse_threw, dense_threw) << "round " << round << " slot " << i;
+      ASSERT_EQ(sparse_open, dense_open) << "round " << round << " slot " << i;
+      ASSERT_EQ(sparse.distinct_probes(), dense.distinct_probes());
+      ASSERT_EQ(sparse.total_probes(), dense.total_probes());
+      if (!sparse_threw && sparse_open) frontier = g.neighbor(v, i);
     }
   }
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    ASSERT_EQ(hash.is_reached(v), dense.is_reached(v)) << "vertex " << v;
+    ASSERT_EQ(sparse.is_reached(v), dense.is_reached(v)) << "vertex " << v;
   }
-  // One message on a fresh cache: every distinct probe was a first touch.
-  EXPECT_EQ(arena.tally().misses, dense.distinct_probes());
-  EXPECT_EQ(arena.tally().hits, 0u);
+}
+
+TEST(ProbeArena, TheSideFollowsTheEdgeCountAlone) {
+  // A ring of n vertices has n edges: one exactly at the budget, and one a
+  // single edge above it. Neither topology stores anything, and the sparse
+  // arena builds nothing either (a dense one at the budget would take
+  // ~0.5 GB with its channel index, so only the size test is asked there).
+  const Mesh at(1, static_cast<std::int64_t>(kDenseProbeBudgetEdges), /*wrap=*/true);
+  const Mesh above(1, static_cast<std::int64_t>(kDenseProbeBudgetEdges) + 1, /*wrap=*/true);
+  ASSERT_EQ(at.num_edges(), kDenseProbeBudgetEdges);
+  ASSERT_EQ(above.num_edges(), kDenseProbeBudgetEdges + 1);
+  EXPECT_TRUE(ProbeArena::fits_dense(at));
+  EXPECT_FALSE(ProbeArena::fits_dense(above));
+  EXPECT_FALSE(ProbeArenaTestPeer::dense(ProbeArena(above)));
+  // A small graph is dense for single pairs; a batch's arena is dense at
+  // any size (its cache and channel index are edge-sized already).
+  const Hypercube small(6);
+  EXPECT_TRUE(ProbeArenaTestPeer::dense(ProbeArena(small)));
+  const HashEdgeSampler s(0.5, 1);
+  const SharedProbeCache cache(s, small);
+  EXPECT_TRUE(ProbeArenaTestPeer::dense(ProbeArena(cache)));
+  // The sparse side still routes: a probe and a repeat.
+  ProbeArena sparse(above);
+  ProbeContext ctx(sparse, s, 0, RoutingMode::kLocal);
+  const bool open = ctx.probe(0, 0);
+  EXPECT_EQ(ctx.probe(0, 0), open);
+  EXPECT_EQ(ctx.distinct_probes(), 1u);
+  EXPECT_EQ(ctx.total_probes(), 2u);
+  EXPECT_EQ(ctx.is_reached(ctx.graph().neighbor(0, 0)), open);
+}
+
+TEST(ProbeArena, AContextTakesItsEnvironmentFromItsArenasKind) {
+  // A batch's arena probes the batch's cache, a single-pair arena the
+  // context's sampler; naming the other is a programming error, refused
+  // before the arena is touched.
+  const Hypercube g(4);
+  const HashEdgeSampler s(1.0, 9);
+  const SharedProbeCache cache(s, g);
+  ProbeArena batch(cache);
+  ProbeArena pair(g);
+  EXPECT_THROW({ ProbeContext ctx(batch, s, 0, RoutingMode::kLocal); }, std::logic_error);
+  EXPECT_THROW({ ProbeContext ctx(pair, 0, RoutingMode::kLocal); }, std::logic_error);
+  ProbeContext on_batch(batch, 0, RoutingMode::kLocal);
+  ProbeContext on_pair(pair, s, 0, RoutingMode::kLocal);
+  EXPECT_TRUE(on_batch.probe(0, 0));
+  EXPECT_TRUE(on_pair.probe(0, 0));
+}
+
+TEST(ProbeArena, AReusedArenaRoutesEveryTrialLikeAFreshOne) {
+  // One arena per side, rebound to a new environment by every trial, must
+  // give each trial exactly the outcome a fresh arena gives it: a stale
+  // answer left in the private cache, a stale memo bit or reach stamp
+  // would change the path or the probe counts.
+  const Mesh g(2, 12);
+  const VertexId u = 0;
+  const VertexId v = g.num_vertices() - 1;
+  for (const bool dense : {true, false}) {
+    const auto reused = ProbeArenaTestPeer::make(g, dense);
+    for (int trial = 0; trial < 60; ++trial) {
+      const HashEdgeSampler s(0.45 + 0.01 * (trial % 20), derive_seed(77, trial));
+      for (const RoutingMode mode : {RoutingMode::kLocal, RoutingMode::kOracle}) {
+        // A BFS from u over whatever opens, probing every slot of every
+        // vertex it reaches (so repeats from both endpoints, too).
+        const auto route = [&](ProbeArena& arena) {
+          ProbeContext ctx(arena, s, u, mode);
+          std::uint64_t opened = 0;
+          std::vector<VertexId> queue{u};
+          std::vector<bool> seen(g.num_vertices(), false);
+          seen[u] = true;
+          for (std::size_t head = 0; head < queue.size(); ++head) {
+            const VertexId x = queue[head];
+            for (int i = 0; i < g.degree(x); ++i) {
+              if (!ctx.probe(x, i)) continue;
+              ++opened;
+              const VertexId y = g.neighbor(x, i);
+              if (!seen[y]) {
+                seen[y] = true;
+                queue.push_back(y);
+              }
+            }
+          }
+          return std::vector<std::uint64_t>{ctx.distinct_probes(), ctx.total_probes(), opened,
+                                            queue.size(), ctx.is_reached(v) ? 1u : 0u};
+        };
+        const auto fresh = ProbeArenaTestPeer::make(g, dense);
+        ASSERT_EQ(route(*reused), route(*fresh))
+            << (dense ? "dense" : "sparse") << " trial " << trial;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------------- Path

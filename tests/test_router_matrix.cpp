@@ -105,7 +105,8 @@ TEST_P(RouterMatrixTest, CompletenessValidityAndLocality) {
     }
     const bool connected = *open_connected(g, *sampler, u, v);
     (connected ? connected_seen : disconnected_seen)++;
-    ProbeContext ctx(g, *sampler, u, router.required_mode());
+    ProbeArena arena(g);
+    ProbeContext ctx(arena, *sampler, u, router.required_mode());
     std::optional<Path> path;
     ASSERT_NO_THROW(path = router.route(ctx, u, v))
         << c.topology_label << "/" << c.router_label << " seed " << seed;

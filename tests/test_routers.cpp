@@ -23,7 +23,8 @@ namespace {
 /// path. Returns the path.
 std::optional<Path> route_and_check(Router& router, const Topology& g,
                                     const EdgeSampler& s, VertexId u, VertexId v) {
-  ProbeContext ctx(g, s, u, router.required_mode());
+  ProbeArena arena(g);
+  ProbeContext ctx(arena, s, u, router.required_mode());
   const auto path = router.route(ctx, u, v);
   if (path) {
     EXPECT_TRUE(is_valid_open_path(g, s, *path, u, v))
@@ -107,7 +108,8 @@ TEST_P(GenericRouterTest, LocalRoutersSurviveEnforcement) {
   const Hypercube g(7);
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     const HashEdgeSampler s(0.4, seed);
-    ProbeContext ctx(g, s, 0, r.required_mode());
+    ProbeArena arena(g);
+    ProbeContext ctx(arena, s, 0, r.required_mode());
     EXPECT_NO_THROW(r.route(ctx, 0, 127)) << "seed " << seed;
   }
 }
@@ -142,7 +144,8 @@ TEST(FloodRouter, ExhaustsComponentWhenTargetIsBlocked) {
   ExplicitEdgeSampler s(true);
   for (int i = 0; i < g.degree(15); ++i) s.set(g.edge_key(15, i), false);
   FloodRouter r;
-  ProbeContext ctx(g, s, 0, RoutingMode::kLocal);
+  ProbeArena arena(g);
+  ProbeContext ctx(arena, s, 0, RoutingMode::kLocal);
   EXPECT_FALSE(r.route(ctx, 0, 15).has_value());
   EXPECT_EQ(ctx.distinct_probes(), (g.num_vertices() - 2) + 4);
 }
@@ -170,7 +173,8 @@ TEST(LandmarkRouter, CheapOnFaultFreeGraph) {
   const Hypercube g(10);
   const HashEdgeSampler s(1.0, 1);
   LandmarkRouter r;
-  ProbeContext ctx(g, s, 0, RoutingMode::kLocal);
+  ProbeArena arena(g);
+  ProbeContext ctx(arena, s, 0, RoutingMode::kLocal);
   const auto path = r.route(ctx, 0, (1ULL << 10) - 1);
   ASSERT_TRUE(path.has_value());
   EXPECT_LE(ctx.distinct_probes(), 10u * 10u);
@@ -193,7 +197,8 @@ TEST(GreedyDescent, RoutesFaultFreeHypercubeAlongShortestPath) {
   const Hypercube g(8);
   const HashEdgeSampler s(1.0, 1);
   GreedyDescentRouter r;
-  ProbeContext ctx(g, s, 0, RoutingMode::kLocal);
+  ProbeArena arena(g);
+  ProbeContext ctx(arena, s, 0, RoutingMode::kLocal);
   const auto path = r.route(ctx, 0, 255);
   ASSERT_TRUE(path.has_value());
   EXPECT_EQ(path->size() - 1, 8u);                 // exactly the Hamming distance
@@ -206,7 +211,8 @@ TEST(GreedyDescent, GivesUpWhenStuck) {
   // Close every improving edge of the source: 0 -> {1,2,4} all closed.
   for (int i = 0; i < 3; ++i) s.set(g.edge_key(0, i), false);
   GreedyDescentRouter r;
-  ProbeContext ctx(g, s, 0, RoutingMode::kLocal);
+  ProbeArena arena(g);
+  ProbeContext ctx(arena, s, 0, RoutingMode::kLocal);
   EXPECT_FALSE(r.route(ctx, 0, 7).has_value());
 }
 
@@ -227,7 +233,8 @@ TEST(DoubleTreeLocal, RequiresRootPair) {
   const DoubleBinaryTree g(3);
   const HashEdgeSampler s(1.0, 1);
   DoubleTreeLocalRouter r(g);
-  ProbeContext ctx(g, s, 0, RoutingMode::kLocal);
+  ProbeArena arena(g);
+  ProbeContext ctx(arena, s, 0, RoutingMode::kLocal);
   EXPECT_THROW(r.route(ctx, 0, 1), std::invalid_argument);
 }
 
@@ -247,7 +254,8 @@ TEST(DoubleTreeLocal, CompleteOnRootPairs) {
   for (std::uint64_t seed = 0; seed < 40; ++seed) {
     const HashEdgeSampler s(0.8, seed);
     const bool connected = *open_connected(g, s, g.root1(), g.root2());
-    ProbeContext ctx(g, s, g.root1(), RoutingMode::kLocal);
+    ProbeArena arena(g);
+    ProbeContext ctx(arena, s, g.root1(), RoutingMode::kLocal);
     const auto path = r.route(ctx, g.root1(), g.root2());
     EXPECT_EQ(path.has_value(), connected) << "seed " << seed;
     if (path) {
@@ -297,7 +305,8 @@ TEST(DoubleTreePairedOracle, MissesSinglyOpenPaths) {
     s.set(g.tree_edge_key(Side::kTree1, c), true);  // tree 2 stays closed
   }
   DoubleTreePairedOracleRouter r(g);
-  ProbeContext ctx(g, s, g.root1(), RoutingMode::kOracle);
+  ProbeArena arena(g);
+  ProbeContext ctx(arena, s, g.root1(), RoutingMode::kOracle);
   EXPECT_FALSE(r.route(ctx, g.root1(), g.root2()).has_value());
 }
 
@@ -311,7 +320,8 @@ TEST(DoubleTreePairedOracle, AgreesWithGroundTruthStatistically) {
   int truth_hits = 0;
   for (std::uint64_t seed = 0; seed < 60; ++seed) {
     const HashEdgeSampler s(0.85, seed);
-    ProbeContext ctx(g, s, g.root1(), RoutingMode::kOracle);
+    ProbeArena arena(g);
+    ProbeContext ctx(arena, s, g.root1(), RoutingMode::kOracle);
     if (r.route(ctx, g.root1(), g.root2()).has_value()) ++router_hits;
     if (*open_connected(g, s, g.root1(), g.root2())) ++truth_hits;
   }
@@ -326,7 +336,8 @@ TEST(GnpOracle, RequiresCompleteGraph) {
   const Hypercube g(3);
   const HashEdgeSampler s(1.0, 1);
   GnpOracleRouter r;
-  ProbeContext ctx(g, s, 0, RoutingMode::kOracle);
+  ProbeArena arena(g);
+  ProbeContext ctx(arena, s, 0, RoutingMode::kOracle);
   EXPECT_THROW(r.route(ctx, 0, 7), std::invalid_argument);
 }
 
@@ -368,7 +379,8 @@ TEST(GnpOracle, PooledStateMatchesAFreshRouterAcrossMessagesAndCliqueSizes) {
       const std::optional<std::uint64_t> budget =
           seed % 4 == 3 ? std::optional<std::uint64_t>(40) : std::nullopt;
       const auto run = [&](Router& router, std::optional<Path>& path) {
-        ProbeContext ctx(g, s, u, RoutingMode::kOracle, budget);
+        ProbeArena arena(g);
+        ProbeContext ctx(arena, s, u, RoutingMode::kOracle, budget);
         try {
           path = router.route(ctx, u, v);
         } catch (const ProbeBudgetExceeded&) {
@@ -411,10 +423,12 @@ TEST(GnpOracleVsLocal, OracleProbesFewerOnAverage) {
   for (std::uint64_t seed = 0; seed < 40; ++seed) {
     const HashEdgeSampler s(3.0 / static_cast<double>(n), seed);
     if (!*open_connected(g, s, 0, n - 1)) continue;
-    ProbeContext lctx(g, s, 0, RoutingMode::kLocal);
+    ProbeArena lctx_arena(g);
+    ProbeContext lctx(lctx_arena, s, 0, RoutingMode::kLocal);
     ASSERT_TRUE(local.route(lctx, 0, n - 1).has_value());
     local_total += static_cast<double>(lctx.distinct_probes());
-    ProbeContext octx(g, s, 0, RoutingMode::kOracle);
+    ProbeArena octx_arena(g);
+    ProbeContext octx(octx_arena, s, 0, RoutingMode::kOracle);
     ASSERT_TRUE(oracle.route(octx, 0, n - 1).has_value());
     oracle_total += static_cast<double>(octx.distinct_probes());
     ++cases;

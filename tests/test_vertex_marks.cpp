@@ -235,7 +235,8 @@ TEST(AboveDenseBudget, SearchRoutersReturnValidOpenPaths) {
   for (Router* router : std::vector<Router*>{&flood, &landmark, &bidirectional, &best_first}) {
     // Twice per router: the second search reuses the pooled marks.
     for (const auto& [u, v] : {std::pair<VertexId, VertexId>{0, 7}, {7, 0}}) {
-      ProbeContext ctx(g, s, u, router->required_mode());
+      ProbeArena arena(g);
+      ProbeContext ctx(arena, s, u, router->required_mode());
       const auto path = router->route(ctx, u, v);
       ASSERT_TRUE(path.has_value()) << router->name();
       EXPECT_TRUE(is_valid_open_path(g, s, *path, u, v)) << router->name();

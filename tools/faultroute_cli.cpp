@@ -39,6 +39,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -104,13 +105,28 @@ class Args {
     if (it == values_.end()) throw std::invalid_argument("missing required --" + key);
     return it->second;
   }
+  // Numeric flags parse strictly (sim/strict_parse.hpp): the whole token,
+  // no sign on an unsigned, and a value its target type holds, or an error
+  // naming the flag.
   [[nodiscard]] double get_double(const std::string& key, double fallback) const {
     const auto it = find(key);
-    return it != values_.end() ? std::stod(it->second) : fallback;
+    if (it == values_.end()) return fallback;
+    const auto value = sim::strict_f64(it->second);
+    if (!value) {
+      throw std::invalid_argument("--" + key + ": expected a number, got '" + it->second + "'");
+    }
+    return *value;
   }
   [[nodiscard]] std::uint64_t get_u64(const std::string& key, std::uint64_t fallback) const {
-    const auto it = find(key);
-    return it != values_.end() ? std::stoull(it->second) : fallback;
+    return get_bounded(key, fallback, std::numeric_limits<std::uint64_t>::max());
+  }
+  [[nodiscard]] int get_int(const std::string& key, int fallback) const {
+    return static_cast<int>(get_bounded(key, static_cast<std::uint64_t>(fallback),
+                                        std::numeric_limits<int>::max()));
+  }
+  [[nodiscard]] unsigned get_unsigned(const std::string& key, unsigned fallback) const {
+    return static_cast<unsigned>(
+        get_bounded(key, fallback, std::numeric_limits<unsigned>::max()));
   }
 
   /// Throws naming the first flag no accessor has read. A subcommand calls
@@ -125,6 +141,18 @@ class Args {
   }
 
  private:
+  [[nodiscard]] std::uint64_t get_bounded(const std::string& key, std::uint64_t fallback,
+                                          std::uint64_t max) const {
+    const auto it = find(key);
+    if (it == values_.end()) return fallback;
+    const auto value = sim::strict_u64(it->second);
+    if (!value || *value > max) {
+      throw std::invalid_argument("--" + key + ": expected an integer in [0, " +
+                                  std::to_string(max) + "], got '" + it->second + "'");
+    }
+    return *value;
+  }
+
   [[nodiscard]] std::map<std::string, std::string>::const_iterator find(
       const std::string& key) const {
     read_.insert(key);
@@ -220,7 +248,8 @@ int cmd_route(const Args& args) {
   const HashEdgeSampler env(p, seed);
   std::cout << graph->name() << "  p=" << p << "  seed=" << seed << "  router="
             << router->name() << "\n";
-  ProbeContext ctx(*graph, env, u, router->required_mode());
+  ProbeArena arena(*graph);
+  ProbeContext ctx(arena, env, u, router->required_mode());
   std::optional<Path> path;
   {
     const obs::PhaseProfiler::Scope route_scope(profiler, "route");
@@ -283,7 +312,7 @@ int cmd_threshold(const Args& args) {
   const auto graph = sim::make_topology(args.require("topology"));
   ThresholdConfig config;
   config.target_fraction = args.get_double("target", 0.2);
-  config.trials_per_point = static_cast<int>(args.get_u64("trials", 6));
+  config.trials_per_point = args.get_int("trials", 6);
   config.tolerance = args.get_double("tolerance", 0.005);
   config.seed = args.get_u64("seed", 2005);
   const double lo = args.get_double("lo", 0.02);
@@ -314,11 +343,11 @@ int cmd_trials(const Args& args) {
   v = args.get_u64("to", v);
 
   ExperimentConfig config;
-  config.trials = static_cast<int>(args.get_u64("trials", 30));
+  config.trials = args.get_int("trials", 30);
   config.base_seed = args.get_u64("seed", 2005);
   if (args.get_u64("budget", 0) > 0) config.probe_budget = args.get_u64("budget", 0);
 
-  const auto threads = static_cast<unsigned>(args.get_u64("threads", 0));
+  const unsigned threads = args.get_unsigned("threads", 0);
   ObsSink sink(args, "trials");
   args.reject_unread();
   const auto factory = [&]() { return sim::make_router(router_name, *graph); };
@@ -365,7 +394,7 @@ int cmd_traffic(const Args& args) {
 
   TrafficConfig config;
   config.edge_capacity = args.get_u64("capacity", 1);
-  config.threads = static_cast<unsigned>(args.get_u64("threads", 0));
+  config.threads = args.get_unsigned("threads", 0);
   if (args.get_u64("budget", 0) > 0) config.probe_budget = args.get_u64("budget", 0);
 
   // --snapshot-dir DIR resolves the routing adjacency from an on-disk
