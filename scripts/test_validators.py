@@ -3,7 +3,8 @@
 
 Usage: python3 scripts/test_validators.py  (or via unittest discovery)
 
-The validators (check_bench_schema.py, check_trace.py, check_docs_links.py)
+The validators (check_bench_schema.py, check_trace.py, check_docs_links.py,
+check_golden_reports.py)
 are the last line of defence for the machine-readable CI surfaces, so they
 get the same treatment as the linter: every one is fed a known-good input
 (must accept) and a set of seeded-invalid inputs (must reject with a
@@ -20,11 +21,13 @@ No third-party dependencies; stdlib unittest + subprocess only.
 """
 
 import json
+import os
 import pathlib
 import shutil
 import subprocess
 import sys
 import tempfile
+import textwrap
 import unittest
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent
@@ -432,6 +435,59 @@ class DocsLinksValidator(ValidatorCase):
             "Example output:\n\n```\n[not a link](docs/NOPE.md)\n```\n")
         proc = self.run_fake(script)
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+
+
+class GoldenReportsCheck(ValidatorCase):
+    """check_golden_reports.py anchors itself at <script>/../.., so the tests
+    run a copy of it inside a synthetic repo with one scenario and a fake
+    faultroute that writes a fixed report (provenance and cell line taken
+    from the environment)."""
+
+    FAKE_CLI = textwrap.dedent("""\
+        import json, os, sys
+        out = sys.argv[sys.argv.index("--out") + 1]
+        header = {"type": "header", "name": "s",
+                  "provenance": {"git_hash": os.environ.get("FAKE_PROVENANCE", "a")}}
+        cell = {"type": "cell", "routed": int(os.environ.get("FAKE_CELL", "1"))}
+        with open(out, "w") as f:
+            f.write(json.dumps(header, separators=(",", ":")) + "\\n" +
+                    json.dumps(cell, separators=(",", ":")) + "\\n")
+        """)
+
+    def setUp(self):
+        super().setUp()
+        (self.tmp / "scripts").mkdir()
+        self.script = self.tmp / "scripts" / "check_golden_reports.py"
+        shutil.copyfile(SCRIPTS / "check_golden_reports.py", self.script)
+        (self.tmp / "scenarios").mkdir()
+        (self.tmp / "scenarios" / "s.scn").write_text("name=s\n", encoding="utf-8")
+        cli = self.tmp / "fake_cli.py"
+        cli.write_text(self.FAKE_CLI, encoding="utf-8")
+        self.launcher = self.tmp / "faultroute"
+        self.launcher.write_text(f"#!/bin/sh\nexec {PYTHON} {cli} \"$@\"\n", encoding="utf-8")
+        self.launcher.chmod(0o755)
+
+    def run_check(self, *argv, **env):
+        return subprocess.run(
+            [PYTHON, str(self.script), "--binary", str(self.launcher), *argv],
+            capture_output=True, text=True, check=False,
+            env={**os.environ, **env})
+
+    def test_update_then_check_passes_and_ignores_provenance(self):
+        self.assertEqual(self.run_check("--update").returncode, 0)
+        proc = self.run_check(FAKE_PROVENANCE="b")
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+
+    def test_rejects_a_changed_cell(self):
+        self.assertEqual(self.run_check("--update").returncode, 0)
+        proc = self.run_check(FAKE_CELL="2")
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("s.scn: report digest", proc.stderr)
+
+    def test_rejects_a_scenario_without_a_digest(self):
+        proc = self.run_check()
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("no digest", proc.stderr)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <functional>
-#include <limits>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -15,22 +16,36 @@ namespace {
 
 using Frontier = std::vector<std::pair<std::uint64_t, VertexId>>;  // (distance-to-target, vertex)
 
-/// Ranks x's slots whose neighbor lies at fault-free distance below `bound`
-/// from the target into `ranked`, sorted by (distance, slot) — ties broken
-/// by slot for determinism. Neighbor scans go through the adjacency view
-/// (CSR row when a snapshot is up); the metric resolves through `col` (a
-/// cached oracle column, or nullptr for graph.distance — identical values
-/// either way).
-void rank_slots(const AdjacencyView& adj, const std::uint32_t* col, VertexId x, VertexId v,
-                std::uint64_t bound, detail::RankedSlots& ranked) {
-  const Topology& graph = adj.graph();
-  ranked.clear();
+/// Fills `row` with the fault-free distance from each neighbor of x to v —
+/// the oracle column's entries when `col` is cached, else one
+/// Topology::neighbor_distances call (identical values either way) — and
+/// returns x's degree. Neighbor scans go through the adjacency view (CSR
+/// row when a snapshot is up). Every entry must lie within one of d =
+/// d(x, v), as in any graph metric: the metric routers' (distance, slot)
+/// probe order is then slot order within the buckets d - 1, d and d + 1, and
+/// needs no sort. An entry outside them throws std::logic_error naming the
+/// topology.
+int fill_row(const AdjacencyView& adj, const std::uint32_t* col, VertexId x, VertexId v,
+             std::uint64_t d, detail::DistanceRow& row) {
   const int deg = adj.degree(x);
-  for (int i = 0; i < deg; ++i) {
-    const std::uint64_t dy = metric_distance(graph, col, adj.neighbor(x, i), v);
-    if (dy < bound) ranked.emplace_back(dy, i);  // analyze:allow-hot-alloc(pooled ranking buffer, grows to the maximum degree once)
+  const auto size = static_cast<std::size_t>(deg);
+  if (row.size() < size) row.resize(size);  // analyze:allow-hot-alloc(pooled row, grows to the maximum degree once)
+  if (col != nullptr) {
+    for (int i = 0; i < deg; ++i) row[static_cast<std::size_t>(i)] = col[adj.neighbor(x, i)];
+  } else {
+    adj.graph().neighbor_distances(x, v, row.data());
   }
-  std::sort(ranked.begin(), ranked.end());
+  for (std::size_t i = 0; i < size; ++i) {
+    if (row[i] + 1 < d || row[i] > d + 1) {
+      // analyze:allow-throw-safety(contract violation: a topology whose neighbor distances break the graph metric)
+      throw std::logic_error("metric router: " + adj.graph().name() + " puts neighbor " +
+                             std::to_string(i) + " of vertex " + std::to_string(x) +
+                             " at distance " + std::to_string(row[i]) + " from " +
+                             std::to_string(v) + ", more than one away from " +
+                             std::to_string(d));
+    }
+  }
+  return deg;
 }
 
 /// The best-first search loop. The frontier is a pooled min-heap driven exactly as std::priority_queue drives its
@@ -39,7 +54,7 @@ void rank_slots(const AdjacencyView& adj, const std::uint32_t* col, VertexId x, 
 std::optional<Path> best_first_search(ProbeContext& ctx, const AdjacencyView& adj,
                                       const std::uint32_t* col, VertexId u, VertexId v,
                                       VertexMarks& parent, VertexMarks& expanded,
-                                      detail::RankedSlots& ranked, Frontier& frontier) {
+                                      detail::DistanceRow& row, Frontier& frontier) {
   const Topology& graph = adj.graph();
   const std::uint64_t n = graph.num_vertices();
   parent.begin(n);
@@ -49,27 +64,32 @@ std::optional<Path> best_first_search(ProbeContext& ctx, const AdjacencyView& ad
   frontier.emplace_back(metric_distance(graph, col, u, v), u);  // analyze:allow-hot-alloc(pooled frontier retains capacity across messages)
   while (!frontier.empty()) {
     std::pop_heap(frontier.begin(), frontier.end(), std::greater<>());
-    const VertexId x = frontier.back().second;
+    const auto [d, x] = frontier.back();
     frontier.pop_back();
     if (!expanded.emplace(x, x)) continue;  // already expanded
     ctx.note_expansion();
-    rank_slots(adj, col, x, v, std::numeric_limits<std::uint64_t>::max(), ranked);
-    for (const auto& [dy, i] : ranked) {
-      const VertexId y = adj.neighbor(x, i);
-      if (parent.contains(y)) continue;
-      if (!ctx.probe(x, i)) continue;
-      parent.emplace(y, x);
-      if (y == v) {
-        Path path;
-        for (VertexId z = v;; z = parent.at(z)) {
-          path.push_back(z);  // analyze:allow-hot-alloc(path materialization of the returned route)
-          if (z == u) break;
+    const int deg = fill_row(adj, col, x, v, d, row);
+    // Slots in (distance, slot) order: the buckets d - 1, d, d + 1, each in
+    // slot order (d >= 1, since v is never pushed).
+    for (std::uint64_t dy = d - 1; dy <= d + 1; ++dy) {
+      for (int i = 0; i < deg; ++i) {
+        if (row[static_cast<std::size_t>(i)] != dy) continue;
+        const VertexId y = adj.neighbor(x, i);
+        if (parent.contains(y)) continue;
+        if (!ctx.probe(x, i)) continue;
+        parent.emplace(y, x);
+        if (y == v) {
+          Path path;
+          for (VertexId z = v;; z = parent.at(z)) {
+            path.push_back(z);  // analyze:allow-hot-alloc(path materialization of the returned route)
+            if (z == u) break;
+          }
+          std::reverse(path.begin(), path.end());
+          return path;
         }
-        std::reverse(path.begin(), path.end());
-        return path;
+        frontier.emplace_back(dy, y);  // analyze:allow-hot-alloc(pooled frontier retains capacity across messages)
+        std::push_heap(frontier.begin(), frontier.end(), std::greater<>());
       }
-      frontier.emplace_back(dy, y);  // analyze:allow-hot-alloc(pooled frontier retains capacity across messages)
-      std::push_heap(frontier.begin(), frontier.end(), std::greater<>());
     }
   }
   return std::nullopt;
@@ -80,11 +100,12 @@ std::optional<Path> best_first_search(ProbeContext& ctx, const AdjacencyView& ad
 namespace detail {
 
 bool greedy_step(ProbeContext& ctx, const AdjacencyView& adj, const std::uint32_t* col,
-                 VertexId& x, VertexId v, RankedSlots& ranked) {
-  rank_slots(adj, col, x, v, metric_distance(adj.graph(), col, x, v), ranked);
-  for (const auto& [dy, i] : ranked) {
-    if (ctx.probe(x, i)) {
+                 VertexId& x, std::uint64_t& d, VertexId v, DistanceRow& row) {
+  const int deg = fill_row(adj, col, x, v, d, row);
+  for (int i = 0; i < deg; ++i) {
+    if (row[static_cast<std::size_t>(i)] + 1 == d && ctx.probe(x, i)) {
       x = adj.neighbor(x, i);
+      --d;
       return true;
     }
   }
@@ -96,16 +117,16 @@ bool greedy_step(ProbeContext& ctx, const AdjacencyView& adj, const std::uint32_
 std::optional<Path> GreedyDescentRouter::route(ProbeContext& ctx, VertexId u, VertexId v) {
   const AdjacencyView adj(ctx.graph(), ctx.flat_adjacency());
   const std::uint32_t* col = ctx.target_distances(v);
-  // Every accepted move lowers the fault-free distance to v by at least one,
-  // so a reachable target bounds the path at that distance + 1 vertices.
-  const std::uint64_t d = metric_distance(ctx.graph(), col, u, v);
+  // Every accepted move lowers the fault-free distance d to v by one, so a
+  // reachable target bounds the path at d + 1 vertices.
+  std::uint64_t d = metric_distance(ctx.graph(), col, u, v);
   Path path;
   if (d < ctx.graph().num_vertices()) path.reserve(d + 1);  // analyze:allow-hot-alloc(path materialization, reserved once to its bound)
   path.push_back(u);  // analyze:allow-hot-alloc(fills the reservation above)
   VertexId x = u;
   while (x != v) {
     ctx.note_expansion();  // each visited vertex is this router's "frontier pop"
-    if (!detail::greedy_step(ctx, adj, col, x, v, ranked_)) {
+    if (!detail::greedy_step(ctx, adj, col, x, d, v, row_)) {
       return std::nullopt;  // stuck: pure greedy gives up
     }
     path.push_back(x);  // analyze:allow-hot-alloc(path materialization, one vertex per accepted move)
@@ -117,7 +138,7 @@ std::optional<Path> BestFirstRouter::route(ProbeContext& ctx, VertexId u, Vertex
   if (u == v) return Path{u};
   const AdjacencyView adj(ctx.graph(), ctx.flat_adjacency());
   const std::uint32_t* col = ctx.target_distances(v);
-  return best_first_search(ctx, adj, col, u, v, parent_, expanded_, ranked_, frontier_);
+  return best_first_search(ctx, adj, col, u, v, parent_, expanded_, row_, frontier_);
 }
 
 }  // namespace faultroute

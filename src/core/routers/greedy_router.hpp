@@ -13,20 +13,20 @@ class AdjacencyView;
 
 namespace detail {
 
-/// Incident slots ranked by (fault-free distance from the slot's neighbor to
-/// the target, slot index) — the probe order of the metric routers.
-using RankedSlots = std::vector<std::pair<std::uint64_t, int>>;
+/// The pooled row of fault-free distances from a vertex's neighbors to the
+/// target (Topology::neighbor_distances, or an oracle column's entries).
+using DistanceRow = std::vector<std::uint64_t>;
 
 /// One greedy step from `x` towards `v`, shared by GreedyDescentRouter and
-/// HybridGreedyRouter's phase 1: ranks x's improving slots (neighbor
-/// strictly closer to v under the metric of `col`, see metric_distance) into
-/// `ranked`, probes them in that order, and moves `x` to the neighbor behind
-/// the first open one. Returns false, leaving `x`, if none is open. Counts
-/// no expansion; callers that treat a step as one do so themselves.
-/// `ranked` is pooled by the router, so a step allocates nothing once it has
-/// grown to the maximum degree.
+/// HybridGreedyRouter's phase 1. `d` is the fault-free distance from x to v
+/// under the metric of `col` (see metric_distance). Probes x's improving
+/// slots — neighbor at distance d - 1 — in slot order and moves `x` to the
+/// neighbor behind the first open one, lowering `d` by one. Returns false,
+/// leaving `x` and `d`, if none is open. Counts no expansion; callers that
+/// treat a step as one do so themselves. `row` is pooled by the router, so
+/// a step allocates nothing once it has grown to the maximum degree.
 bool greedy_step(ProbeContext& ctx, const AdjacencyView& adj, const std::uint32_t* col,
-                 VertexId& x, VertexId v, RankedSlots& ranked);
+                 VertexId& x, std::uint64_t& d, VertexId v, DistanceRow& row);
 
 }  // namespace detail
 
@@ -45,7 +45,7 @@ class GreedyDescentRouter : public Router {
   [[nodiscard]] bool uses_distance_metric() const override { return true; }
 
  private:
-  detail::RankedSlots ranked_;  // pooled step ranking
+  detail::DistanceRow row_;  // pooled neighbor-distance row
 };
 
 /// Best-first (greedy with backtracking): a complete local router that
@@ -62,10 +62,10 @@ class BestFirstRouter : public Router {
   [[nodiscard]] bool uses_distance_metric() const override { return true; }
 
  private:
-  // Search state pooled across a worker's messages: the per-expansion slot
-  // ranking, the (distance-to-target, vertex) min-heap frontier, and the
-  // parent and expanded marks.
-  detail::RankedSlots ranked_;
+  // Search state pooled across a worker's messages: the per-expansion
+  // neighbor-distance row, the (distance-to-target, vertex) min-heap
+  // frontier, and the parent and expanded marks.
+  detail::DistanceRow row_;
   std::vector<std::pair<std::uint64_t, VertexId>> frontier_;
   VertexMarks parent_;
   VertexMarks expanded_;

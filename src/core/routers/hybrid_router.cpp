@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "graph/distance_oracle.hpp"
 #include "graph/flat_adjacency.hpp"
 
 namespace faultroute {
@@ -13,9 +14,10 @@ std::optional<Path> HybridGreedyRouter::route(ProbeContext& ctx, VertexId u, Ver
   // Phase 1: pure greedy descent while it keeps making progress (no
   // expansions counted: only the repair phase's BFS expands).
   const std::uint32_t* col = ctx.target_distances(v);
+  std::uint64_t d = metric_distance(ctx.graph(), col, u, v);
   Path walk{u};
   VertexId x = u;
-  while (x != v && detail::greedy_step(ctx, adj, col, x, v, ranked_)) {
+  while (x != v && detail::greedy_step(ctx, adj, col, x, d, v, row_)) {
     walk.push_back(x);  // analyze:allow-hot-alloc(walk materialization, one vertex per accepted move)
   }
   if (x == v) return walk;

@@ -27,9 +27,9 @@ class HybridGreedyRouter : public Router {
   [[nodiscard]] bool uses_distance_metric() const override { return true; }
 
  private:
-  // Greedy-phase ranking and repair-phase walk state, pooled across the
-  // messages a worker routes.
-  detail::RankedSlots ranked_;
+  // Greedy-phase neighbor-distance row and repair-phase walk state, pooled
+  // across the messages a worker routes.
+  detail::DistanceRow row_;
   detail::LandmarkWalkState walk_state_;
 };
 

@@ -15,12 +15,12 @@ bool landmark_walk(ProbeContext& ctx, const AdjacencyView& adj, VertexId from, V
   // Position of each landmark along the base path (shortest-path vertices
   // are distinct).
   const std::uint64_t n = adj.graph().num_vertices();
-  VertexMarks& pos_of = state.pos_of;
+  WalkPositions& pos_of = state.pos_of;
   VertexMarks& parent = state.parent;
   std::vector<VertexId>& queue = state.queue;
-  pos_of.begin(n);
+  pos_of.begin(landmarks.size());
   for (std::size_t j = 0; j < landmarks.size(); ++j) {
-    pos_of.emplace(landmarks[j], static_cast<VertexId>(j));
+    pos_of.set(pos_of.entry_for(landmarks[j]), landmarks[j], j);
   }
 
   std::size_t pos = 0;
@@ -44,10 +44,10 @@ bool landmark_walk(ProbeContext& ctx, const AdjacencyView& adj, VertexId from, V
         if (parent.contains(y)) continue;
         if (!ctx.probe(x, i)) continue;
         parent.emplace(y, x);
-        VertexId y_pos = 0;
-        if (pos_of.lookup(y, y_pos) && static_cast<std::size_t>(y_pos) > pos) {
+        const WalkPositions::Entry& y_pos = pos_of.entry_for(y);
+        if (pos_of.live(y_pos) && y_pos.index > pos) {
           found = y;
-          found_pos = static_cast<std::size_t>(y_pos);
+          found_pos = y_pos.index;
           break;
         }
         queue.push_back(y);

@@ -4,19 +4,21 @@
 
 #include "core/path.hpp"
 #include "core/probe_context.hpp"
+#include "core/walk_positions.hpp"
 #include "graph/flat_adjacency.hpp"
 #include "graph/vertex_marks.hpp"
 
 namespace faultroute::detail {
 
 /// Search state of the landmark walk, pooled in the router across the
-/// messages a worker routes. `landmarks` holds the fault-free base path; the
-/// `pos_of` marks map a landmark vertex to its position along it; the
-/// `parent` marks hold the per-segment BFS tree; `queue` is that BFS's FIFO.
+/// messages a worker routes. `landmarks` holds the fault-free base path;
+/// `pos_of` maps a landmark vertex to its position along it, in a table
+/// sized by the path, not the graph; the `parent` marks hold the
+/// per-segment BFS tree; `queue` is that BFS's FIFO.
 struct LandmarkWalkState {
   std::vector<VertexId> landmarks;
   std::vector<VertexId> queue;
-  VertexMarks pos_of;
+  WalkPositions pos_of;
   VertexMarks parent;
 };
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "graph/topology.hpp"
@@ -45,6 +46,11 @@ class CompleteGraph final : public Topology {
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::uint64_t distance(VertexId u, VertexId v) const override {
     return u == v ? 0 : 1;
+  }
+  /// 0 at target's slot, 1 at every other.
+  void neighbor_distances(VertexId x, VertexId target, std::uint64_t* out) const override {
+    std::fill(out, out + (n_ - 1), std::uint64_t{1});
+    if (target != x) out[index_of(x, target)] = 0;
   }
   [[nodiscard]] std::vector<VertexId> shortest_path(VertexId u, VertexId v) const override;
 

@@ -9,8 +9,9 @@ namespace faultroute {
 namespace {
 
 /// kOnesBelowByte[c] = Σ_{u<c} popcount(u) for c in [0, 256], so a byte's
-/// own popcount is kOnesBelowByte[c + 1] − kOnesBelowByte[c] (without a
-/// popcnt instruction in the baseline ISA, std::popcount is a library call).
+/// own popcount is kOnesBelowByte[c + 1] − kOnesBelowByte[c]. Without a
+/// popcnt instruction in the baseline ISA, std::popcount is a library call,
+/// which is also why neighbor_distances makes one per row, not one per slot.
 constexpr std::array<std::uint16_t, 257> kOnesBelowByte = [] {
   std::array<std::uint16_t, 257> table{};
   for (unsigned c = 1; c < 257; ++c) {
@@ -31,6 +32,12 @@ std::string Hypercube::name() const { return "hypercube(n=" + std::to_string(n_)
 
 std::uint64_t Hypercube::distance(VertexId u, VertexId v) const {
   return static_cast<std::uint64_t>(std::popcount(u ^ v));
+}
+
+void Hypercube::neighbor_distances(VertexId x, VertexId target, std::uint64_t* out) const {
+  const VertexId diff = x ^ target;
+  const auto d = static_cast<std::uint64_t>(std::popcount(diff));
+  for (int i = 0; i < n_; ++i) out[i] = d + 1 - 2 * ((diff >> i) & 1);
 }
 
 std::uint32_t Hypercube::edge_id(VertexId v, int i) const {

@@ -45,6 +45,10 @@ class Hypercube final : public Topology {
   /// Hamming distance.
   [[nodiscard]] std::uint64_t distance(VertexId u, VertexId v) const override;
 
+  /// One Hamming distance d for the row: flipping bit i gives d - 1 where
+  /// x and target differ and d + 1 where they agree.
+  void neighbor_distances(VertexId x, VertexId target, std::uint64_t* out) const override;
+
   /// Shortest path flipping the differing bits in ascending bit order.
   [[nodiscard]] std::vector<VertexId> shortest_path(VertexId u, VertexId v) const override;
 

@@ -1,7 +1,6 @@
 #include "graph/mesh.hpp"
 
 #include <cassert>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
@@ -213,12 +212,32 @@ std::uint64_t Mesh::distance(VertexId u, VertexId v) const {
   const Coords cu = coords_of(u);
   const Coords cv = coords_of(v);
   std::uint64_t total = 0;
-  for (int a = 0; a < dim_; ++a) {
-    std::int64_t delta = std::llabs(cu[static_cast<std::size_t>(a)] - cv[static_cast<std::size_t>(a)]);
-    if (wrap_) delta = std::min(delta, side_ - delta);
-    total += static_cast<std::uint64_t>(delta);
+  for (std::size_t a = 0; a < static_cast<std::size_t>(dim_); ++a) {
+    total += axis_distance(cu[a], cv[a]);
   }
   return total;
+}
+
+void Mesh::neighbor_distances(VertexId x, VertexId target, std::uint64_t* out) const {
+  const Coords cx = coords_of(x);
+  const Coords ct = coords_of(target);
+  const auto dim = static_cast<std::size_t>(dim_);
+  std::uint64_t total = 0;
+  for (std::size_t a = 0; a < dim; ++a) total += axis_distance(cx[a], ct[a]);
+  // Slots in locate_move's order: per axis, the decreasing move, then the
+  // increasing one (on the mesh, each only where it stays inside).
+  int slot = 0;
+  for (std::size_t a = 0; a < dim; ++a) {
+    const std::int64_t c = cx[a];
+    const std::uint64_t rest = total - axis_distance(c, ct[a]);
+    if (wrap_) {
+      out[slot++] = rest + axis_distance(c == 0 ? side_ - 1 : c - 1, ct[a]);
+      out[slot++] = rest + axis_distance(c == side_ - 1 ? 0 : c + 1, ct[a]);
+    } else {
+      if (c > 0) out[slot++] = rest + axis_distance(c - 1, ct[a]);
+      if (c < side_ - 1) out[slot++] = rest + axis_distance(c + 1, ct[a]);
+    }
+  }
 }
 
 // analyze:allow-hot-alloc(closed-form path materialization, reserved to the exact length)

@@ -37,6 +37,9 @@ class Mesh final : public Topology {
   /// L1 (Manhattan) distance; on the torus, per-axis wrap-around distance.
   [[nodiscard]] std::uint64_t distance(VertexId u, VertexId v) const override;
 
+  /// Decodes x and target once; each slot then changes one axis term.
+  void neighbor_distances(VertexId x, VertexId target, std::uint64_t* out) const override;
+
   /// Axis-by-axis monotone shortest path.
   [[nodiscard]] std::vector<VertexId> shortest_path(VertexId u, VertexId v) const override;
 
@@ -65,6 +68,11 @@ class Mesh final : public Topology {
   /// Enumerates the i-th valid (axis, direction) move from v.
   /// direction: 0 = decreasing coordinate, 1 = increasing.
   void locate_move(VertexId v, int i, int& axis, int& direction) const;
+  /// The distance term of one axis between coordinates a and b.
+  [[nodiscard]] std::uint64_t axis_distance(std::int64_t a, std::int64_t b) const {
+    const std::int64_t delta = a > b ? a - b : b - a;
+    return static_cast<std::uint64_t>(wrap_ && side_ - delta < delta ? side_ - delta : delta);
+  }
   /// locate_move on the mesh (no wrap), given v's coordinates.
   void locate_mesh_move(const Coords& c, int i, int& axis, int& direction) const;
 

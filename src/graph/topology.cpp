@@ -47,6 +47,11 @@ std::uint64_t Topology::distance(VertexId u, VertexId v) const {
   return n;
 }
 
+void Topology::neighbor_distances(VertexId x, VertexId target, std::uint64_t* out) const {
+  const int deg = degree(x);
+  for (int i = 0; i < deg; ++i) out[i] = distance(neighbor(x, i), target);
+}
+
 // analyze:allow-hot-alloc(pooled thread-local scratch plus result materialization)
 std::vector<VertexId> Topology::shortest_path(VertexId u, VertexId v) const {
   // The same template as the CSR-row BFS of graph/flat_adjacency.hpp, so the

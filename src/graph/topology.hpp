@@ -92,11 +92,20 @@ class Topology {
   /// Default: BFS (small graphs only). Returns num_vertices() if unreachable.
   [[nodiscard]] virtual std::uint64_t distance(VertexId u, VertexId v) const;
 
-  /// True iff this family overrides both distance() and shortest_path()
-  /// with a closed form (hypercube Hamming distance, mesh L1, complete
-  /// graph); false iff both are the default BFS below. Two callers rely on
-  /// that contract: the routing phase skips precomputing distance-oracle
-  /// columns (graph/distance_oracle.hpp) for closed forms, and the CSR
+  /// The fault-free distance from every neighbor of x to `target`: out[i] =
+  /// distance(neighbor(x, i), target) for i in [0, degree(x)), so `out`
+  /// must hold degree(x) entries. In a graph metric each entry is within
+  /// one of distance(x, target), which is what lets the metric routers
+  /// (core/routers/greedy_router.hpp) take their probe order from the row
+  /// without sorting it. Default: one distance() call per slot.
+  virtual void neighbor_distances(VertexId x, VertexId target, std::uint64_t* out) const;
+
+  /// True iff this family overrides distance(), shortest_path() and
+  /// neighbor_distances() with a closed form (hypercube Hamming distance,
+  /// mesh L1, complete graph); false iff all three are the defaults. Two
+  /// callers rely on that contract: the routing phase skips precomputing
+  /// distance-oracle columns (graph/distance_oracle.hpp) for closed forms,
+  /// so a metric router reads their rows from neighbor_distances(), and the CSR
   /// shortest_path of graph/flat_adjacency.hpp hands closed forms to the
   /// override, because the override picks its own path, while it runs the
   /// default BFS over CSR rows for every other family. A family that

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "graph/topology.hpp"
+#include "random/rng.hpp"
 
 namespace faultroute::testing {
 
@@ -92,6 +96,42 @@ inline void check_shortest_path(const Topology& g,
     const std::set<VertexId> unique(path.begin(), path.end());
     ASSERT_EQ(unique.size(), path.size()) << g.name() << ": path repeats a vertex";
   }
+}
+
+/// neighbor_distances() row contract at the given (x, target) pairs: entry i
+/// is distance(neighbor(x, i), target), within one of distance(x, target)
+/// (the metric routers' bucket order depends on both), and nothing past
+/// degree(x) is written.
+inline void check_neighbor_distances(const Topology& g,
+                                     const std::vector<std::pair<VertexId, VertexId>>& pairs) {
+  constexpr std::uint64_t kUnwritten = ~std::uint64_t{0};
+  std::vector<std::uint64_t> row;
+  for (const auto& [x, t] : pairs) {
+    const auto deg = static_cast<std::size_t>(g.degree(x));
+    row.assign(deg + 1, kUnwritten);
+    g.neighbor_distances(x, t, row.data());
+    const std::uint64_t d = g.distance(x, t);
+    for (std::size_t i = 0; i < deg; ++i) {
+      ASSERT_EQ(row[i], g.distance(g.neighbor(x, static_cast<int>(i)), t))
+          << g.name() << ": neighbor_distances(" << x << "," << t << ")[" << i << "]";
+      ASSERT_LE(row[i], d + 1) << g.name() << ": (" << x << "," << t << ") slot " << i;
+      ASSERT_LE(d, row[i] + 1) << g.name() << ": (" << x << "," << t << ") slot " << i;
+    }
+    ASSERT_EQ(row[deg], kUnwritten) << g.name() << ": row of " << x << " overruns its degree";
+  }
+}
+
+/// `count` uniformly random (x, target) pairs of g, reproducible per seed.
+inline std::vector<std::pair<VertexId, VertexId>> random_vertex_pairs(const Topology& g,
+                                                                      int count,
+                                                                      std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::pair<VertexId, VertexId>> pairs;
+  for (int k = 0; k < count; ++k) {
+    const VertexId x = uniform_below(rng, g.num_vertices());
+    pairs.emplace_back(x, uniform_below(rng, g.num_vertices()));
+  }
+  return pairs;
 }
 
 /// Runs every structural check on a small topology.

@@ -95,6 +95,13 @@ TEST(DoubleTree, StructuralInvariants) {
   }
 }
 
+TEST(DoubleTree, NeighborDistancesFollowTheRowContract) {
+  const DoubleBinaryTree g(4);
+  auto pairs = faultroute::testing::random_vertex_pairs(g, 200, 17);
+  pairs.emplace_back(g.root1(), g.root2());
+  faultroute::testing::check_neighbor_distances(g, pairs);
+}
+
 TEST(DoubleTree, ShortestPathRootToRoot) {
   const DoubleBinaryTree g(4);
   faultroute::testing::check_shortest_path(g, {{g.root1(), g.root2()}});

@@ -56,6 +56,12 @@ TEST(CubeConnectedCycles, StructuralInvariants) {
   }
 }
 
+TEST(CubeConnectedCycles, NeighborDistancesFollowTheRowContract) {
+  const CubeConnectedCycles g(4);
+  faultroute::testing::check_neighbor_distances(
+      g, faultroute::testing::random_vertex_pairs(g, 200, 13));
+}
+
 TEST(CubeConnectedCycles, DiameterIsLogarithmic) {
   const CubeConnectedCycles g(5);  // 160 vertices
   std::uint64_t max_dist = 0;

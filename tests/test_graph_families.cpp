@@ -55,6 +55,17 @@ TEST(CompleteGraph, StructuralInvariants) {
   faultroute::testing::check_topology_invariants(CompleteGraph(7));
 }
 
+TEST(CompleteGraph, NeighborDistancesFollowTheRowContract) {
+  for (const std::uint64_t n : {2ULL, 7ULL, 64ULL}) {
+    const CompleteGraph g(n);
+    auto pairs = faultroute::testing::random_vertex_pairs(g, 100, 3);
+    pairs.emplace_back(0, 0);
+    pairs.emplace_back(0, n - 1);
+    pairs.emplace_back(n - 1, 0);
+    faultroute::testing::check_neighbor_distances(g, pairs);
+  }
+}
+
 TEST(CompleteGraph, DistanceIsZeroOrOne) {
   const CompleteGraph g(4);
   EXPECT_EQ(g.distance(1, 1), 0u);
@@ -244,6 +255,15 @@ TEST(ExplicitGraph, SupportsParallelEdges) {
   faultroute::testing::check_topology_invariants(g);
 }
 
+TEST(ExplicitGraph, NeighborDistancesFollowTheRowContract) {
+  // Parallel edges, and a disconnected pair whose whole row is the
+  // unreachable sentinel.
+  const ExplicitGraph g(7, {{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}, {0, 2}, {4, 5}, {5, 6}});
+  auto pairs = faultroute::testing::random_vertex_pairs(g, 100, 5);
+  pairs.emplace_back(0, 5);
+  faultroute::testing::check_neighbor_distances(g, pairs);
+}
+
 TEST(ExplicitGraph, StructuralInvariants) {
   const ExplicitGraph g(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {0, 2}});
   faultroute::testing::check_topology_invariants(g);
@@ -278,6 +298,19 @@ TEST_P(FamilyInvariantTest, DefaultDistanceIsSymmetric) {
 
 INSTANTIATE_TEST_SUITE_P(AllFamilies, FamilyInvariantTest,
                          ::testing::ValuesIn(small_family()));
+
+TEST(FamilySweep, NeighborDistancesFollowTheRowContract) {
+  // The BFS-metric families through the default row, plus the k = 2
+  // butterfly's parallel edges.
+  auto families = small_family();
+  families.push_back(std::make_shared<Butterfly>(2));
+  for (const auto& entry : families) {
+    const Topology& g = *entry;
+    SCOPED_TRACE(g.name());
+    faultroute::testing::check_neighbor_distances(
+        g, faultroute::testing::random_vertex_pairs(g, 200, 9));
+  }
+}
 
 // ------------------------------------------------------------ ChannelIndex
 

@@ -50,6 +50,17 @@ TEST(Hypercube, StructuralInvariants) {
   }
 }
 
+TEST(Hypercube, NeighborDistancesFollowTheRowContract) {
+  for (const int n : {1, 3, 8, 40}) {
+    SCOPED_TRACE(n);
+    const Hypercube g(n);
+    auto pairs = faultroute::testing::random_vertex_pairs(g, 200, 11);
+    pairs.emplace_back(0, 0);
+    pairs.emplace_back(0, g.num_vertices() - 1);
+    faultroute::testing::check_neighbor_distances(g, pairs);
+  }
+}
+
 TEST(Hypercube, DistanceAgreesWithBfs) {
   const Hypercube g(6);
   faultroute::testing::check_distance_against_bfs(

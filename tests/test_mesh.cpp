@@ -62,6 +62,23 @@ TEST(Mesh, StructuralInvariants) {
   faultroute::testing::check_topology_invariants(Mesh(4, 3));
 }
 
+TEST(Mesh, NeighborDistancesFollowTheRowContract) {
+  // Every vertex of the small meshes as x, so corners and edges are all
+  // covered; tori with odd sides (level neighbors) and even ones.
+  const std::vector<Mesh> graphs = {Mesh(1, 6),       Mesh(2, 5),       Mesh(3, 4),
+                                    Mesh(2, 2),       Mesh(2, 5, true), Mesh(2, 6, true),
+                                    Mesh(3, 3, true), Mesh(3, 4, true), Mesh(1, 7, true)};
+  for (const Mesh& g : graphs) {
+    SCOPED_TRACE(g.name());
+    auto pairs = faultroute::testing::random_vertex_pairs(g, 100, 7);
+    for (VertexId x = 0; x < g.num_vertices(); ++x) {
+      pairs.emplace_back(x, (x * 7 + 3) % g.num_vertices());
+      pairs.emplace_back(x, x);
+    }
+    faultroute::testing::check_neighbor_distances(g, pairs);
+  }
+}
+
 TEST(Mesh, DistanceAgreesWithBfs) {
   const Mesh g(2, 6);
   faultroute::testing::check_distance_against_bfs(

@@ -34,9 +34,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -51,6 +49,7 @@
 #include "graph/double_tree.hpp"
 #include "graph/hypercube.hpp"
 #include "graph/mesh.hpp"
+#include "graph/vertex_marks.hpp"
 #include "percolation/chemical_distance.hpp"
 #include "percolation/cluster_analysis.hpp"
 #include "percolation/edge_sampler.hpp"
@@ -148,23 +147,25 @@ TEST(PaperClaims, E1HypercubeBlowUpAcrossAlphaHalfSharpensWithN) {
 
 /// Whether `target` joins `centre` by an open path inside the Hamming ball
 /// of radius `radius` around `centre`: BFS from the centre over open
-/// in-ball edges, not expanded outwards from the boundary sphere.
+/// in-ball edges, not expanded outwards from the boundary sphere. The
+/// visited marks and the FIFO are pooled across calls.
 bool connects_inside_ball(const Hypercube& cube, const EdgeSampler& sampler, VertexId centre,
                           VertexId target, int radius) {
-  std::unordered_set<VertexId> seen{centre};
-  std::queue<VertexId> queue;
-  queue.push(centre);
-  while (!queue.empty()) {
-    const VertexId x = queue.front();
-    queue.pop();
+  static thread_local VertexMarks seen;
+  static thread_local std::vector<VertexId> queue;
+  seen.begin(cube.num_vertices());
+  seen.emplace(centre, centre);
+  queue.assign(1, centre);
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const VertexId x = queue[head];
     if (static_cast<int>(cube.distance(centre, x)) == radius) continue;
     for (int i = 0; i < cube.degree(x); ++i) {
       const VertexId y = cube.neighbor(x, i);
       if (static_cast<int>(cube.distance(centre, y)) > radius) continue;
       if (seen.contains(y) || !sampler.is_open(cube.edge_key(x, i))) continue;
       if (y == target) return true;
-      seen.insert(y);
-      queue.push(y);
+      seen.emplace(y, x);
+      queue.push_back(y);
     }
   }
   return false;

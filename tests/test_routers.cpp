@@ -1,19 +1,33 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <initializer_list>
 #include <memory>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/routers/bidirectional_router.hpp"
 #include "core/routers/double_tree_routers.hpp"
 #include "core/routers/flood_router.hpp"
 #include "core/routers/gnp_routers.hpp"
 #include "core/routers/greedy_router.hpp"
+#include "core/routers/hybrid_router.hpp"
 #include "core/routers/landmark_router.hpp"
 #include "graph/complete.hpp"
+#include "graph/de_bruijn.hpp"
+#include "graph/distance_oracle.hpp"
 #include "graph/double_tree.hpp"
 #include "graph/hypercube.hpp"
 #include "graph/mesh.hpp"
+#include "helpers/reference_metric_routers.hpp"
 #include "percolation/cluster_analysis.hpp"
 #include "percolation/edge_sampler.hpp"
+#include "percolation/shared_probe_cache.hpp"
 #include "random/rng.hpp"
 
 namespace faultroute {
@@ -225,6 +239,158 @@ TEST(BestFirst, BacktracksWhereGreedyFails) {
   const auto path = route_and_check(r, g, s, 0, 1);
   ASSERT_TRUE(path.has_value());
   EXPECT_EQ(path->size() - 1, 3u);  // e.g. 0 -> 2 -> 3 -> 1
+}
+
+// ------------------------------------- metric routers vs the naive ranking
+
+/// Passes queries to `base` and records each key asked for, in order: the
+/// fresh probes of a context whose arena memoises repeats.
+class LoggingSampler final : public EdgeSampler {
+ public:
+  explicit LoggingSampler(const EdgeSampler& base) : base_(base) {}
+  [[nodiscard]] bool is_open(EdgeKey key) const override {
+    keys_.push_back(key);
+    return base_.is_open(key);
+  }
+  [[nodiscard]] double survival_probability() const override {
+    return base_.survival_probability();
+  }
+  [[nodiscard]] const std::vector<EdgeKey>& keys() const { return keys_; }
+
+ private:
+  const EdgeSampler& base_;
+  mutable std::vector<EdgeKey> keys_;
+};
+
+struct LoggedRoute {
+  std::optional<Path> path;
+  std::vector<EdgeKey> probes;  // distinct probes, in probe order
+  std::uint64_t total_probes = 0;
+  std::uint64_t expansions = 0;
+};
+
+using RouteFn = std::function<std::optional<Path>(ProbeContext&, VertexId, VertexId)>;
+
+/// Routes u -> v in `env` on a fresh arena: a single-pair arena (implicit
+/// adjacency, no distance oracle) or, with `csr`, a batch arena over the
+/// CSR snapshot with v's oracle column attached.
+LoggedRoute route_logged(const Topology& g, const EdgeSampler& env, bool csr,
+                         const RouteFn& route, VertexId u, VertexId v) {
+  const LoggingSampler log(env);
+  LoggedRoute out;
+  const auto run = [&](ProbeContext& ctx) {
+    out.path = route(ctx, u, v);
+    out.total_probes = ctx.total_probes();
+    out.expansions = ctx.expansions();
+  };
+  if (csr) {
+    const SharedProbeCache cache(log, g);
+    ProbeArena arena(cache);
+    const FlatAdjacency& flat = g.flat_adjacency();
+    const DistanceOracle& oracle = flat.distance_oracle();
+    oracle.ensure_targets({v});
+    ProbeContext ctx(arena, u, RoutingMode::kLocal, std::nullopt, &flat, &oracle);
+    EXPECT_NE(ctx.target_distances(v), nullptr) << g.name();
+    run(ctx);
+  } else {
+    ProbeArena arena(g);
+    ProbeContext ctx(arena, log, u, RoutingMode::kLocal);
+    run(ctx);
+  }
+  out.probes = log.keys();
+  return out;
+}
+
+TEST(MetricRouters, ProbeInTheOrderOfTheNaiveSortedRanking) {
+  struct GraphCase {
+    std::shared_ptr<Topology> graph;
+    bool csr;
+  };
+  const auto debruijn = std::make_shared<DeBruijn>(6);
+  const std::vector<GraphCase> graphs = {
+      {std::make_shared<Hypercube>(8), false},
+      {std::make_shared<Mesh>(2, 7, /*wrap=*/true), false},  // odd side: level neighbors
+      {std::make_shared<Mesh>(2, 8), false},
+      {debruijn, true},   // rows from the oracle column
+      {debruijn, false},  // rows from the default neighbor_distances
+  };
+  GreedyDescentRouter greedy;
+  BestFirstRouter best_first;
+  HybridGreedyRouter hybrid;
+  struct MetricRouterCase {
+    Router& router;  // pooled across every pair, as in a traffic worker
+    RouteFn reference;
+  };
+  const std::vector<MetricRouterCase> routers = {{greedy, reference::greedy_descent},
+                                           {best_first, reference::best_first},
+                                           {hybrid, reference::hybrid_greedy}};
+  std::uint64_t routed = 0;
+  for (const GraphCase& c : graphs) {
+    const Topology& g = *c.graph;
+    for (const double p : {0.45, 0.7}) {
+      Rng rng(derive_seed(19, static_cast<std::uint64_t>(p * 100)));
+      for (int pair = 0; pair < 25; ++pair) {
+        const VertexId u = uniform_below(rng, g.num_vertices());
+        const VertexId v = uniform_below(rng, g.num_vertices());
+        const HashEdgeSampler env(p, derive_seed(23, static_cast<std::uint64_t>(pair)));
+        for (const MetricRouterCase& r : routers) {
+          SCOPED_TRACE(r.router.name() + " on " + g.name() + (c.csr ? " (CSR)" : " (implicit)") +
+                       " p=" + std::to_string(p) + " " + std::to_string(u) + "->" +
+                       std::to_string(v));
+          const RouteFn library = [&r](ProbeContext& ctx, VertexId a, VertexId b) {
+            return r.router.route(ctx, a, b);
+          };
+          const LoggedRoute got = route_logged(g, env, c.csr, library, u, v);
+          const LoggedRoute want = route_logged(g, env, c.csr, r.reference, u, v);
+          ASSERT_EQ(got.probes, want.probes);
+          EXPECT_EQ(got.path, want.path);
+          EXPECT_EQ(got.total_probes, want.total_probes);
+          EXPECT_EQ(got.expansions, want.expansions);
+          if (got.path) ++routed;
+        }
+      }
+    }
+  }
+  EXPECT_GT(routed, 100u);  // not vacuous: many pairs routed, not all stuck
+}
+
+/// The path 0 - 1 - 2 - 3 with a neighbor_distances that breaks the graph
+/// metric: every neighbor reads 3 further from the target than it is.
+class SkewedRowPath final : public Topology {
+ public:
+  [[nodiscard]] std::uint64_t num_vertices() const override { return 4; }
+  [[nodiscard]] std::uint64_t num_edges() const override { return 3; }
+  [[nodiscard]] int degree(VertexId v) const override { return v == 0 || v == 3 ? 1 : 2; }
+  [[nodiscard]] VertexId neighbor(VertexId v, int i) const override {
+    return v == 0 || (v != 3 && i == 1) ? v + 1 : v - 1;
+  }
+  [[nodiscard]] EdgeKey edge_key(VertexId v, int i) const override {
+    return std::min(v, neighbor(v, i));
+  }
+  [[nodiscard]] EdgeEndpoints endpoints(EdgeKey key) const override { return {key, key + 1}; }
+  [[nodiscard]] std::string name() const override { return "skewed-row-path"; }
+  void neighbor_distances(VertexId x, VertexId target, std::uint64_t* out) const override {
+    Topology::neighbor_distances(x, target, out);
+    for (int i = 0; i < degree(x); ++i) out[i] += 3;
+  }
+};
+
+TEST(MetricRouters, RejectARowThatBreaksTheGraphMetric) {
+  const SkewedRowPath g;
+  const HashEdgeSampler s(1.0, 1);
+  GreedyDescentRouter greedy;
+  BestFirstRouter best_first;
+  HybridGreedyRouter hybrid;
+  for (Router* r : std::initializer_list<Router*>{&greedy, &best_first, &hybrid}) {
+    ProbeArena arena(g);
+    ProbeContext ctx(arena, s, 0, r->required_mode());
+    try {
+      (void)r->route(ctx, 0, 3);
+      ADD_FAILURE() << r->name() << " accepted a row outside d +- 1";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("skewed-row-path"), std::string::npos) << e.what();
+    }
+  }
 }
 
 // ------------------------------------------------------- DoubleTree routers
