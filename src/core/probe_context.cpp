@@ -12,7 +12,7 @@ ProbeArena::ProbeArena(const SharedProbeCache& cache) : ProbeArena(cache.graph()
 ProbeArena::ProbeArena(const Topology& graph) : ProbeArena(graph, nullptr, fits_dense(graph)) {}
 
 ProbeArena::ProbeArena(const Topology& graph, const SharedProbeCache* batch, bool dense)
-    : graph_(graph), batch_(batch), dense_(dense) {
+    : graph_(graph), adjacency_(graph, nullptr), batch_(batch), dense_(dense) {
   if (!dense_) return;
   channels_ = &graph.channel_index();
   const std::uint32_t edges = channels_->num_edge_ids();
@@ -65,7 +65,8 @@ ProbeContext::ProbeContext(ProbeArena& arena, const EdgeSampler* sampler, Vertex
                            RoutingMode mode, std::optional<std::uint64_t> budget,
                            const FlatAdjacency* flat, const DistanceOracle* oracle)
     : arena_(arena), graph_(arena.graph()), source_(source), mode_(mode), budget_(budget),
-      flat_(flat), oracle_(oracle) {
+      flat_(flat), adjacency_(flat != nullptr ? AdjacencyView(graph_, flat) : arena.adjacency_),
+      oracle_(oracle) {
   if (arena.in_use_) {
     // analyze:allow-throw-safety(arena-sharing contract violation is a programming error; surfaced via first_error)
     throw ProbeArenaInUse("ProbeContext: the ProbeArena is held by another live context");
@@ -110,7 +111,8 @@ namespace {
 
 /// The dense side's implicit adjacency accessor: virtual dispatch, and the
 /// channel index's edge ids — the family's closed form where it has one, so
-/// no table is built (the CSR accessor, FlatAccess, is in the header).
+/// no table is built (the row accessors probe(rows, v, i) takes are in
+/// graph/flat_adjacency.hpp).
 struct VirtualAccess {
   const Topology* graph;
   const ChannelIndex* channels;
@@ -158,10 +160,12 @@ bool ProbeContext::probe_implicit(VertexId v, int i) {
 }
 
 bool ProbeContext::probe_between(VertexId a, VertexId b) {
-  const int i = flat_ != nullptr ? edge_index_of(*flat_, a, b) : edge_index_of(graph_, a, b);
-  // analyze:allow-throw-safety(adjacency precondition guard; surfaced via first_error)
-  if (i < 0) throw std::invalid_argument("probe_between: vertices are not adjacent");
-  return probe(a, i);
+  return adjacency_.visit([&](const auto& rows) {
+    const int i = rows.edge_index_of(a, b);
+    // analyze:allow-throw-safety(adjacency precondition guard; surfaced via first_error)
+    if (i < 0) throw std::invalid_argument("probe_between: vertices are not adjacent");
+    return probe(rows, a, i);
+  });
 }
 
 }  // namespace faultroute

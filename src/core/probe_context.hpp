@@ -4,6 +4,7 @@
 #include <limits>
 #include <optional>
 #include <stdexcept>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -133,6 +134,7 @@ class ProbeArena {
   void begin_message(const EdgeSampler* sampler);
 
   const Topology& graph_;
+  const AdjacencyView adjacency_;  // graph_'s without a CSR, picked once
   const SharedProbeCache* batch_;  // the batch's cache (nullptr: single pairs)
   const EdgeSampler* sampler_ = nullptr;  // single pairs: the live context's environment
   const bool dense_;
@@ -208,7 +210,22 @@ class ProbeContext {
   /// Throws LocalityViolation (kLocal mode, edge not incident to the reached
   /// set) or ProbeBudgetExceeded.
   bool probe(VertexId v, int i) {
-    if (flat_ != nullptr) return probe_with<DenseMemo<FlatAccess, true>>(FlatAccess{flat_}, v, i);
+    if (flat_ != nullptr) return probe_with<DenseMemo<FlatRows, true>>(FlatRows{flat_}, v, i);
+    return probe_implicit(v, i);
+  }
+
+  /// probe(v, i) through `rows`, the accessor adjacency().visit handed the
+  /// router: the same answers and counts, with neighbor, edge id and edge
+  /// key resolved by that accessor, so on a traffic batch a closed-form
+  /// family's probe inlines into the router's loop the way a CSR probe
+  /// does. The virtual accessor and single pairs probe out of line: a
+  /// second inlined memo kind costs the batch's loops ~15% (bidirectional
+  /// on hypercube:13).
+  template <typename Rows>
+  bool probe(const Rows& rows, VertexId v, int i) {
+    if constexpr (!std::is_same_v<Rows, VirtualRows>) {
+      if (arena_.batch_ != nullptr) return probe_with<DenseMemo<Rows, true>>(rows, v, i);
+    }
     return probe_implicit(v, i);
   }
 
@@ -221,10 +238,11 @@ class ProbeContext {
   [[nodiscard]] VertexId source() const { return source_; }
   [[nodiscard]] RoutingMode mode() const { return mode_; }
 
-  /// The CSR snapshot this context probes through, or nullptr on the
-  /// implicit path. Routers use it to iterate neighbor rows without virtual
-  /// dispatch (wrap it in an AdjacencyView to stay backend-agnostic).
-  [[nodiscard]] const FlatAdjacency* flat_adjacency() const { return flat_; }
+  /// The adjacency this context probes through: the batch's CSR when it
+  /// has one, else the family's closed form or the virtual interface,
+  /// picked once per arena. Routers visit it once per route call and scan
+  /// rows and probe through the accessor it hands them.
+  [[nodiscard]] const AdjacencyView& adjacency() const { return adjacency_; }
 
   /// The memoised fault-free distance column for `target` (entry x =
   /// graph().distance(x, target), unreachable = num_vertices()), or nullptr
@@ -259,18 +277,9 @@ class ProbeContext {
                RoutingMode mode, std::optional<std::uint64_t> budget,
                const FlatAdjacency* flat, const DistanceOracle* oracle);
 
-  /// The CSR accessor of the dense side: array loads off the snapshot.
-  struct FlatAccess {
-    const FlatAdjacency* flat;
-    [[nodiscard]] VertexId neighbor(VertexId v, int i) const { return flat->neighbor(v, i); }
-    [[nodiscard]] std::uint32_t edge_id(VertexId v, int i) const {
-      return flat->edge_id(v, i);
-    }
-    [[nodiscard]] EdgeKey edge_key(VertexId v, int i) const { return flat->edge_key(v, i); }
-  };
-
   /// The arena's dense side, parameterized only on how neighbor / edge id /
-  /// edge key are resolved, so the CSR and implicit paths cannot drift, and
+  /// edge key are resolved (a row accessor of graph/flat_adjacency.hpp, or
+  /// the channel index's), so the CSR and implicit paths cannot drift, and
   /// on where answers live: the batch's cache (kBatch) or the arena's
   /// answer bits. probe_with builds the memo from the arena and an Access,
   /// and it keeps no per-probe state: slot() names the edge, by its id here.
@@ -347,6 +356,8 @@ class ProbeContext {
   std::uint64_t expansions_ = 0;
   // A batch's flat adjacency snapshot (nullptr = implicit virtual path).
   const FlatAdjacency* flat_ = nullptr;
+  // flat_ when set, else the arena's closed-form or virtual adjacency.
+  AdjacencyView adjacency_;
   // Cached distance oracle (nullptr = metric routers call graph.distance).
   const DistanceOracle* oracle_ = nullptr;
 };

@@ -29,9 +29,10 @@ Path chain_to_root(const Side& side, VertexId from) {
   return path;  // from .. root
 }
 
-std::optional<Path> bidirectional_search(ProbeContext& ctx, const AdjacencyView& adj,
-                                         VertexId u, VertexId v, Side from_u, Side from_v) {
-  const std::uint64_t n = adj.graph().num_vertices();
+template <typename Rows>
+std::optional<Path> bidirectional_search(ProbeContext& ctx, const Rows& rows, VertexId u,
+                                         VertexId v, Side from_u, Side from_v) {
+  const std::uint64_t n = rows.graph().num_vertices();
   from_u.parent->begin(n);
   from_v.parent->begin(n);
   from_u.frontier->clear();
@@ -58,11 +59,11 @@ std::optional<Path> bidirectional_search(ProbeContext& ctx, const AdjacencyView&
     Side& other = expand_u ? from_v : from_u;
     const VertexId x = (*mine.frontier)[mine.head++];
     ctx.note_expansion();
-    const int deg = adj.degree(x);
+    const int deg = rows.degree(x);
     for (int i = 0; i < deg; ++i) {
-      const VertexId y = adj.neighbor(x, i);
+      const VertexId y = rows.neighbor(x, i);
       if (mine.parent->contains(y)) continue;
-      if (!ctx.probe(x, i)) continue;
+      if (!ctx.probe(rows, x, i)) continue;
       if (other.parent->contains(y)) {
         // The two balls touch along edge (x, y).
         if (expand_u) return join(y, x);
@@ -79,9 +80,10 @@ std::optional<Path> bidirectional_search(ProbeContext& ctx, const AdjacencyView&
 
 std::optional<Path> BidirectionalBfsRouter::route(ProbeContext& ctx, VertexId u, VertexId v) {
   if (u == v) return Path{u};
-  const AdjacencyView adj(ctx.graph(), ctx.flat_adjacency());
-  return bidirectional_search(ctx, adj, u, v, Side{&parent_u_, &queue_u_},
-                              Side{&parent_v_, &queue_v_});
+  return ctx.adjacency().visit([&](const auto& rows) {
+    return bidirectional_search(ctx, rows, u, v, Side{&parent_u_, &queue_u_},
+                                Side{&parent_v_, &queue_v_});
+  });
 }
 
 }  // namespace faultroute

@@ -12,10 +12,11 @@ namespace {
 /// The flood BFS. The queue is a caller-pooled vector with a head cursor —
 /// identical FIFO order to a std::queue, no per-message allocation in
 /// steady state.
-std::optional<Path> flood_search(ProbeContext& ctx, const AdjacencyView& adj, VertexId u,
-                                 VertexId v, bool probe_target_first, VertexMarks& parent,
+template <typename Rows>
+std::optional<Path> flood_search(ProbeContext& ctx, const Rows& rows, VertexId u, VertexId v,
+                                 bool probe_target_first, VertexMarks& parent,
                                  std::vector<VertexId>& queue) {
-  parent.begin(adj.graph().num_vertices());
+  parent.begin(rows.graph().num_vertices());
   parent.emplace(u, u);
   queue.clear();
   queue.push_back(u);
@@ -34,15 +35,15 @@ std::optional<Path> flood_search(ProbeContext& ctx, const AdjacencyView& adj, Ve
   while (head < queue.size()) {
     const VertexId x = queue[head++];
     ctx.note_expansion();
-    const int deg = adj.degree(x);
+    const int deg = rows.degree(x);
     int target_index = -1;
-    if (probe_target_first) target_index = adj.edge_index_of(x, v);
+    if (probe_target_first) target_index = rows.edge_index_of(x, v);
     for (int step = (target_index >= 0 ? -1 : 0); step < deg; ++step) {
       const int i = (step == -1) ? target_index : step;
       if (step != -1 && i == target_index && target_index >= 0) continue;  // done already
-      const VertexId y = adj.neighbor(x, i);
+      const VertexId y = rows.neighbor(x, i);
       if (parent.contains(y)) continue;
-      if (!ctx.probe(x, i)) continue;
+      if (!ctx.probe(rows, x, i)) continue;
       parent.emplace(y, x);
       if (y == v) return build_path(v);
       queue.push_back(y);
@@ -55,8 +56,9 @@ std::optional<Path> flood_search(ProbeContext& ctx, const AdjacencyView& adj, Ve
 
 std::optional<Path> FloodRouter::route(ProbeContext& ctx, VertexId u, VertexId v) {
   if (u == v) return Path{u};
-  const AdjacencyView adj(ctx.graph(), ctx.flat_adjacency());
-  return flood_search(ctx, adj, u, v, probe_target_first_, parent_, queue_);
+  return ctx.adjacency().visit([&](const auto& rows) {
+    return flood_search(ctx, rows, u, v, probe_target_first_, parent_, queue_);
+  });
 }
 
 }  // namespace faultroute

@@ -19,26 +19,27 @@ using Frontier = std::vector<std::pair<std::uint64_t, VertexId>>;  // (distance-
 /// Fills `row` with the fault-free distance from each neighbor of x to v —
 /// the oracle column's entries when `col` is cached, else one
 /// Topology::neighbor_distances call (identical values either way) — and
-/// returns x's degree. Neighbor scans go through the adjacency view (CSR
-/// row when a snapshot is up). Every entry must lie within one of d =
+/// returns x's degree. Neighbor scans go through the row accessor `rows`
+/// (graph/flat_adjacency.hpp). Every entry must lie within one of d =
 /// d(x, v), as in any graph metric: the metric routers' (distance, slot)
 /// probe order is then slot order within the buckets d - 1, d and d + 1, and
 /// needs no sort. An entry outside them throws std::logic_error naming the
 /// topology.
-int fill_row(const AdjacencyView& adj, const std::uint32_t* col, VertexId x, VertexId v,
+template <typename Rows>
+int fill_row(const Rows& rows, const std::uint32_t* col, VertexId x, VertexId v,
              std::uint64_t d, detail::DistanceRow& row) {
-  const int deg = adj.degree(x);
+  const int deg = rows.degree(x);
   const auto size = static_cast<std::size_t>(deg);
   if (row.size() < size) row.resize(size);  // analyze:allow-hot-alloc(pooled row, grows to the maximum degree once)
   if (col != nullptr) {
-    for (int i = 0; i < deg; ++i) row[static_cast<std::size_t>(i)] = col[adj.neighbor(x, i)];
+    for (int i = 0; i < deg; ++i) row[static_cast<std::size_t>(i)] = col[rows.neighbor(x, i)];
   } else {
-    adj.graph().neighbor_distances(x, v, row.data());
+    rows.graph().neighbor_distances(x, v, row.data());
   }
   for (std::size_t i = 0; i < size; ++i) {
     if (row[i] + 1 < d || row[i] > d + 1) {
       // analyze:allow-throw-safety(contract violation: a topology whose neighbor distances break the graph metric)
-      throw std::logic_error("metric router: " + adj.graph().name() + " puts neighbor " +
+      throw std::logic_error("metric router: " + rows.graph().name() + " puts neighbor " +
                              std::to_string(i) + " of vertex " + std::to_string(x) +
                              " at distance " + std::to_string(row[i]) + " from " +
                              std::to_string(v) + ", more than one away from " +
@@ -51,11 +52,12 @@ int fill_row(const AdjacencyView& adj, const std::uint32_t* col, VertexId x, Ver
 /// The best-first search loop. The frontier is a pooled min-heap driven exactly as std::priority_queue drives its
 /// container (push_back + push_heap, pop_heap + pop_back), so expansion order
 /// matches a priority_queue with std::greater<>.
-std::optional<Path> best_first_search(ProbeContext& ctx, const AdjacencyView& adj,
+template <typename Rows>
+std::optional<Path> best_first_search(ProbeContext& ctx, const Rows& rows,
                                       const std::uint32_t* col, VertexId u, VertexId v,
                                       VertexMarks& parent, VertexMarks& expanded,
                                       detail::DistanceRow& row, Frontier& frontier) {
-  const Topology& graph = adj.graph();
+  const Topology& graph = rows.graph();
   const std::uint64_t n = graph.num_vertices();
   parent.begin(n);
   expanded.begin(n);
@@ -68,15 +70,15 @@ std::optional<Path> best_first_search(ProbeContext& ctx, const AdjacencyView& ad
     frontier.pop_back();
     if (!expanded.emplace(x, x)) continue;  // already expanded
     ctx.note_expansion();
-    const int deg = fill_row(adj, col, x, v, d, row);
+    const int deg = fill_row(rows, col, x, v, d, row);
     // Slots in (distance, slot) order: the buckets d - 1, d, d + 1, each in
     // slot order (d >= 1, since v is never pushed).
     for (std::uint64_t dy = d - 1; dy <= d + 1; ++dy) {
       for (int i = 0; i < deg; ++i) {
         if (row[static_cast<std::size_t>(i)] != dy) continue;
-        const VertexId y = adj.neighbor(x, i);
+        const VertexId y = rows.neighbor(x, i);
         if (parent.contains(y)) continue;
-        if (!ctx.probe(x, i)) continue;
+        if (!ctx.probe(rows, x, i)) continue;
         parent.emplace(y, x);
         if (y == v) {
           Path path;
@@ -95,16 +97,16 @@ std::optional<Path> best_first_search(ProbeContext& ctx, const AdjacencyView& ad
   return std::nullopt;
 }
 
-}  // namespace
-
-namespace detail {
-
-bool greedy_step(ProbeContext& ctx, const AdjacencyView& adj, const std::uint32_t* col,
-                 VertexId& x, std::uint64_t& d, VertexId v, DistanceRow& row) {
-  const int deg = fill_row(adj, col, x, v, d, row);
+/// One greedy step from `x` towards `v`: probes x's slots at distance
+/// d - 1 in slot order and moves to the neighbor behind the first open one.
+/// Returns false, leaving `x` and `d`, if none is open.
+template <typename Rows>
+bool greedy_step(ProbeContext& ctx, const Rows& rows, const std::uint32_t* col, VertexId& x,
+                 std::uint64_t& d, VertexId v, detail::DistanceRow& row) {
+  const int deg = fill_row(rows, col, x, v, d, row);
   for (int i = 0; i < deg; ++i) {
-    if (row[static_cast<std::size_t>(i)] + 1 == d && ctx.probe(x, i)) {
-      x = adj.neighbor(x, i);
+    if (row[static_cast<std::size_t>(i)] + 1 == d && ctx.probe(rows, x, i)) {
+      x = rows.neighbor(x, i);
       --d;
       return true;
     }
@@ -112,10 +114,24 @@ bool greedy_step(ProbeContext& ctx, const AdjacencyView& adj, const std::uint32_
   return false;
 }
 
+}  // namespace
+
+namespace detail {
+
+void greedy_descent(ProbeContext& ctx, const std::uint32_t* col, VertexId& x, std::uint64_t& d,
+                    VertexId v, DistanceRow& row, Path& walk, bool count_expansions) {
+  ctx.adjacency().visit([&](const auto& rows) {
+    while (x != v) {
+      if (count_expansions) ctx.note_expansion();
+      if (!greedy_step(ctx, rows, col, x, d, v, row)) return;
+      walk.push_back(x);  // analyze:allow-hot-alloc(walk materialization, one vertex per accepted move)
+    }
+  });
+}
+
 }  // namespace detail
 
 std::optional<Path> GreedyDescentRouter::route(ProbeContext& ctx, VertexId u, VertexId v) {
-  const AdjacencyView adj(ctx.graph(), ctx.flat_adjacency());
   const std::uint32_t* col = ctx.target_distances(v);
   // Every accepted move lowers the fault-free distance d to v by one, so a
   // reachable target bounds the path at d + 1 vertices.
@@ -124,21 +140,19 @@ std::optional<Path> GreedyDescentRouter::route(ProbeContext& ctx, VertexId u, Ve
   if (d < ctx.graph().num_vertices()) path.reserve(d + 1);  // analyze:allow-hot-alloc(path materialization, reserved once to its bound)
   path.push_back(u);  // analyze:allow-hot-alloc(fills the reservation above)
   VertexId x = u;
-  while (x != v) {
-    ctx.note_expansion();  // each visited vertex is this router's "frontier pop"
-    if (!detail::greedy_step(ctx, adj, col, x, d, v, row_)) {
-      return std::nullopt;  // stuck: pure greedy gives up
-    }
-    path.push_back(x);  // analyze:allow-hot-alloc(path materialization, one vertex per accepted move)
-  }
+  // Each visited vertex is this router's "frontier pop"; pure greedy gives
+  // up where it gets stuck.
+  detail::greedy_descent(ctx, col, x, d, v, row_, path, /*count_expansions=*/true);
+  if (x != v) return std::nullopt;
   return path;
 }
 
 std::optional<Path> BestFirstRouter::route(ProbeContext& ctx, VertexId u, VertexId v) {
   if (u == v) return Path{u};
-  const AdjacencyView adj(ctx.graph(), ctx.flat_adjacency());
   const std::uint32_t* col = ctx.target_distances(v);
-  return best_first_search(ctx, adj, col, u, v, parent_, expanded_, row_, frontier_);
+  return ctx.adjacency().visit([&](const auto& rows) {
+    return best_first_search(ctx, rows, col, u, v, parent_, expanded_, row_, frontier_);
+  });
 }
 
 }  // namespace faultroute

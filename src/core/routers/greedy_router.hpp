@@ -9,24 +9,24 @@
 
 namespace faultroute {
 
-class AdjacencyView;
-
 namespace detail {
 
 /// The pooled row of fault-free distances from a vertex's neighbors to the
 /// target (Topology::neighbor_distances, or an oracle column's entries).
 using DistanceRow = std::vector<std::uint64_t>;
 
-/// One greedy step from `x` towards `v`, shared by GreedyDescentRouter and
-/// HybridGreedyRouter's phase 1. `d` is the fault-free distance from x to v
-/// under the metric of `col` (see metric_distance). Probes x's improving
-/// slots — neighbor at distance d - 1 — in slot order and moves `x` to the
-/// neighbor behind the first open one, lowering `d` by one. Returns false,
-/// leaving `x` and `d`, if none is open. Counts no expansion; callers that
-/// treat a step as one do so themselves. `row` is pooled by the router, so
-/// a step allocates nothing once it has grown to the maximum degree.
-bool greedy_step(ProbeContext& ctx, const AdjacencyView& adj, const std::uint32_t* col,
-                 VertexId& x, std::uint64_t& d, VertexId v, DistanceRow& row);
+/// Greedy descent from `x` towards `v`, shared by GreedyDescentRouter and
+/// HybridGreedyRouter's phase 1, over ctx.adjacency(). `d` is the
+/// fault-free distance from x to v under the metric of `col` (see
+/// metric_distance). Each step probes x's improving slots — neighbor at
+/// distance d - 1 — in slot order, moves `x` to the neighbor behind the
+/// first open one, lowers `d` by one and appends the new `x` to `walk`.
+/// Stops at v, or leaves `x` and `d` where no improving slot is open. With
+/// `count_expansions`, each vertex stepped from (the stuck one included)
+/// counts one expansion. `row` is pooled by the router, so a descent
+/// allocates nothing but `walk` once `row` has grown to the maximum degree.
+void greedy_descent(ProbeContext& ctx, const std::uint32_t* col, VertexId& x, std::uint64_t& d,
+                    VertexId v, DistanceRow& row, Path& walk, bool count_expansions);
 
 }  // namespace detail
 

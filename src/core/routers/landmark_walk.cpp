@@ -6,15 +6,16 @@
 // analyze:allow-file-hot-alloc(landmark walk: the pooled queue retains capacity across segments; segment and walk splices materialize the result path)
 namespace faultroute::detail {
 
-bool landmark_walk(ProbeContext& ctx, const AdjacencyView& adj, VertexId from, VertexId v,
-                   Path& walk, LandmarkWalkState& state) {
-  std::vector<VertexId>& landmarks = state.landmarks;
-  shortest_path(adj, from, v, landmarks);
-  if (landmarks.empty()) return false;  // disconnected base topology
+namespace {
 
+/// landmark_walk's segment BFSs along the base path in state.landmarks,
+/// through one row accessor.
+template <typename Rows>
+bool walk_landmarks(ProbeContext& ctx, const Rows& rows, Path& walk, LandmarkWalkState& state) {
+  const std::vector<VertexId>& landmarks = state.landmarks;
   // Position of each landmark along the base path (shortest-path vertices
   // are distinct).
-  const std::uint64_t n = adj.graph().num_vertices();
+  const std::uint64_t n = rows.graph().num_vertices();
   WalkPositions& pos_of = state.pos_of;
   VertexMarks& parent = state.parent;
   std::vector<VertexId>& queue = state.queue;
@@ -38,11 +39,11 @@ bool landmark_walk(ProbeContext& ctx, const AdjacencyView& adj, VertexId from, V
     while (head < queue.size() && found_pos == pos) {
       const VertexId x = queue[head++];
       ctx.note_expansion();
-      const int deg = adj.degree(x);
+      const int deg = rows.degree(x);
       for (int i = 0; i < deg; ++i) {
-        const VertexId y = adj.neighbor(x, i);
+        const VertexId y = rows.neighbor(x, i);
         if (parent.contains(y)) continue;
-        if (!ctx.probe(x, i)) continue;
+        if (!ctx.probe(rows, x, i)) continue;
         parent.emplace(y, x);
         const WalkPositions::Entry& y_pos = pos_of.entry_for(y);
         if (pos_of.live(y_pos) && y_pos.index > pos) {
@@ -67,6 +68,16 @@ bool landmark_walk(ProbeContext& ctx, const AdjacencyView& adj, VertexId from, V
     pos = found_pos;
   }
   return true;
+}
+
+}  // namespace
+
+bool landmark_walk(ProbeContext& ctx, VertexId from, VertexId v, Path& walk,
+                   LandmarkWalkState& state) {
+  const AdjacencyView& adj = ctx.adjacency();
+  shortest_path(adj, from, v, state.landmarks);
+  if (state.landmarks.empty()) return false;  // disconnected base topology
+  return adj.visit([&](const auto& rows) { return walk_landmarks(ctx, rows, walk, state); });
 }
 
 }  // namespace faultroute::detail

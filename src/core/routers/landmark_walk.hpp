@@ -32,10 +32,12 @@ struct LandmarkWalkState {
 ///
 /// Extends `walk` in place from its last vertex (`from`); returns false if
 /// the base topology is disconnected or the open cluster is exhausted
-/// (u !~ v), leaving `walk` in an unspecified partial state. The base path
-/// comes from shortest_path over `adj` (graph/flat_adjacency.hpp): CSR rows
-/// when a snapshot is up, the same vertex sequence as graph.shortest_path.
-bool landmark_walk(ProbeContext& ctx, const AdjacencyView& adj, VertexId from, VertexId v,
-                   Path& walk, LandmarkWalkState& state);
+/// (u !~ v), leaving `walk` in an unspecified partial state. The walk
+/// scans rows and probes through ctx.adjacency()'s accessor, picked once
+/// per call. The base path comes from shortest_path over that adjacency
+/// (graph/flat_adjacency.hpp): CSR rows when a snapshot is up, the same
+/// vertex sequence as graph.shortest_path.
+bool landmark_walk(ProbeContext& ctx, VertexId from, VertexId v, Path& walk,
+                   LandmarkWalkState& state);
 
 }  // namespace faultroute::detail

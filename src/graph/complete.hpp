@@ -11,6 +11,13 @@ namespace faultroute {
 /// Erdos-Renyi random graph G_{n,p} of Theorems 10 and 11: local routing
 /// costs Omega(n^2) probes while the bidirectional oracle router achieves
 /// Theta(n^{3/2}).
+///
+/// Its adjacency is closed form, like the hypercube's and the mesh's, but
+/// unlike theirs it still routes over the CSR (graph/flat_adjacency.hpp)
+/// under the vertex budget. Dropping that CSR raises only the benchmark's
+/// peak-RSS reading, and that reading is an artefact: its probe reads
+/// ru_maxrss, which a child spawned by vfork + exec inherits from its
+/// parent. The CSR goes once that probe reads VmHWM (ROADMAP item 1).
 class CompleteGraph final : public Topology {
  public:
   /// Requires 2 <= n <= 2^31 (edge keys use min * n + max).

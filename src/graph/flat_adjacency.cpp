@@ -56,6 +56,7 @@ const DistanceOracle& FlatAdjacency::distance_oracle() const {
 
 const FlatAdjacency* resolve_adjacency(const Topology& graph,
                                        std::uint64_t flat_budget_vertices) {
+  if (has_closed_form_rows(graph)) return nullptr;  // its own accessor, not a fall-back
   if (flat_budget_vertices != 0 && graph.num_vertices() <= flat_budget_vertices) {
     return &graph.flat_adjacency();
   }
@@ -64,11 +65,6 @@ const FlatAdjacency* resolve_adjacency(const Topology& graph,
   // --metrics reports rather than only in wall clock.
   obs::global_count("graph.flat_adjacency.auto_fallbacks");
   return nullptr;
-}
-
-int AdjacencyView::edge_index_of(VertexId u, VertexId v) const {
-  if (flat_ != nullptr) return faultroute::edge_index_of(*flat_, u, v);
-  return faultroute::edge_index_of(*graph_, u, v);
 }
 
 int edge_index_of(const FlatAdjacency& flat, VertexId u, VertexId v) {

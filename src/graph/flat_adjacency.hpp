@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "graph/channel_index.hpp"
+#include "graph/hypercube.hpp"
+#include "graph/mesh.hpp"
 #include "graph/topology.hpp"
 
 namespace faultroute {
@@ -34,7 +36,8 @@ class MappedSnapshot;
 /// channel of its own (neighbor + key), on top of the index's 4 per channel
 /// and 8 per vertex, which is why huge implicit topologies keep the virtual
 /// path: resolve_adjacency (below) materializes only when num_vertices()
-/// fits a budget.
+/// fits a budget, and never for the hypercube or the mesh/torus, whose
+/// closed-form accessors (ClosedFormRows, below) need no snapshot.
 ///
 /// Besides the owning build above, a snapshot can be a *non-owning view*
 /// over a memory-mapped on-disk snapshot (graph/snapshot.hpp): the view
@@ -148,22 +151,29 @@ class FlatAdjacency {
   mutable std::unique_ptr<DistanceOracle> oracle_;
 };
 
-/// Default materialization budget: snapshot when the graph has at most
-/// this many vertices. At constant degree d the snapshot costs ~20·2d bytes
-/// per vertex, so 2^20 vertices tops out around a few hundred MB for the
+/// Default materialization budget for families without closed-form
+/// adjacency: their CSR is built when the graph has at most this many
+/// vertices. At constant degree d the snapshot costs ~20·2d bytes per
+/// vertex, so 2^20 vertices tops out around a few hundred MB for the
 /// densest library families — past that, stay implicit.
 inline constexpr std::uint64_t kDefaultFlatBudgetVertices = 1ull << 20;
 
-/// The adjacency backend a hot path resolves queries through: the cached
-/// snapshot iff num_vertices() fits `flat_budget_vertices`, else nullptr
-/// (= the virtual Topology interface). Every observable result is
-/// bit-identical either way; the budget trades CSR memory for speed.
-/// Library paths take the default, so the choice follows from the vertex
-/// count; a budget of 0 forces the implicit side and UINT64_MAX the CSR.
-/// A fall-back to virtual dispatch is counted in
+/// The CSR a hot path resolves queries through, or nullptr. The hypercube
+/// and the mesh/torus never get one, at any size or budget: their
+/// ClosedFormRows accessor (below) computes every slot inline, and is
+/// faster per message than the CSR's loads and lighter by 20 B per channel.
+/// Every other family gets the cached snapshot iff num_vertices() fits
+/// `flat_budget_vertices`, and the virtual interface otherwise. That
+/// includes the complete graph, whose adjacency is closed form too
+/// (graph/complete.hpp says why it keeps its CSR for now). Every observable
+/// result is bit-identical either way; the budget trades CSR memory for
+/// speed. Library paths take the default, so the choice follows from the
+/// family and the vertex count; a budget of 0 forces the implicit side and
+/// UINT64_MAX the CSR. A fall-back to virtual dispatch is counted in
 /// graph.flat_adjacency.auto_fallbacks (docs/COUNTERS.md), so a sweep
 /// silently losing the CSR fast path on a large graph shows up in
-/// --metrics instead of only in wall clock.
+/// --metrics instead of only in wall clock; a family taking its closed
+/// form is not a fall-back and is not counted.
 [[nodiscard]] const FlatAdjacency* resolve_adjacency(
     const Topology& graph, std::uint64_t flat_budget_vertices = kDefaultFlatBudgetVertices);
 
@@ -176,40 +186,147 @@ enum class AdjacencyMode { kAuto };
   return resolve_adjacency(graph);
 }
 
-/// A zero-cost switchable view over the two adjacency backends, for code
-/// (routers, validators) that must run on either: CSR loads when a snapshot
-/// is present, virtual dispatch otherwise. The branch predicate is fixed per
-/// view, so the per-query cost is one predicted branch.
+/// edge_index_of over a snapshot row (same contract as the Topology
+/// overload in graph/topology.hpp: lowest matching slot, -1 if absent).
+[[nodiscard]] int edge_index_of(const FlatAdjacency& flat, VertexId u, VertexId v);
+
+// ------------------------------------------------------------ row accessors
+//
+// One accessor per adjacency backend, all with the same members, so that a
+// hot loop (a router's row scan, the probe kernel, path validation, a
+// percolation BFS) is written once as a template and instantiated per
+// backend; AdjacencyView::visit picks the accessor once per call:
+//   graph()                         the topology
+//   degree(v), neighbor(v, i), edge_key(v, i)
+//   edge_id(v, i)                   ChannelIndex::edge_id's value
+//   edge_index_of(u, w)             lowest slot of u leading to w, or -1
+// Every accessor returns the same values slot for slot
+// (tests/test_flat_adjacency.cpp holds each to the virtual interface).
+
+/// The CSR: array loads off the snapshot.
+struct FlatRows {
+  const FlatAdjacency* flat;
+
+  [[nodiscard]] const Topology& graph() const { return flat->graph(); }
+  [[nodiscard]] int degree(VertexId v) const { return flat->degree(v); }
+  [[nodiscard]] VertexId neighbor(VertexId v, int i) const { return flat->neighbor(v, i); }
+  [[nodiscard]] EdgeKey edge_key(VertexId v, int i) const { return flat->edge_key(v, i); }
+  [[nodiscard]] std::uint32_t edge_id(VertexId v, int i) const { return flat->edge_id(v, i); }
+  [[nodiscard]] int edge_index_of(VertexId u, VertexId w) const {
+    return faultroute::edge_index_of(*flat, u, w);
+  }
+};
+
+/// A `final` family's own inline closed forms: every call resolves at
+/// compile time, so nothing is dispatched. The hypercube's need no state;
+/// the mesh/torus specialization below keeps one decoded row.
+template <typename Family>
+struct ClosedFormRows {
+  const Family* family;
+
+  [[nodiscard]] const Family& graph() const { return *family; }
+  [[nodiscard]] int degree(VertexId v) const { return family->degree(v); }
+  [[nodiscard]] VertexId neighbor(VertexId v, int i) const { return family->neighbor(v, i); }
+  [[nodiscard]] EdgeKey edge_key(VertexId v, int i) const { return family->edge_key(v, i); }
+  [[nodiscard]] std::uint32_t edge_id(VertexId v, int i) const {
+    return family->edge_id(v, i);
+  }
+  [[nodiscard]] int edge_index_of(VertexId u, VertexId w) const {
+    return family->slot_of(u, w);
+  }
+};
+
+/// The mesh/torus keeps the last vertex it was asked about decoded in
+/// `last`, so a row scan (and the probes, validation and edge ids of that
+/// row) pays one coordinate decode, not one per call. `last` belongs to
+/// the caller that picked the accessor (AdjacencyView::visit keeps one per
+/// visit), so copies of the accessor share it and no thread shares it.
+template <>
+struct ClosedFormRows<Mesh> {
+  const Mesh* family;
+  Mesh::Decoded* last;
+
+  [[nodiscard]] const Mesh& graph() const { return *family; }
+  [[nodiscard]] const Mesh::Decoded& decoded(VertexId v) const {
+    if (last->v != v) family->decode(v, *last);
+    return *last;
+  }
+  [[nodiscard]] int degree(VertexId v) const { return decoded(v).degree; }
+  [[nodiscard]] VertexId neighbor(VertexId v, int i) const {
+    return family->neighbor(decoded(v), i);
+  }
+  [[nodiscard]] EdgeKey edge_key(VertexId v, int i) const {
+    return family->edge_key(decoded(v), i);
+  }
+  [[nodiscard]] std::uint32_t edge_id(VertexId v, int i) const {
+    return family->edge_id(decoded(v), i);
+  }
+  [[nodiscard]] int edge_index_of(VertexId u, VertexId w) const {
+    return family->slot_of(decoded(u), w);
+  }
+};
+
+/// The virtual Topology interface: families with no closed form above the
+/// vertex budget (or under a budget of 0).
+struct VirtualRows {
+  const Topology* topology;
+
+  [[nodiscard]] const Topology& graph() const { return *topology; }
+  [[nodiscard]] int degree(VertexId v) const { return topology->degree(v); }
+  [[nodiscard]] VertexId neighbor(VertexId v, int i) const { return topology->neighbor(v, i); }
+  [[nodiscard]] EdgeKey edge_key(VertexId v, int i) const { return topology->edge_key(v, i); }
+  /// Builds the topology's ChannelIndex on first use.
+  [[nodiscard]] std::uint32_t edge_id(VertexId v, int i) const {
+    return topology->channel_index().edge_id(v, i);
+  }
+  [[nodiscard]] int edge_index_of(VertexId u, VertexId w) const {
+    return faultroute::edge_index_of(*topology, u, w);
+  }
+};
+
+/// Which accessor a graph routes on, picked once per call by the caller
+/// that holds it (a route call, a batch's validation, a percolation
+/// analysis): the CSR when one is given, else the family's closed form
+/// (hypercube, mesh/torus), else the virtual interface.
 class AdjacencyView {
  public:
+  /// `flat`: the graph's CSR (resolve_adjacency's answer, or an externally
+  /// provided snapshot), or nullptr.
   AdjacencyView(const Topology& graph, const FlatAdjacency* flat)
-      : graph_(&graph), flat_(flat) {}
+      : graph_(&graph),
+        flat_(flat),
+        hypercube_(flat == nullptr ? dynamic_cast<const Hypercube*>(&graph) : nullptr),
+        mesh_(flat == nullptr ? dynamic_cast<const Mesh*>(&graph) : nullptr) {}
 
   [[nodiscard]] const Topology& graph() const { return *graph_; }
   [[nodiscard]] const FlatAdjacency* flat() const { return flat_; }
 
-  [[nodiscard]] int degree(VertexId v) const {
-    return flat_ != nullptr ? flat_->degree(v) : graph_->degree(v);
+  /// fn(rows) with the view's accessor; fn is instantiated once per
+  /// accessor type and must return the same type from each.
+  template <typename Fn>
+  decltype(auto) visit(Fn&& fn) const {
+    if (flat_ != nullptr) return fn(FlatRows{flat_});
+    if (hypercube_ != nullptr) return fn(ClosedFormRows<Hypercube>{hypercube_});
+    if (mesh_ != nullptr) {
+      Mesh::Decoded last;
+      return fn(ClosedFormRows<Mesh>{mesh_, &last});
+    }
+    return fn(VirtualRows{graph_});
   }
-  [[nodiscard]] VertexId neighbor(VertexId v, int i) const {
-    return flat_ != nullptr ? flat_->neighbor(v, i) : graph_->neighbor(v, i);
-  }
-  [[nodiscard]] EdgeKey edge_key(VertexId v, int i) const {
-    return flat_ != nullptr ? flat_->edge_key(v, i) : graph_->edge_key(v, i);
-  }
-
-  /// Lowest incident slot of u whose neighbor is v, or -1 (the
-  /// edge_index_of contract, without virtual dispatch when flat).
-  [[nodiscard]] int edge_index_of(VertexId u, VertexId v) const;
 
  private:
   const Topology* graph_;
   const FlatAdjacency* flat_;
+  const Hypercube* hypercube_;
+  const Mesh* mesh_;
 };
 
-/// edge_index_of over a snapshot row (same contract as the Topology
-/// overload in graph/topology.hpp: lowest matching slot, -1 if absent).
-[[nodiscard]] int edge_index_of(const FlatAdjacency& flat, VertexId u, VertexId v);
+/// True iff `graph` routes on its own closed-form accessor instead of a CSR
+/// (the hypercube and the mesh/torus), whatever the vertex budget.
+[[nodiscard]] inline bool has_closed_form_rows(const Topology& graph) {
+  return dynamic_cast<const Hypercube*>(&graph) != nullptr ||
+         dynamic_cast<const Mesh*>(&graph) != nullptr;
+}
 
 /// Some fault-free shortest path from u to v, written to `path` (u first, v
 /// last; empty if v is unreachable) — vertex for vertex the path

@@ -154,8 +154,8 @@ class Topology {
   /// adjacency with array loads instead of virtual dispatch. Built lazily on
   /// first use and cached — O(channels) once, O(1) thereafter. Costs ~20
   /// bytes per directed channel; huge implicit topologies should not call
-  /// this (resolve_adjacency's vertex budget sees to that). Thread-safe under
-  /// const access.
+  /// this (resolve_adjacency's vertex budget sees to that, and it never
+  /// asks the hypercube or the mesh/torus). Thread-safe under const access.
   [[nodiscard]] const FlatAdjacency& flat_adjacency() const;
 
  private:

@@ -20,8 +20,9 @@ namespace faultroute {
 /// chemical-distance experiments (E9, E10) measure exactly this ratio.
 ///
 /// `flat_budget_vertices` selects the adjacency backend (resolve_adjacency
-/// in graph/flat_adjacency.hpp): CSR rows when the graph fits it, the
-/// virtual interface otherwise (the only option for huge implicit graphs).
+/// in graph/flat_adjacency.hpp): CSR rows when it gives one, else the
+/// family's closed form or the virtual interface (the only option for huge
+/// implicit graphs of the other families).
 /// Either way the parents live in per-thread VertexMarks
 /// (graph/vertex_marks.hpp). Identical distances and paths.
 [[nodiscard]] std::optional<std::uint64_t> chemical_distance(

@@ -35,9 +35,9 @@ struct ComponentSummary {
 ///
 /// `flat_budget_vertices` selects the adjacency backend the edge sweep runs
 /// over (resolve_adjacency in graph/flat_adjacency.hpp): CSR rows with
-/// indexed sampler queries when the graph fits it, the virtual interface
-/// otherwise. Results are identical; the
-/// flat sweep is faster.
+/// indexed sampler queries when it gives one, else the family's closed
+/// form or the virtual interface. Results are identical; the CSR and
+/// closed-form sweeps are faster.
 class ClusterDecomposition {
  public:
   ClusterDecomposition(const Topology& graph, const EdgeSampler& sampler,
@@ -64,8 +64,9 @@ class ClusterDecomposition {
 
 /// BFS over open edges from `source`, stopping once `max_vertices` vertices
 /// have been reached (0 = unbounded). Returns the visited vertices in BFS
-/// order. Adjacency per `flat_budget_vertices`: CSR rows when the graph
-/// fits it, the implicit interface otherwise — the latter is what makes
+/// order. Adjacency per `flat_budget_vertices`: CSR rows when
+/// resolve_adjacency gives one, the implicit interface otherwise (the
+/// closed form on the hypercube and the mesh/torus) — the latter is what makes
 /// huge implicit graphs affordable, which is exactly what the default
 /// budget preserves. The visited set is per-thread VertexMarks
 /// (graph/vertex_marks.hpp), so repeated sweeps allocate nothing for the

@@ -38,8 +38,9 @@ using OrderParameter = std::function<double(double p, std::uint64_t seed)>;
 /// largest-cluster fraction of `graph` percolated by HashEdgeSampler(p,
 /// seed). Every trial of a bisection re-sweeps all edges of the graph, so
 /// the backend matters: the default budget runs the component sweep over
-/// the cached CSR snapshot (graph/flat_adjacency.hpp) whenever the graph
-/// fits, falling back to the implicit interface beyond it. The returned
+/// the cached CSR snapshot (graph/flat_adjacency.hpp) whenever
+/// resolve_adjacency gives one, else over the family's closed form or the
+/// implicit interface. The returned
 /// callable borrows `graph`, which must outlive it.
 [[nodiscard]] OrderParameter largest_cluster_order(
     const Topology& graph, std::uint64_t flat_budget_vertices = kDefaultFlatBudgetVertices);

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "core/parallel.hpp"
-#include "graph/channel_index.hpp"
 #include "graph/distance_oracle.hpp"
 #include "obs/run_metrics.hpp"
 #include "percolation/shared_probe_cache.hpp"
@@ -170,59 +169,58 @@ RoutedBatch route_and_validate(
   std::uint64_t hop_bound = 0;
   for (const MessageOutcome& out : result.outcomes) hop_bound += out.path_edges;
   check_hop_total(hop_bound);
-  const ChannelIndex& index = graph.channel_index();
   RoutedBatch batch;
   std::vector<std::uint32_t>& hops = batch.hops;
   hops.reserve(hop_bound);  // analyze:allow-hot-alloc(per-batch flat hop array, reserved to its bound)
   batch.ranges.resize(messages.size());  // analyze:allow-hot-alloc(per-batch result array sized once)
-  for (std::size_t i = 0; i < messages.size(); ++i) {
-    MessageOutcome& out = result.outcomes[i];
-    result.total_distinct_probes += out.distinct_probes;
-    if (out.censored) {
-      ++result.censored;
-      continue;
-    }
-    if (!out.routed) {
-      ++result.failed_routing;
-      continue;
-    }
-    // Validate before counting as routed, so the exact partition
-    // routed + failed + censored + invalid == messages holds.
-    const Path& path = paths[i];
-    if (config.verify_paths &&
-        !is_valid_open_path(adj, sampler, path, out.message.source, out.message.target)) {
-      ++result.invalid_paths;
-      out.routed = false;
-      out.path_edges = 0;  // the rejected path's hop count must not leak out
-      continue;
-    }
-    // The edge id is one load from the CSR's table when routing resolved a
-    // CSR; on the implicit path ChannelIndex::edge_id computes it for
-    // closed-form families, so no table is built for them.
-    const auto begin = static_cast<std::uint32_t>(hops.size());
-    bool ok = true;
-    for (std::size_t step = 0; step + 1 < path.size(); ++step) {
-      const VertexId a = path[step];
-      const VertexId b = path[step + 1];
-      const int slot = adj.edge_index_of(a, b);
-      if (slot < 0) {  // unreachable when verify_paths is on; defensive otherwise
-        ok = false;
-        break;
+  // One accessor for the whole batch (the routing phase's): the CSR's loads,
+  // or the family's closed forms, which build no channel -> edge-id table.
+  adj.visit([&](const auto& rows) {
+    for (std::size_t i = 0; i < messages.size(); ++i) {
+      MessageOutcome& out = result.outcomes[i];
+      result.total_distinct_probes += out.distinct_probes;
+      if (out.censored) {
+        ++result.censored;
+        continue;
       }
-      const std::uint32_t edge =
-          flat != nullptr ? flat->edge_id_at(index.channel_of(a, slot)) : index.edge_id(a, slot);
-      hops.push_back(edge << 1 | static_cast<std::uint32_t>(a > b));  // analyze:allow-hot-alloc(fills the reservation above)
+      if (!out.routed) {
+        ++result.failed_routing;
+        continue;
+      }
+      // Validate before counting as routed, so the exact partition
+      // routed + failed + censored + invalid == messages holds.
+      const Path& path = paths[i];
+      if (config.verify_paths &&
+          !is_valid_open_path_on(rows, sampler, path, out.message.source, out.message.target)) {
+        ++result.invalid_paths;
+        out.routed = false;
+        out.path_edges = 0;  // the rejected path's hop count must not leak out
+        continue;
+      }
+      const auto begin = static_cast<std::uint32_t>(hops.size());
+      bool ok = true;
+      for (std::size_t step = 0; step + 1 < path.size(); ++step) {
+        const VertexId a = path[step];
+        const VertexId b = path[step + 1];
+        const int slot = rows.edge_index_of(a, b);
+        if (slot < 0) {  // unreachable when verify_paths is on; defensive otherwise
+          ok = false;
+          break;
+        }
+        // analyze:allow-hot-alloc(fills the reservation above)
+        hops.push_back(rows.edge_id(a, slot) << 1 | static_cast<std::uint32_t>(a > b));
+      }
+      if (!ok) {
+        ++result.invalid_paths;
+        out.routed = false;
+        out.path_edges = 0;
+        hops.resize(begin);  // analyze:allow-hot-alloc(drops this message's hops; never grows)
+        continue;
+      }
+      batch.ranges[i] = {begin, static_cast<std::uint32_t>(hops.size())};
+      ++result.routed;
     }
-    if (!ok) {
-      ++result.invalid_paths;
-      out.routed = false;
-      out.path_edges = 0;
-      hops.resize(begin);  // analyze:allow-hot-alloc(drops this message's hops; never grows)
-      continue;
-    }
-    batch.ranges[i] = {begin, static_cast<std::uint32_t>(hops.size())};
-    ++result.routed;
-  }
+  });
   return batch;
 }
 

@@ -32,11 +32,13 @@ struct TrafficConfig {
   /// result is bit-identical for every thread count.
   unsigned threads = 0;
   /// Adjacency budget of the routing phase, validation, and journey
-  /// compilation: graphs with at most this many vertices route over the
-  /// topology's CSR snapshot (Topology::flat_adjacency(), ~20 bytes per
-  /// directed channel once, cached), larger ones over the virtual interface
-  /// without CSR memory. Outcomes and counters are bit-identical either way
-  /// (tests/test_traffic_differential.cpp); 0 forces the virtual interface.
+  /// compilation (resolve_adjacency): graphs with at most this many
+  /// vertices route over the topology's CSR snapshot
+  /// (Topology::flat_adjacency(), ~20 bytes per directed channel once,
+  /// cached), larger ones over the virtual interface without CSR memory;
+  /// the hypercube and the mesh/torus take their closed-form accessor
+  /// whatever the budget. Outcomes and counters are bit-identical either
+  /// way (tests/test_traffic_differential.cpp); 0 forces the implicit side.
   std::uint64_t flat_budget_vertices = kDefaultFlatBudgetVertices;
   /// When non-null, the routing phase resolves flat-adjacency queries
   /// through this externally provided snapshot — typically a memory-mapped

@@ -108,8 +108,7 @@ inline std::optional<Path> hybrid_greedy(ProbeContext& ctx, VertexId u, VertexId
   while (x != v && greedy_step(ctx, x, v)) walk.push_back(x);
   if (x == v) return walk;
   detail::LandmarkWalkState state;
-  const AdjacencyView adj(ctx.graph(), ctx.flat_adjacency());
-  if (!detail::landmark_walk(ctx, adj, x, v, walk, state)) return std::nullopt;
+  if (!detail::landmark_walk(ctx, x, v, walk, state)) return std::nullopt;
   return simplify_walk(std::move(walk));
 }
 

@@ -5,10 +5,13 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "graph/channel_index.hpp"
 #include "graph/topology.hpp"
+#include "helpers/reference_edge_ids.hpp"
 #include "random/rng.hpp"
 
 namespace faultroute::testing {
@@ -132,6 +135,41 @@ inline std::vector<std::pair<VertexId, VertexId>> random_vertex_pairs(const Topo
     pairs.emplace_back(x, uniform_below(rng, g.num_vertices()));
   }
   return pairs;
+}
+
+/// Holds a row accessor of graph/flat_adjacency.hpp (the CSR's FlatRows, a
+/// family's ClosedFormRows, VirtualRows) to the virtual interface slot for
+/// slot: degree, neighbor and edge key; the edge id against the
+/// first-appearance numbering of reference::first_appearance_edge_ids; and
+/// edge_index_of against the Topology overload, from every vertex to each
+/// of its neighbors and to 64 random vertices.
+template <typename Rows>
+inline void check_rows_match_virtual(const Rows& rows, const Topology& g,
+                                     const std::string& label) {
+  const ChannelIndex& index = g.channel_index();
+  const std::vector<std::uint32_t> ids = reference::first_appearance_edge_ids(g);
+  const std::uint64_t n = g.num_vertices();
+  ASSERT_EQ(&rows.graph(), &g) << label;
+  for (VertexId v = 0; v < n; ++v) {
+    const int deg = g.degree(v);
+    ASSERT_EQ(rows.degree(v), deg) << label << " v=" << v;
+    for (int i = 0; i < deg; ++i) {
+      const VertexId w = g.neighbor(v, i);
+      ASSERT_EQ(rows.neighbor(v, i), w) << label << " v=" << v << " i=" << i;
+      ASSERT_EQ(rows.edge_key(v, i), g.edge_key(v, i)) << label << " v=" << v << " i=" << i;
+      ASSERT_EQ(rows.edge_id(v, i), ids[index.channel_of(v, i)])
+          << label << " v=" << v << " i=" << i;
+      ASSERT_EQ(rows.edge_index_of(v, w), edge_index_of(g, v, w))
+          << label << " v=" << v << " w=" << w;
+    }
+  }
+  Rng rng(n);
+  for (int k = 0; k < 64; ++k) {
+    const VertexId u = uniform_below(rng, n);
+    const VertexId w = uniform_below(rng, n);
+    ASSERT_EQ(rows.edge_index_of(u, w), edge_index_of(g, u, w))
+        << label << " u=" << u << " w=" << w;
+  }
 }
 
 /// Runs every structural check on a small topology.

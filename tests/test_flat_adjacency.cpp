@@ -1,15 +1,16 @@
-// Flat CSR adjacency snapshot suite.
+// Adjacency backend suite: the flat CSR snapshot and the row accessors.
 //
-// The snapshot (graph/flat_adjacency.hpp) is a pure representation change:
-// every slot of every row must agree with the implicit virtual interface,
-// and every pipeline that can run over it — probing, routing, traffic,
+// The snapshot (graph/flat_adjacency.hpp) and the closed-form accessors of
+// the hypercube and the mesh/torus are pure representation changes: every
+// slot of every row must agree with the implicit virtual interface, and
+// every pipeline that can run over them — probing, routing, traffic,
 // percolation analyses — must produce bit-identical results with the CSR
 // forced (vertex budget UINT64_MAX) and with it refused (budget 0). This
-// suite pins both: property tests
-// across every registered topology family (including the k=2 wrapped
-// butterfly's parallel edges), and differential runs of the percolation
-// analyses. The traffic engine's flat and implicit paths are held to the
-// naive reference in test_traffic_differential.cpp.
+// suite pins both: property tests across every registered topology family
+// (including the k=2 wrapped butterfly's parallel edges) and every
+// closed-form accessor, and differential runs of the percolation analyses.
+// The traffic engine's backends are held to the naive reference in
+// test_traffic_differential.cpp.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include <queue>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/probe_context.hpp"
@@ -27,7 +29,10 @@
 #include "graph/explicit_graph.hpp"
 #include "graph/flat_adjacency.hpp"
 #include "graph/hypercube.hpp"
+#include "graph/mesh.hpp"
 #include "helpers/probe_arena_test_peer.hpp"
+#include "helpers/topology_checks.hpp"
+#include "obs/counter_registry.hpp"
 #include "percolation/chemical_distance.hpp"
 #include "percolation/cluster_analysis.hpp"
 #include "percolation/edge_sampler.hpp"
@@ -90,6 +95,84 @@ TEST(FlatAdjacency, AgreesRowForRowWithVirtualInterfaceAcrossFamilies) {
         ASSERT_EQ(actual, expected) << spec << " key=" << key;
       }
     }
+    testing::check_rows_match_virtual(FlatRows{&flat}, *graph, spec + " csr");
+    testing::check_rows_match_virtual(VirtualRows{graph.get()}, *graph, spec + " virtual");
+  }
+}
+
+TEST(AdjacencyRows, ClosedFormRowsAgreeSlotForSlotWithTheVirtualInterface) {
+  for (int n = 1; n <= 12; ++n) {
+    const Hypercube cube(n);
+    testing::check_rows_match_virtual(ClosedFormRows<Hypercube>{&cube}, cube, cube.name());
+  }
+  for (int dim = 1; dim <= 4; ++dim) {
+    for (const std::int64_t side : {2, 3, 5}) {
+      const Mesh mesh(dim, side, /*wrap=*/false);
+      Mesh::Decoded last;
+      testing::check_rows_match_virtual(ClosedFormRows<Mesh>{&mesh, &last}, mesh, mesh.name());
+    }
+    for (const std::int64_t side : {3, 4, 5}) {
+      const Mesh torus(dim, side, /*wrap=*/true);
+      Mesh::Decoded last;
+      testing::check_rows_match_virtual(ClosedFormRows<Mesh>{&torus, &last}, torus,
+                                        torus.name());
+    }
+  }
+}
+
+TEST(AdjacencyRows, HypercubeEdgeIdsPastSixteenDimensionsMatchAPerBitCount) {
+  // Past n = 16 the closed form sums popcounts a byte at a time, a path the
+  // exhaustive check above does not reach. Hold sampled slots to the
+  // first-appearance id counted bit by bit: Σ_{u<a} popcount(u) counts, per
+  // bit k, the u < a with bit k set.
+  for (const int n : {17, 20, 27}) {
+    const Hypercube cube(n);
+    const auto ones_below = [](std::uint64_t a) {
+      std::uint64_t total = 0;
+      for (int k = 0; k < 40; ++k) {
+        const std::uint64_t block = std::uint64_t{1} << (k + 1);
+        const std::uint64_t half = std::uint64_t{1} << k;
+        const std::uint64_t rest = a % block;
+        total += (a / block) * half + (rest > half ? rest - half : 0);
+      }
+      return total;
+    };
+    Rng rng(static_cast<std::uint64_t>(n));
+    for (int trial = 0; trial < 2000; ++trial) {
+      const VertexId v = uniform_below(rng, cube.num_vertices());
+      const int i = static_cast<int>(uniform_below(rng, static_cast<std::uint64_t>(n)));
+      const VertexId a = v & ~(VertexId{1} << i);
+      std::uint64_t rank = 0;  // a's clear bits below i
+      for (int b = 0; b < i; ++b) rank += ((a >> b) & 1) == 0 ? 1 : 0;
+      const std::uint64_t expected = static_cast<std::uint64_t>(n) * a - ones_below(a) + rank;
+      ASSERT_EQ(ClosedFormRows<Hypercube>{&cube}.edge_id(v, i), expected)
+          << cube.name() << " v=" << v << " i=" << i;
+    }
+  }
+}
+
+/// The accessor type an AdjacencyView hands its visitor, as a name.
+std::string accessor_of(const AdjacencyView& view) {
+  return view.visit([](const auto& rows) -> std::string {
+    using Rows = std::decay_t<decltype(rows)>;
+    if constexpr (std::is_same_v<Rows, FlatRows>) return "csr";
+    if constexpr (std::is_same_v<Rows, ClosedFormRows<Hypercube>>) return "hypercube";
+    if constexpr (std::is_same_v<Rows, ClosedFormRows<Mesh>>) return "mesh";
+    return "virtual";
+  });
+}
+
+TEST(AdjacencyRows, ViewPicksTheCsrThenTheFamilyThenVirtualDispatch) {
+  for (const std::string spec : {"hypercube:5", "mesh:2:6", "torus:3:4", "complete:24",
+                                 "de_bruijn:6", "double_tree:4"}) {
+    const auto graph = sim::make_topology(spec);
+    const std::string family = spec.starts_with("hypercube") ? "hypercube"
+                               : spec.starts_with("mesh") || spec.starts_with("torus")
+                                   ? "mesh"
+                                   : "virtual";
+    EXPECT_EQ(accessor_of(AdjacencyView(*graph, nullptr)), family) << spec;
+    EXPECT_EQ(accessor_of(AdjacencyView(*graph, &graph->flat_adjacency())), "csr") << spec;
+    EXPECT_EQ(has_closed_form_rows(*graph), family != "virtual") << spec;
   }
 }
 
@@ -118,7 +201,9 @@ TEST(FlatAdjacency, EdgeIndexOfMatchesTopologyOverload) {
       for (int i = 0; i < graph->degree(u); ++i) {
         const VertexId w = graph->neighbor(u, i);
         EXPECT_GE(edge_index_of(flat, u, w), 0) << spec;
-        EXPECT_EQ(view.edge_index_of(u, w), edge_index_of(*graph, u, w)) << spec;
+        EXPECT_EQ(view.visit([&](const auto& rows) { return rows.edge_index_of(u, w); }),
+                  edge_index_of(*graph, u, w))
+            << spec;
       }
     }
   }
@@ -216,11 +301,32 @@ TEST(FlatAdjacency, ClosedFormMetricFlagNamesTheOverridingFamilies) {
 }
 
 TEST(FlatAdjacency, ResolveAdjacencyHonoursTheVertexBudget) {
-  const Hypercube cube(5);  // 32 vertices
-  EXPECT_EQ(resolve_adjacency(cube, kForceFlat), &cube.flat_adjacency());
-  EXPECT_EQ(resolve_adjacency(cube, kForceImplicit), nullptr);
-  EXPECT_EQ(resolve_adjacency(cube, 32), &cube.flat_adjacency());
-  EXPECT_EQ(resolve_adjacency(cube, 31), nullptr);
+  const auto graph = sim::make_topology("de_bruijn:5");  // 32 vertices
+  EXPECT_EQ(resolve_adjacency(*graph, kForceFlat), &graph->flat_adjacency());
+  EXPECT_EQ(resolve_adjacency(*graph, kForceImplicit), nullptr);
+  EXPECT_EQ(resolve_adjacency(*graph, 32), &graph->flat_adjacency());
+  EXPECT_EQ(resolve_adjacency(*graph, 31), nullptr);
+}
+
+TEST(FlatAdjacency, ResolveAdjacencyGivesClosedFormFamiliesNoCsrAtAnyBudget) {
+  // The hypercube and the mesh/torus route on their own accessors: no
+  // budget builds their CSR, and taking the closed form is no fall-back.
+  const auto read = [](const std::string& name) -> std::uint64_t {
+    for (const auto& entry : obs::global_registry().snapshot()) {
+      if (entry.name == name) return entry.value;
+    }
+    return 0;
+  };
+  for (const std::string spec : {"hypercube:5", "mesh:2:6", "torus:2:6"}) {
+    const auto graph = sim::make_topology(spec);
+    const std::uint64_t built = read("graph.flat_adjacency.materializations");
+    const std::uint64_t fallbacks = read("graph.flat_adjacency.auto_fallbacks");
+    for (const std::uint64_t budget : {kForceFlat, kForceImplicit, kDefaultFlatBudgetVertices}) {
+      EXPECT_EQ(resolve_adjacency(*graph, budget), nullptr) << spec << " budget=" << budget;
+    }
+    EXPECT_EQ(read("graph.flat_adjacency.materializations"), built) << spec;
+    EXPECT_EQ(read("graph.flat_adjacency.auto_fallbacks"), fallbacks) << spec;
+  }
 }
 
 // ---------------------------------------------------------------- probing
@@ -310,6 +416,54 @@ TEST(FlatAdjacencyPercolation, ClusterAnalysesMatchAcrossBackends) {
           chemical_path(*graph, env, 0, far, 0, kForceImplicit);
       EXPECT_EQ(flat_path.distance, implicit_path.distance) << spec;
       EXPECT_EQ(flat_path.path, implicit_path.path) << spec;
+    }
+  }
+}
+
+/// `graph` seen through the virtual interface alone: every call forwards,
+/// but the wrapper is neither a Hypercube nor a Mesh, so it takes the CSR
+/// or VirtualRows, never the family's closed-form accessor.
+class Forwarding final : public Topology {
+ public:
+  explicit Forwarding(const Topology& graph) : graph_(graph) {}
+  std::uint64_t num_vertices() const override { return graph_.num_vertices(); }
+  std::uint64_t num_edges() const override { return graph_.num_edges(); }
+  int degree(VertexId v) const override { return graph_.degree(v); }
+  VertexId neighbor(VertexId v, int i) const override { return graph_.neighbor(v, i); }
+  EdgeKey edge_key(VertexId v, int i) const override { return graph_.edge_key(v, i); }
+  EdgeEndpoints endpoints(EdgeKey key) const override { return graph_.endpoints(key); }
+  std::string name() const override { return graph_.name(); }
+
+ private:
+  const Topology& graph_;
+};
+
+TEST(FlatAdjacencyPercolation, ClosedFormRowsMatchTheCsrAndVirtualRuns) {
+  // The hypercube and the mesh/torus run every analysis on their
+  // closed-form accessor at any budget; the same graph behind Forwarding
+  // runs it on the CSR and on the virtual interface.
+  for (const std::string spec : {"hypercube:6", "mesh:2:7", "torus:2:6", "torus:3:4"}) {
+    const auto graph = sim::make_topology(spec);
+    const Forwarding plain(*graph);
+    const HashEdgeSampler env(0.55, 4243);
+    const VertexId far = graph->num_vertices() - 1;
+    for (const std::uint64_t budget : {kForceFlat, kForceImplicit}) {
+      const std::string label = spec + " budget=" + std::to_string(budget);
+      const ComponentSummary closed = analyze_components(*graph, env);
+      const ComponentSummary other = analyze_components(plain, env, budget);
+      EXPECT_EQ(closed.num_open_edges, other.num_open_edges) << label;
+      EXPECT_EQ(closed.num_components, other.num_components) << label;
+      EXPECT_EQ(closed.largest, other.largest) << label;
+      EXPECT_EQ(closed.second_largest, other.second_largest) << label;
+      EXPECT_EQ(open_cluster_of(*graph, env, 0, 0), open_cluster_of(plain, env, 0, 0, budget))
+          << label;
+      EXPECT_EQ(open_connected(*graph, env, 0, far, 0),
+                open_connected(plain, env, 0, far, 0, budget))
+          << label;
+      const ChemicalPathResult a = chemical_path(*graph, env, 0, far, 0);
+      const ChemicalPathResult b = chemical_path(plain, env, 0, far, 0, budget);
+      EXPECT_EQ(a.distance, b.distance) << label;
+      EXPECT_EQ(a.path, b.path) << label;
     }
   }
 }

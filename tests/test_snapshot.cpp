@@ -331,7 +331,9 @@ TEST(Snapshot, ScenarioWithCorruptSnapshotFailsTheRun) {
 // --------------------------------------------------- budget fallback counter
 
 TEST(Snapshot, AutoFallbackPastBudgetIsCounted) {
-  const auto graph = sim::make_topology("hypercube:7");  // 128 vertices
+  // A family without closed-form adjacency: the hypercube and the
+  // mesh/torus never fall back, since they never take a CSR.
+  const auto graph = sim::make_topology("de_bruijn:7");  // 128 vertices
   const std::uint64_t before = global_counter("graph.flat_adjacency.auto_fallbacks");
   // Within budget: resolves the cached snapshot, no fallback counted.
   EXPECT_NE(resolve_adjacency(*graph, 128), nullptr);

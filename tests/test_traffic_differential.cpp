@@ -8,9 +8,9 @@
 // that. The two must agree on every aggregate, every per-message outcome,
 // and every engine counter except `channels` (the reference has no channel
 // index): across every curated scenario sweep at --quick size, a router
-// x topology matrix, flat and implicit adjacency, snapshot views, threads
-// 1, 2 and 4, and the delivery edge cases (step caps, idle Poisson gaps,
-// extra capacity).
+// x topology matrix, the default, zero-budget and forced-CSR adjacency,
+// snapshot views, threads 1, 2 and 4, and the delivery edge cases (step
+// caps, idle Poisson gaps, extra capacity).
 
 #include <gtest/gtest.h>
 
@@ -25,6 +25,7 @@
 #include "graph/mesh.hpp"
 #include "graph/snapshot.hpp"
 #include "helpers/reference_traffic.hpp"
+#include "obs/counter_registry.hpp"
 #include "percolation/edge_sampler.hpp"
 #include "random/rng.hpp"
 #include "scenario/spec.hpp"
@@ -81,18 +82,23 @@ void expect_identical(const TrafficResult& fast, const TrafficResult& ref,
   }
 }
 
-/// One way the engine can resolve adjacency: the CSR under the default
-/// vertex budget, the virtual interface under a zero budget, or an mmap'd
-/// snapshot view.
+/// One way the engine can resolve adjacency: the default (the family's
+/// closed form for the hypercube and the mesh/torus, else the CSR under
+/// the vertex budget), a zero budget (the closed form, else the virtual
+/// interface), the topology's own CSR forced in, or an mmap'd snapshot
+/// view.
 struct Backend {
   std::string name;
   std::uint64_t flat_budget_vertices = kDefaultFlatBudgetVertices;
   const FlatAdjacency* snapshot = nullptr;
 };
 
-/// Flat and implicit adjacency, plus the snapshot view when one is given.
-std::vector<Backend> backends(const FlatAdjacency* view) {
-  std::vector<Backend> all = {{"flat"}, {"implicit", /*flat_budget_vertices=*/0}};
+/// The default, zero-budget and forced-CSR backends, plus the snapshot view
+/// when one is given.
+std::vector<Backend> backends(const Topology& graph, const FlatAdjacency* view) {
+  std::vector<Backend> all = {{"default"},
+                              {"budget-0", /*flat_budget_vertices=*/0},
+                              {"csr", kDefaultFlatBudgetVertices, &graph.flat_adjacency()}};
   if (view != nullptr) all.push_back({"snapshot", kDefaultFlatBudgetVertices, view});
   return all;
 }
@@ -170,7 +176,7 @@ void check_scenario_file(const std::string& stem) {
             const HashEdgeSampler environment(p, derive_seed(spec.seed, 2 * index));
             const auto factory = [&]() { return sim::make_router(router, topology); };
             check_against_reference(topology, environment, factory, messages, config,
-                                    backends(views[ti].get()),
+                                    backends(topology, views[ti].get()),
                                     stem + " cell " + std::to_string(index) + " (" +
                                         spec.topologies[ti] + ", p=" + std::to_string(p) +
                                         ", " + router + ", " + workload_spec + ")");
@@ -221,7 +227,7 @@ void check_router_case(const RouterCase& c) {
   TrafficConfig config;
   if (c.budget > 0) config.probe_budget = c.budget;
   const auto view = snapshot_view(c.topology, *graph);
-  check_against_reference(*graph, env, factory, messages, config, backends(view.get()),
+  check_against_reference(*graph, env, factory, messages, config, backends(*graph, view.get()),
                           c.topology + "/" + c.router + "/" + c.workload +
                               " p=" + std::to_string(c.p) +
                               " budget=" + std::to_string(c.budget));
@@ -278,31 +284,70 @@ TEST(TrafficDifferential, LandmarkAndGnpRouters) {
   for (const auto& c : cases) check_router_case(c);
 }
 
-TEST(TrafficDifferential, TorusBatchIsBitIdenticalWithAndWithoutTheCsr) {
-  // Under a CSR budget of 0 the torus's probes, shared cache and journey
-  // compilation all take its closed-form edge ids; under the default budget
-  // they read the table the CSR borrows. Per-edge loads are keyed by those
-  // ids, so the two results must agree field for field, channels included.
-  const auto graph = sim::make_topology("torus:3:6");
-  const HashEdgeSampler env(0.75, derive_seed(2005, 21));
-  WorkloadConfig workload = sim::make_workload("random-pairs");
-  workload.messages = 256;
-  workload.seed = derive_seed(2005, 22);
-  const auto messages = generate_workload(*graph, workload);
-  const auto factory = [&]() { return sim::make_router("landmark", *graph); };
-  TrafficConfig implicit;
-  implicit.flat_budget_vertices = 0;
-  TrafficConfig flat;
-  for (const unsigned threads : {1u, 4u}) {
-    implicit.threads = threads;
-    flat.threads = threads;
-    const TrafficResult a = run_traffic(*graph, env, factory, messages, implicit);
-    const TrafficResult b = run_traffic(*graph, env, factory, messages, flat);
-    const std::string label = "torus:3:6 threads=" + std::to_string(threads);
-    expect_identical(a, b, label);
-    EXPECT_EQ(a.channels, b.channels) << label;
-    EXPECT_GT(a.transmissions, 0u) << label;
+TEST(TrafficDifferential, ClosedFormFamiliesAreBitIdenticalOnAllThreeBackends) {
+  // The hypercube and the mesh/torus route on their closed-form accessor
+  // under the default budget and under a budget of 0, and on the CSR only
+  // when it is forced in. Probes, the shared cache and journey compilation
+  // then take the closed-form edge ids or the table the CSR borrows;
+  // per-edge loads are keyed by those ids, so every run must agree field
+  // for field with the default, channels included.
+  for (const std::string spec : {"hypercube:7", "mesh:2:9", "torus:3:6", "torus:2:5"}) {
+    const auto graph = sim::make_topology(spec);
+    const HashEdgeSampler env(0.75, derive_seed(2005, 21));
+    WorkloadConfig workload = sim::make_workload("random-pairs");
+    workload.messages = 128;
+    workload.seed = derive_seed(2005, 22);
+    const auto messages = generate_workload(*graph, workload);
+    for (const std::string router :
+         {"landmark", "greedy", "best-first", "hybrid", "bidirectional", "flood-target-first"}) {
+      const auto factory = [&]() { return sim::make_router(router, *graph); };
+      for (const unsigned threads : {1u, 4u}) {
+        TrafficConfig config;
+        config.threads = threads;
+        const TrafficResult expected = run_traffic(*graph, env, factory, messages, config);
+        EXPECT_GT(expected.transmissions, 0u) << spec << " " << router;
+        for (const Backend& backend : backends(*graph, nullptr)) {
+          TrafficConfig fast = config;
+          fast.flat_budget_vertices = backend.flat_budget_vertices;
+          fast.flat_snapshot = backend.snapshot;
+          const TrafficResult got = run_traffic(*graph, env, factory, messages, fast);
+          const std::string label = spec + " " + router + " adjacency=" + backend.name +
+                                    " threads=" + std::to_string(threads);
+          expect_identical(got, expected, label);
+          EXPECT_EQ(got.channels, expected.channels) << label;
+        }
+      }
+    }
   }
+}
+
+std::uint64_t global_counter(const std::string& name) {
+  for (const auto& entry : obs::global_registry().snapshot()) {
+    if (entry.name == name) return entry.value;
+  }
+  return 0;
+}
+
+/// The CSRs one run_traffic batch builds on a fresh `topology_spec` under
+/// the default budget.
+std::uint64_t csr_builds_of_a_batch(const std::string& topology_spec) {
+  const auto graph = sim::make_topology(topology_spec);
+  WorkloadConfig workload = sim::make_workload("random-pairs");
+  workload.messages = 64;
+  workload.seed = derive_seed(2005, 23);
+  const auto messages = generate_workload(*graph, workload);
+  const HashEdgeSampler env(0.7, derive_seed(2005, 24));
+  const auto factory = [&]() { return sim::make_router("landmark", *graph); };
+  const std::uint64_t before = global_counter("graph.flat_adjacency.materializations");
+  const TrafficResult result = run_traffic(*graph, env, factory, messages, {});
+  EXPECT_GT(result.routed, 0u) << topology_spec;
+  return global_counter("graph.flat_adjacency.materializations") - before;
+}
+
+TEST(TrafficDifferential, ClosedFormFamiliesBuildNoCsr) {
+  EXPECT_EQ(csr_builds_of_a_batch("hypercube:10"), 0u);
+  EXPECT_EQ(csr_builds_of_a_batch("torus:2:16"), 0u);
+  EXPECT_EQ(csr_builds_of_a_batch("de_bruijn:8"), 1u);
 }
 
 // -------------------------------------------------- delivery edge cases
@@ -323,7 +368,7 @@ TEST(TrafficDifferential, StepCapStrandsIdentically) {
   for (const std::uint64_t cap : {1ull, 5ull, 23ull}) {
     TrafficConfig config;
     config.max_steps = cap;
-    check_against_reference(g, env, best_first_factory(), messages, config, backends(nullptr),
+    check_against_reference(g, env, best_first_factory(), messages, config, backends(g, nullptr),
                             "max_steps=" + std::to_string(cap));
   }
 }
@@ -338,7 +383,7 @@ TEST(TrafficDifferential, SparsePoissonIdleGapsSkipIdentically) {
   workload.messages = 200;
   workload.arrival_rate = 0.02;
   const auto messages = generate_workload(g, workload);
-  check_against_reference(g, env, best_first_factory(), messages, {}, backends(nullptr),
+  check_against_reference(g, env, best_first_factory(), messages, {}, backends(g, nullptr),
                           "sparse poisson");
 }
 
@@ -352,7 +397,7 @@ TEST(TrafficDifferential, ExtraCapacityMatches) {
   for (const std::uint64_t capacity : {2ull, 4ull, 64ull}) {
     TrafficConfig config;
     config.edge_capacity = capacity;
-    check_against_reference(g, env, best_first_factory(), messages, config, backends(nullptr),
+    check_against_reference(g, env, best_first_factory(), messages, config, backends(g, nullptr),
                             "capacity=" + std::to_string(capacity));
   }
 }
