@@ -218,13 +218,15 @@ class ProbeContext {
   /// router: the same answers and counts, with neighbor, edge id and edge
   /// key resolved by that accessor, so on a traffic batch a closed-form
   /// family's probe inlines into the router's loop the way a CSR probe
-  /// does. The virtual accessor and single pairs probe out of line: a
-  /// second inlined memo kind costs the batch's loops ~15% (bidirectional
-  /// on hypercube:13).
+  /// does. A single pair's dense probe takes the accessor out of line
+  /// (probe_pair): a second inlined memo kind costs the batch's loops ~15%
+  /// (bidirectional on hypercube:13). The virtual accessor and the sparse
+  /// side probe through probe_implicit.
   template <typename Rows>
   bool probe(const Rows& rows, VertexId v, int i) {
     if constexpr (!std::is_same_v<Rows, VirtualRows>) {
       if (arena_.batch_ != nullptr) return probe_with<DenseMemo<Rows, true>>(rows, v, i);
+      if (arena_.dense_) return probe_pair(rows, v, i);
     }
     return probe_implicit(v, i);
   }
@@ -345,6 +347,12 @@ class ProbeContext {
   /// probe_with off the CSR: the dense side over the virtual interface and
   /// the channel index, or the sparse side.
   bool probe_implicit(VertexId v, int i);
+  /// A single pair's dense probe through a row accessor, kept out of the
+  /// router's loop. On the mesh/torus it reads the row the loop decoded.
+  template <typename Rows>
+  [[gnu::noinline]] bool probe_pair(const Rows& rows, VertexId v, int i) {
+    return probe_with<DenseMemo<Rows, false>>(rows, v, i);
+  }
 
   ProbeArena& arena_;
   const Topology& graph_;

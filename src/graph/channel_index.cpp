@@ -48,7 +48,10 @@ ChannelIndex::ChannelIndex(const Topology& graph) : graph_(&graph) {
   if (const int degree = graph.regular_degree(); degree > 0) {
     // A regular family's offsets are v * degree: no virtual call per vertex
     // (torus:3:102, 1.06M vertices: ~1.2 ms instead of ~3-4 ms).
+    // Unrolled: with one store per iteration, this loop's speed swung by
+    // ~40% with where the linker placed it (torus:3:102, 1.06M vertices).
     const auto d = static_cast<std::uint64_t>(degree);
+#pragma GCC unroll 8
     for (VertexId v = 0; v < n; ++v) offsets_[v] = v * d;
     total = n * d;
   } else {

@@ -12,8 +12,8 @@ namespace faultroute {
 /// costs Omega(n^2) probes while the bidirectional oracle router achieves
 /// Theta(n^{3/2}).
 ///
-/// Its adjacency is closed form, like the hypercube's and the mesh's, but
-/// unlike theirs it still routes over the CSR (graph/flat_adjacency.hpp)
+/// Its adjacency is closed form, like the hypercube's and the mesh's, and
+/// like the mesh's it still routes over the CSR (graph/flat_adjacency.hpp)
 /// under the vertex budget. Dropping that CSR raises only the benchmark's
 /// peak-RSS reading, and that reading is an artefact: its probe reads
 /// ru_maxrss, which a child spawned by vfork + exec inherits from its

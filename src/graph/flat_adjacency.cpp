@@ -54,12 +54,24 @@ const DistanceOracle& FlatAdjacency::distance_oracle() const {
   return *oracle_;
 }
 
+namespace {
+
+bool fits_budget(const Topology& graph, std::uint64_t flat_budget_vertices) {
+  return flat_budget_vertices != 0 && graph.num_vertices() <= flat_budget_vertices;
+}
+
+}  // namespace
+
+bool routes_on_closed_form(const Topology& graph, std::uint64_t flat_budget_vertices) {
+  const ClosedFormFamily family = closed_form_family(graph);
+  return family.hypercube != nullptr ||
+         (family.mesh != nullptr && !fits_budget(graph, flat_budget_vertices));
+}
+
 const FlatAdjacency* resolve_adjacency(const Topology& graph,
                                        std::uint64_t flat_budget_vertices) {
-  if (has_closed_form_rows(graph)) return nullptr;  // its own accessor, not a fall-back
-  if (flat_budget_vertices != 0 && graph.num_vertices() <= flat_budget_vertices) {
-    return &graph.flat_adjacency();
-  }
+  if (routes_on_closed_form(graph, flat_budget_vertices)) return nullptr;  // not a fall-back
+  if (fits_budget(graph, flat_budget_vertices)) return &graph.flat_adjacency();
   // Falling back to virtual dispatch above budget is correct but slow;
   // count it globally so large-graph perf regressions are visible in
   // --metrics reports rather than only in wall clock.

@@ -36,8 +36,8 @@ class MappedSnapshot;
 /// channel of its own (neighbor + key), on top of the index's 4 per channel
 /// and 8 per vertex, which is why huge implicit topologies keep the virtual
 /// path: resolve_adjacency (below) materializes only when num_vertices()
-/// fits a budget, and never for the hypercube or the mesh/torus, whose
-/// closed-form accessors (ClosedFormRows, below) need no snapshot.
+/// fits a budget, and never for the hypercube, whose closed-form accessor
+/// (ClosedFormRows, below) is faster than the snapshot at any size.
 ///
 /// Besides the owning build above, a snapshot can be a *non-owning view*
 /// over a memory-mapped on-disk snapshot (graph/snapshot.hpp): the view
@@ -151,30 +151,43 @@ class FlatAdjacency {
   mutable std::unique_ptr<DistanceOracle> oracle_;
 };
 
-/// Default materialization budget for families without closed-form
-/// adjacency: their CSR is built when the graph has at most this many
-/// vertices. At constant degree d the snapshot costs ~20·2d bytes per
-/// vertex, so 2^20 vertices tops out around a few hundred MB for the
-/// densest library families — past that, stay implicit.
+/// Default materialization budget for every family but the hypercube: its
+/// CSR is built when the graph has at most this many vertices. At constant
+/// degree d the snapshot costs ~20·2d bytes per vertex, so 2^20 vertices
+/// tops out around a few hundred MB for the densest library families —
+/// past that, stay implicit.
 inline constexpr std::uint64_t kDefaultFlatBudgetVertices = 1ull << 20;
 
-/// The CSR a hot path resolves queries through, or nullptr. The hypercube
-/// and the mesh/torus never get one, at any size or budget: their
-/// ClosedFormRows accessor (below) computes every slot inline, and is
-/// faster per message than the CSR's loads and lighter by 20 B per channel.
-/// Every other family gets the cached snapshot iff num_vertices() fits
-/// `flat_budget_vertices`, and the virtual interface otherwise. That
-/// includes the complete graph, whose adjacency is closed form too
-/// (graph/complete.hpp says why it keeps its CSR for now). Every observable
-/// result is bit-identical either way; the budget trades CSR memory for
-/// speed. Library paths take the default, so the choice follows from the
-/// family and the vertex count; a budget of 0 forces the implicit side and
-/// UINT64_MAX the CSR. A fall-back to virtual dispatch is counted in
+/// The CSR a hot path resolves queries through, or nullptr, which leaves
+/// the graph on its family's ClosedFormRows accessor (below) or on the
+/// virtual interface. Per family:
+///  * hypercube: never a CSR, at any size or budget. Its closed form (an
+///    XOR per neighbor, a byte loop per edge id) beats the CSR's loads and
+///    saves 20 B per channel.
+///  * mesh/torus: the CSR within the budget, its closed form past it. A
+///    row's closed form decodes the vertex (one division per axis) and
+///    computes each slot, several times the cost of a CSR row that sits in
+///    cache; so the closed form only replaces virtual dispatch.
+///  * every other family, the complete graph included (graph/complete.hpp
+///    says why it keeps its CSR for now): the CSR within the budget, the
+///    virtual interface past it.
+/// Every observable result is bit-identical on every path; the budget
+/// trades CSR memory for speed. Library paths take the default, so the
+/// choice follows from the family and the vertex count; a budget of 0
+/// forces the implicit side and UINT64_MAX the CSR (except on the
+/// hypercube). A fall-back to virtual dispatch is counted in
 /// graph.flat_adjacency.auto_fallbacks (docs/COUNTERS.md), so a sweep
 /// silently losing the CSR fast path on a large graph shows up in
 /// --metrics instead of only in wall clock; a family taking its closed
 /// form is not a fall-back and is not counted.
 [[nodiscard]] const FlatAdjacency* resolve_adjacency(
+    const Topology& graph, std::uint64_t flat_budget_vertices = kDefaultFlatBudgetVertices);
+
+/// True iff resolve_adjacency(graph, flat_budget_vertices) leaves `graph`
+/// on its family's closed form: the hypercube, or a mesh/torus past the
+/// budget. Such a graph routes on no CSR, so an on-disk snapshot of it is
+/// not consulted either (scenario runner, `faultroute traffic`).
+[[nodiscard]] bool routes_on_closed_form(
     const Topology& graph, std::uint64_t flat_budget_vertices = kDefaultFlatBudgetVertices);
 
 /// The retired mode argument, kept only because pipebench/pipebench.cpp
@@ -248,7 +261,10 @@ struct ClosedFormRows<Mesh> {
 
   [[nodiscard]] const Mesh& graph() const { return *family; }
   [[nodiscard]] const Mesh::Decoded& decoded(VertexId v) const {
-    if (last->v != v) family->decode(v, *last);
+    if (last->v != v) {
+      family->decode(v, *last);
+      family->decode_edge_ids(*last);
+    }
     return *last;
   }
   [[nodiscard]] int degree(VertexId v) const { return decoded(v).degree; }
@@ -284,6 +300,17 @@ struct VirtualRows {
   }
 };
 
+/// The families with a ClosedFormRows accessor, as `graph` cast to each
+/// (at most one is set). The one list of them: AdjacencyView and
+/// resolve_adjacency both read it.
+struct ClosedFormFamily {
+  const Hypercube* hypercube = nullptr;
+  const Mesh* mesh = nullptr;
+};
+[[nodiscard]] inline ClosedFormFamily closed_form_family(const Topology& graph) {
+  return {dynamic_cast<const Hypercube*>(&graph), dynamic_cast<const Mesh*>(&graph)};
+}
+
 /// Which accessor a graph routes on, picked once per call by the caller
 /// that holds it (a route call, a batch's validation, a percolation
 /// analysis): the CSR when one is given, else the family's closed form
@@ -295,8 +322,7 @@ class AdjacencyView {
   AdjacencyView(const Topology& graph, const FlatAdjacency* flat)
       : graph_(&graph),
         flat_(flat),
-        hypercube_(flat == nullptr ? dynamic_cast<const Hypercube*>(&graph) : nullptr),
-        mesh_(flat == nullptr ? dynamic_cast<const Mesh*>(&graph) : nullptr) {}
+        family_(flat == nullptr ? closed_form_family(graph) : ClosedFormFamily{}) {}
 
   [[nodiscard]] const Topology& graph() const { return *graph_; }
   [[nodiscard]] const FlatAdjacency* flat() const { return flat_; }
@@ -306,10 +332,10 @@ class AdjacencyView {
   template <typename Fn>
   decltype(auto) visit(Fn&& fn) const {
     if (flat_ != nullptr) return fn(FlatRows{flat_});
-    if (hypercube_ != nullptr) return fn(ClosedFormRows<Hypercube>{hypercube_});
-    if (mesh_ != nullptr) {
+    if (family_.hypercube != nullptr) return fn(ClosedFormRows<Hypercube>{family_.hypercube});
+    if (family_.mesh != nullptr) {
       Mesh::Decoded last;
-      return fn(ClosedFormRows<Mesh>{mesh_, &last});
+      return fn(ClosedFormRows<Mesh>{family_.mesh, &last});
     }
     return fn(VirtualRows{graph_});
   }
@@ -317,16 +343,8 @@ class AdjacencyView {
  private:
   const Topology* graph_;
   const FlatAdjacency* flat_;
-  const Hypercube* hypercube_;
-  const Mesh* mesh_;
+  ClosedFormFamily family_;
 };
-
-/// True iff `graph` routes on its own closed-form accessor instead of a CSR
-/// (the hypercube and the mesh/torus), whatever the vertex budget.
-[[nodiscard]] inline bool has_closed_form_rows(const Topology& graph) {
-  return dynamic_cast<const Hypercube*>(&graph) != nullptr ||
-         dynamic_cast<const Mesh*>(&graph) != nullptr;
-}
 
 /// Some fault-free shortest path from u to v, written to `path` (u first, v
 /// last; empty if v is unreachable) — vertex for vertex the path

@@ -11,7 +11,8 @@ namespace faultroute {
 namespace detail {
 
 /// kOnesBelowByte[c] = Σ_{u<c} popcount(u) and kOnesOfByte[c] =
-/// popcount(c), for a byte c.
+/// popcount(c), for a byte c. Hypercube::edge_id looks a byte's popcount
+/// up: a load is cheaper there than popcount64's word arithmetic.
 inline constexpr std::array<std::uint16_t, 256> kOnesBelowByte = [] {
   std::array<std::uint16_t, 256> table{};
   for (unsigned c = 1; c < 256; ++c) {
@@ -92,7 +93,11 @@ class Hypercube final : public Topology {
   /// First-appearance id of the edge {a, a | 2^i} with bit i of a clear:
   /// every vertex u < a first lists its n - popcount(u) edges to larger
   /// vertices, so n·a − Σ_{u<a} popcount(u) ids precede a's own, and the
-  /// edge ranks among a's clear bits below i. O(n / 8), a byte at a time.
+  /// edge ranks among a's clear bits below i. O(n / 8), a byte at a time;
+  /// up to n = 16 (every hypercube the scenarios and the benchmark route
+  /// on) the two bytes are one straight-line expression, which runs the
+  /// hypercube:13 BFS routers ~17% faster than the byte loop does
+  /// (search-sweep, 10 of 10 alternating pairs).
   [[nodiscard]] bool has_closed_form_edge_ids() const override { return true; }
   [[nodiscard]] std::uint32_t edge_id(VertexId v, int i) const override {
     const VertexId bit = 1ULL << i;

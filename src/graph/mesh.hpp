@@ -21,12 +21,13 @@ class Mesh final : public Topology {
 
   using Coords = std::array<std::int64_t, kMaxDimension>;
 
-  /// A vertex decoded for resolving its slots: its coordinates plus the
-  /// per-row terms that make each slot's neighbor, edge key and edge id
-  /// O(1). ClosedFormRows<Mesh> (graph/flat_adjacency.hpp) keeps the last
-  /// one it was asked about, so a row scan and the probes of that row
-  /// decode the vertex once. Filled by decode(); a default-constructed one
-  /// names no vertex.
+  /// A vertex decoded for resolving its slots: its coordinates and slot ->
+  /// move table (decode), which make each slot's neighbor and edge key
+  /// O(1), plus the per-row terms that do the same for its edge ids
+  /// (decode_edge_ids). ClosedFormRows<Mesh> (graph/flat_adjacency.hpp)
+  /// keeps the last vertex it was asked about fully decoded, so a row scan
+  /// and the probes of that row decode the vertex once. A
+  /// default-constructed one names no vertex.
   struct Decoded {
     VertexId v = ~VertexId{0};
     int degree = 0;
@@ -49,33 +50,40 @@ class Mesh final : public Topology {
 
   // Adjacency is closed form and inline, over a decoded vertex: degree,
   // neighbor, edge_key, edge_id and slot_of are what the hot paths call
-  // through ClosedFormRows, without virtual dispatch and without a CSR; the
-  // virtual overrides decode and forward. Slots are in locate's order: per
-  // axis, the decreasing move, then the increasing one (on the mesh, each
-  // only where it stays inside).
+  // through ClosedFormRows when the graph has no CSR, without virtual
+  // dispatch; the virtual overrides decode what they need and forward.
+  // Slots are in locate's order: per axis, the decreasing move, then the
+  // increasing one (on the mesh, each only where it stays inside).
 
-  /// Decodes v into `x`: O(d), one division by the side per axis.
+  /// Decodes v's coordinates and moves into `x`: O(d), one division by the
+  /// side per axis. Enough for neighbor, edge_key and slot_of.
   void decode(VertexId v, Decoded& x) const {
     const auto side = static_cast<std::uint64_t>(side_);
     const std::uint64_t last = side - 1;
-    const auto dim = static_cast<std::size_t>(dim_);
     x.v = v;
     x.degree = 0;
     std::uint64_t rest = v;
+    for (std::size_t k = 0; k < static_cast<std::size_t>(dim_); ++k) {
+      const std::uint64_t c = rest % side;
+      rest /= side;
+      x.c[k] = static_cast<std::int64_t>(c);
+      const auto axis = static_cast<std::uint8_t>(k << 1);
+      if (wrap_ || c > 0) x.move[static_cast<std::size_t>(x.degree++)] = axis;
+      if (wrap_ || c < last) x.move[static_cast<std::size_t>(x.degree++)] = axis | 1;
+    }
+  }
+  /// Adds the edge-id terms to a decoded `x`: O(d), no division.
+  void decode_edge_ids(Decoded& x) const {
+    const auto dim = static_cast<std::size_t>(dim_);
     std::uint64_t low = 0;
     std::uint64_t terms = 0;  // Σ_k g(k, c_k) + e(c_k)·low_k
     std::uint64_t ups = 0;
     for (std::size_t k = 0; k < dim; ++k) {
-      const std::uint64_t c = rest % side;
-      rest /= side;
-      x.c[k] = static_cast<std::int64_t>(c);
+      const auto c = static_cast<std::uint64_t>(x.c[k]);
       x.low[k] = low;
       x.up_below[k] = ups;
       terms += g(k, c) + e(c) * low;
       ups += up(c);
-      const auto axis = static_cast<std::uint8_t>(k << 1);
-      if (wrap_ || c > 0) x.move[static_cast<std::size_t>(x.degree++)] = axis;
-      if (wrap_ || c < last) x.move[static_cast<std::size_t>(x.degree++)] = axis | 1;
       low += c * stride_[k];
     }
     std::uint64_t tail = 0;
@@ -83,7 +91,7 @@ class Mesh final : public Topology {
       x.tail[k] = tail;
       tail += e(static_cast<std::uint64_t>(x.c[k]));
     }
-    x.first = static_cast<std::uint64_t>(dim_) * v + terms;
+    x.first = static_cast<std::uint64_t>(dim_) * x.v + terms;
   }
 
   [[nodiscard]] std::uint64_t num_vertices() const override { return num_vertices_; }
@@ -141,6 +149,7 @@ class Mesh final : public Topology {
   [[nodiscard]] std::uint32_t edge_id(VertexId v, int i) const override {
     Decoded x;
     decode(v, x);
+    decode_edge_ids(x);
     return edge_id(x, i);
   }
   /// A vertex with coordinate c lists, along one axis, up(c) edges to
@@ -158,7 +167,8 @@ class Mesh final : public Topology {
   /// vertex x, whose F is Decoded::first, or the neighbor y one step down,
   /// which differs from x on the move's axis alone, so F(y) is F(x)
   /// corrected by that axis's terms in O(1). The arithmetic wraps modulo
-  /// 2^64 and the result is below num_edges(), so the wrap cancels.
+  /// 2^64 and the result is below num_edges(), so the wrap cancels. `x`
+  /// must carry its edge-id terms (decode_edge_ids).
   [[nodiscard]] std::uint32_t edge_id(const Decoded& x, int i) const {
     const Move move = locate(x, i);
     const auto ax = static_cast<std::size_t>(move.axis);

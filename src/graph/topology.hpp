@@ -155,7 +155,7 @@ class Topology {
   /// first use and cached — O(channels) once, O(1) thereafter. Costs ~20
   /// bytes per directed channel; huge implicit topologies should not call
   /// this (resolve_adjacency's vertex budget sees to that, and it never
-  /// asks the hypercube or the mesh/torus). Thread-safe under const access.
+  /// asks the hypercube). Thread-safe under const access.
   [[nodiscard]] const FlatAdjacency& flat_adjacency() const;
 
  private:

@@ -94,10 +94,13 @@ RunSummary run_scenario(const ScenarioSpec& spec, Reporter& reporter,
 
   // Snapshot adjacencies are opened once per topology, before the parallel
   // loop, and shared read-only by every cell of that topology (absent
-  // snapshots leave the per-cell resolve_adjacency fallback in charge).
+  // snapshots leave the per-cell resolve_adjacency fallback in charge). A
+  // topology that routes on its closed form takes no CSR, so its snapshot
+  // is not opened.
   std::vector<std::unique_ptr<FlatAdjacency>> snapshots(topologies.size());
   if (!spec.snapshot_dir.empty()) {
     for (std::size_t t = 0; t < topologies.size(); ++t) {
+      if (routes_on_closed_form(*topologies[t])) continue;
       snapshots[t] =
           open_snapshot_adjacency(spec.snapshot_dir, spec.topologies[t], *topologies[t]);
     }

@@ -35,17 +35,20 @@ struct TrafficConfig {
   /// compilation (resolve_adjacency): graphs with at most this many
   /// vertices route over the topology's CSR snapshot
   /// (Topology::flat_adjacency(), ~20 bytes per directed channel once,
-  /// cached), larger ones over the virtual interface without CSR memory;
-  /// the hypercube and the mesh/torus take their closed-form accessor
-  /// whatever the budget. Outcomes and counters are bit-identical either
-  /// way (tests/test_traffic_differential.cpp); 0 forces the implicit side.
+  /// cached), larger ones over the mesh/torus's closed-form accessor or
+  /// the virtual interface without CSR memory; the hypercube takes its
+  /// closed-form accessor whatever the budget. Outcomes and counters are
+  /// bit-identical either way (tests/test_traffic_differential.cpp); 0
+  /// forces the implicit side.
   std::uint64_t flat_budget_vertices = kDefaultFlatBudgetVertices;
   /// When non-null, the routing phase resolves flat-adjacency queries
   /// through this externally provided snapshot — typically a memory-mapped
   /// view opened from a snapshot directory (graph/snapshot.hpp /
   /// open_snapshot_adjacency) — instead of materializing one via
   /// resolve_adjacency. A mapped view costs no build, so the vertex budget
-  /// does not apply and huge graphs keep the CSR fast path. Must describe
+  /// does not apply and huge graphs keep the CSR fast path (the scenario
+  /// runner and the CLI open none for a graph that routes on its closed
+  /// form: routes_on_closed_form). Must describe
   /// the same topology (bit-identical results are pinned by
   /// tests/test_snapshot.cpp) and outlive the run.
   const FlatAdjacency* flat_snapshot = nullptr;

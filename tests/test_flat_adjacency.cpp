@@ -172,7 +172,6 @@ TEST(AdjacencyRows, ViewPicksTheCsrThenTheFamilyThenVirtualDispatch) {
                                    : "virtual";
     EXPECT_EQ(accessor_of(AdjacencyView(*graph, nullptr)), family) << spec;
     EXPECT_EQ(accessor_of(AdjacencyView(*graph, &graph->flat_adjacency())), "csr") << spec;
-    EXPECT_EQ(has_closed_form_rows(*graph), family != "virtual") << spec;
   }
 }
 
@@ -308,25 +307,38 @@ TEST(FlatAdjacency, ResolveAdjacencyHonoursTheVertexBudget) {
   EXPECT_EQ(resolve_adjacency(*graph, 31), nullptr);
 }
 
-TEST(FlatAdjacency, ResolveAdjacencyGivesClosedFormFamiliesNoCsrAtAnyBudget) {
-  // The hypercube and the mesh/torus route on their own accessors: no
-  // budget builds their CSR, and taking the closed form is no fall-back.
+TEST(FlatAdjacency, ResolveAdjacencyLeavesClosedFormsOffTheCsr) {
+  // The hypercube routes on its own accessor at every budget; the
+  // mesh/torus takes the CSR within the budget and its own accessor past
+  // it. Taking the closed form is no fall-back.
   const auto read = [](const std::string& name) -> std::uint64_t {
     for (const auto& entry : obs::global_registry().snapshot()) {
       if (entry.name == name) return entry.value;
     }
     return 0;
   };
-  for (const std::string spec : {"hypercube:5", "mesh:2:6", "torus:2:6"}) {
-    const auto graph = sim::make_topology(spec);
-    const std::uint64_t built = read("graph.flat_adjacency.materializations");
-    const std::uint64_t fallbacks = read("graph.flat_adjacency.auto_fallbacks");
-    for (const std::uint64_t budget : {kForceFlat, kForceImplicit, kDefaultFlatBudgetVertices}) {
-      EXPECT_EQ(resolve_adjacency(*graph, budget), nullptr) << spec << " budget=" << budget;
-    }
-    EXPECT_EQ(read("graph.flat_adjacency.materializations"), built) << spec;
-    EXPECT_EQ(read("graph.flat_adjacency.auto_fallbacks"), fallbacks) << spec;
+  const auto graph = sim::make_topology("hypercube:5");
+  const std::uint64_t built = read("graph.flat_adjacency.materializations");
+  const std::uint64_t fallbacks = read("graph.flat_adjacency.auto_fallbacks");
+  for (const std::uint64_t budget : {kForceFlat, kForceImplicit, kDefaultFlatBudgetVertices}) {
+    EXPECT_TRUE(routes_on_closed_form(*graph, budget)) << budget;
+    EXPECT_EQ(resolve_adjacency(*graph, budget), nullptr) << budget;
   }
+  EXPECT_EQ(read("graph.flat_adjacency.materializations"), built);
+  for (const std::string spec : {"mesh:2:6", "torus:2:6"}) {  // 36 vertices
+    const auto mesh = sim::make_topology(spec);
+    for (const std::uint64_t budget : {kForceImplicit, std::uint64_t{35}}) {
+      EXPECT_TRUE(routes_on_closed_form(*mesh, budget)) << spec << " budget=" << budget;
+      EXPECT_EQ(resolve_adjacency(*mesh, budget), nullptr) << spec << " budget=" << budget;
+    }
+    for (const std::uint64_t budget : {std::uint64_t{36}, kDefaultFlatBudgetVertices}) {
+      EXPECT_FALSE(routes_on_closed_form(*mesh, budget)) << spec << " budget=" << budget;
+      EXPECT_EQ(resolve_adjacency(*mesh, budget), &mesh->flat_adjacency())
+          << spec << " budget=" << budget;
+    }
+  }
+  EXPECT_EQ(read("graph.flat_adjacency.auto_fallbacks"), fallbacks);
+  EXPECT_FALSE(routes_on_closed_form(*sim::make_topology("de_bruijn:5"), kForceImplicit));
 }
 
 // ---------------------------------------------------------------- probing
@@ -439,9 +451,9 @@ class Forwarding final : public Topology {
 };
 
 TEST(FlatAdjacencyPercolation, ClosedFormRowsMatchTheCsrAndVirtualRuns) {
-  // The hypercube and the mesh/torus run every analysis on their
-  // closed-form accessor at any budget; the same graph behind Forwarding
-  // runs it on the CSR and on the virtual interface.
+  // Under a budget of 0 the hypercube and the mesh/torus run every
+  // analysis on their closed-form accessor; the same graph behind
+  // Forwarding runs it on the CSR and on the virtual interface.
   for (const std::string spec : {"hypercube:6", "mesh:2:7", "torus:2:6", "torus:3:4"}) {
     const auto graph = sim::make_topology(spec);
     const Forwarding plain(*graph);
@@ -449,18 +461,19 @@ TEST(FlatAdjacencyPercolation, ClosedFormRowsMatchTheCsrAndVirtualRuns) {
     const VertexId far = graph->num_vertices() - 1;
     for (const std::uint64_t budget : {kForceFlat, kForceImplicit}) {
       const std::string label = spec + " budget=" + std::to_string(budget);
-      const ComponentSummary closed = analyze_components(*graph, env);
+      const ComponentSummary closed = analyze_components(*graph, env, kForceImplicit);
       const ComponentSummary other = analyze_components(plain, env, budget);
       EXPECT_EQ(closed.num_open_edges, other.num_open_edges) << label;
       EXPECT_EQ(closed.num_components, other.num_components) << label;
       EXPECT_EQ(closed.largest, other.largest) << label;
       EXPECT_EQ(closed.second_largest, other.second_largest) << label;
-      EXPECT_EQ(open_cluster_of(*graph, env, 0, 0), open_cluster_of(plain, env, 0, 0, budget))
+      EXPECT_EQ(open_cluster_of(*graph, env, 0, 0, kForceImplicit),
+                open_cluster_of(plain, env, 0, 0, budget))
           << label;
-      EXPECT_EQ(open_connected(*graph, env, 0, far, 0),
+      EXPECT_EQ(open_connected(*graph, env, 0, far, 0, kForceImplicit),
                 open_connected(plain, env, 0, far, 0, budget))
           << label;
-      const ChemicalPathResult a = chemical_path(*graph, env, 0, far, 0);
+      const ChemicalPathResult a = chemical_path(*graph, env, 0, far, 0, kForceImplicit);
       const ChemicalPathResult b = chemical_path(plain, env, 0, far, 0, budget);
       EXPECT_EQ(a.distance, b.distance) << label;
       EXPECT_EQ(a.path, b.path) << label;

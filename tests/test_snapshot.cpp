@@ -303,24 +303,28 @@ TEST(Snapshot, ScenarioOverSnapshotDirIsByteIdenticalAndMaterializesNothing) {
     write_snapshot(snapshot_path(dir.string(), topo), topo, graph->flat_adjacency());
   }
   const std::uint64_t built_before = global_counter("graph.flat_adjacency.materializations");
+  const std::uint64_t hits_before = global_counter("graph.snapshot.hits");
   spec.snapshot_dir = dir.string();
   const std::string warm = run_report(spec);
   EXPECT_EQ(warm, cold);
-  // The warm run resolved both topologies from the mapped snapshots: the
-  // runner's own graphs never materialized an owning FlatAdjacency.
+  // The warm run resolved the butterfly from its mapped snapshot and left
+  // the hypercube's unopened, since the hypercube routes on its closed
+  // form: the runner's own graphs never materialized an owning
+  // FlatAdjacency.
   EXPECT_EQ(global_counter("graph.flat_adjacency.materializations"), built_before);
+  EXPECT_EQ(global_counter("graph.snapshot.hits"), hits_before + 1);
 }
 
 TEST(Snapshot, ScenarioWithCorruptSnapshotFailsTheRun) {
   const fs::path dir = scratch_dir("scenario_corrupt");
-  const auto graph = sim::make_topology("hypercube:6");
-  const std::string path = snapshot_path(dir.string(), "hypercube:6");
-  write_snapshot(path, "hypercube:6", graph->flat_adjacency());
+  const auto graph = sim::make_topology("butterfly:3");
+  const std::string path = snapshot_path(dir.string(), "butterfly:3");
+  write_snapshot(path, "butterfly:3", graph->flat_adjacency());
   auto bytes = read_file(path);
   bytes[snap::kHeaderBytes + 3] ^= 0x10;
   write_file(path, bytes);
 
-  auto spec = scenario::parse_scenario("topology = hypercube:6; messages = 8");
+  auto spec = scenario::parse_scenario("topology = butterfly:3; messages = 8");
   spec.snapshot_dir = dir.string();
   std::ostringstream out;
   scenario::JsonLinesReporter reporter(out);
@@ -332,7 +336,8 @@ TEST(Snapshot, ScenarioWithCorruptSnapshotFailsTheRun) {
 
 TEST(Snapshot, AutoFallbackPastBudgetIsCounted) {
   // A family without closed-form adjacency: the hypercube and the
-  // mesh/torus never fall back, since they never take a CSR.
+  // mesh/torus never fall back, since past the budget (the hypercube at
+  // any budget) they take their closed form.
   const auto graph = sim::make_topology("de_bruijn:7");  // 128 vertices
   const std::uint64_t before = global_counter("graph.flat_adjacency.auto_fallbacks");
   // Within budget: resolves the cached snapshot, no fallback counted.

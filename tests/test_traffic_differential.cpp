@@ -82,23 +82,30 @@ void expect_identical(const TrafficResult& fast, const TrafficResult& ref,
   }
 }
 
-/// One way the engine can resolve adjacency: the default (the family's
-/// closed form for the hypercube and the mesh/torus, else the CSR under
-/// the vertex budget), a zero budget (the closed form, else the virtual
-/// interface), the topology's own CSR forced in, or an mmap'd snapshot
-/// view.
+/// One way the engine can resolve adjacency: the default (the CSR under
+/// the vertex budget, except on the hypercube, which takes its closed
+/// form), a zero budget (the closed form of the hypercube and the
+/// mesh/torus, else the virtual interface), the topology's own CSR forced
+/// in, or an mmap'd snapshot view.
 struct Backend {
   std::string name;
   std::uint64_t flat_budget_vertices = kDefaultFlatBudgetVertices;
   const FlatAdjacency* snapshot = nullptr;
 };
 
-/// The default, zero-budget and forced-CSR backends, plus the snapshot view
-/// when one is given.
+/// The path the default does not take: the forced CSR where the default
+/// routes on the closed form, else a zero budget.
+Backend other_backend(const Topology& graph) {
+  if (routes_on_closed_form(graph)) {
+    return {"csr", kDefaultFlatBudgetVertices, &graph.flat_adjacency()};
+  }
+  return {"budget-0", /*flat_budget_vertices=*/0};
+}
+
+/// The default and the other backend, plus the snapshot view when one is
+/// given.
 std::vector<Backend> backends(const Topology& graph, const FlatAdjacency* view) {
-  std::vector<Backend> all = {{"default"},
-                              {"budget-0", /*flat_budget_vertices=*/0},
-                              {"csr", kDefaultFlatBudgetVertices, &graph.flat_adjacency()}};
+  std::vector<Backend> all = {{"default"}, other_backend(graph)};
   if (view != nullptr) all.push_back({"snapshot", kDefaultFlatBudgetVertices, view});
   return all;
 }
@@ -284,13 +291,14 @@ TEST(TrafficDifferential, LandmarkAndGnpRouters) {
   for (const auto& c : cases) check_router_case(c);
 }
 
-TEST(TrafficDifferential, ClosedFormFamiliesAreBitIdenticalOnAllThreeBackends) {
-  // The hypercube and the mesh/torus route on their closed-form accessor
-  // under the default budget and under a budget of 0, and on the CSR only
-  // when it is forced in. Probes, the shared cache and journey compilation
-  // then take the closed-form edge ids or the table the CSR borrows;
-  // per-edge loads are keyed by those ids, so every run must agree field
-  // for field with the default, channels included.
+TEST(TrafficDifferential, ClosedFormAndCsrRunsAreBitIdentical) {
+  // The hypercube routes on its closed-form accessor by default and on the
+  // CSR when it is forced in; these small meshes and tori take the CSR by
+  // default and their closed form under a budget of 0. Probes, the shared
+  // cache and journey compilation then take the closed-form edge ids or
+  // the table the CSR borrows; per-edge loads are keyed by those ids, so
+  // the other path must agree field for field with the default, channels
+  // included.
   for (const std::string spec : {"hypercube:7", "mesh:2:9", "torus:3:6", "torus:2:5"}) {
     const auto graph = sim::make_topology(spec);
     const HashEdgeSampler env(0.75, derive_seed(2005, 21));
@@ -306,16 +314,15 @@ TEST(TrafficDifferential, ClosedFormFamiliesAreBitIdenticalOnAllThreeBackends) {
         config.threads = threads;
         const TrafficResult expected = run_traffic(*graph, env, factory, messages, config);
         EXPECT_GT(expected.transmissions, 0u) << spec << " " << router;
-        for (const Backend& backend : backends(*graph, nullptr)) {
-          TrafficConfig fast = config;
-          fast.flat_budget_vertices = backend.flat_budget_vertices;
-          fast.flat_snapshot = backend.snapshot;
-          const TrafficResult got = run_traffic(*graph, env, factory, messages, fast);
-          const std::string label = spec + " " + router + " adjacency=" + backend.name +
-                                    " threads=" + std::to_string(threads);
-          expect_identical(got, expected, label);
-          EXPECT_EQ(got.channels, expected.channels) << label;
-        }
+        const Backend backend = other_backend(*graph);
+        TrafficConfig fast = config;
+        fast.flat_budget_vertices = backend.flat_budget_vertices;
+        fast.flat_snapshot = backend.snapshot;
+        const TrafficResult got = run_traffic(*graph, env, factory, messages, fast);
+        const std::string label = spec + " " + router + " adjacency=" + backend.name +
+                                  " threads=" + std::to_string(threads);
+        expect_identical(got, expected, label);
+        EXPECT_EQ(got.channels, expected.channels) << label;
       }
     }
   }
@@ -329,8 +336,9 @@ std::uint64_t global_counter(const std::string& name) {
 }
 
 /// The CSRs one run_traffic batch builds on a fresh `topology_spec` under
-/// the default budget.
-std::uint64_t csr_builds_of_a_batch(const std::string& topology_spec) {
+/// the vertex budget `flat_budget_vertices`.
+std::uint64_t csr_builds_of_a_batch(const std::string& topology_spec,
+                                    std::uint64_t flat_budget_vertices) {
   const auto graph = sim::make_topology(topology_spec);
   WorkloadConfig workload = sim::make_workload("random-pairs");
   workload.messages = 64;
@@ -338,16 +346,20 @@ std::uint64_t csr_builds_of_a_batch(const std::string& topology_spec) {
   const auto messages = generate_workload(*graph, workload);
   const HashEdgeSampler env(0.7, derive_seed(2005, 24));
   const auto factory = [&]() { return sim::make_router("landmark", *graph); };
+  TrafficConfig config;
+  config.flat_budget_vertices = flat_budget_vertices;
   const std::uint64_t before = global_counter("graph.flat_adjacency.materializations");
-  const TrafficResult result = run_traffic(*graph, env, factory, messages, {});
+  const TrafficResult result = run_traffic(*graph, env, factory, messages, config);
   EXPECT_GT(result.routed, 0u) << topology_spec;
   return global_counter("graph.flat_adjacency.materializations") - before;
 }
 
-TEST(TrafficDifferential, ClosedFormFamiliesBuildNoCsr) {
-  EXPECT_EQ(csr_builds_of_a_batch("hypercube:10"), 0u);
-  EXPECT_EQ(csr_builds_of_a_batch("torus:2:16"), 0u);
-  EXPECT_EQ(csr_builds_of_a_batch("de_bruijn:8"), 1u);
+TEST(TrafficDifferential, ClosedFormRoutesBuildNoCsr) {
+  // The hypercube at any budget, the torus past the budget (here 0).
+  EXPECT_EQ(csr_builds_of_a_batch("hypercube:10", kDefaultFlatBudgetVertices), 0u);
+  EXPECT_EQ(csr_builds_of_a_batch("torus:2:16", 0), 0u);
+  EXPECT_EQ(csr_builds_of_a_batch("torus:2:16", kDefaultFlatBudgetVertices), 1u);
+  EXPECT_EQ(csr_builds_of_a_batch("de_bruijn:8", kDefaultFlatBudgetVertices), 1u);
 }
 
 // -------------------------------------------------- delivery edge cases

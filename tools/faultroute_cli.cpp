@@ -400,10 +400,11 @@ int cmd_traffic(const Args& args) {
   // --snapshot-dir DIR resolves the routing adjacency from an on-disk
   // snapshot (`faultroute snapshot build`), mmap'd instead of materialized.
   // Absent snapshot falls back to the normal build; a corrupt one is a hard
-  // error. Results are identical either way.
+  // error. Results are identical either way. A topology that routes on its
+  // closed form takes no CSR, so its snapshot is not opened.
   std::unique_ptr<FlatAdjacency> snapshot;
   const std::string snapshot_dir = args.get("snapshot-dir", "");
-  if (!snapshot_dir.empty()) {
+  if (!snapshot_dir.empty() && !routes_on_closed_form(*graph)) {
     snapshot = open_snapshot_adjacency(snapshot_dir, args.require("topology"), *graph);
     config.flat_snapshot = snapshot.get();
   }
