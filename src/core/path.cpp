@@ -10,7 +10,9 @@ namespace faultroute {
 bool is_valid_open_path(const Topology& graph, const EdgeSampler& sampler,
                         const Path& path, VertexId from, VertexId to) {
   return AdjacencyView(graph, nullptr).visit(
-      [&](const auto& rows) { return is_valid_open_path_on(rows, sampler, path, from, to); });
+      [&](const auto& rows) {
+        return visit_open_path(rows, sampler, path, from, to, [](VertexId, VertexId, int) {});
+      });
 }
 
 Path simplify_walk(Path walk) {

@@ -19,28 +19,34 @@ using Path = std::vector<VertexId>;
 [[nodiscard]] bool is_valid_open_path(const Topology& graph, const EdgeSampler& sampler,
                                       const Path& path, VertexId from, VertexId to);
 
-/// The same verdict through one row accessor of graph/flat_adjacency.hpp
-/// (the CSR, a family's closed form or the virtual interface), for callers
-/// that validate a batch under one AdjacencyView::visit.
-template <typename Rows>
-[[nodiscard]] bool is_valid_open_path_on(const Rows& rows, const EdgeSampler& sampler,
-                                         const Path& path, VertexId from, VertexId to) {
+/// is_valid_open_path's verdict through one row accessor of
+/// graph/flat_adjacency.hpp (the CSR, a family's closed form or the virtual
+/// interface), for callers that validate a batch under one
+/// AdjacencyView::visit. Each hop a -> b of a valid path is handed to
+/// `on_hop(a, b, slot)` in path order, with the lowest slot of a that leads
+/// to b (edge_index_of's, even where that parallel copy is closed and a
+/// later one is open), so a caller needs no second lookup per hop. On an
+/// invalid path, on_hop may already have seen a prefix of its hops.
+template <typename Rows, typename OnHop>
+[[nodiscard]] bool visit_open_path(const Rows& rows, const EdgeSampler& sampler, const Path& path,
+                                   VertexId from, VertexId to, OnHop&& on_hop) {
   if (path.empty()) return false;
   if (path.front() != from || path.back() != to) return false;
   for (std::size_t step = 0; step + 1 < path.size(); ++step) {
     const VertexId a = path[step];
     const VertexId b = path[step + 1];
-    int i = rows.edge_index_of(a, b);
-    if (i < 0) return false;
+    const int first = rows.edge_index_of(a, b);
+    if (first < 0) return false;
     // Accept the edge if *any* parallel copy of {a, b} is open: past a
     // closed copy, look for the next slot of a that leads to b.
     const int deg = rows.degree(a);
-    while (!detail::slot_open(rows, sampler, a, i)) {
+    for (int i = first; !detail::slot_open(rows, sampler, a, i);) {
       do {
         ++i;
       } while (i < deg && rows.neighbor(a, i) != b);
       if (i == deg) return false;
     }
+    on_hop(a, b, first);
   }
   return true;
 }

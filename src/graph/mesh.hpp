@@ -51,7 +51,8 @@ class Mesh final : public Topology {
   // Adjacency is closed form and inline, over a decoded vertex: degree,
   // neighbor, edge_key, edge_id and slot_of are what the hot paths call
   // through ClosedFormRows when the graph has no CSR, without virtual
-  // dispatch; the virtual overrides decode what they need and forward.
+  // dispatch; the virtual overrides decode what they need and forward (on
+  // the torus, only the moved axis's coordinate).
   // Slots are in locate's order: per axis, the decreasing move, then the
   // increasing one (on the mesh, each only where it stays inside).
 
@@ -104,6 +105,10 @@ class Mesh final : public Topology {
   }
   [[nodiscard]] int regular_degree() const override { return wrap_ ? 2 * dim_ : 0; }
   [[nodiscard]] VertexId neighbor(VertexId v, int i) const override {
+    if (wrap_) {
+      const Move move = torus_move(i);
+      return step(v, move, coordinate(v, move.axis));
+    }
     Decoded x;
     decode(v, x);
     return neighbor(x, i);
@@ -113,6 +118,11 @@ class Mesh final : public Topology {
     return step(x.v, move, x.c[static_cast<std::size_t>(move.axis)]);
   }
   [[nodiscard]] EdgeKey edge_key(VertexId v, int i) const override {
+    if (wrap_) {
+      const Move move = torus_move(i);
+      const VertexId owner = move.direction == 1 ? v : step(v, move, coordinate(v, move.axis));
+      return static_cast<EdgeKey>(move.axis) * num_vertices_ + owner;
+    }
     Decoded x;
     decode(v, x);
     return edge_key(x, i);
@@ -234,6 +244,18 @@ class Mesh final : public Topology {
     const std::uint8_t move = x.move[static_cast<std::size_t>(i)];
     return {move >> 1, move & 1};
   }
+  /// Slot i's move on the torus, where every vertex has all 2d moves in
+  /// decode's order: slot i moves along axis i >> 1, increasing iff i is odd.
+  [[nodiscard]] Move torus_move(int i) const {
+    if (i < 0 || i >= 2 * dim_) throw_bad_slot();
+    return {i >> 1, i & 1};
+  }
+  /// v's coordinate on one axis: one division by the axis's stride and one
+  /// by the side, where decode divides on every axis.
+  [[nodiscard]] std::int64_t coordinate(VertexId v, int axis) const {
+    return static_cast<std::int64_t>(v / stride_[static_cast<std::size_t>(axis)] %
+                                     static_cast<std::uint64_t>(side_));
+  }
   /// The neighbor `move` leads to from v, whose coordinate on its axis is c.
   [[nodiscard]] VertexId step(VertexId v, const Move& move, std::int64_t c) const {
     const std::uint64_t stride = stride_[static_cast<std::size_t>(move.axis)];
@@ -254,7 +276,7 @@ class Mesh final : public Topology {
     if (wrap_) return c > 0 ? stride_[k] : 0;
     return k > 0 ? 0 - static_cast<std::uint64_t>(k) * c * stride_[k - 1] : 0;
   }
-  /// Thrown by locate for a slot at or past the degree on the mesh.
+  /// Thrown by locate and torus_move for a slot outside the vertex's row.
   [[noreturn]] static void throw_bad_slot();
   /// The distance term of one axis between coordinates a and b.
   [[nodiscard]] std::uint64_t axis_distance(std::int64_t a, std::int64_t b) const {

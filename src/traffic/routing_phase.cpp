@@ -188,32 +188,29 @@ RoutedBatch route_and_validate(
         continue;
       }
       // Validate before counting as routed, so the exact partition
-      // routed + failed + censored + invalid == messages holds.
+      // routed + failed + censored + invalid == messages holds. Validation
+      // yields each hop's slot, so a hop is looked up once.
       const Path& path = paths[i];
-      if (config.verify_paths &&
-          !is_valid_open_path_on(rows, sampler, path, out.message.source, out.message.target)) {
-        ++result.invalid_paths;
-        out.routed = false;
-        out.path_edges = 0;  // the rejected path's hop count must not leak out
-        continue;
-      }
       const auto begin = static_cast<std::uint32_t>(hops.size());
-      bool ok = true;
-      for (std::size_t step = 0; step + 1 < path.size(); ++step) {
-        const VertexId a = path[step];
-        const VertexId b = path[step + 1];
-        const int slot = rows.edge_index_of(a, b);
-        if (slot < 0) {  // unreachable when verify_paths is on; defensive otherwise
-          ok = false;
-          break;
-        }
+      const auto push_hop = [&](VertexId a, VertexId b, int slot) {
         // analyze:allow-hot-alloc(fills the reservation above)
         hops.push_back(rows.edge_id(a, slot) << 1 | static_cast<std::uint32_t>(a > b));
+      };
+      bool ok = true;
+      if (config.verify_paths) {
+        ok = visit_open_path(rows, sampler, path, out.message.source, out.message.target,
+                             push_hop);
+      } else {
+        for (std::size_t step = 0; ok && step + 1 < path.size(); ++step) {
+          const int slot = rows.edge_index_of(path[step], path[step + 1]);
+          ok = slot >= 0;
+          if (ok) push_hop(path[step], path[step + 1], slot);
+        }
       }
       if (!ok) {
         ++result.invalid_paths;
         out.routed = false;
-        out.path_edges = 0;
+        out.path_edges = 0;  // the rejected path's hop count must not leak out
         hops.resize(begin);  // analyze:allow-hot-alloc(drops this message's hops; never grows)
         continue;
       }

@@ -1,6 +1,7 @@
 #include "traffic/traffic_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <limits>
 #include <optional>
@@ -20,52 +21,72 @@ constexpr std::uint32_t kNoMessage = std::numeric_limits<std::uint32_t>::max();
 
 /// Renumbers the batch's hops (RoutedBatch::hops) onto batch-local channel
 /// ids in place and returns k, the number of distinct undirected edges they
-/// load. Those edges become 0..k-1 in ascending edge-id order, and each hop
-/// keeps its direction bit, so hop a -> b on local edge e' queues on local
-/// channel 2e' + [a > b]. O(hops) time and memory: an LSD radix sort of
-/// (edge id << 32 | hop index) keys on the edge id's 11-bit digits, at most
-/// three passes since edge ids are below 2^31. Hop indices fit the key's low
-/// half because check_hop_total refused larger batches.
+/// load. Those edges become 0..k-1 in order of first appearance, and each
+/// hop keeps its direction bit, so hop a -> b on local edge e' queues on
+/// local channel 2e' + [a > b]. One pass over the hops through an
+/// open-addressing table of 32-bit slots, each the local id of an edge seen
+/// before: the local -> edge array supplies the key compare. The table
+/// holds between 2 and 4 slots per hop (load at most 1/2), so the state is
+/// O(hops), never O(edges of the topology). Local ids fit 31 bits because
+/// edge ids do.
 std::uint32_t number_local_channels(std::vector<std::uint32_t>& hops) {
-  constexpr int kDigitBits = 11;
-  constexpr std::size_t kDigits = std::size_t{1} << kDigitBits;
-  const std::size_t n = hops.size();
-  std::vector<std::uint64_t> keys(n);  // analyze:allow-hot-alloc(per-batch sort keys, one per hop)
-  std::uint32_t max_edge = 0;
-  for (std::size_t h = 0; h < n; ++h) {
-    const std::uint32_t edge = hops[h] >> 1;
-    max_edge = std::max(max_edge, edge);
-    keys[h] = std::uint64_t{edge} << 32 | h;
-  }
-  // Keys start in hop order and every pass is stable, so sorting the edge
-  // digits alone leaves each edge's hops in hop order.
-  const int edge_bits = std::bit_width(max_edge);
-  if (edge_bits > 0) {
-    std::vector<std::uint64_t> sorted(n);  // analyze:allow-hot-alloc(per-batch radix scratch, one per hop)
-    std::vector<std::size_t> start(kDigits);  // analyze:allow-hot-alloc(per-batch radix histogram)
-    for (int shift = 32; shift < 32 + edge_bits; shift += kDigitBits) {
-      std::fill(start.begin(), start.end(), 0);
-      for (const std::uint64_t key : keys) ++start[key >> shift & (kDigits - 1)];
-      std::size_t sum = 0;
-      for (std::size_t& slot : start) sum += std::exchange(slot, sum);
-      for (const std::uint64_t key : keys) sorted[start[key >> shift & (kDigits - 1)]++] = key;
-      keys.swap(sorted);
+  if (hops.empty()) return 0;
+  constexpr std::uint32_t kEmpty = std::numeric_limits<std::uint32_t>::max();
+  const int table_bits = std::bit_width(2 * hops.size() - 1);
+  const std::size_t mask = (std::size_t{1} << table_bits) - 1;
+  std::vector<std::uint32_t> table(mask + 1, kEmpty);  // analyze:allow-hot-alloc(per-batch numbering table, 2-4 slots per hop)
+  std::vector<std::uint32_t> edge_of_local;
+  edge_of_local.reserve(hops.size());  // analyze:allow-hot-alloc(per-batch local -> edge array; only the k entries filled are touched)
+  for (std::uint32_t& hop : hops) {
+    const std::uint32_t edge = hop >> 1;
+    // Fibonacci hashing: the top table_bits bits of the 64-bit product.
+    std::size_t slot = static_cast<std::size_t>(
+        (std::uint64_t{edge} * 0x9E3779B97F4A7C15ull) >> (64 - table_bits));
+    std::uint32_t local = table[slot];
+    while (local != kEmpty && edge_of_local[local] != edge) {
+      slot = (slot + 1) & mask;
+      local = table[slot];
     }
-  }
-  std::uint32_t k = 0;
-  std::uint64_t previous = std::numeric_limits<std::uint64_t>::max();
-  for (const std::uint64_t key : keys) {
-    if (key >> 32 != previous) {
-      previous = key >> 32;
-      ++k;
+    if (local == kEmpty) {
+      local = static_cast<std::uint32_t>(edge_of_local.size());
+      table[slot] = local;
+      edge_of_local.push_back(edge);  // analyze:allow-hot-alloc(fills the reservation above)
     }
-    std::uint32_t& hop = hops[static_cast<std::uint32_t>(key)];
-    hop = (k - 1) << 1 | (hop & 1);
+    hop = local << 1 | (hop & 1);
   }
-  return k;
+  return static_cast<std::uint32_t>(edge_of_local.size());
 }
 
 }  // namespace
+
+void detail::sort_message_ids(std::vector<std::uint32_t>& ids,
+                              std::vector<std::uint32_t>& scratch, int id_bits) {
+  const std::size_t n = ids.size();
+  if (n < kRadixSortCutoff) {
+    std::sort(ids.begin(), ids.end());
+    return;
+  }
+  constexpr int kDigitBits = 8;
+  constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
+  const int passes = (id_bits + kDigitBits - 1) / kDigitBits;
+  // Every digit's histogram in one read; the buckets' starts then follow by
+  // prefix sums. Counts fit 32 bits: a step admits each message at most once.
+  std::array<std::array<std::uint32_t, kBuckets>, 4> start{};
+  for (const std::uint32_t id : ids) {
+    for (int d = 0; d < passes; ++d) ++start[d][id >> (d * kDigitBits) & (kBuckets - 1)];
+  }
+  scratch.resize(n);  // analyze:allow-hot-alloc(radix scratch; capacity is retained across steps)
+  // Least significant digit first; each scatter is stable, so after the last
+  // pass the ids are in ascending order.
+  for (int d = 0; d < passes; ++d) {
+    std::uint32_t sum = 0;
+    for (std::uint32_t& bucket : start[d]) sum += std::exchange(bucket, sum);
+    for (const std::uint32_t id : ids) {
+      scratch[start[d][id >> (d * kDigitBits) & (kBuckets - 1)]++] = id;
+    }
+    ids.swap(scratch);
+  }
+}
 
 // analyze:hot-root(event-engine step loop: per-step delivery scheduling)
 TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampler,
@@ -126,16 +147,20 @@ TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampler,
   // Per-channel FIFO queues as intrusive singly-linked lists threaded through
   // one per-message `next` slot: a message sits in at most one queue, so no
   // allocation ever happens inside the simulation loop, and queue state is
-  // bounded by (hops + messages) by construction.
-  std::vector<std::uint32_t> queue_head(2 * std::size_t{local_edges}, kNoMessage);  // analyze:allow-hot-alloc(per-batch queue state sized once)
-  std::vector<std::uint32_t> queue_tail(2 * std::size_t{local_edges}, kNoMessage);  // analyze:allow-hot-alloc(per-batch queue state sized once)
+  // bounded by (hops + messages) by construction. A channel's head and tail
+  // share one 8-byte entry, so a push or pop touches one cache line.
+  struct Queue {
+    std::uint32_t head = kNoMessage;
+    std::uint32_t tail = kNoMessage;
+  };
+  std::vector<Queue> queues(2 * std::size_t{local_edges});  // analyze:allow-hot-alloc(per-batch queue state sized once)
   std::vector<std::uint32_t> next_in_queue(messages.size(), kNoMessage);  // analyze:allow-hot-alloc(per-batch queue state sized once)
   std::vector<std::uint32_t> active;  // channels with a non-empty queue
 
   // Per-undirected-edge transmission counts by local edge id (channel >> 1:
   // both directions of an edge share it, so no pairing is left for
-  // aggregation).
-  std::vector<std::uint64_t> edge_load(local_edges, 0);  // analyze:allow-hot-alloc(per-batch load accumulators sized once)
+  // aggregation). 32 bits suffice: a batch has fewer than 2^32 hops.
+  std::vector<std::uint32_t> edge_load(local_edges, 0);  // analyze:allow-hot-alloc(per-batch load accumulators sized once)
 
   // Two-bucket calendar: a hop costs exactly one step, so every transmission
   // lands in the very next bucket, and the only other event source —
@@ -143,6 +168,8 @@ TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampler,
   // holds the ids due at the current time t, `next_arrivals` those due t+1.
   std::vector<std::uint32_t> arrivals;
   std::vector<std::uint32_t> next_arrivals;
+  std::vector<std::uint32_t> sort_scratch;  // sort_message_ids's buffer, reused every step
+  const int id_bits = messages.size() > 1 ? std::bit_width(messages.size() - 1) : 0;
   std::size_t injected = 0;
 
   std::uint64_t t = 0;
@@ -161,7 +188,7 @@ TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampler,
       ++injected;
       ++injected_now;
     }
-    std::sort(arrivals.begin(), arrivals.end());
+    detail::sort_message_ids(arrivals, sort_scratch, id_bits);
     result.admission_events += arrivals.size();
     for (const std::uint32_t id : arrivals) {
       if (ranges[id].begin == ranges[id].end) {
@@ -174,12 +201,13 @@ TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampler,
       }
       const std::uint32_t channel = hops[ranges[id].begin];
       next_in_queue[id] = kNoMessage;
-      if (queue_head[channel] == kNoMessage) {
-        queue_head[channel] = queue_tail[channel] = id;
+      Queue& queue = queues[channel];
+      if (queue.head == kNoMessage) {
+        queue.head = queue.tail = id;
         active.push_back(channel);  // analyze:allow-hot-alloc(active list bounded by channels; capacity retained across steps)
       } else {
-        next_in_queue[queue_tail[channel]] = id;
-        queue_tail[channel] = id;
+        next_in_queue[queue.tail] = id;
+        queue.tail = id;
       }
     }
     arrivals.clear();
@@ -191,16 +219,17 @@ TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampler,
     // irrelevant: arrivals are re-sorted by id next step).
     for (std::size_t k = 0; k < active.size();) {
       const std::uint32_t channel = active[k];
-      for (std::uint64_t slot = 0;
-           slot < config.edge_capacity && queue_head[channel] != kNoMessage; ++slot) {
-        const std::uint32_t id = queue_head[channel];
-        queue_head[channel] = next_in_queue[id];
+      Queue& queue = queues[channel];
+      for (std::uint64_t slot = 0; slot < config.edge_capacity && queue.head != kNoMessage;
+           ++slot) {
+        const std::uint32_t id = queue.head;
+        queue.head = next_in_queue[id];
         ++ranges[id].begin;
         ++edge_load[channel >> 1];
         next_arrivals.push_back(id);  // analyze:allow-hot-alloc(amortized calendar bucket; capacity is retained across steps)
       }
-      if (queue_head[channel] == kNoMessage) {
-        queue_tail[channel] = kNoMessage;
+      if (queue.head == kNoMessage) {
+        queue.tail = kNoMessage;
         active[k] = active.back();
         active.pop_back();
       } else {

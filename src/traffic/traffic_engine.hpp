@@ -159,16 +159,18 @@ struct TrafficResult {
 /// Phase 2 (delivery, sequential): the chosen paths are driven hop-by-hop
 /// through per-channel FIFO queues with `edge_capacity` transmissions per
 /// directed channel per timestep. Simultaneous queue admissions are ordered
-/// by message id, making the whole simulation deterministic. The phase is
-/// event-driven over batch-local channel ids: routing emits every hop into
-/// one flat array, compilation numbers the k distinct edges the hops use
-/// 0..k-1 (a radix sort of their edge ids) and gives hop a -> b the channel
-/// 2e' + [a > b], arrivals flow through a two-bucket calendar (one hop costs
-/// exactly one step, so only the next step is ever scheduled, and injection
-/// gaps are skipped by cursor), and per-channel FIFOs are intrusive lists
-/// threaded through a single per-message `next` array — state is
-/// O(hops + messages), independent of simulated time and of the topology's
-/// channel count.
+/// by message id (a radix sort of the step's ids, exact like any sort),
+/// making the whole simulation deterministic. The phase is event-driven over
+/// batch-local channel ids: routing emits every hop into one flat array,
+/// compilation numbers the k distinct edges the hops use 0..k-1 in order of
+/// first appearance (one pass through a hash table of 32-bit slots; any
+/// numbering gives the same results, since none is read back) and gives hop
+/// a -> b the channel 2e' + [a > b], arrivals flow through a two-bucket
+/// calendar (one hop costs exactly one step, so only the next step is ever
+/// scheduled, and injection gaps are skipped by cursor), and per-channel
+/// FIFOs are intrusive lists threaded through a single per-message `next`
+/// array — state is O(hops + messages), independent of simulated time and
+/// of the topology's channel count.
 ///
 /// Preconditions (all guaranteed by generate_workload): message ids are the
 /// dense indices 0..messages.size()-1 in vector order, inject_times are

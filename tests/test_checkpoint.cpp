@@ -184,7 +184,10 @@ TEST(CellFieldTable, EveryEntryReachesEveryFormatOnce) {
   json_reporter.report(cell);
   const std::string line = jsonl.str();
   for (const char* name : kCellFieldNames) {
-    const std::string key = "\"" + std::string(name) + "\":";
+    // Appended piecewise: g++ 12's -Wrestrict misfires on operator+ here.
+    std::string key = "\"";
+    key += name;
+    key += "\":";
     std::size_t count = 0;
     for (auto at = line.find(key); at != std::string::npos; at = line.find(key, at + 1)) {
       ++count;

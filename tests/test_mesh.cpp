@@ -15,6 +15,19 @@ TEST(Mesh, RejectsBadParameters) {
   EXPECT_NO_THROW(Mesh(3, 3, /*wrap=*/true));
 }
 
+TEST(Mesh, SlotsOutsideTheRowAreRefused) {
+  // The torus resolves a virtual slot from its index alone, the mesh
+  // through the decoded row; both refuse a slot the row does not have.
+  const Mesh torus(3, 4, /*wrap=*/true);
+  const Mesh mesh(3, 4);
+  for (const int slot : {-1, 6}) {
+    EXPECT_THROW((void)torus.neighbor(5, slot), std::out_of_range) << slot;
+    EXPECT_THROW((void)torus.edge_key(5, slot), std::out_of_range) << slot;
+  }
+  EXPECT_THROW((void)mesh.neighbor(0, 3), std::out_of_range);  // a corner has 3 slots
+  EXPECT_THROW((void)mesh.edge_key(0, 3), std::out_of_range);
+}
+
 TEST(Mesh, CountsAreExact) {
   const Mesh g(2, 4);
   EXPECT_EQ(g.num_vertices(), 16u);

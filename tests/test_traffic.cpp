@@ -18,6 +18,7 @@
 #include "graph/mesh.hpp"
 #include "percolation/edge_sampler.hpp"
 #include "percolation/shared_probe_cache.hpp"
+#include "random/rng.hpp"
 #include "traffic/routing_phase.hpp"
 #include "traffic/traffic_engine.hpp"
 #include "traffic/workload.hpp"
@@ -532,6 +533,29 @@ TEST(TrafficEngine, RefusesABatchOfTwoToThe32Hops) {
     FAIL() << "a batch of 2^32 hops was accepted";
   } catch (const std::length_error& e) {
     EXPECT_NE(std::string(e.what()).find("4294967296 hops"), std::string::npos) << e.what();
+  }
+}
+
+TEST(TrafficEngine, AdmissionSortOrdersIdsOfEveryWidth) {
+  // Sizes on both sides of the std::sort cutoff and one past 2^16, with ids
+  // spanning one, two and three 8-bit digits (17 bits: a top digit of one
+  // bit, as in a batch of 2^17 messages). Each size reuses one scratch
+  // buffer, as the delivery loop does across steps.
+  constexpr std::size_t kCut = detail::kRadixSortCutoff;
+  std::vector<std::uint32_t> scratch;
+  Rng rng(2005);
+  for (const int bits : {8, 16, 17, 24}) {
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, kCut - 1, kCut, kCut + 1,
+                                (std::size_t{1} << 16) + 1}) {
+      std::vector<std::uint32_t> ids(n);
+      for (std::uint32_t& id : ids) {
+        id = static_cast<std::uint32_t>(uniform_below(rng, std::uint64_t{1} << bits));
+      }
+      std::vector<std::uint32_t> expected = ids;
+      std::sort(expected.begin(), expected.end());
+      detail::sort_message_ids(ids, scratch, bits);
+      EXPECT_EQ(ids, expected) << "bits=" << bits << " n=" << n;
+    }
   }
 }
 

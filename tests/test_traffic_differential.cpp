@@ -10,7 +10,7 @@
 // index): across every curated scenario sweep at --quick size, a router
 // x topology matrix, the default, zero-budget and forced-CSR adjacency,
 // snapshot views, threads 1, 2 and 4, and the delivery edge cases (step
-// caps, idle Poisson gaps, extra capacity).
+// caps, idle Poisson gaps, radix-ordered admissions, extra capacity).
 
 #include <gtest/gtest.h>
 
@@ -397,6 +397,25 @@ TEST(TrafficDifferential, SparsePoissonIdleGapsSkipIdentically) {
   const auto messages = generate_workload(g, workload);
   check_against_reference(g, env, best_first_factory(), messages, {}, backends(g, nullptr),
                           "sparse poisson");
+}
+
+TEST(TrafficDifferential, RadixOrderedAdmissionsMatchTheSortedReference) {
+  // The engine orders a step's admissions by an LSD radix sort once they
+  // reach kRadixSortCutoff, the reference by std::sort. A 4096-message
+  // permutation on hypercube:12 injects every id at once (12-bit ids, two
+  // passes) and keeps the early steps far above the cutoff; 70000 messages
+  // (17-bit ids) make the third pass, on the top digit, run as well.
+  const Hypercube g(12);
+  const HashEdgeSampler env(0.95, derive_seed(2005, 31));
+  const auto factory = [&]() { return sim::make_router("greedy", g); };
+  for (const std::uint64_t count : {std::uint64_t{4096}, std::uint64_t{70000}}) {
+    WorkloadConfig workload = sim::make_workload("permutation");
+    workload.messages = count;
+    workload.seed = derive_seed(2005, 32);
+    const auto messages = generate_workload(g, workload);
+    check_against_reference(g, env, factory, messages, {}, backends(g, nullptr),
+                            "permutation of " + std::to_string(count) + " messages");
+  }
 }
 
 TEST(TrafficDifferential, ExtraCapacityMatches) {
