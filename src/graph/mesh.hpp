@@ -119,23 +119,17 @@ class Mesh final : public Topology {
   }
   [[nodiscard]] EdgeKey edge_key(VertexId v, int i) const override {
     if (wrap_) {
+      // key_of reads the coordinate only for a decreasing move.
       const Move move = torus_move(i);
-      const VertexId owner = move.direction == 1 ? v : step(v, move, coordinate(v, move.axis));
-      return static_cast<EdgeKey>(move.axis) * num_vertices_ + owner;
+      return key_of(v, move, move.direction == 1 ? 0 : coordinate(v, move.axis));
     }
     Decoded x;
     decode(v, x);
     return edge_key(x, i);
   }
   [[nodiscard]] EdgeKey edge_key(const Decoded& x, int i) const {
-    // The canonical owner of an edge along `axis` is the endpoint from which
-    // it increases the coordinate by +1 (mod side on the torus). That
-    // endpoint is unique for side >= 3, and for side == 2 only the non-wrap
-    // mesh is allowed, where it is the coord-0 endpoint.
     const Move move = locate(x, i);
-    const VertexId owner =
-        move.direction == 1 ? x.v : step(x.v, move, x.c[static_cast<std::size_t>(move.axis)]);
-    return static_cast<EdgeKey>(move.axis) * num_vertices_ + owner;
+    return key_of(x.v, move, x.c[static_cast<std::size_t>(move.axis)]);
   }
   [[nodiscard]] EdgeEndpoints endpoints(EdgeKey key) const override;
   [[nodiscard]] std::string name() const override;
@@ -255,6 +249,16 @@ class Mesh final : public Topology {
   [[nodiscard]] std::int64_t coordinate(VertexId v, int axis) const {
     return static_cast<std::int64_t>(v / stride_[static_cast<std::size_t>(axis)] %
                                      static_cast<std::uint64_t>(side_));
+  }
+  /// The key of the edge `move` takes out of v, whose coordinate on its axis
+  /// is c (read only for a decreasing move). The canonical owner of an edge
+  /// along an axis is the endpoint from which it increases the coordinate by
+  /// +1 (mod side on the torus). That endpoint is unique for side >= 3, and
+  /// for side == 2 only the non-wrap mesh is allowed, where it is the
+  /// coord-0 endpoint.
+  [[nodiscard]] EdgeKey key_of(VertexId v, const Move& move, std::int64_t c) const {
+    const VertexId owner = move.direction == 1 ? v : step(v, move, c);
+    return static_cast<EdgeKey>(move.axis) * num_vertices_ + owner;
   }
   /// The neighbor `move` leads to from v, whose coordinate on its axis is c.
   [[nodiscard]] VertexId step(VertexId v, const Move& move, std::int64_t c) const {

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -33,19 +32,6 @@ struct RoutedBatch {
 /// 2^32: hop indices are 32-bit in HopRange and in delivery's channel
 /// numbering, and truncating one would silently alias two hops.
 void check_hop_total(std::uint64_t hops);
-
-/// Below this many ids, sort_message_ids hands them to std::sort: a step of
-/// a sparse Poisson workload admits a handful of messages, and a radix pass
-/// costs a histogram of 256 buckets whatever the count.
-inline constexpr std::size_t kRadixSortCutoff = 64;
-
-/// Sorts `ids`, each below 2^id_bits (id_bits <= 32), in ascending order:
-/// run_traffic's admission order. At kRadixSortCutoff ids or more, an LSD
-/// radix sort on 8-bit digits, ceil(id_bits / 8) stable passes through
-/// `scratch`, whose capacity the caller keeps across calls (the two vectors
-/// may trade buffers). Below it, std::sort. Defined in traffic_engine.cpp.
-void sort_message_ids(std::vector<std::uint32_t>& ids, std::vector<std::uint32_t>& scratch,
-                      int id_bits);
 
 /// Phase 1 of run_traffic. Routes every message (thread-parallel,
 /// deterministic), verifies paths when config.verify_paths is on, resolves

@@ -62,10 +62,6 @@ std::uint32_t number_local_channels(std::vector<std::uint32_t>& hops) {
 void detail::sort_message_ids(std::vector<std::uint32_t>& ids,
                               std::vector<std::uint32_t>& scratch, int id_bits) {
   const std::size_t n = ids.size();
-  if (n < kRadixSortCutoff) {
-    std::sort(ids.begin(), ids.end());
-    return;
-  }
   constexpr int kDigitBits = 8;
   constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
   const int passes = (id_bits + kDigitBits - 1) / kDigitBits;

@@ -200,4 +200,15 @@ struct TrafficResult {
 /// Renders the aggregate metrics as a two-column report table.
 [[nodiscard]] Table traffic_table(const TrafficResult& result);
 
+namespace detail {
+
+/// Sorts `ids`, each below 2^id_bits (id_bits <= 32), in ascending order:
+/// run_traffic's admission order. An LSD radix sort on 8-bit digits,
+/// ceil(id_bits / 8) stable passes through `scratch`, whose capacity the
+/// caller keeps across calls (the two vectors may trade buffers).
+void sort_message_ids(std::vector<std::uint32_t>& ids, std::vector<std::uint32_t>& scratch,
+                      int id_bits);
+
+}  // namespace detail
+
 }  // namespace faultroute

@@ -537,16 +537,15 @@ TEST(TrafficEngine, RefusesABatchOfTwoToThe32Hops) {
 }
 
 TEST(TrafficEngine, AdmissionSortOrdersIdsOfEveryWidth) {
-  // Sizes on both sides of the std::sort cutoff and one past 2^16, with ids
-  // spanning one, two and three 8-bit digits (17 bits: a top digit of one
-  // bit, as in a batch of 2^17 messages). Each size reuses one scratch
-  // buffer, as the delivery loop does across steps.
-  constexpr std::size_t kCut = detail::kRadixSortCutoff;
+  // Empty and single-id steps, sizes around one digit's 256 buckets and one
+  // past 2^16, with ids spanning one, two and three 8-bit digits (17 bits: a
+  // top digit of one bit, as in a batch of 2^17 messages). Each size reuses
+  // one scratch buffer, as the delivery loop does across steps.
   std::vector<std::uint32_t> scratch;
   Rng rng(2005);
   for (const int bits : {8, 16, 17, 24}) {
-    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, kCut - 1, kCut, kCut + 1,
-                                (std::size_t{1} << 16) + 1}) {
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{255},
+                                std::size_t{256}, std::size_t{257}, (std::size_t{1} << 16) + 1}) {
       std::vector<std::uint32_t> ids(n);
       for (std::uint32_t& id : ids) {
         id = static_cast<std::uint32_t>(uniform_below(rng, std::uint64_t{1} << bits));

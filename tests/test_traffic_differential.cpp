@@ -400,11 +400,11 @@ TEST(TrafficDifferential, SparsePoissonIdleGapsSkipIdentically) {
 }
 
 TEST(TrafficDifferential, RadixOrderedAdmissionsMatchTheSortedReference) {
-  // The engine orders a step's admissions by an LSD radix sort once they
-  // reach kRadixSortCutoff, the reference by std::sort. A 4096-message
-  // permutation on hypercube:12 injects every id at once (12-bit ids, two
-  // passes) and keeps the early steps far above the cutoff; 70000 messages
-  // (17-bit ids) make the third pass, on the top digit, run as well.
+  // The engine orders a step's admissions by an LSD radix sort, the
+  // reference by std::sort. A 4096-message permutation on hypercube:12
+  // injects every id at once (12-bit ids, two passes) and keeps the early
+  // steps thousands of ids wide; 70000 messages (17-bit ids) make the third
+  // pass, on the top digit, run as well.
   const Hypercube g(12);
   const HashEdgeSampler env(0.95, derive_seed(2005, 31));
   const auto factory = [&]() { return sim::make_router("greedy", g); };
