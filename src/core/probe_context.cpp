@@ -1,6 +1,7 @@
 #include "core/probe_context.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "graph/channel_index.hpp"
 #include "graph/distance_oracle.hpp"
@@ -19,9 +20,10 @@ ProbeArena::ProbeArena(const Topology& graph, const SharedProbeCache* batch, boo
   edge_probed_.assign((std::uint64_t{edges} + 63) / 64, 0);
   if (batch_ == nullptr) edge_open_.assign(edge_probed_.size(), 0);
   vertex_stamp_.assign(graph.num_vertices(), 0);
-  // Room for every edge id up front, so the list never reallocates and the
-  // pages it occupies are only the ones the busiest message has written.
-  probed_edges_.reserve(edges);
+  // Room for every edge id up front, left uninitialised, so the list never
+  // reallocates and the pages it occupies are only the ones the busiest
+  // message has written.
+  probed_edges_ = std::make_unique_for_overwrite<std::uint32_t[]>(edges);
 }
 
 void ProbeArena::begin_message(const EdgeSampler* sampler) {
@@ -34,15 +36,16 @@ void ProbeArena::begin_message(const EdgeSampler* sampler) {
   // Every set bit is on the list, so zeroing each listed edge's word clears
   // them all and touches nothing the last message did not. A single-pair
   // arena's answer bits are set only for listed edges too.
+  const std::span<const std::uint32_t> listed(probed_edges_.get(), num_probed_edges_);
   if (batch_ == nullptr) {
-    for (const std::uint32_t edge : probed_edges_) {
+    for (const std::uint32_t edge : listed) {
       edge_probed_[edge >> 6] = 0;
       edge_open_[edge >> 6] = 0;
     }
   } else {
-    for (const std::uint32_t edge : probed_edges_) edge_probed_[edge >> 6] = 0;
+    for (const std::uint32_t edge : listed) edge_probed_[edge >> 6] = 0;
   }
-  probed_edges_.clear();
+  num_probed_edges_ = 0;
   if (epoch_ == kMaxEpoch) {
     // Epoch wrap: stamps from ~4 billion messages ago would read as live.
     // Zero them and restart — amortised cost is a rounding error.
@@ -107,6 +110,15 @@ std::optional<std::uint64_t> ProbeContext::remaining_budget() const {
   return *budget_ > used ? *budget_ - used : 0;
 }
 
+void ProbeContext::throw_locality_violation() {
+  // analyze:allow-throw-safety(locality contract violation is a programming error; surfaced via first_error)
+  throw LocalityViolation("local probe of edge not incident to the reached set");
+}
+
+void ProbeContext::throw_budget_exceeded() {
+  throw ProbeBudgetExceeded("probe budget exhausted");  // analyze:allow-throw-safety(probe-budget censoring signal, caught per message by the engine)
+}
+
 namespace {
 
 /// The dense side's implicit adjacency accessor: virtual dispatch, and the
@@ -131,6 +143,8 @@ struct ProbeContext::SparseMemo {
   using Slot = EdgeKey;
   ProbeArena* arena;
   const Topology* graph;
+
+  SparseMemo(ProbeArena& a, const Topology* g) : arena(&a), graph(g) {}
 
   [[nodiscard]] VertexId neighbor(VertexId v, int i) const { return graph->neighbor(v, i); }
   [[nodiscard]] bool reached(VertexId v) const { return arena->reached_.contains(v); }

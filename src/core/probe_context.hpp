@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <type_traits>
@@ -77,9 +78,9 @@ class ProbeArenaInUse : public std::logic_error {
 ///    reached iff it equals the arena's epoch, so clearing it is one integer
 ///    increment. A single-pair arena keeps each answer in a second bit per
 ///    edge id, cleared from the same list, so a trial costs O(its probes),
-///    not O(edges). The list reserves a slot per edge id once and never
-///    reallocates, so routing through an arena allocates nothing; its
-///    resident pages are those the busiest message wrote.
+///    not O(edges). The list is a buffer of a slot per edge id, allocated
+///    once and never initialised, so routing through an arena allocates
+///    nothing and its resident pages are those the busiest message wrote.
 ///  * sparse (single pairs above the budget) — an EdgeKey-keyed memo holding
 ///    the answers and a hashed reached set, both released by swapping with
 ///    empty ones when a message starts, so a reset costs O(the last
@@ -145,7 +146,8 @@ class ProbeArena {
   std::uint32_t epoch_ = 0;
   std::vector<std::uint64_t> edge_probed_;    // bit e: edge id e probed by this message
   std::vector<std::uint64_t> edge_open_;      // single pairs: bit e: edge id e found open
-  std::vector<std::uint32_t> probed_edges_;   // the edge ids whose bit is set
+  std::unique_ptr<std::uint32_t[]> probed_edges_;  // the edge ids whose bit is set ...
+  std::uint32_t num_probed_edges_ = 0;             // ... in its first entries
   std::vector<std::uint32_t> vertex_stamp_;   // reached iff == epoch_ (kLocal)
   CacheTally tally_;
 
@@ -173,9 +175,12 @@ class ProbeArena {
 /// topology's size), so every observable is the same on both. probe() is
 /// inline here; on a batch's CSR snapshot the whole dense probe (memo, cache
 /// lookup, reach growth) inlines into the router's loop, and the implicit
-/// adjacency path and the sparse side run the same body out of line. The
-/// traffic differential suite holds the engine's dense side to a reference
-/// routed on the sparse side.
+/// adjacency path and the sparse side run the same body out of line. A
+/// router that scans whole rows (the flood and bidirectional BFS) calls
+/// probe_row(), whose dense kernel scan_row() runs the same memo calls with
+/// the per-row work hoisted out of the slot loop; tests/test_probe_context
+/// .cpp holds it to the per-slot loop. The traffic differential suite holds
+/// the engine's dense side to a reference routed on the sparse side.
 class ProbeContext {
  public:
   /// A message of a traffic batch, on `arena` bound to the batch's cache:
@@ -231,6 +236,38 @@ class ProbeContext {
     return probe_implicit(v, i);
   }
 
+  /// Probes, in slot order, each slot i in [begin, end) of x whose neighbor
+  /// y passes wants(y), exactly as probe(rows, x, i) would: the same
+  /// answers, memo, cache tally, reach and counts, and LocalityViolation or
+  /// ProbeBudgetExceeded thrown at the same slot with the same counts. On an
+  /// open edge it calls opened(y, i); a true return stops the scan, and
+  /// probe_row returns true (false once the range is done). Neither
+  /// callback may probe through this context; opened may read its counts,
+  /// which are current when it runs. The kernel copies both callbacks, so
+  /// they should capture by reference.
+  ///
+  /// On a dense arena through an accessor with row() (the CSR, hypercube
+  /// and mesh/torus), one kernel, scan_row, does per row what probe does
+  /// per slot: it resolves the row once, passes the rest of the row's
+  /// locality test once x is reached (a loop without the test), compares
+  /// the distinct count with the budget read once, and keeps the counters,
+  /// the tally and the list cursor in locals, written back before opened
+  /// and before a throw. The virtual accessor and the sparse side take the
+  /// per-slot loop.
+  template <typename Rows, typename Wants, typename Opened>
+  bool probe_row(const Rows& rows, VertexId x, int begin, int end, Wants&& wants,
+                 Opened&& opened) {
+    if constexpr (!std::is_same_v<Rows, VirtualRows>) {
+      if (arena_.batch_ != nullptr) return scan_row<true>(rows.row(x), x, begin, end, wants, opened);
+      if (arena_.dense_) return scan_pair_row(rows.row(x), x, begin, end, wants, opened);
+    }
+    for (int i = begin; i < end; ++i) {
+      const VertexId y = rows.neighbor(x, i);
+      if (wants(y) && probe(rows, x, i) && opened(y, i)) return true;
+    }
+    return false;
+  }
+
   /// Convenience: probes the edge {a, b} (first incident index at a whose
   /// neighbor is b). Requires adjacency; linear in degree(a) unless the
   /// caller knows the index.
@@ -279,62 +316,131 @@ class ProbeContext {
                RoutingMode mode, std::optional<std::uint64_t> budget,
                const FlatAdjacency* flat, const DistanceOracle* oracle);
 
+  /// Where a DenseMemo finds the arena's dense state. A single probe
+  /// (probe_with) reads each field through the arena when it needs it, so
+  /// the probe inlined into a router's loop holds nothing live across it.
+  struct ArenaState {
+    ProbeArena* arena;
+
+    explicit ArenaState(ProbeArena& a) : arena(&a) {}
+    [[nodiscard]] std::uint64_t* probed() const { return arena->edge_probed_.data(); }
+    [[nodiscard]] std::uint64_t* open_bits() const { return arena->edge_open_.data(); }
+    [[nodiscard]] std::uint32_t* stamps() const { return arena->vertex_stamp_.data(); }
+    [[nodiscard]] std::uint32_t epoch() const { return arena->epoch_; }
+    [[nodiscard]] CacheTally& tally() const { return arena->tally_; }
+    /// A slot per edge id, and each id is listed once.
+    void list(std::uint32_t edge) const {
+      arena->probed_edges_[arena->num_probed_edges_++] = edge;
+    }
+  };
+  /// A row scan (scan_row) copies the fields in once, so they stay in
+  /// registers across its stores to the memo bits, and sync() writes the
+  /// list cursor and the tally back.
+  struct RowState {
+    ProbeArena* arena;
+    std::uint64_t* probed_;
+    std::uint64_t* open_bits_;
+    std::uint32_t* stamps_;
+    std::uint32_t epoch_;
+    std::uint32_t* list_;
+    std::uint32_t listed_;
+    CacheTally tally_;
+
+    explicit RowState(ProbeArena& a)
+        : arena(&a),
+          probed_(a.edge_probed_.data()),
+          open_bits_(a.edge_open_.data()),
+          stamps_(a.vertex_stamp_.data()),
+          epoch_(a.epoch_),
+          list_(a.probed_edges_.get()),
+          listed_(a.num_probed_edges_),
+          tally_(a.tally_) {}
+    [[nodiscard]] std::uint64_t* probed() const { return probed_; }
+    [[nodiscard]] std::uint64_t* open_bits() const { return open_bits_; }
+    [[nodiscard]] std::uint32_t* stamps() const { return stamps_; }
+    [[nodiscard]] std::uint32_t epoch() const { return epoch_; }
+    [[nodiscard]] CacheTally& tally() { return tally_; }
+    void list(std::uint32_t edge) { list_[listed_++] = edge; }
+    void sync() const {
+      arena->num_probed_edges_ = listed_;
+      arena->tally_ = tally_;
+    }
+  };
+
   /// The arena's dense side, parameterized only on how neighbor / edge id /
   /// edge key are resolved (a row accessor of graph/flat_adjacency.hpp, or
-  /// the channel index's), so the CSR and implicit paths cannot drift, and
-  /// on where answers live: the batch's cache (kBatch) or the arena's
-  /// answer bits. probe_with builds the memo from the arena and an Access,
-  /// and it keeps no per-probe state: slot() names the edge, by its id here.
-  template <typename AccessT, bool kBatch>
+  /// the channel index's), so the CSR and implicit paths cannot drift, on
+  /// where answers live: the batch's cache (kBatch) or the arena's answer
+  /// bits, and on how it reaches the arena's state (ArenaState for a probe,
+  /// RowState for a row). probe_with and scan_row build the memo from the
+  /// arena and an Access; slot() names the edge, by its id here.
+  template <typename AccessT, bool kBatch, typename State = ArenaState>
   struct DenseMemo {
     using Access = AccessT;
     using Slot = std::uint32_t;
     ProbeArena* arena;
     Access access;
+    State state;
+
+    DenseMemo(ProbeArena& a, const Access& rows) : arena(&a), access(rows), state(a) {}
 
     [[nodiscard]] VertexId neighbor(VertexId v, int i) const { return access.neighbor(v, i); }
-    [[nodiscard]] bool reached(VertexId v) const {
-      return arena->vertex_stamp_[v] == arena->epoch_;
-    }
+    [[nodiscard]] bool reached(VertexId v) const { return state.stamps()[v] == state.epoch(); }
     [[nodiscard]] Slot slot(VertexId v, int i) const { return access.edge_id(v, i); }
     /// The answer of an edge this message probed already: the cache byte
     /// its first probe published, or its answer bit. A hit computes no edge
     /// key and counts no lookup.
     bool recall(Slot edge, bool& open) const {
       const std::uint64_t bit = std::uint64_t{1} << (edge & 63u);
-      if ((arena->edge_probed_[edge >> 6] & bit) == 0) return false;
+      if ((state.probed()[edge >> 6] & bit) == 0) return false;
       if constexpr (kBatch) {
         open = arena->batch_->published_open(edge);
       } else {
-        open = (arena->edge_open_[edge >> 6] & bit) != 0;
+        open = (state.open_bits()[edge >> 6] & bit) != 0;
       }
       return true;
     }
-    bool discover(Slot edge, VertexId v, int i) const {
+    bool discover(Slot edge, VertexId v, int i) {
       const std::uint64_t bit = std::uint64_t{1} << (edge & 63u);
       bool open;
       if constexpr (kBatch) {
-        open = arena->batch_->lookup(edge, access.edge_key(v, i), arena->tally_);
+        open = arena->batch_->lookup(edge, access.edge_key(v, i), state.tally());
       } else {
         open = arena->sampler_->is_open(access.edge_key(v, i));
-        if (open) arena->edge_open_[edge >> 6] |= bit;
+        if (open) state.open_bits()[edge >> 6] |= bit;
       }
-      arena->edge_probed_[edge >> 6] |= bit;
-      arena->probed_edges_.push_back(edge);  // analyze:allow-hot-alloc(the arena reserves a slot per edge id, so this never reallocates)
+      state.probed()[edge >> 6] |= bit;
+      state.list(edge);
       return open;
     }
     /// The locality check passed, so one endpoint is reached already; the
     /// open edge connects the other.
     void reach(VertexId v, VertexId w) const {
-      const std::uint32_t epoch = arena->epoch_;
-      arena->vertex_stamp_[v] = epoch;
-      arena->vertex_stamp_[w] = epoch;
+      const std::uint32_t epoch = state.epoch();
+      state.stamps()[v] = epoch;
+      state.stamps()[w] = epoch;
     }
+    /// Writes a RowState's copies back.
+    void sync() const { state.sync(); }
   };
 
   /// The arena's sparse side, the same interface over the EdgeKey memo
   /// (defined with probe_implicit, its only user).
   struct SparseMemo;
+
+  /// The row kernel of probe_row on the dense side: `row` is rows.row(x).
+  template <bool kBatch, typename Row, typename Wants, typename Opened>
+  bool scan_row(const Row& row, VertexId x, int begin, int end, const Wants& wants_in,
+                const Opened& opened_in);
+  /// A single pair's row scan, kept out of the router's loop like
+  /// probe_pair.
+  template <typename Row, typename Wants, typename Opened>
+  [[gnu::noinline]] bool scan_pair_row(const Row& row, VertexId x, int begin, int end,
+                                       const Wants& wants, const Opened& opened) {
+    return scan_row<false>(row, x, begin, end, wants, opened);
+  }
+  [[noreturn]] static void throw_locality_violation();
+  [[noreturn]] static void throw_budget_exceeded();
 
   /// The one probe body: locality, budget, distinct/total counts and reach
   /// growth, over either side's memo. It takes the memo's adjacency
@@ -372,11 +478,10 @@ class ProbeContext {
 
 template <typename Memo>
 bool ProbeContext::probe_with(const typename Memo::Access& access, VertexId v, int i) {
-  const Memo memo{&arena_, access};
+  Memo memo(arena_, access);
   const VertexId w = memo.neighbor(v, i);
   if (mode_ == RoutingMode::kLocal && !memo.reached(v) && !memo.reached(w)) {
-    // analyze:allow-throw-safety(locality contract violation is a programming error; surfaced via first_error)
-    throw LocalityViolation("local probe of edge not incident to the reached set");
+    throw_locality_violation();
   }
   ++total_probes_;
   // A memo hit is free in the distinct count; only a fresh probe asks the
@@ -384,14 +489,74 @@ bool ProbeContext::probe_with(const typename Memo::Access& access, VertexId v, i
   const typename Memo::Slot slot = memo.slot(v, i);
   bool open;
   if (!memo.recall(slot, open)) {
-    if (budget_ && distinct_probes_ >= *budget_) {
-      throw ProbeBudgetExceeded("probe budget exhausted");  // analyze:allow-throw-safety(probe-budget censoring signal, caught per message by the engine)
-    }
+    if (budget_ && distinct_probes_ >= *budget_) throw_budget_exceeded();
     open = memo.discover(slot, v, i);
     ++distinct_probes_;
   }
   if (open && mode_ == RoutingMode::kLocal) memo.reach(v, w);
   return open;
+}
+
+template <bool kBatch, typename Row, typename Wants, typename Opened>
+bool ProbeContext::scan_row(const Row& row, VertexId x, int begin, int end, const Wants& wants_in,
+                            const Opened& opened_in) {
+  // Copies, so what the callbacks capture stays in registers too.
+  const Wants wants = wants_in;
+  const Opened opened = opened_in;
+  DenseMemo<Row, kBatch, RowState> memo(arena_, row);
+  const bool local = mode_ == RoutingMode::kLocal;
+  std::uint64_t total = total_probes_;
+  std::uint64_t distinct = distinct_probes_;
+  const std::uint64_t limit = budget_.value_or(std::numeric_limits<std::uint64_t>::max());
+  const auto write_back = [&] {
+    total_probes_ = total;
+    distinct_probes_ = distinct;
+    memo.sync();
+  };
+  // Slot i's probe once its neighbor y has passed wants and the locality
+  // test: whether the edge is open.
+  const auto probe_slot = [&](int i, VertexId y) {
+    ++total;
+    const std::uint32_t edge = row.edge_id(x, i);
+    bool open;
+    if (!memo.recall(edge, open)) {
+      if (distinct >= limit) {
+        write_back();
+        throw_budget_exceeded();
+      }
+      ++distinct;
+      open = memo.discover(edge, x, i);
+    }
+    if (open && local) memo.reach(x, y);
+    return open;
+  };
+  int i = begin;
+  // Until x is reached (kLocal), a slot passes the locality test only if
+  // its neighbor is reached; the first open probe reaches x, and from then
+  // on every slot passes.
+  if (local && !memo.reached(x)) {
+    for (; i < end; ++i) {
+      const VertexId y = row.neighbor(x, i);
+      if (!wants(y)) continue;
+      if (!memo.reached(y)) {
+        write_back();
+        throw_locality_violation();
+      }
+      if (!probe_slot(i, y)) continue;
+      write_back();
+      if (opened(y, i)) return true;
+      ++i;
+      break;
+    }
+  }
+  for (; i < end; ++i) {
+    const VertexId y = row.neighbor(x, i);
+    if (!wants(y) || !probe_slot(i, y)) continue;
+    write_back();
+    if (opened(y, i)) return true;
+  }
+  write_back();
+  return false;
 }
 
 }  // namespace faultroute

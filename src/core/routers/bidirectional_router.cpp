@@ -59,19 +59,19 @@ std::optional<Path> bidirectional_search(ProbeContext& ctx, const Rows& rows, Ve
     Side& other = expand_u ? from_v : from_u;
     const VertexId x = (*mine.frontier)[mine.head++];
     ctx.note_expansion();
-    const int deg = rows.degree(x);
-    for (int i = 0; i < deg; ++i) {
-      const VertexId y = rows.neighbor(x, i);
-      if (mine.parent->contains(y)) continue;
-      if (!ctx.probe(rows, x, i)) continue;
-      if (other.parent->contains(y)) {
-        // The two balls touch along edge (x, y).
-        if (expand_u) return join(y, x);
-        return join(x, y);
-      }
-      mine.parent->emplace(y, x);
-      mine.frontier->push_back(y);
-    }
+    VertexId meeting = x;
+    const bool met = ctx.probe_row(
+        rows, x, 0, rows.degree(x), [&mine](VertexId y) { return !mine.parent->contains(y); },
+        [&](VertexId y, int /*slot*/) {
+          if (other.parent->contains(y)) {
+            meeting = y;  // the two balls touch along edge (x, y)
+            return true;
+          }
+          mine.parent->emplace(y, x);
+          mine.frontier->push_back(y);
+          return false;
+        });
+    if (met) return expand_u ? join(meeting, x) : join(x, meeting);
   }
   return std::nullopt;
 }

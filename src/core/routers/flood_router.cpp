@@ -32,22 +32,26 @@ std::optional<Path> flood_search(ProbeContext& ctx, const Rows& rows, VertexId u
     return path;
   };
 
+  const auto unvisited = [&parent](VertexId y) { return !parent.contains(y); };
   while (head < queue.size()) {
     const VertexId x = queue[head++];
     ctx.note_expansion();
-    const int deg = rows.degree(x);
-    int target_index = -1;
-    if (probe_target_first) target_index = rows.edge_index_of(x, v);
-    for (int step = (target_index >= 0 ? -1 : 0); step < deg; ++step) {
-      const int i = (step == -1) ? target_index : step;
-      if (step != -1 && i == target_index && target_index >= 0) continue;  // done already
-      const VertexId y = rows.neighbor(x, i);
-      if (parent.contains(y)) continue;
-      if (!ctx.probe(rows, x, i)) continue;
+    // Stops the row's scan once the target is reached.
+    const auto visit = [&](VertexId y, int /*slot*/) {
       parent.emplace(y, x);
-      if (y == v) return build_path(v);
+      if (y == v) return true;
       queue.push_back(y);
-    }
+      return false;
+    };
+    const int deg = rows.degree(x);
+    const int t = probe_target_first ? rows.edge_index_of(x, v) : -1;
+    // Target first: its slot, then the rest of the row in slot order.
+    const bool found =
+        t < 0 ? ctx.probe_row(rows, x, 0, deg, unvisited, visit)
+              : ctx.probe_row(rows, x, t, t + 1, unvisited, visit) ||
+                    ctx.probe_row(rows, x, 0, t, unvisited, visit) ||
+                    ctx.probe_row(rows, x, t + 1, deg, unvisited, visit);
+    if (found) return build_path(v);
   }
   return std::nullopt;
 }

@@ -215,10 +215,30 @@ enum class AdjacencyMode { kAuto };
 //   edge_index_of(u, w)             lowest slot of u leading to w, or -1
 // Every accessor returns the same values slot for slot
 // (tests/test_flat_adjacency.cpp holds each to the virtual interface).
+// The accessors of the dense probe state's row kernel (ProbeContext::
+// probe_row) also have row(v): an accessor with neighbor, edge_key and
+// edge_id for the slots of v alone (the v they take must be the row's), with
+// whatever locates the row resolved once, so a scan of the row keeps it in
+// registers. VirtualRows has none: a row of virtual calls gains nothing.
 
 /// The CSR: array loads off the snapshot.
 struct FlatRows {
   const FlatAdjacency* flat;
+
+  /// One row's runs: slot i is entry i of each.
+  struct Row {
+    const VertexId* neighbors;
+    const EdgeKey* keys;
+    const std::uint32_t* edge_ids;
+
+    [[nodiscard]] VertexId neighbor(VertexId /*v*/, int i) const { return neighbors[i]; }
+    [[nodiscard]] EdgeKey edge_key(VertexId /*v*/, int i) const { return keys[i]; }
+    [[nodiscard]] std::uint32_t edge_id(VertexId /*v*/, int i) const { return edge_ids[i]; }
+  };
+  [[nodiscard]] Row row(VertexId v) const {
+    const std::uint64_t at = flat->row_begin(v);
+    return {flat->neighbors_data() + at, flat->keys_data() + at, flat->edge_ids_data() + at};
+  }
 
   [[nodiscard]] const Topology& graph() const { return flat->graph(); }
   [[nodiscard]] int degree(VertexId v) const { return flat->degree(v); }
@@ -247,6 +267,8 @@ struct ClosedFormRows {
   [[nodiscard]] int edge_index_of(VertexId u, VertexId w) const {
     return family->slot_of(u, w);
   }
+  /// Every call is a pure function of (v, i): the accessor is its own row.
+  [[nodiscard]] ClosedFormRows row(VertexId /*v*/) const { return *this; }
 };
 
 /// The mesh/torus keeps the last vertex it was asked about decoded in
@@ -261,10 +283,7 @@ struct ClosedFormRows<Mesh> {
 
   [[nodiscard]] const Mesh& graph() const { return *family; }
   [[nodiscard]] const Mesh::Decoded& decoded(VertexId v) const {
-    if (last->v != v) {
-      family->decode(v, *last);
-      family->decode_edge_ids(*last);
-    }
+    if (last->v != v) family->decode_row(v, *last);
     return *last;
   }
   [[nodiscard]] int degree(VertexId v) const { return decoded(v).degree; }
@@ -280,6 +299,19 @@ struct ClosedFormRows<Mesh> {
   [[nodiscard]] int edge_index_of(VertexId u, VertexId w) const {
     return family->slot_of(decoded(u), w);
   }
+
+  /// One row: its vertex decoded once, with no per-call check of `last`.
+  struct Row {
+    const Mesh* family;
+    const Mesh::Decoded* x;
+
+    [[nodiscard]] VertexId neighbor(VertexId /*v*/, int i) const { return family->neighbor(*x, i); }
+    [[nodiscard]] EdgeKey edge_key(VertexId /*v*/, int i) const { return family->edge_key(*x, i); }
+    [[nodiscard]] std::uint32_t edge_id(VertexId /*v*/, int i) const {
+      return family->edge_id(*x, i);
+    }
+  };
+  [[nodiscard]] Row row(VertexId v) const { return {family, &decoded(v)}; }
 };
 
 /// The virtual Topology interface: families with no closed form above the

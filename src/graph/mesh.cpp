@@ -45,6 +45,11 @@ VertexId Mesh::vertex_at(const Coords& coords) const {
   return v;
 }
 
+void Mesh::decode_row(VertexId v, Decoded& x) const {
+  decode(v, x);
+  decode_edge_ids(x);
+}
+
 void Mesh::throw_bad_slot() {
   throw std::out_of_range("Mesh::neighbor: incident-edge index out of range");
 }

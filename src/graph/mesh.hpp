@@ -52,7 +52,8 @@ class Mesh final : public Topology {
   // neighbor, edge_key, edge_id and slot_of are what the hot paths call
   // through ClosedFormRows when the graph has no CSR, without virtual
   // dispatch; the virtual overrides decode what they need and forward (on
-  // the torus, only the moved axis's coordinate).
+  // the torus, only the moved axis's coordinate; on the mesh, the axes up
+  // to the slot's).
   // Slots are in locate's order: per axis, the decreasing move, then the
   // increasing one (on the mesh, each only where it stays inside).
 
@@ -95,6 +96,10 @@ class Mesh final : public Topology {
     x.first = static_cast<std::uint64_t>(dim_) * x.v + terms;
   }
 
+  /// decode and decode_edge_ids, out of line: the row accessor's decode,
+  /// which every router and probe instantiated on it would otherwise copy.
+  void decode_row(VertexId v, Decoded& x) const;
+
   [[nodiscard]] std::uint64_t num_vertices() const override { return num_vertices_; }
   [[nodiscard]] std::uint64_t num_edges() const override;
   [[nodiscard]] int degree(VertexId v) const override {
@@ -109,9 +114,9 @@ class Mesh final : public Topology {
       const Move move = torus_move(i);
       return step(v, move, coordinate(v, move.axis));
     }
-    Decoded x;
-    decode(v, x);
-    return neighbor(x, i);
+    std::int64_t c;
+    const Move move = mesh_move(v, i, c);
+    return step(v, move, c);
   }
   [[nodiscard]] VertexId neighbor(const Decoded& x, int i) const {
     const Move move = locate(x, i);
@@ -123,9 +128,9 @@ class Mesh final : public Topology {
       const Move move = torus_move(i);
       return key_of(v, move, move.direction == 1 ? 0 : coordinate(v, move.axis));
     }
-    Decoded x;
-    decode(v, x);
-    return edge_key(x, i);
+    std::int64_t c;
+    const Move move = mesh_move(v, i, c);
+    return key_of(v, move, c);
   }
   [[nodiscard]] EdgeKey edge_key(const Decoded& x, int i) const {
     const Move move = locate(x, i);
@@ -243,6 +248,26 @@ class Mesh final : public Topology {
   [[nodiscard]] Move torus_move(int i) const {
     if (i < 0 || i >= 2 * dim_) throw_bad_slot();
     return {i >> 1, i & 1};
+  }
+  /// Slot i's move on the mesh, and v's coordinate c on its axis. An axis
+  /// lists a move per direction that stays inside, so the axes below slot
+  /// i's are decoded only to count their moves, and the axes above it not
+  /// at all.
+  [[nodiscard]] Move mesh_move(VertexId v, int i, std::int64_t& c) const {
+    const auto side = static_cast<std::uint64_t>(side_);
+    std::uint64_t rest = v;
+    for (int k = 0; i >= 0 && k < dim_; ++k) {
+      const std::uint64_t ck = rest % side;
+      rest /= side;
+      const int down = ck > 0 ? 1 : 0;
+      const int moves = down + (ck + 1 < side ? 1 : 0);
+      if (i < moves) {
+        c = static_cast<std::int64_t>(ck);
+        return {k, i < down ? 0 : 1};
+      }
+      i -= moves;
+    }
+    throw_bad_slot();
   }
   /// v's coordinate on one axis: one division by the axis's stride and one
   /// by the side, where decode divides on every axis.

@@ -19,7 +19,7 @@ SharedProbeCache::SharedProbeCache(const EdgeSampler& base, const Topology& grap
   }
 }
 
-bool SharedProbeCache::resolve(std::uint32_t edge_id, EdgeKey key, CacheTally& tally) const {
+SharedProbeCache::Resolution SharedProbeCache::resolve(std::uint32_t edge_id, EdgeKey key) const {
   // Resolve outside any critical section: the sampler is pure, so a racing
   // double-compute yields the same value and the CAS loser's work is merely
   // wasted, never wrong. Relaxed ordering suffices — the published byte is
@@ -29,14 +29,12 @@ bool SharedProbeCache::resolve(std::uint32_t edge_id, EdgeKey key, CacheTally& t
   if (states_[edge_id].compare_exchange_strong(expected, open ? kOpen : kClosed,
                                                std::memory_order_relaxed,
                                                std::memory_order_relaxed)) {
-    ++tally.misses;
-    return open;
+    return {open, true};
   }
   // Lost the publication race: the edge was already discovered, so this
   // lookup is a hit. Counting it as a miss would break misses ==
   // unique_edges().
-  ++tally.hits;
-  return expected == kOpen;
+  return {expected == kOpen, false};
 }
 
 bool SharedProbeCache::is_open(EdgeKey key) const {

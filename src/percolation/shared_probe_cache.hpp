@@ -82,7 +82,9 @@ class SharedProbeCache final : public EdgeSampler {
       ++tally.hits;
       return state == kOpen;
     }
-    return resolve(edge_id, key, tally);
+    const Resolution resolved = resolve(edge_id, key);
+    ++(resolved.published ? tally.misses : tally.hits);
+    return resolved.open;
   }
 
   /// The answer already published for edge `edge_id`, read back without
@@ -143,8 +145,15 @@ class SharedProbeCache final : public EdgeSampler {
   static constexpr std::uint8_t kClosed = 1;
   static constexpr std::uint8_t kOpen = 2;
 
+  /// The answer resolve() found, and whether this call published it (a
+  /// miss) or lost the race to a call that did (a hit).
+  struct Resolution {
+    bool open;
+    bool published;
+  };
   /// lookup()'s miss path: asks `base` and publishes the answer with a CAS.
-  [[nodiscard]] bool resolve(std::uint32_t edge_id, EdgeKey key, CacheTally& tally) const;
+  /// It takes no tally, so a caller's tally can live in registers.
+  [[nodiscard]] Resolution resolve(std::uint32_t edge_id, EdgeKey key) const;
 
   const EdgeSampler& base_;
   const Topology& graph_;

@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "core/probe_context.hpp"
 
@@ -40,7 +41,20 @@ class ProbeArenaTestPeer {
     return words;
   }
   static std::size_t listed_edges(const ProbeArena& arena) {
-    return arena.probed_edges_.size();
+    return arena.num_probed_edges_;
+  }
+
+  /// The dense side's state as copies (empty on the sparse side): the memo
+  /// and answer bits, and the listed edge ids in list order.
+  static std::vector<std::uint64_t> memo_words(const ProbeArena& arena) {
+    return arena.edge_probed_;
+  }
+  static std::vector<std::uint64_t> answer_words(const ProbeArena& arena) {
+    return arena.edge_open_;
+  }
+  static std::vector<std::uint32_t> listed(const ProbeArena& arena) {
+    if (!arena.probed_edges_) return {};
+    return {arena.probed_edges_.get(), arena.probed_edges_.get() + arena.num_probed_edges_};
   }
 };
 

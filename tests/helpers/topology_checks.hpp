@@ -161,6 +161,13 @@ inline void check_rows_match_virtual(const Rows& rows, const Topology& g,
           << label << " v=" << v << " i=" << i;
       ASSERT_EQ(rows.edge_index_of(v, w), edge_index_of(g, v, w))
           << label << " v=" << v << " w=" << w;
+      if constexpr (requires { rows.row(v); }) {
+        const auto row = rows.row(v);
+        ASSERT_EQ(row.neighbor(v, i), w) << label << " row v=" << v << " i=" << i;
+        ASSERT_EQ(row.edge_key(v, i), g.edge_key(v, i)) << label << " row v=" << v << " i=" << i;
+        ASSERT_EQ(row.edge_id(v, i), ids[index.channel_of(v, i)])
+            << label << " row v=" << v << " i=" << i;
+      }
     }
   }
   Rng rng(n);

@@ -106,7 +106,7 @@ TEST(AdjacencyRows, ClosedFormRowsAgreeSlotForSlotWithTheVirtualInterface) {
     testing::check_rows_match_virtual(ClosedFormRows<Hypercube>{&cube}, cube, cube.name());
   }
   for (int dim = 1; dim <= 4; ++dim) {
-    for (const std::int64_t side : {2, 3, 5}) {
+    for (const std::int64_t side : {2, 3, 4, 5}) {
       const Mesh mesh(dim, side, /*wrap=*/false);
       Mesh::Decoded last;
       testing::check_rows_match_virtual(ClosedFormRows<Mesh>{&mesh, &last}, mesh, mesh.name());

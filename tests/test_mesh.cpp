@@ -16,8 +16,9 @@ TEST(Mesh, RejectsBadParameters) {
 }
 
 TEST(Mesh, SlotsOutsideTheRowAreRefused) {
-  // The torus resolves a virtual slot from its index alone, the mesh
-  // through the decoded row; both refuse a slot the row does not have.
+  // The torus resolves a virtual slot from its index alone, the mesh by
+  // decoding the axes up to the slot's; both refuse a slot the row does not
+  // have.
   const Mesh torus(3, 4, /*wrap=*/true);
   const Mesh mesh(3, 4);
   for (const int slot : {-1, 6}) {
@@ -26,6 +27,11 @@ TEST(Mesh, SlotsOutsideTheRowAreRefused) {
   }
   EXPECT_THROW((void)mesh.neighbor(0, 3), std::out_of_range);  // a corner has 3 slots
   EXPECT_THROW((void)mesh.edge_key(0, 3), std::out_of_range);
+  const VertexId interior = mesh.vertex_at({1, 2, 1});  // 6 slots
+  for (const int slot : {-1, 6}) {
+    EXPECT_THROW((void)mesh.neighbor(interior, slot), std::out_of_range) << slot;
+    EXPECT_THROW((void)mesh.edge_key(interior, slot), std::out_of_range) << slot;
+  }
 }
 
 TEST(Mesh, CountsAreExact) {

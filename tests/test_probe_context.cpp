@@ -5,11 +5,16 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/path.hpp"
 #include "core/probe_context.hpp"
 #include "graph/channel_index.hpp"
+#include "graph/complete.hpp"
+#include "graph/de_bruijn.hpp"
+#include "graph/flat_adjacency.hpp"
 #include "graph/hypercube.hpp"
 #include "graph/mesh.hpp"
 #include "helpers/probe_arena_test_peer.hpp"
@@ -581,6 +586,263 @@ TEST(ProbeArena, AReusedArenaRoutesEveryTrialLikeAFreshOne) {
       }
     }
   }
+}
+
+// --------------------------------------------------------- the row kernel
+//
+// probe_row must be observably the per-slot loop it replaces, spelled below
+// with probe(rows, x, i). Each case drives two identical contexts through
+// the same rows, one each way, and compares every observable after every
+// row: the slots handed to opened, the counts, the cache tally, reach, the
+// memo and answer bits and the listed edges, and the exception, whose slot
+// the number of wants calls before it pins.
+
+template <typename Rows, typename Wants, typename Opened>
+bool probe_row_by_slot(ProbeContext& ctx, const Rows& rows, VertexId x, int begin, int end,
+                       Wants&& wants, Opened&& opened) {
+  for (int i = begin; i < end; ++i) {
+    const VertexId y = rows.neighbor(x, i);
+    if (wants(y) && ctx.probe(rows, x, i) && opened(y, i)) return true;
+  }
+  return false;
+}
+
+enum class ArenaKind { kBatch, kPair, kSparse };
+enum class Thrown { kNone, kLocality, kBudget };
+
+/// One side of a case: a context from source 0 on a fresh arena of `kind`
+/// (a batch's on a cache of its own, so neither side's lookups warm the
+/// other's), and the vertices its opened callback has visited.
+struct RowSide {
+  std::unique_ptr<SharedProbeCache> cache;
+  std::unique_ptr<ProbeArena> arena;
+  std::unique_ptr<ProbeContext> ctx;
+  std::vector<bool> visited;
+
+  RowSide(const Topology& g, const EdgeSampler& s, ArenaKind kind, RoutingMode mode,
+          std::optional<std::uint64_t> budget)
+      : visited(g.num_vertices(), false) {
+    if (kind == ArenaKind::kBatch) {
+      cache = std::make_unique<SharedProbeCache>(s, g);
+      arena = std::make_unique<ProbeArena>(*cache);
+      ctx = std::make_unique<ProbeContext>(*arena, 0, mode, budget);
+    } else {
+      arena = ProbeArenaTestPeer::make(g, kind == ArenaKind::kPair);
+      ctx = std::make_unique<ProbeContext>(*arena, s, 0, mode, budget);
+    }
+    visited[0] = true;
+  }
+};
+
+/// What one row scan did, and the state it left.
+struct RowOutcome {
+  bool stopped = false;
+  Thrown thrown = Thrown::kNone;
+  std::uint64_t wanted = 0;
+  std::vector<std::pair<VertexId, int>> opened;
+  std::uint64_t distinct = 0;
+  std::uint64_t total = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::vector<bool> reached;
+  std::vector<std::uint64_t> memo;
+  std::vector<std::uint64_t> answers;
+  std::vector<std::uint32_t> listed;
+};
+
+void expect_same_outcome(const RowOutcome& row, const RowOutcome& slot, const std::string& where) {
+  ASSERT_EQ(row.thrown, slot.thrown) << where;
+  ASSERT_EQ(row.wanted, slot.wanted) << where;
+  ASSERT_EQ(row.stopped, slot.stopped) << where;
+  ASSERT_EQ(row.opened, slot.opened) << where;
+  ASSERT_EQ(row.distinct, slot.distinct) << where;
+  ASSERT_EQ(row.total, slot.total) << where;
+  ASSERT_EQ(row.hits, slot.hits) << where;
+  ASSERT_EQ(row.misses, slot.misses) << where;
+  ASSERT_EQ(row.reached, slot.reached) << where;
+  ASSERT_EQ(row.memo, slot.memo) << where;
+  ASSERT_EQ(row.answers, slot.answers) << where;
+  ASSERT_EQ(row.listed, slot.listed) << where;
+}
+
+struct ScanStats {
+  int budget_throws = 0;
+  int locality_throws = 0;
+  std::uint64_t repeats = 0;  // probes the memo answered
+};
+
+std::uint64_t mix(std::uint64_t x) { return derive_seed(0x5eed, x); }
+
+/// Scans rows on both sides: in BFS order over what opens, with every
+/// fifth row a vertex drawn at random (in kLocal mostly unreached, so the
+/// locality test runs per slot and throws), every seventh an unreached
+/// vertex next to the reached set (its row passes the test through reached
+/// neighbors, and probes them, before a slot leaves them), and every third
+/// a random slot range. wants skips a fifth of the vertices and two thirds
+/// of the visited ones (so edges are probed again, from either end); opened
+/// stops the scan on about one vertex in eleven. Returns the distinct count
+/// after each row, and counts the throws and repeat probes in `stats`.
+template <typename Rows>
+std::vector<std::uint64_t> compare_row_scans(const Rows& rows, const Topology& g,
+                                             const EdgeSampler& s, ArenaKind kind,
+                                             RoutingMode mode,
+                                             std::optional<std::uint64_t> budget,
+                                             const std::string& label, ScanStats& stats) {
+  RowSide by_row(g, s, kind, mode, budget);
+  RowSide by_slot(g, s, kind, mode, budget);
+  const std::uint64_t n = g.num_vertices();
+  std::vector<VertexId> queue{0};
+  std::vector<bool> queued(n, false);
+  queued[0] = true;
+  std::size_t head = 0;
+  Rng rng(derive_seed(n, static_cast<std::uint64_t>(kind)));
+  std::vector<std::uint64_t> distinct_after;
+  stats = {};
+  const auto next_to_reached = [&] {
+    const VertexId start = uniform_below(rng, n);
+    for (std::uint64_t k = 0; k < n; ++k) {
+      const VertexId v = (start + k) % n;
+      if (by_slot.ctx->is_reached(v)) continue;
+      for (int i = 0; i < rows.degree(v); ++i) {
+        if (by_slot.ctx->is_reached(rows.neighbor(v, i))) return v;
+      }
+    }
+    return start;
+  };
+  for (int step = 0; step < 80; ++step) {
+    VertexId x;
+    if (step % 7 == 6) {
+      x = next_to_reached();
+    } else if (step % 5 == 4 || head == queue.size()) {
+      x = uniform_below(rng, n);
+    } else {
+      x = queue[head++];
+    }
+    const int deg = rows.degree(x);
+    int begin = 0;
+    int end = deg;
+    if (step % 3 == 2 && deg > 1) {
+      begin = static_cast<int>(uniform_below(rng, static_cast<std::uint64_t>(deg)));
+      end = begin + 1 + static_cast<int>(uniform_below(rng, static_cast<std::uint64_t>(deg - begin)));
+    }
+    const std::uint64_t salt = uniform_below(rng, std::uint64_t{1} << 40);
+    const auto scan = [&](RowSide& side, bool kernel) {
+      RowOutcome out;
+      const auto wants = [&](VertexId y) {
+        ++out.wanted;
+        return mix(y ^ salt) % 5 != 0 && (!side.visited[y] || mix(y + 2 * salt) % 3 == 0);
+      };
+      const auto opened = [&](VertexId y, int i) {
+        out.opened.emplace_back(y, i);
+        side.visited[y] = true;
+        return mix(y + salt) % 11 == 0;
+      };
+      try {
+        out.stopped = kernel ? side.ctx->probe_row(rows, x, begin, end, wants, opened)
+                             : probe_row_by_slot(*side.ctx, rows, x, begin, end, wants, opened);
+      } catch (const LocalityViolation&) {
+        out.thrown = Thrown::kLocality;
+      } catch (const ProbeBudgetExceeded&) {
+        out.thrown = Thrown::kBudget;
+      }
+      out.distinct = side.ctx->distinct_probes();
+      out.total = side.ctx->total_probes();
+      out.hits = side.arena->tally().hits;
+      out.misses = side.arena->tally().misses;
+      for (VertexId v = 0; v < n; ++v) out.reached.push_back(side.ctx->is_reached(v));
+      out.memo = ProbeArenaTestPeer::memo_words(*side.arena);
+      out.answers = ProbeArenaTestPeer::answer_words(*side.arena);
+      out.listed = ProbeArenaTestPeer::listed(*side.arena);
+      return out;
+    };
+    const RowOutcome row = scan(by_row, true);
+    const RowOutcome slot = scan(by_slot, false);
+    const std::string where = label + " step " + std::to_string(step) + " x=" +
+                              std::to_string(x) + " slots [" + std::to_string(begin) + ", " +
+                              std::to_string(end) + ")";
+    [&] { ASSERT_NO_FATAL_FAILURE(expect_same_outcome(row, slot, where)); }();
+    if (::testing::Test::HasFatalFailure()) return distinct_after;
+    if (row.thrown == Thrown::kBudget) ++stats.budget_throws;
+    if (row.thrown == Thrown::kLocality) ++stats.locality_throws;
+    stats.repeats = slot.total - slot.distinct;
+    for (const auto& [y, i] : slot.opened) {
+      if (!queued[y]) {
+        queued[y] = true;
+        queue.push_back(y);
+      }
+    }
+    distinct_after.push_back(slot.distinct);
+  }
+  return distinct_after;
+}
+
+/// Every arena kind and mode, unbounded and at budgets that run out at a
+/// row's first fresh probe (the count some row ended on) and in the middle
+/// of a row (half way into the next row's fresh probes).
+template <typename Rows>
+void check_probe_row(const Rows& rows, const Topology& g, const std::string& name) {
+  const HashEdgeSampler s(0.6, 1234);
+  for (const ArenaKind kind : {ArenaKind::kBatch, ArenaKind::kPair, ArenaKind::kSparse}) {
+    for (const RoutingMode mode : {RoutingMode::kLocal, RoutingMode::kOracle}) {
+      const std::string label = name + (kind == ArenaKind::kBatch  ? " batch"
+                                        : kind == ArenaKind::kPair ? " pair"
+                                                                   : " sparse") +
+                                (mode == RoutingMode::kLocal ? " local" : " oracle");
+      ScanStats stats;
+      const std::vector<std::uint64_t> distinct =
+          compare_row_scans(rows, g, s, kind, mode, std::nullopt, label, stats);
+      ASSERT_FALSE(::testing::Test::HasFatalFailure()) << label;
+      ASSERT_EQ(stats.budget_throws, 0) << label;
+      EXPECT_GT(stats.repeats, 0u) << label;
+      // kLocal: some unreached row threw.
+      if (mode == RoutingMode::kLocal) {
+        EXPECT_GT(stats.locality_throws, 0) << label;
+      } else {
+        EXPECT_EQ(stats.locality_throws, 0) << label;
+      }
+      std::vector<std::uint64_t> budgets{0};
+      int at_row_start = 0;
+      int mid_row = 0;
+      for (std::size_t k = 0; k + 1 < distinct.size(); ++k) {
+        const std::uint64_t fresh = distinct[k + 1] - distinct[k];
+        if (fresh >= 1 && at_row_start < 3) {
+          budgets.push_back(distinct[k]);
+          ++at_row_start;
+        }
+        if (fresh >= 2 && mid_row < 3) {
+          budgets.push_back(distinct[k] + fresh / 2);
+          ++mid_row;
+        }
+      }
+      ASSERT_GE(at_row_start, 1) << label;
+      ASSERT_GE(mid_row, 1) << label;
+      for (const std::uint64_t budget : budgets) {
+        const std::string at = label + " budget " + std::to_string(budget);
+        compare_row_scans(rows, g, s, kind, mode, budget, at, stats);
+        ASSERT_FALSE(::testing::Test::HasFatalFailure()) << at;
+        EXPECT_GT(stats.budget_throws, 0) << at;
+      }
+    }
+  }
+}
+
+TEST(ProbeRow, AgreesWithTheSlotBySlotLoopOnEveryObservable) {
+  const DeBruijn de_bruijn(7);
+  ASSERT_NO_FATAL_FAILURE(
+      check_probe_row(FlatRows{&de_bruijn.flat_adjacency()}, de_bruijn, "de_bruijn:7 csr"));
+  const CompleteGraph complete(40);
+  ASSERT_NO_FATAL_FAILURE(
+      check_probe_row(FlatRows{&complete.flat_adjacency()}, complete, "complete:40 csr"));
+  const Hypercube cube(7);
+  ASSERT_NO_FATAL_FAILURE(check_probe_row(ClosedFormRows<Hypercube>{&cube}, cube, "hypercube:7"));
+  const Mesh mesh(2, 9);
+  Mesh::Decoded last;
+  ASSERT_NO_FATAL_FAILURE(check_probe_row(ClosedFormRows<Mesh>{&mesh, &last}, mesh, "mesh:2:9"));
+  const Mesh torus(3, 4, /*wrap=*/true);
+  ASSERT_NO_FATAL_FAILURE(
+      check_probe_row(ClosedFormRows<Mesh>{&torus, &last}, torus, "torus:3:4"));
+  // The virtual accessor takes the per-slot loop on every side.
+  ASSERT_NO_FATAL_FAILURE(check_probe_row(VirtualRows{&de_bruijn}, de_bruijn, "de_bruijn:7 virtual"));
 }
 
 // ------------------------------------------------------------------- Path
