@@ -74,13 +74,6 @@ METRICS_TRACK_FIELDS = {
     "name": str,
 }
 
-METRICS_SAMPLES_FIELDS = {
-    "stride": int,
-    "steps_seen": int,
-    "max_samples": int,
-    "samples": list,
-}
-
 ANALYZE_TOP_LEVEL = {
     "schema": str,
     "schema_version": int,
@@ -113,15 +106,6 @@ ANALYZE_SUPPRESSED_FIELDS = {
 # cover exactly this set so a renamed rule cannot slip past report consumers.
 ANALYZE_RULES = {
     "hot-alloc", "determinism", "lock-discipline", "throw-safety", "annotation",
-}
-
-METRICS_SAMPLE_FIELDS = {
-    "t": int,
-    "step": int,
-    "active_channels": int,
-    "queued": int,
-    "in_transit": int,
-    "injections": int,
 }
 
 
@@ -220,22 +204,6 @@ def check_metrics(report: dict) -> None:
             fail(f"{where}: duplicate track id {track['id']}")
         track_ids.add(track["id"])
 
-    if "delivery_samples" in report:
-        series = report["delivery_samples"]
-        if not isinstance(series, dict):
-            fail("delivery_samples: not an object")
-        check_fields(series, METRICS_SAMPLES_FIELDS, "delivery_samples")
-        stride = series["stride"]
-        if stride < 1 or stride & (stride - 1) != 0:
-            fail(f"delivery_samples: stride {stride} is not a power of two")
-        if len(series["samples"]) > series["max_samples"]:
-            fail("delivery_samples: more samples than max_samples")
-        for i, sample in enumerate(series["samples"]):
-            where = f"delivery_samples.samples[{i}]"
-            if not isinstance(sample, dict):
-                fail(f"{where}: not an object")
-            check_fields(sample, METRICS_SAMPLE_FIELDS, where)
-
 
 def check_analyze(report: dict) -> None:
     check_fields(report, ANALYZE_TOP_LEVEL, "top level")
@@ -289,11 +257,9 @@ def summarize_analyze(report: dict) -> str:
 
 
 def summarize_metrics(report: dict) -> str:
-    series = report.get("delivery_samples")
-    samples = f", {len(series['samples'])} delivery samples" if series else ""
     return (
         f"command={report['command']}, {len(report['counters'])} counters, "
-        f"{len(report['phases'])} phases, {len(report['tracks'])} tracks{samples}"
+        f"{len(report['phases'])} phases, {len(report['tracks'])} tracks"
     )
 
 

@@ -288,6 +288,7 @@ namespace faultroute {
 struct DistanceOracle { void bfs_block(); };
 struct Topology { unsigned long distance(); };
 struct JsonLinesReporter { void report(); };
+struct CsvReporter { void report(); };
 
 void helper(std::vector<int>& out);
 
@@ -302,7 +303,7 @@ unsigned long Topology::distance() { return 0; }
 // analyze:det-root(smoke fixture root)
 void JsonLinesReporter::report() {}
 // analyze:det-root(smoke fixture root)
-void traffic_table() {}
+void CsvReporter::report() {}
 """
 
 ANALYZE_HELPER_CLEAN = """\

@@ -81,7 +81,7 @@ class Topology {
 
   /// The two endpoints of the edge with canonical key `key`. Every topology
   /// in this library uses an invertible key encoding, which is what lets
-  /// node-failure samplers recover endpoints at probe time on implicit
+  /// the shared probe cache recover endpoints at probe time on implicit
   /// graphs. The key must have been produced by edge_key() of this topology.
   [[nodiscard]] virtual EdgeEndpoints endpoints(EdgeKey key) const = 0;
 

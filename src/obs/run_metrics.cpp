@@ -79,24 +79,7 @@ void RunMetrics::write_metrics_json(std::ostream& out, std::string_view command)
     first = false;
     out << "{\"id\":" << track.id << ",\"name\":\"" << json_escape(track.name) << "\"}";
   }
-  out << ']';
-
-  if (sampler_ != nullptr) {
-    out << ",\"delivery_samples\":{\"stride\":" << sampler_->stride()
-        << ",\"steps_seen\":" << sampler_->steps_seen()
-        << ",\"max_samples\":" << sampler_->max_samples() << ",\"samples\":[";
-    first = true;
-    for (const DeliverySampler::Sample& s : sampler_->samples()) {
-      if (!first) out << ',';
-      first = false;
-      out << "{\"t\":" << s.time << ",\"step\":" << s.step
-          << ",\"active_channels\":" << s.active_channels << ",\"queued\":" << s.queued
-          << ",\"in_transit\":" << s.in_transit << ",\"injections\":" << s.injections
-          << '}';
-    }
-    out << "]}";
-  }
-  out << "}\n";
+  out << "]}\n";
   out.flush();
 }
 

@@ -1,11 +1,9 @@
 #pragma once
 
-#include <memory>
 #include <ostream>
 #include <string_view>
 
 #include "obs/counter_registry.hpp"
-#include "obs/delivery_sampler.hpp"
 #include "obs/phase_profiler.hpp"
 #include "obs/schemas.hpp"
 
@@ -17,9 +15,9 @@ namespace faultroute::obs {
 inline constexpr int kMetricsSchemaVersion = schemas::kMetricsVersion;
 inline constexpr const char* kMetricsSchemaName = schemas::kMetrics;
 
-/// One run's observability state: a CounterRegistry, a PhaseProfiler, and an
-/// optional DeliverySampler, bundled so the engine threads a single nullable
-/// pointer (TrafficConfig::metrics, scenario::RunOptions::metrics).
+/// One run's observability state: a CounterRegistry and a PhaseProfiler,
+/// bundled so the engine threads a single nullable pointer
+/// (TrafficConfig::metrics, scenario::RunOptions::metrics).
 ///
 /// Lifecycle: the CLI constructs one RunMetrics when --metrics or --trace is
 /// given, hands it to the command, and serializes it afterwards —
@@ -42,20 +40,9 @@ class RunMetrics {
   [[nodiscard]] PhaseProfiler& profiler() { return profiler_; }
   [[nodiscard]] const PhaseProfiler& profiler() const { return profiler_; }
 
-  /// The delivery time-series sampler, or nullptr until enabled. The engine
-  /// samples only when this is non-null, so scenario sweeps (many cells, one
-  /// registry) leave it off while `faultroute traffic` turns it on.
-  [[nodiscard]] DeliverySampler* delivery_sampler() { return sampler_.get(); }
-  [[nodiscard]] const DeliverySampler* delivery_sampler() const { return sampler_.get(); }
-  DeliverySampler& enable_delivery_sampler(std::size_t max_samples = 4096) {
-    sampler_ = std::make_unique<DeliverySampler>(max_samples);
-    return *sampler_;
-  }
-
   /// Writes the faultroute.metrics.v1 report: schema header, build
   /// provenance, this run's counters merged with the process-global registry
-  /// (graph.* counters), aggregated phase timings, profiler tracks, and the
-  /// delivery time-series when sampling was enabled.
+  /// (graph.* counters), aggregated phase timings and profiler tracks.
   void write_metrics_json(std::ostream& out, std::string_view command) const;
 
   /// Writes a Chrome trace-event JSON object ({"traceEvents":[...]}) —
@@ -67,7 +54,6 @@ class RunMetrics {
  private:
   CounterRegistry counters_;
   PhaseProfiler profiler_;
-  std::unique_ptr<DeliverySampler> sampler_;
 };
 
 }  // namespace faultroute::obs

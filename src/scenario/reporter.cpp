@@ -130,6 +130,7 @@ void CsvReporter::begin(const ScenarioSpec& spec) {
   out_ << '\n';
 }
 
+// analyze:det-root(scenario CSV rows: byte-identical across reruns and threads)
 void CsvReporter::report(const CellResult& cell) {
   out_ << kSchemaName << ',' << csv_escape(scenario_name_);
   for_each_cell_field(cell, [this](const char* /*name*/, const auto& value) {

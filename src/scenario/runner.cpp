@@ -163,7 +163,10 @@ RunSummary run_scenario(const ScenarioSpec& spec, Reporter& reporter,
       config.edge_capacity = spec.edge_capacity;
       if (spec.probe_budget > 0) config.probe_budget = spec.probe_budget;
       config.max_steps = spec.max_steps;
-      config.threads = 1;  // parallelism is across cells, not within one
+      // Parallelism is across cells; a lone pending cell (a one-cell spec,
+      // or a resumed or sharded run with one cell left to compute) routes
+      // on the spec's threads instead.
+      config.threads = pending.size() == 1 ? spec.threads : 1;
       config.flat_snapshot = snapshots[coords.topology].get();
       config.metrics = options.metrics;  // counters merge across cells; the
                                          // registry shards per worker thread

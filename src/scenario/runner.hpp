@@ -62,8 +62,10 @@ struct RunOptions {
 ///
 /// Parallelism: cells are distributed over `spec.threads` workers
 /// (0 = hardware concurrency) via core/parallel's index loop; each cell's
-/// traffic simulation runs single-threaded inside its worker. Results and
-/// report bytes are identical for every thread count.
+/// traffic simulation runs single-threaded inside its worker, unless exactly
+/// one cell is pending, whose routing phase then takes `spec.threads`
+/// (`faultroute traffic` is such a run). Results and report bytes are
+/// identical for every thread count.
 ///
 /// Fail-fast: all topology specs are constructed, all router names
 /// instantiated against each topology, and all workload specs parsed

@@ -24,7 +24,8 @@ namespace faultroute::scenario {
 ///   messages  = 1024                     # messages per cell      (>= 1)
 ///   trials    = 3                        # environments per cell  (>= 1)
 ///   seed      = 2005                     # base seed of the whole run
-///   threads   = 0                        # worker threads over cells (0 = hw)
+///   threads   = 0                        # worker threads over cells (0 = hw);
+///                                        # a lone pending cell routes on them
 ///   capacity  = 1                        # edge capacity, msgs/step (>= 1)
 ///   budget    = 0                        # probe budget per message (0 = off)
 ///   max_steps = 0                        # delivery-step safety cap (0 = off)

@@ -103,8 +103,6 @@ TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampler,
   result.outcomes.resize(messages.size());  // analyze:allow-hot-alloc(per-batch result array sized once)
   obs::PhaseProfiler* profiler =
       config.metrics != nullptr ? &config.metrics->profiler() : nullptr;
-  obs::DeliverySampler* sampler_ts =
-      config.metrics != nullptr ? config.metrics->delivery_sampler() : nullptr;
 
   // ---------------------------------------------------------- phase 1: route
   detail::RoutedBatch routed =
@@ -178,11 +176,9 @@ TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampler,
 
     // Admissions due now: mid-journey arrivals merged with fresh injections,
     // processed in ascending id order (the deterministic FIFO tie-break).
-    std::uint64_t injected_now = 0;
     while (injected < injections.size() && injections[injected].first == t) {
       arrivals.push_back(injections[injected].second);  // analyze:allow-hot-alloc(amortized calendar bucket; capacity is retained across steps)
       ++injected;
-      ++injected_now;
     }
     detail::sort_message_ids(arrivals, sort_scratch, id_bits);
     result.admission_events += arrivals.size();
@@ -232,19 +228,6 @@ TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampler,
         ++k;
       }
     }
-    if (sampler_ts != nullptr) {
-      // End-of-step snapshot. Queue depth needs no scan: in_flight splits
-      // exactly into not-yet-injected + arriving-next-step + sitting-in-FIFOs.
-      obs::DeliverySampler::Sample sample;
-      sample.time = t;
-      sample.step = steps - 1;
-      sample.active_channels = active.size();
-      sample.in_transit = next_arrivals.size();
-      sample.queued =
-          in_flight - (injections.size() - injected) - next_arrivals.size();
-      sample.injections = injected_now;
-      sampler_ts->record(sample);
-    }
     ++t;
     arrivals.swap(next_arrivals);
   }
@@ -283,37 +266,6 @@ TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampler,
   }
   if (config.metrics != nullptr) detail::record_traffic_counters(*config.metrics, result);
   return result;
-}
-
-// analyze:det-root(CLI result table: every value must be run-stable)
-Table traffic_table(const TrafficResult& result) {
-  Table table({"metric", "value"});
-  table.add_row({"messages", Table::fmt(result.messages)});
-  table.add_row({"routed", Table::fmt(result.routed)});
-  table.add_row({"failed routing", Table::fmt(result.failed_routing)});
-  table.add_row({"censored (budget)", Table::fmt(result.censored)});
-  table.add_row({"invalid paths", Table::fmt(result.invalid_paths)});
-  table.add_row({"delivered", Table::fmt(result.delivered)});
-  table.add_row({"stranded", Table::fmt(result.stranded)});
-  table.add_row({"total distinct probes", Table::fmt(result.total_distinct_probes)});
-  table.add_row({"unique edges probed", Table::fmt(result.unique_edges_probed)});
-  table.add_row({"probe cache hits", Table::fmt(result.cache_hits)});
-  table.add_row({"probe cache misses", Table::fmt(result.cache_misses)});
-  table.add_row({"probe amortization", Table::fmt(result.probe_amortization(), 2)});
-  table.add_row({"max edge load", Table::fmt(result.max_edge_load)});
-  table.add_row({"mean edge load", Table::fmt(result.mean_edge_load, 2)});
-  table.add_row({"edges used", Table::fmt(result.edges_used)});
-  table.add_row({"mean path edges", Table::fmt(result.mean_path_edges, 2)});
-  table.add_row({"mean queueing delay", Table::fmt(result.mean_queueing_delay, 2)});
-  table.add_row({"max queueing delay", Table::fmt(result.max_queueing_delay)});
-  table.add_row({"makespan", Table::fmt(result.makespan)});
-  table.add_row({"throughput (msgs/step)", Table::fmt(result.throughput(), 3)});
-  table.add_row({"sim steps", Table::fmt(result.sim_steps)});
-  table.add_row({"admission events", Table::fmt(result.admission_events)});
-  table.add_row({"transmissions", Table::fmt(result.transmissions)});
-  table.add_row({"peak active channels", Table::fmt(result.peak_active_channels)});
-  table.add_row({"directed channels", Table::fmt(result.channels)});
-  return table;
 }
 
 }  // namespace faultroute

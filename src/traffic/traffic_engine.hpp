@@ -4,7 +4,6 @@
 #include <optional>
 #include <vector>
 
-#include "analysis/table.hpp"
 #include "core/experiment.hpp"  // RouterFactory
 #include "core/path.hpp"
 #include "core/router.hpp"
@@ -61,10 +60,9 @@ struct TrafficConfig {
   /// counted as `stranded`.
   std::uint64_t max_steps = 0;
   /// When non-null, the run feeds the observability sink (src/obs/): counters
-  /// for every phase, nested phase spans on the profiler, and — if its
-  /// delivery sampler is enabled — a per-step delivery time-series. The
-  /// pointee must outlive the run. Off (nullptr) costs one null check per
-  /// site; on, simulation results are bit-identical (pinned by
+  /// for every phase and nested phase spans on the profiler. The pointee must
+  /// outlive the run. Off (nullptr) costs one null check per site; on,
+  /// simulation results are bit-identical (pinned by
   /// tests/test_observability.cpp).
   obs::RunMetrics* metrics = nullptr;
 };
@@ -196,9 +194,6 @@ struct TrafficResult {
                                         const RouterFactory& make_router,
                                         const std::vector<TrafficMessage>& messages,
                                         const TrafficConfig& config);
-
-/// Renders the aggregate metrics as a two-column report table.
-[[nodiscard]] Table traffic_table(const TrafficResult& result);
 
 namespace detail {
 

@@ -1,6 +1,6 @@
-// Observability subsystem: counter registry, phase profiler, delivery
-// sampler, metrics/trace serialization — and the hard invariant that
-// attaching any of it never changes a simulation result by a bit.
+// Observability subsystem: counter registry, phase profiler, metrics/trace
+// serialization — and the hard invariant that attaching any of it never
+// changes a simulation result by a bit.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include "graph/hypercube.hpp"
 #include "obs/build_info.hpp"
 #include "obs/counter_registry.hpp"
-#include "obs/delivery_sampler.hpp"
 #include "obs/phase_profiler.hpp"
 #include "obs/run_metrics.hpp"
 #include "obs/schemas.hpp"
@@ -30,7 +29,6 @@ namespace faultroute {
 namespace {
 
 using obs::CounterRegistry;
-using obs::DeliverySampler;
 using obs::MergeKind;
 using obs::PhaseProfiler;
 using obs::RunMetrics;
@@ -149,46 +147,6 @@ TEST(PhaseProfiler, NullProfilerScopeIsANoOp) {
   EXPECT_TRUE(profiler.spans().empty());
 }
 
-// ----------------------------------------------------------- DeliverySampler
-
-TEST(DeliverySampler, KeepsEveryStepWhileUnderCapacity) {
-  DeliverySampler sampler(16);
-  for (std::uint64_t t = 0; t < 10; ++t) {
-    DeliverySampler::Sample sample;
-    sample.time = t;
-    sampler.record(sample);
-  }
-  EXPECT_EQ(sampler.stride(), 1u);
-  EXPECT_EQ(sampler.steps_seen(), 10u);
-  ASSERT_EQ(sampler.samples().size(), 10u);
-  EXPECT_EQ(sampler.samples().front().time, 0u);
-  EXPECT_EQ(sampler.samples().back().time, 9u);
-}
-
-TEST(DeliverySampler, DecimatesToPowerOfTwoStridesWithinBudget) {
-  constexpr std::size_t kMax = 8;
-  DeliverySampler sampler(kMax);
-  for (std::uint64_t t = 0; t < 1000; ++t) {
-    DeliverySampler::Sample sample;
-    sample.time = t;
-    sampler.record(sample);
-  }
-  EXPECT_EQ(sampler.steps_seen(), 1000u);
-  EXPECT_LE(sampler.samples().size(), kMax);
-  const std::uint64_t stride = sampler.stride();
-  EXPECT_EQ(stride & (stride - 1), 0u) << "stride must be a power of two";
-  // The kept samples are exactly the stride-multiples, first step included.
-  ASSERT_FALSE(sampler.samples().empty());
-  for (std::size_t i = 0; i < sampler.samples().size(); ++i) {
-    EXPECT_EQ(sampler.samples()[i].time, i * stride);
-  }
-}
-
-TEST(DeliverySampler, MaxSamplesIsClampedToAtLeastTwo) {
-  DeliverySampler sampler(0);
-  EXPECT_GE(sampler.max_samples(), 2u);
-}
-
 // ------------------------------------------------- traffic-phase harnesses
 
 RouterFactory best_first_factory() {
@@ -262,15 +220,6 @@ TEST(TrafficCacheCounters, HitMissSplitObeysExactIdentities) {
   EXPECT_GT(result.cache_hits, 0u);  // a permutation batch always shares edges
 }
 
-TEST(TrafficCacheCounters, AppearInTheReportTable) {
-  const TrafficFixture fx;
-  const auto result =
-      run_traffic(fx.graph, fx.sampler, best_first_factory(), fx.messages, {});
-  const std::string table = traffic_table(result).to_string();
-  EXPECT_NE(table.find("probe cache hits"), std::string::npos);
-  EXPECT_NE(table.find("probe cache misses"), std::string::npos);
-}
-
 // ---------------------------------- instrumentation-off golden (tentpole)
 
 TEST(ObservabilityGolden, MetricsAttachmentNeverChangesTrafficResults) {
@@ -281,7 +230,6 @@ TEST(ObservabilityGolden, MetricsAttachmentNeverChangesTrafficResults) {
       run_traffic(fx.graph, fx.sampler, best_first_factory(), fx.messages, bare);
 
   RunMetrics metrics;
-  metrics.enable_delivery_sampler(64);
   TrafficConfig instrumented = bare;
   instrumented.metrics = &metrics;
   const auto on = run_traffic(fx.graph, fx.sampler, best_first_factory(), fx.messages,
@@ -295,7 +243,6 @@ TEST(ObservabilityGolden, MetricsAttachmentNeverChangesTrafficResults) {
                 metrics.counters().id("traffic.routing.distinct_probes")),
             on.total_distinct_probes);
   EXPECT_FALSE(metrics.profiler().spans().empty());
-  EXPECT_FALSE(metrics.delivery_sampler()->samples().empty());
 }
 
 TEST(ObservabilityGolden, ScenarioReportIsByteIdenticalWithMetricsAttached) {
@@ -365,7 +312,7 @@ TEST(RunMetricsOutput, MetricsJsonCarriesSchemaProvenanceAndCounters) {
   EXPECT_NE(json.find("\"test.alpha\":5"), std::string::npos);
   EXPECT_NE(json.find("\"path\":\"phase-a\""), std::string::npos);
   EXPECT_EQ(json.find("\"delivery_samples\""), std::string::npos)
-      << "sampler section must be absent when sampling was never enabled";
+      << "the retired delivery time-series must not reappear";
 }
 
 TEST(RunMetricsOutput, ChromeTraceHasMetadataAndCompleteEvents) {

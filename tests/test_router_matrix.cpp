@@ -1,6 +1,5 @@
 // The completeness matrix: every complete local/oracle router, on every
-// compatible topology, under both the edge-fault and node-fault samplers,
-// must (a) find a path exactly when ground truth says one exists, (b) return
+// compatible topology, under edge percolation, must (a) find a path exactly when ground truth says one exists, (b) return
 // only valid open paths, (c) never violate locality when run enforced.
 // This is the library's strongest property suite — it exercises every
 // topology's adjacency/key/endpoint code and every router's search logic
@@ -27,7 +26,6 @@
 #include "graph/shuffle_exchange.hpp"
 #include "percolation/cluster_analysis.hpp"
 #include "percolation/edge_sampler.hpp"
-#include "percolation/node_fault_sampler.hpp"
 
 namespace faultroute {
 namespace {
@@ -37,7 +35,6 @@ struct MatrixCase {
   std::shared_ptr<Topology> topology;
   std::string router_label;
   std::shared_ptr<Router> router;
-  bool node_faults;
   double edge_p;   // per-topology: must sit above the family's threshold
   VertexId u;
   VertexId v;
@@ -78,9 +75,7 @@ std::vector<MatrixCase> build_matrix() {
   std::vector<MatrixCase> cases;
   for (const auto& t : topologies) {
     for (const auto& [rl, router] : routers) {
-      for (const bool node_faults : {false, true}) {
-        cases.push_back({t.label, t.topology, rl, router, node_faults, t.edge_p, t.u, t.v});
-      }
+      cases.push_back({t.label, t.topology, rl, router, t.edge_p, t.u, t.v});
     }
   }
   return cases;
@@ -97,23 +92,18 @@ TEST_P(RouterMatrixTest, CompletenessValidityAndLocality) {
   int connected_seen = 0;
   int disconnected_seen = 0;
   for (std::uint64_t seed = 0; seed < 12; ++seed) {
-    std::unique_ptr<EdgeSampler> sampler;
-    if (c.node_faults) {
-      sampler = std::make_unique<NodeFaultSampler>(g, 0.93, c.edge_p, seed);
-    } else {
-      sampler = std::make_unique<HashEdgeSampler>(c.edge_p, seed);
-    }
-    const bool connected = *open_connected(g, *sampler, u, v);
+    const HashEdgeSampler sampler(c.edge_p, seed);
+    const bool connected = *open_connected(g, sampler, u, v);
     (connected ? connected_seen : disconnected_seen)++;
     ProbeArena arena(g);
-    ProbeContext ctx(arena, *sampler, u, router.required_mode());
+    ProbeContext ctx(arena, sampler, u, router.required_mode());
     std::optional<Path> path;
     ASSERT_NO_THROW(path = router.route(ctx, u, v))
         << c.topology_label << "/" << c.router_label << " seed " << seed;
     ASSERT_EQ(path.has_value(), connected)
         << c.topology_label << "/" << c.router_label << " seed " << seed;
     if (path) {
-      EXPECT_TRUE(is_valid_open_path(g, *sampler, *path, u, v))
+      EXPECT_TRUE(is_valid_open_path(g, sampler, *path, u, v))
           << c.topology_label << "/" << c.router_label << " seed " << seed;
       EXPECT_GE(ctx.distinct_probes(), path->size() - 1);
     }
@@ -127,9 +117,7 @@ INSTANTIATE_TEST_SUITE_P(AllCombinations, RouterMatrixTest,
                          ::testing::ValuesIn(build_matrix()),
                          [](const ::testing::TestParamInfo<MatrixCase>& param_info) {
                            return param_info.param.topology_label + "_" +
-                                  param_info.param.router_label +
-                                  (param_info.param.node_faults ? "_nodefaults"
-                                                                : "_edgefaults");
+                                  param_info.param.router_label + "_edgefaults";
                          });
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/run_metrics.hpp"
 #include "scenario/reporter.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
@@ -184,6 +185,25 @@ TEST(ScenarioRunner, ByteIdenticalAcrossRerunsAndThreadCounts) {
   const std::string sequential = run_jsonl(1);
   EXPECT_EQ(sequential, run_jsonl(1)) << "rerun must be byte-identical";
   EXPECT_EQ(sequential, run_jsonl(4)) << "thread count must not change the report";
+}
+
+TEST(ScenarioRunner, LonePendingCellRoutesOnTheSpecsThreads) {
+  // One cell leaves the cell loop nothing to spread, so the cell's routing
+  // phase takes the threads (`faultroute traffic`'s one-batch parallelism).
+  const auto run = [](unsigned threads, obs::RunMetrics* metrics) {
+    auto spec = parse_scenario("topology = hypercube:6; workload = random-pairs; messages = 48");
+    spec.threads = threads;
+    RunOptions options;
+    options.metrics = metrics;
+    std::ostringstream out;
+    JsonLinesReporter reporter(out);
+    (void)run_scenario(spec, reporter, options);
+    return out.str();
+  };
+  obs::RunMetrics metrics;
+  EXPECT_EQ(run(3, &metrics), run(1, nullptr));
+  // The calling thread's track, plus one per routing worker.
+  EXPECT_EQ(metrics.profiler().tracks().size(), 4u);
 }
 
 TEST(ScenarioRunner, SeedChangesEveryEnvironment) {

@@ -105,7 +105,7 @@ REQUIRED_HOT_ROOTS = (
 )
 REQUIRED_DET_ROOTS = (
     "JsonLinesReporter::report",  # scenario cell emission (src/scenario/reporter.cpp)
-    "traffic_table",              # CLI result table (src/traffic/traffic_engine.cpp)
+    "CsvReporter::report",        # scenario CSV rows (src/scenario/reporter.cpp)
 )
 
 # ------------------------------------------------------------- banned symbols

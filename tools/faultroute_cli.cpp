@@ -5,7 +5,8 @@
 //   components  cluster structure of an environment
 //   threshold   bisect the giant-component threshold of a topology
 //   trials      routing-complexity measurement (Definition 2), with stats
-//   traffic     store-and-forward congestion simulation of a workload
+//   traffic     store-and-forward congestion simulation of a workload: one
+//               scenario cell, reported as `scenario` reports it
 //   scenario    run a declarative scenario spec (sweep cross-products) and
 //               emit schema-versioned JSON-lines or CSV; supports
 //               --snapshot-dir (mmap'd adjacency), --checkpoint (resume),
@@ -50,7 +51,6 @@
 #include "analysis/table.hpp"
 #include "core/experiment.hpp"
 #include "core/probe_context.hpp"
-#include "graph/channel_index.hpp"
 #include "graph/double_tree.hpp"
 #include "graph/flat_adjacency.hpp"
 #include "graph/mesh.hpp"
@@ -60,15 +60,12 @@
 #include "percolation/cluster_analysis.hpp"
 #include "percolation/edge_sampler.hpp"
 #include "percolation/threshold.hpp"
-#include "random/rng.hpp"
 #include "scenario/merge.hpp"
 #include "scenario/reporter.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
 #include "sim/registry.hpp"
 #include "sim/strict_parse.hpp"
-#include "traffic/traffic_engine.hpp"
-#include "traffic/workload.hpp"
 
 namespace {
 
@@ -165,10 +162,10 @@ class Args {
 
 /// Shared --metrics PATH / --trace PATH handling, available on every
 /// subcommand. When either flag is given the sink owns a RunMetrics for the
-/// command to feed (counters, phase spans, delivery samples); finish()
-/// serializes it — the faultroute.metrics.v1 report and/or the Chrome
-/// trace-event JSON (open in chrome://tracing or Perfetto). With neither
-/// flag, metrics() is null and instrumentation stays on its zero-cost path.
+/// command to feed (counters and phase spans); finish() serializes it — the
+/// faultroute.metrics.v1 report and/or the Chrome trace-event JSON (open in
+/// chrome://tracing or Perfetto). With neither flag, metrics() is null and
+/// instrumentation stays on its zero-cost path.
 class ObsSink {
  public:
   ObsSink(const Args& args, std::string command)
@@ -379,57 +376,63 @@ int cmd_trials(const Args& args) {
   return 0;
 }
 
-int cmd_traffic(const Args& args) {
-  const auto graph = sim::make_topology(args.require("topology"));
-  const double p = args.get_double("p", 0.5);
-  const std::string router_name = args.get("router", "landmark");
-  const std::uint64_t seed = args.get_u64("seed", 2005);
-
-  WorkloadConfig workload;
-  workload.kind = parse_workload(args.get("workload", "permutation"));
-  workload.messages = args.get_u64("messages", 1024);
-  workload.seed = args.get_u64("workload-seed", 1);
-  workload.hotspot_target = args.get_u64("target", 0);
-  workload.arrival_rate = args.get_double("rate", 1.0);
-
-  TrafficConfig config;
-  config.edge_capacity = args.get_u64("capacity", 1);
-  config.threads = args.get_unsigned("threads", 0);
-  if (args.get_u64("budget", 0) > 0) config.probe_budget = args.get_u64("budget", 0);
-
-  // --snapshot-dir DIR resolves the routing adjacency from an on-disk
-  // snapshot (`faultroute snapshot build`), mmap'd instead of materialized.
-  // Absent snapshot falls back to the normal build; a corrupt one is a hard
-  // error. Results are identical either way. A topology that routes on its
-  // closed form takes no CSR, so its snapshot is not opened.
-  std::unique_ptr<FlatAdjacency> snapshot;
-  const std::string snapshot_dir = args.get("snapshot-dir", "");
-  if (!snapshot_dir.empty() && !routes_on_closed_form(*graph)) {
-    snapshot = open_snapshot_adjacency(snapshot_dir, args.require("topology"), *graph);
-    config.flat_snapshot = snapshot.get();
+/// The tail `scenario` and `traffic` share: --seed, --snapshot-dir and
+/// --threads override `spec`; then --metrics/--trace, the JSON-lines or CSV
+/// report to `out_path` (stdout when empty), and the stderr closing line.
+/// Reads the last flags, so it rejects any the command did not read.
+int run_spec(const std::string& command, scenario::ScenarioSpec spec, const Args& args,
+             scenario::RunOptions options, const std::string& format,
+             const std::string& out_path) {
+  spec.seed = args.get_u64("seed", spec.seed);
+  spec.snapshot_dir = args.get("snapshot-dir", spec.snapshot_dir);
+  const std::uint64_t threads = args.get_u64("threads", spec.threads);
+  if (threads > 4096) {  // same cap as the spec grammar's `threads` key
+    throw std::invalid_argument("--threads capped at 4096, got " + std::to_string(threads));
   }
-
-  // --metrics/--trace attach the observability sink; the engine also
-  // records the bounded per-step delivery time-series into the report
-  // (--trace-samples caps its memory).
-  const auto trace_samples = static_cast<std::size_t>(args.get_u64("trace-samples", 4096));
-  ObsSink sink(args, "traffic");
+  spec.threads = static_cast<unsigned>(threads);
+  scenario::validate_scenario(spec);
+  ObsSink sink(args, command);
+  options.metrics = sink.metrics();
   args.reject_unread();
-  config.metrics = sink.metrics();
-  if (sink.metrics()) sink.metrics()->enable_delivery_sampler(trace_samples);
 
-  // Delivery runs over the topology's ChannelIndex; refuse a topology too
-  // large for one before drawing a vertex-sized workload.
-  ChannelIndex::check_capacity(*graph);
-  const HashEdgeSampler env(p, seed);
-  const auto messages = generate_workload(*graph, workload);
-  const auto factory = [&]() { return sim::make_router(router_name, *graph); };
-  const TrafficResult result = run_traffic(*graph, env, factory, messages, config);
-
-  traffic_table(result).print(graph->name() + "  p=" + Table::fmt(p, 3) + "  router=" +
-                              router_name + "  workload=" + workload_name(workload.kind));
+  std::ofstream out_file;
+  if (!out_path.empty()) {
+    out_file.open(out_path);
+    if (!out_file) throw std::runtime_error("cannot write --out file '" + out_path + "'");
+  }
+  std::ostream& out = out_path.empty() ? std::cout : out_file;
+  const auto reporter = scenario::make_reporter(format, out);
+  const auto summary = scenario::run_scenario(spec, *reporter, options);
   sink.finish();
+  // Machine output goes to `out`; the human closing line goes to stderr so
+  // stdout stays clean for piping.
+  std::fprintf(stderr, "%s '%s': %llu cells, %llu messages, %llu delivered (%s)\n",
+               command.c_str(), spec.name.c_str(),
+               static_cast<unsigned long long>(summary.cells),
+               static_cast<unsigned long long>(summary.messages),
+               static_cast<unsigned long long>(summary.delivered),
+               out_path.empty() ? "stdout" : out_path.c_str());
   return 0;
+}
+
+/// `faultroute traffic --topology SPEC [--p P] [--router R] [--workload W]
+///                     [--messages N] [--capacity C] [--budget B] ...`
+///
+/// One scenario cell: the flags build a one-cell spec, whose report is the
+/// one `faultroute scenario --spec` prints for the same keys. Its seeds are
+/// therefore the runner's (cell 0: derive_seed(seed, 0) for the
+/// environment, derive_seed(seed, 1) for the workload), and --threads goes
+/// to the cell's routing phase.
+int cmd_traffic(const Args& args) {
+  scenario::ScenarioSpec spec;
+  spec.topologies = {args.require("topology")};
+  spec.p_values = {args.get_double("p", spec.p_values.front())};
+  spec.routers = {args.get("router", spec.routers.front())};
+  spec.workloads = {args.get("workload", spec.workloads.front())};
+  spec.messages = args.get_u64("messages", spec.messages);
+  spec.edge_capacity = args.get_u64("capacity", spec.edge_capacity);
+  spec.probe_budget = args.get_u64("budget", spec.probe_budget);
+  return run_spec("traffic", std::move(spec), args, {}, "jsonl", "");
 }
 
 /// `faultroute scenario [FILE] [--spec "k=v; ..."] [--format jsonl|csv]
@@ -446,25 +449,15 @@ int cmd_scenario(const std::string& file, const Args& args) {
     throw std::invalid_argument("scenario needs a spec file argument or --spec \"...\"");
   }
   scenario::apply_scenario_assignments(spec, inline_spec);
-  spec.seed = args.get_u64("seed", spec.seed);
-  spec.snapshot_dir = args.get("snapshot-dir", spec.snapshot_dir);
-  const std::uint64_t threads = args.get_u64("threads", spec.threads);
-  if (threads > 4096) {  // same cap as the spec grammar's `threads` key
-    throw std::invalid_argument("--threads capped at 4096, got " + std::to_string(threads));
-  }
-  spec.threads = static_cast<unsigned>(threads);
   if (args.get("quick", "false") == "true") {
     spec.messages = std::min<std::uint64_t>(spec.messages, 64);
     spec.trials = std::min<std::uint64_t>(spec.trials, 2);
   }
-  scenario::validate_scenario(spec);
 
   const std::string format = args.get("format", "jsonl");
   const std::string out_path = args.get("out", "");
 
-  ObsSink sink(args, "scenario");
   scenario::RunOptions options;
-  options.metrics = sink.metrics();
   // --checkpoint PATH: journal completed cells; a rerun against the same
   // journal resumes and still emits the byte-identical report.
   options.checkpoint_path = args.get("checkpoint", "");
@@ -486,25 +479,7 @@ int cmd_scenario(const std::string& file, const Args& args) {
     options.shard_index = static_cast<unsigned>(*k);
     options.shard_count = static_cast<unsigned>(*n);
   }
-  args.reject_unread();
-
-  std::ofstream out_file;
-  if (!out_path.empty()) {
-    out_file.open(out_path);
-    if (!out_file) throw std::runtime_error("cannot write --out file '" + out_path + "'");
-  }
-  std::ostream& out = out_path.empty() ? std::cout : out_file;
-  const auto reporter = scenario::make_reporter(format, out);
-  const auto summary = scenario::run_scenario(spec, *reporter, options);
-  sink.finish();
-  // Machine output goes to `out`; the human closing line goes to stderr so
-  // stdout stays clean for piping.
-  std::fprintf(stderr, "scenario '%s': %llu cells, %llu messages, %llu delivered (%s)\n",
-               spec.name.c_str(), static_cast<unsigned long long>(summary.cells),
-               static_cast<unsigned long long>(summary.messages),
-               static_cast<unsigned long long>(summary.delivered),
-               out_path.empty() ? "stdout" : out_path.c_str());
-  return 0;
+  return run_spec("scenario", std::move(spec), args, options, format, out_path);
 }
 
 /// `faultroute snapshot build --topology SPEC --dir DIR`
@@ -607,12 +582,11 @@ void print_usage() {
   std::cout << "\nrouters:   ";
   for (const auto& s : sim::router_names()) std::cout << ' ' << s;
   std::cout << "\nworkloads: ";
-  for (const auto& s : workload_names()) std::cout << ' ' << s;
+  for (const auto& s : sim::workload_spec_examples()) std::cout << ' ' << s;
   std::cout << "\n\ncommon flags:      --topology SPEC --p P --seed S --router NAME\n"
             << "trials flags:      --trials N --budget B --threads T --from U --to V\n"
-            << "traffic flags:     --workload W --messages N --workload-seed S\n"
-            << "                   --capacity C --threads T --budget B --target V\n"
-            << "                   --rate R\n"
+            << "traffic flags:     --workload W --messages N --capacity C --threads T\n"
+            << "                   --budget B (one scenario cell; JSON-lines report)\n"
             << "                   --snapshot-dir DIR (mmap the CSR adjacency from an\n"
             << "                     on-disk snapshot; also on scenario)\n"
             << "scenario:          faultroute scenario FILE.scn [--spec \"k=v; ...\"]\n"
@@ -623,8 +597,7 @@ void print_usage() {
             << "merge:             faultroute merge SHARD.jsonl... [--out PATH]\n"
             << "observability:     --metrics PATH (" << obs::schemas::kMetrics << " JSON) and\n"
             << "                   --trace PATH (Chrome trace-event JSON, for\n"
-            << "                   chrome://tracing / Perfetto) on every subcommand;\n"
-            << "                   traffic also takes --trace-samples N\n"
+            << "                   chrome://tracing / Perfetto) on every subcommand\n"
             << "\nfull reference: docs/CLI.md; scenario grammar: docs/SCENARIOS.md\n";
 }
 
